@@ -49,7 +49,6 @@ from .germs import (
 )
 from .solver import (
     IterationCapExceeded,
-    KleeneSystem,
     NoneLeftWinning,
     OptimalAtLowerBound,
     Proceed,

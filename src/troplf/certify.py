@@ -19,13 +19,11 @@ from typing import Optional
 from .game_engine import (
     MaxStrategy,
     MinStrategy,
-    feasibility_witness,
-    integer_oracle,
+    least_solution_fixed,
     restrict_min,
-    scaled_copy,
     trop_matvec,
 )
-from .spectral import HomogeneousInstance, game_at, phi_nonneg
+from .spectral import HomogeneousInstance, game_at, game_report, integer_game, phi_nonneg
 from .trop_core import (
     NEG_INF,
     ExtendedNumber,
@@ -33,6 +31,7 @@ from .trop_core import (
     WeightedDigraph,
     cycle_means,
     digraph_of_matrix,
+    scc_and_access,
 )
 
 
@@ -69,21 +68,6 @@ class CheckResult:
         return self.accepted
 
 
-def _access(n: int, arcs, source: int) -> frozenset:
-    succ = [[] for _ in range(n)]
-    for (s, t, _w) in arcs:
-        succ[s].append(t)
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        v = frontier.pop()
-        for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
 def _scale_vec(y, scale: int) -> tuple:
     return tuple(
         ExtendedNumber.finite(e.value * scale) if e.is_finite else e for e in y
@@ -100,7 +84,7 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
 
     mat = restrict_min(game, cert.tau)
     D = digraph_of_matrix(mat)
-    access = _access(D.n, D.arcs, H.n)
+    access = scc_and_access(D, H.n).access
     decomp, means = cycle_means(D, "max")
     for c, comp in enumerate(decomp.components):
         if means[c] is not None and means[c] > 0 and any(v in access for v in comp):
@@ -113,7 +97,7 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     ]
     mat2 = TropMatrix(rows)
     D2 = digraph_of_matrix(mat2)
-    access2 = _access(D2.n, D2.arcs, H.n)
+    access2 = scc_and_access(D2, H.n).access
     decomp2, means2 = cycle_means(D2, "max")
     for c, comp in enumerate(decomp2.components):
         if means2[c] is not None and means2[c] >= 0 and any(v in access2 for v in comp):
@@ -154,8 +138,8 @@ def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) 
             a = game.A.entries[i][j]
             if a.is_finite:
                 arcs.append((j, mx, -a.value))
-    access = _access(n_nodes, arcs, H.n)
     D = WeightedDigraph.from_arcs(n_nodes, arcs)
+    access = scc_and_access(D, H.n).access
     decomp, means = cycle_means(D, "min")
     objective_row = n_min + H.m
     if objective_row in access:
@@ -179,20 +163,21 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
 
     tau comes from the oracle on the integer-scaled perturbed game at
     lambda* - 1/(min(m,n)+2), where node n+1 loses; the witness from the
-    Kleene least solution at lambda*.
+    Kleene least solution on the integer game at lambda*.
     """
     lam_scaled = Fraction(lam_scaled)
     k2 = H.k_bound + 2
-    perturbed = game_at(H, lam_scaled - Fraction(1, k2))
-    rep = integer_oracle(scaled_copy(perturbed, k2))
+    _f, rep = game_report(H, lam_scaled - Fraction(1, k2), k2)
     if H.n in rep.winning:
         raise CertificateSynthesisFailed(
             "node n+1 still wins below lambda*: the value is not the minimal zero"
         )
-    y = feasibility_witness(game_at(H, lam_scaled), H.n)
-    if y is None:
+    _f, at_opt = game_report(H, lam_scaled)
+    if H.n not in at_opt.winning:
         raise CertificateSynthesisFailed("no feasible witness at lambda*")
-    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, _unscale_vec(y, H.scale))
+    f, a, b = integer_game(H, lam_scaled)
+    y = least_solution_fixed(a, b, at_opt.sigma, H.n)
+    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, _unscale_vec(y, f * H.scale))
     result = check_optimality(H, cert)
     if not result:
         raise CertificateSynthesisFailed(result.reason)
@@ -248,14 +233,9 @@ def _support_condition_certificate(H: HomogeneousInstance):
 
 
 def _deep_lambda_certificate(H: HomogeneousInstance):
-    base = game_at(H, 0)
-    weight = max(
-        (abs(x.value) for mat in (base.A, base.B) for row in mat.entries
-         for x in row if x.is_finite),
-        default=Fraction(0),
-    )
-    lam_low = -(2 * (H.k_bound + 2) * weight + 1)
-    rep = integer_oracle(game_at(H, lam_low))
+    # M bounds every payment of the game at lambda = 0.
+    lam_low = -(2 * (H.k_bound + 2) * H.M + 1)
+    _f, rep = game_report(H, lam_low)
     if H.n not in rep.winning:
         return None
     return UnboundednessCertificate(rep.sigma)

@@ -15,13 +15,19 @@ comparison is integer arithmetic.  One run yields the exact values chi of all
 Min nodes, the winning sets and optimal strategies sigma and tau for both
 players.
 
+``_oracle_core`` and ``least_solution_fixed`` work on dense integer payment
+grids (None for -inf).  The TropMatrix entry points scale rational payments
+to such grids once per call; the solver does not go through them, it forms
+the grids of its parametric game directly (``spectral.integer_game``) and
+keeps solved games in a per-instance memo instead of a global cache.
+
 ``lifting_oracle`` races two pseudo-polynomial energy liftings instead; it is
 kept as a reference implementation that tests compare against.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -34,11 +40,12 @@ import numpy as np
 from .trop_core import (
     MAX_PLUS,
     NEG_INF,
+    POS_INF,
     ExtendedNumber,
     TropMatrix,
     cycle_time_vector,
     ext,
-    kleene_least_solution,
+    kleene_star_int,
     residual_apply,
     trop_matvec,
 )
@@ -104,11 +111,6 @@ def validate_shape(A: TropMatrix, B: TropMatrix) -> list:
         if not any(A.entries[i][j].is_finite for i in range(A.rows)):
             problems.append(f"column {j} of A has no finite entry (Min node stuck)")
     return problems
-
-
-def validate(game: MeanPayoffGame) -> list:
-    """Return the list of assumption violations (empty when the game is valid)."""
-    return validate_shape(game.A, game.B)
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,6 @@ def restrict_max(game: MeanPayoffGame, sigma: MaxStrategy) -> TropMatrix:
                 if acc is None or val < acc:
                     acc = val
             grid[j][l] = ExtendedNumber.finite(acc) if acc is not None else None
-    from .trop_core import POS_INF
-
     return TropMatrix(
         [[e if e is not None else POS_INF for e in row] for row in grid],
         semiring="min_plus",
@@ -213,24 +213,29 @@ def restrict_min(game: MeanPayoffGame, tau: MinStrategy) -> TropMatrix:
     return TropMatrix(grid, semiring=MAX_PLUS)
 
 
-def play_outcome(game: MeanPayoffGame, j: int, tau: MinStrategy, sigma: MaxStrategy) -> Fraction:
-    """Mean payment per turn of the unique cycle reached from Min node j."""
-    tau.check(game)
-    sigma.check(game)
+def _play_cycle(a, b, j: int, tau, sigma) -> tuple:
+    """(total payment, length) of the cycle the play from Min node j reaches."""
     first_seen = {j: 0}
     payments = []
     cur = j
     while True:
-        i = tau.choices[cur]
-        nxt = sigma.choices[i]
-        payments.append(game.B.entries[i][nxt].value - game.A.entries[i][cur].value)
-        t = len(payments)
+        i = tau[cur]
+        nxt = sigma[i]
+        payments.append(b[i][nxt] - a[i][cur])
         if nxt in first_seen:
-            t0 = first_seen[nxt]
-            cycle = payments[t0:t]
-            return Fraction(sum(cycle), len(cycle))
-        first_seen[nxt] = t
+            cycle = payments[first_seen[nxt]:]
+            return sum(cycle), len(cycle)
+        first_seen[nxt] = len(payments)
         cur = nxt
+
+
+def play_outcome(game: MeanPayoffGame, j: int, tau: MinStrategy, sigma: MaxStrategy) -> Fraction:
+    """Mean payment per turn of the unique cycle reached from Min node j."""
+    tau.check(game)
+    sigma.check(game)
+    a, b, d = _int_payments(game.A, game.B)
+    total, length = _play_cycle(a, b, j, tau.choices, sigma.choices)
+    return Fraction(total, length * d)
 
 
 def _strategy_spaces(game: MeanPayoffGame):
@@ -245,21 +250,25 @@ def _strategy_spaces(game: MeanPayoffGame):
 
 
 def brute_force_value(game: MeanPayoffGame, j: int) -> Fraction:
-    """min over tau of max over sigma of play_outcome, by full enumeration."""
+    """min over tau of max over sigma of play_outcome, by full enumeration.
+
+    Plays run on the integer payments; their means (total, length) compare
+    by cross-multiplication.
+    """
     min_supports, max_supports, size = _strategy_spaces(game)
     if size > BRUTE_FORCE_GUARD:
         raise TooLarge(f"strategy space of size {size} exceeds the guard")
+    a, b, d = _int_payments(game.A, game.B)
     best = None
-    for tau_choices in product(*min_supports):
-        tau = MinStrategy(tau_choices)
+    for tau in product(*min_supports):
         worst = None
-        for sigma_choices in product(*max_supports):
-            val = play_outcome(game, j, tau, MaxStrategy(sigma_choices))
-            if worst is None or val > worst:
-                worst = val
-        if best is None or worst < best:
+        for sigma in product(*max_supports):
+            total, length = _play_cycle(a, b, j, tau, sigma)
+            if worst is None or total * worst[1] > worst[0] * length:
+                worst = (total, length)
+        if best is None or worst[0] * best[1] < best[0] * worst[1]:
             best = worst
-    return best
+    return Fraction(best[0], best[1] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +276,24 @@ def brute_force_value(game: MeanPayoffGame, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _int_payments(game: MeanPayoffGame):
-    """Dense integer payment grids (None for -inf); raises on non-integers."""
-    a = []
-    b = []
-    for i in range(game.m):
-        arow = []
-        brow = []
-        for j in range(game.n):
-            e = game.A.entries[i][j]
-            if e.is_finite:
-                if e.value.denominator != 1:
-                    raise ValueError("winning_oracle requires integer payments")
-                arow.append(int(e.value))
-            else:
-                arow.append(None)
-            e = game.B.entries[i][j]
-            if e.is_finite:
-                if e.value.denominator != 1:
-                    raise ValueError("winning_oracle requires integer payments")
-                brow.append(int(e.value))
-            else:
-                brow.append(None)
-        a.append(arow)
-        b.append(brow)
-    return a, b
+def _int_payments(A: TropMatrix, B: TropMatrix):
+    """(a, b, d): A and B times d, the lcm of their denominators, as dense
+    integer grids with None for -inf.  Scaling every payment by d > 0 scales
+    every value by d and keeps every strategy optimal."""
+    d = 1
+    for M in (A, B):
+        for row in M.entries:
+            for e in row:
+                if e.is_finite:
+                    d = lcm(d, e.value.denominator)
+
+    def grid(M):
+        return [
+            [e.value.numerator * (d // e.value.denominator) if e.is_finite else None for e in row]
+            for row in M.entries
+        ]
+
+    return grid(A), grid(B), d
 
 
 def _round_cap(m: int, n: int) -> int:
@@ -434,48 +436,29 @@ def _policy_iteration(m, n, a, b):
     return chi, tuple(sigma.tolist()), tuple(tau.tolist())
 
 
-_ORACLE_CACHE: "OrderedDict" = OrderedDict()
-_ORACLE_CACHE_LIMIT = 8
-# Games with fewer payment entries are solved afresh: hashing their payments
-# would cost a noticeable fraction of solving them.
-_ORACLE_CACHE_MIN_ENTRIES = 256
-
-
 def _oracle_core(m, n, a, b):
-    """(chi, winning Min nodes, winning Max nodes, sigma, tau), memoized.
-
-    The solver asks for the same large game more than once, e.g. the
-    perturbed game at the optimum is probed during the Newton iteration and
-    again while synthesizing the certificate.
-    """
-    key = None
-    if m * n >= _ORACLE_CACHE_MIN_ENTRIES:
-        key = (m, n, tuple(x for row in a for x in row), tuple(x for row in b for x in row))
-        hit = _ORACLE_CACHE.get(key)
-        if hit is not None:
-            _ORACLE_CACHE.move_to_end(key)
-            return hit
+    """(chi, winning Min nodes, winning Max nodes, sigma, tau) of an integer game."""
     chi, sigma, tau = _policy_iteration(m, n, a, b)
     win_min = frozenset(j for j in range(n) if chi[j] >= 0)
     win_max = frozenset(
         i for i in range(m) if any(b[i][l] is not None for l in win_min)
     )
-    result = (chi, win_min, win_max, sigma, tau)
-    if key is not None:
-        _ORACLE_CACHE[key] = result
-        if len(_ORACLE_CACHE) > _ORACLE_CACHE_LIMIT:
-            _ORACLE_CACHE.popitem(last=False)
-    return result
+    return chi, win_min, win_max, sigma, tau
 
 
 def winning_oracle(game: MeanPayoffGame) -> OracleReport:
     """Partition Min nodes into {chi >= 0} and {chi < 0} with witness strategies.
 
-    Payments must be integers (pre-scale rationals with scaled_copy).  The
-    strategies are optimal, so they certify both sides of the partition.
+    Rational payments are scaled to integers first, which leaves value signs
+    unchanged.  The strategies are optimal, so they certify both sides of
+    the partition.
     """
-    _chi, win_min, win_max, sigma, tau = _oracle_core(game.m, game.n, *_int_payments(game))
+    a, b, _d = _int_payments(game.A, game.B)
+    _chi, win_min, win_max, sigma, tau = _oracle_core(game.m, game.n, a, b)
     return OracleReport(win_min, win_max, MaxStrategy(sigma), MinStrategy(tau))
+
+
+integer_oracle = winning_oracle
 
 
 def scaled_copy(game: MeanPayoffGame, mult: int, b_shift: Fraction = Fraction(0)) -> MeanPayoffGame:
@@ -499,37 +482,14 @@ def scaled_copy(game: MeanPayoffGame, mult: int, b_shift: Fraction = Fraction(0)
     return MeanPayoffGame(A, B)
 
 
-def _payment_denominator_lcm(game: MeanPayoffGame) -> int:
-    d = 1
-    for M in (game.A, game.B):
-        for row in M.entries:
-            for e in row:
-                if e.is_finite:
-                    d = lcm(d, e.value.denominator)
-    return d
-
-
-def integer_oracle(game: MeanPayoffGame) -> OracleReport:
-    """winning_oracle after pre-scaling rational payments to integers.
-
-    Scaling all payments by a positive integer leaves value signs unchanged,
-    so the report transfers verbatim.
-    """
-    d = _payment_denominator_lcm(game)
-    if d == 1:
-        return winning_oracle(game)
-    return winning_oracle(scaled_copy(game, d))
-
-
 def value_report(game: MeanPayoffGame) -> GameValueReport:
     """Exact values of all Min nodes with optimal strategies for both players.
 
     Rational payments are scaled to integers by the lcm d of their
     denominators; values scale by d and strategies are unaffected.
     """
-    d = _payment_denominator_lcm(game)
-    work = scaled_copy(game, d) if d != 1 else game
-    chi, win_min, _win_max, sigma, tau = _oracle_core(game.m, game.n, *_int_payments(work))
+    a, b, d = _int_payments(game.A, game.B)
+    chi, win_min, _win_max, sigma, tau = _oracle_core(game.m, game.n, a, b)
     if d != 1:
         chi = tuple(c / d for c in chi)
     return GameValueReport(chi, win_min, MaxStrategy(sigma), MinStrategy(tau))
@@ -538,8 +498,8 @@ def value_report(game: MeanPayoffGame) -> GameValueReport:
 def game_value_and_strategy(game: MeanPayoffGame, j: int):
     """Exact chi_j with a Max strategy guaranteeing exactly chi_j from j.
 
-    Both come from one policy-iteration run (cached for large games): its
-    sigma is optimal from every node, so chi^sigma_j = chi_j.
+    Both come from one policy-iteration run: its sigma is optimal from every
+    node, so chi^sigma_j = chi_j.
     """
     rep = value_report(game)
     return rep.chi[j], rep.sigma
@@ -853,7 +813,7 @@ def lifting_oracle(game: MeanPayoffGame, vectorized: bool = False) -> OracleRepo
     numpy synchronous lifting over the worklist for the raced liftings.
     Payments must be integers.
     """
-    a, b = _int_payments(game)
+    a, b, _d = _int_payments(game.A, game.B)
     win_min, win_max, sigma, tau = _lifting_race(game.m, game.n, a, b, vectorized)
     return OracleReport(win_min, win_max, MaxStrategy(sigma), MinStrategy(tau))
 
@@ -863,65 +823,68 @@ def lifting_oracle(game: MeanPayoffGame, vectorized: bool = False) -> OracleRepo
 # ---------------------------------------------------------------------------
 
 
-def reduce_fixed_coordinate(A: TropMatrix, B: TropMatrix, sigma: MaxStrategy, l: int):
-    """Split A x <= B^sigma x with x_l = 0 into a Kleene system.
+def _fixed_system(a, b, sigma, l: int):
+    """Split a x <= b^sigma x with x_l = 0 into an integer Kleene system.
 
-    Rows i with sigma(i) != l become max-plus inequalities feeding coordinate
-    sigma(i); rows with sigma(i) = l have a constant right-hand side and are
-    kept aside for verification.  Returns (I, J, E, h, const_rows) where E is
-    the |I| x |I| coefficient matrix over the indexed coordinates I, h the
-    constant terms (from the x_l = 0 column), J the coordinates forced to
-    -inf, and const_rows the discarded second-subsystem rows.
+    Rows i with sigma(i) != l become x_t >= a_ij - b_it + x_j for t = sigma(i),
+    over the coordinates targeted by sigma; the x_l = 0 column gives the
+    constants h, and coordinates no row targets are pinned to -inf, so their
+    coefficients drop out.  Rows with sigma(i) = l have a constant right-hand
+    side and are left to verification.  Returns (targets, rows, h) where
+    rows[k] lists (position, weight) arcs of the system over targets.
     """
-    m, n = A.rows, A.cols
-    targets = sorted({sigma.choices[i] for i in range(m) if sigma.choices[i] != l})
+    targets = sorted({t for t in sigma if t != l})
     tpos = {t: k for k, t in enumerate(targets)}
-    J = [j for j in range(n) if j != l and j not in tpos]
-    E = [[NEG_INF] * len(targets) for _ in targets]
-    h = [NEG_INF] * len(targets)
-    const_rows = []
-    for i in range(m):
-        t = sigma.choices[i]
+    coef = [dict() for _ in targets]
+    h = [None] * len(targets)
+    for i, t in enumerate(sigma):
         if t == l:
-            const_rows.append(i)
             continue
-        bv = B.entries[i][t].value
         k = tpos[t]
-        for j in range(n):
-            av = A.entries[i][j]
-            if not av.is_finite:
+        bv = b[i][t]
+        row = coef[k]
+        for j, av in enumerate(a[i]):
+            if av is None:
                 continue
-            coef = ExtendedNumber.finite(av.value - bv)
+            w = av - bv
             if j == l:
-                if h[k] < coef:
-                    h[k] = coef
+                if h[k] is None or h[k] < w:
+                    h[k] = w
             elif j in tpos:
-                if E[k][tpos[j]] < coef:
-                    E[k][tpos[j]] = coef
-            # coordinates in J are pinned to -inf: their coefficients drop out
-    return targets, J, TropMatrix(E), tuple(h), const_rows
+                pj = tpos[j]
+                if pj not in row or row[pj] < w:
+                    row[pj] = w
+    return targets, [list(row.items()) for row in coef], h
 
 
-def least_solution_fixed(A: TropMatrix, B: TropMatrix, sigma: MaxStrategy, l: int) -> tuple:
+def least_solution_fixed(A, B, sigma: MaxStrategy, l: int) -> tuple:
     """Least x with A x <= B^sigma x and x_l = 0 (via the Kleene star).
 
-    Raises SecondSubsystemViolated when the discarded constant-side rows fail,
-    and propagates PositiveCycleDiverges: both indicate the caller's sigma was
-    not actually winning.
+    A and B are TropMatrix objects or integer grids (None for -inf); the
+    result is a tuple of ExtendedNumber either way.  Every row is verified
+    afterwards.  Raises SecondSubsystemViolated when a constant-side row
+    (sigma(i) = l) fails, and propagates PositiveCycleDiverges: both
+    indicate the caller's sigma was not actually winning.
     """
-    n = A.cols
-    targets, J, E, h, const_rows = reduce_fixed_coordinate(A, B, sigma, l)
-    z = kleene_least_solution(E, h)
-    x = [NEG_INF] * n
-    x[l] = ExtendedNumber.finite(0)
+    if isinstance(A, TropMatrix):
+        a, b, d = _int_payments(A, B)
+    else:
+        a, b, d = A, B, 1
+    targets, rows, h = _fixed_system(a, b, sigma.choices, l)
+    z = kleene_star_int(rows, h)
+    x = [None] * len(a[0])
+    x[l] = 0
     for k, t in enumerate(targets):
         x[t] = z[k]
-    x = tuple(x)
-    lhs = trop_matvec(A, x)
-    for i in const_rows:
-        if not lhs[i] <= B.entries[i][sigma.choices[i]]:
+    for i, t in enumerate(sigma.choices):
+        lhs = max((av + xj for av, xj in zip(a[i], x) if av is not None and xj is not None),
+                  default=None)
+        if lhs is None or (x[t] is not None and lhs <= b[i][t] + x[t]):
+            continue
+        if t == l:
             raise SecondSubsystemViolated(f"row {i} fails against the constant bound")
-    return x
+        raise InternalCertificateMismatch(f"row {i} of the least solution fails A x <= B x")
+    return tuple(NEG_INF if v is None else ExtendedNumber.finite(Fraction(v, d)) for v in x)
 
 
 def feasibility_witness(game: MeanPayoffGame, i: int) -> Optional[tuple]:
@@ -929,9 +892,4 @@ def feasibility_witness(game: MeanPayoffGame, i: int) -> Optional[tuple]:
     rep = integer_oracle(game)
     if i not in rep.winning:
         return None
-    x = least_solution_fixed(game.A, game.B, rep.sigma, i)
-    lhs = trop_matvec(game.A, x)
-    rhs = trop_matvec(game.B, x)
-    if not all(a <= b for a, b in zip(lhs, rhs)):
-        raise InternalCertificateMismatch("witness fails A x <= B x")
-    return x
+    return least_solution_fixed(game.A, game.B, rep.sigma, i)

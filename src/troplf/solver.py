@@ -20,13 +20,12 @@ from .game_engine import (
     MeanPayoffGame,
     MinStrategy,
     feasibility_witness,
-    integer_oracle,
-    scaled_copy,
 )
 from .spectral import (
     HomogeneousInstance,
     LfpInstance,
     game_at,
+    game_report,
     homogenize,
     initial_bounds,
     phi_nonneg,
@@ -74,17 +73,6 @@ class SolveOutcome:
     witness: Optional[tuple]
     certificate: Optional[object]
     trace: list
-
-
-@dataclass(frozen=True)
-class KleeneSystem:
-    """First subsystem of the split C y <= D^sigma y: E x_I v F x_J v h <= x_I."""
-
-    I: tuple
-    J: tuple
-    E: TropMatrix
-    F: TropMatrix
-    h: tuple
 
 
 # --- precheck result markers ----------------------------------------------
@@ -259,54 +247,13 @@ def precheck(H: HomogeneousInstance):
 # --- Newton machinery ------------------------------------------------------
 
 
-def build_kleene_system(
-    C: TropMatrix, D: TropMatrix, sigma_rows: MaxStrategy, l: int
-) -> KleeneSystem:
-    """Split C y <= D^sigma y with y_l = 0 into E x_I v F x_J v h <= x_I.
-
-    I holds the coordinates targeted by sigma (other than l), J the remaining
-    coordinates (forced to -inf by the least solution), h the constants from
-    the y_l = 0 column.  Rows with sigma(i) = l form the constant-side second
-    subsystem and do not appear here.
-    """
-    m, n = C.rows, C.cols
-    targets = sorted({sigma_rows.choices[i] for i in range(m) if sigma_rows.choices[i] != l})
-    tpos = {t: k for k, t in enumerate(targets)}
-    J = tuple(j for j in range(n) if j != l and j not in tpos)
-    jpos = {j: k for k, j in enumerate(J)}
-    E = [[NEG_INF] * len(targets) for _ in targets]
-    F = [[NEG_INF] * len(J) for _ in targets]
-    h = [NEG_INF] * len(targets)
-    for i in range(m):
-        t = sigma_rows.choices[i]
-        if t == l:
-            continue
-        bv = D.entries[i][t].value
-        k = tpos[t]
-        for j in range(n):
-            av = C.entries[i][j]
-            if not av.is_finite:
-                continue
-            coef = ExtendedNumber.finite(av.value - bv)
-            if j == l:
-                if h[k] < coef:
-                    h[k] = coef
-            elif j in tpos:
-                if E[k][tpos[j]] < coef:
-                    E[k][tpos[j]] = coef
-            else:
-                if F[k][jpos[j]] < coef:
-                    F[k][jpos[j]] = coef
-    return KleeneSystem(tuple(targets), J, TropMatrix(E), TropMatrix(F), tuple(h))
-
-
 def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     """One positive-Newton step: the minimal zero of phi^sigma.
 
     With l = sigma(m+1) and y_l pinned to 0, the least solution y of
     C y <= D^sigma y (Kleene star on the first subsystem, the second one
-    verified afterwards) gives lambda_next = (u y) - v_l, or -inf when u y is
-    -inf.
+    verified afterwards, on the integer grids of C and D) gives
+    lambda_next = (u y) - v_l, or -inf when u y is -inf.
     """
     from .game_engine import least_solution_fixed
 
@@ -316,17 +263,14 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     if not H.v[l].is_finite:
         raise ValueError("sigma routes the objective row to a -inf column")
     rows_sigma = MaxStrategy(sigma.choices[: H.m])
-    y = least_solution_fixed(H.C, H.D, rows_sigma, l)
-    uy = NEG_INF
-    for j in range(H.n + 1):
-        u = H.u[j]
-        if u.is_finite and y[j].is_finite:
-            term = ExtendedNumber.finite(u.value + y[j].value)
-            if uy < term:
-                uy = term
-    if not uy.is_finite:
+    y = least_solution_fixed(H.U[: H.m], H.V[: H.m], rows_sigma, l)
+    uy = max(
+        (u + yj.value for u, yj in zip(H.U[H.m], y) if u is not None and yj.is_finite),
+        default=None,
+    )
+    if uy is None:
         return NEG_INF
-    return ExtendedNumber.finite(uy.value - H.v[l].value)
+    return ExtendedNumber.finite(uy - H.v[l].value)
 
 
 def left_optimal_max_strategy(
@@ -339,20 +283,14 @@ def left_optimal_max_strategy(
     lambda_k is left optimal at lambda_k; when none exists, lambda_k is the
     minimal zero of phi.
     """
-    from .game_engine import game_value_and_strategy, integer_oracle
-
     k2 = H.k_bound + 2
-    perturbed = scaled_copy(game_at(H, Fraction(lam) - Fraction(1, k2)), k2)
-    # Cheap sign test first: at the terminal lambda the node loses and the
-    # exact perturbed value is never needed (the oracle result is cached, so
-    # the value refinement below reuses it when the node does win).
-    rep = integer_oracle(perturbed)
+    _f, rep = game_report(H, Fraction(lam) - Fraction(1, k2), k2)
     if H.n not in rep.winning:
         return NoneLeftWinning
-    # The returned sigma guarantees exactly the value t at node n+1, i.e. it
-    # is optimal there, not merely winning, which pins the left-optimal choice.
-    _t, sigma = game_value_and_strategy(perturbed, H.n)
-    return sigma
+    # The oracle's sigma guarantees exactly the perturbed value at node n+1,
+    # i.e. it is optimal there, not merely winning, which pins the
+    # left-optimal choice.
+    return rep.sigma
 
 
 def positive_newton_cap(H: HomogeneousInstance) -> int:

@@ -6,30 +6,40 @@ D = [B,d], u = [p,r], v = [q,s]; the optimum is the minimal zero of the
 spectral function phi(lambda) = chi_{n+1}(U# V(lambda)) of the parametric
 mean payoff game with payment matrices U = [[C],[u]] and V(lambda) =
 [[D],[lambda + v]].
+
+Every game the algorithms ask about is this one game at some lambda, often
+with its payments multiplied by an integer k.  ``homogenize`` therefore
+builds U and V(0) once, as integer grids (None for -inf), and
+``integer_game`` forms the integer payments at (lambda, k) from them: both
+grids times d*k, where d is the denominator of k*lambda, and the objective
+row shifted by d*k*lambda.  ``game_report`` runs policy iteration on that
+game through a small per-instance memo of the last few (lambda, k), since
+a solve asks about the same game more than once (the perturbed game at the
+optimum is probed by the Newton iteration and again by the certificate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
 from .game_engine import (
     AssumptionViolated,
+    GameValueReport,
     MaxStrategy,
     MeanPayoffGame,
     MinStrategy,
-    game_value,
-    integer_oracle,
-    restrict_max,
-    restrict_min,
+    _oracle_core,
 )
 from .trop_core import (
     NEG_INF,
     ExtendedNumber,
     TropMatrix,
-    cycle_time_vector,
+    WeightedDigraph,
+    cycle_times,
     ext,
 )
 
@@ -91,6 +101,10 @@ class LfpInstance:
             raise AssumptionViolated("; ".join(problems))
 
 
+# Entries kept in a HomogeneousInstance's memo of solved games.
+GAME_MEMO_SIZE = 8
+
+
 @dataclass(frozen=True)
 class HomogeneousInstance:
     """Scaled homogeneous form: C=[A,c], D=[B,d], u=[p,r], v=[q,s].
@@ -98,6 +112,8 @@ class HomogeneousInstance:
     All finite entries are integers after multiplying by ``scale`` (the lcm of
     the original denominators); M bounds their absolute values.  The minimal
     zero of the scaled spectral function is ``scale`` times the original one.
+    U = [[C],[u]] and V = [[D],[v]] hold the same data as integer grids with
+    None for -inf; ``games`` is the memo that ``game_report`` fills.
     """
 
     C: TropMatrix
@@ -106,6 +122,9 @@ class HomogeneousInstance:
     v: tuple
     M: Fraction
     scale: int
+    U: tuple = field(repr=False, compare=False)
+    V: tuple = field(repr=False, compare=False)
+    games: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -121,10 +140,6 @@ class HomogeneousInstance:
         return min(self.m, self.n)
 
 
-def _scale_entry(e: ExtendedNumber, scale: int) -> ExtendedNumber:
-    return ExtendedNumber.finite(e.value * scale) if e.is_finite else e
-
-
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
     """Build the integer-scaled homogeneous data (C, D, u, v, M, scale)."""
     entries = []
@@ -137,33 +152,33 @@ def homogenize(inst: LfpInstance) -> HomogeneousInstance:
     for e in entries:
         if e.is_finite:
             scale = lcm(scale, e.value.denominator)
-    C = TropMatrix(
-        [
-            [_scale_entry(e, scale) for e in row] + [_scale_entry(ci, scale)]
-            for row, ci in zip(inst.A.entries, inst.c)
-        ]
+
+    def grid(rows):
+        return tuple(
+            tuple(
+                e.value.numerator * (scale // e.value.denominator) if e.is_finite else None
+                for e in row
+            )
+            for row in rows
+        )
+
+    U = grid([row + (ci,) for row, ci in zip(inst.A.entries, inst.c)] + [inst.p + (inst.r,)])
+    V = grid([row + (di,) for row, di in zip(inst.B.entries, inst.d)] + [inst.q + (inst.s,)])
+
+    def extended(row):
+        return tuple(NEG_INF if x is None else ExtendedNumber.finite(x) for x in row)
+
+    M = max((abs(x) for g in (U, V) for row in g for x in row if x is not None), default=0)
+    return HomogeneousInstance(
+        TropMatrix([extended(row) for row in U[:-1]]),
+        TropMatrix([extended(row) for row in V[:-1]]),
+        extended(U[-1]),
+        extended(V[-1]),
+        Fraction(M),
+        scale,
+        U,
+        V,
     )
-    D = TropMatrix(
-        [
-            [_scale_entry(e, scale) for e in row] + [_scale_entry(di, scale)]
-            for row, di in zip(inst.B.entries, inst.d)
-        ]
-    )
-    u = tuple(_scale_entry(e, scale) for e in inst.p + (inst.r,))
-    v = tuple(_scale_entry(e, scale) for e in inst.q + (inst.s,))
-    M = Fraction(0)
-    for row in C.entries:
-        for e in row:
-            if e.is_finite and abs(e.value) > M:
-                M = abs(e.value)
-    for row in D.entries:
-        for e in row:
-            if e.is_finite and abs(e.value) > M:
-                M = abs(e.value)
-    for e in u + v:
-        if e.is_finite and abs(e.value) > M:
-            M = abs(e.value)
-    return HomogeneousInstance(C, D, u, v, M, scale)
 
 
 def game_at(H: HomogeneousInstance, lam: Rational) -> MeanPayoffGame:
@@ -175,33 +190,97 @@ def game_at(H: HomogeneousInstance, lam: Rational) -> MeanPayoffGame:
     return MeanPayoffGame(U, V)
 
 
+def integer_game(H: HomogeneousInstance, lam: Rational, mult: int = 1):
+    """(f, a, b): the payments of game_at(H, lam) times f = d*mult, as integers.
+
+    d is the denominator of mult*lam, so these are exactly the integers the
+    oracle sees for scaled_copy(game_at(H, lam), mult).  Values scale by f;
+    strategies and winning sets are those of game_at(H, lam).  Like game_at,
+    raises AssumptionViolated when v is all -inf.
+    """
+    lam = Fraction(lam)
+    vrow = H.V[-1]
+    if all(x is None for x in vrow):
+        raise AssumptionViolated(f"row {H.m} of B has no finite entry (Max node stuck)")
+    f = mult * (mult * lam).denominator
+    shift = f * lam
+    last = tuple(None if x is None else f * x + shift.numerator for x in vrow)
+    if f == 1:
+        return f, H.U, H.V[:-1] + (last,)
+    a = tuple(tuple(None if x is None else f * x for x in row) for row in H.U)
+    b = tuple(tuple(None if x is None else f * x for x in row) for row in H.V[:-1])
+    return f, a, b + (last,)
+
+
+def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1):
+    """(f, report) for integer_game(H, lam, mult), solved by policy iteration.
+
+    report.chi holds the integer game's values, f times those of
+    game_at(H, lam).  The last GAME_MEMO_SIZE results are kept in H.games.
+    """
+    key = (Fraction(lam), mult)
+    hit = H.games.get(key)
+    if hit is not None:
+        H.games.move_to_end(key)
+        return hit
+    f, a, b = integer_game(H, lam, mult)
+    chi, win_min, _win_max, sigma, tau = _oracle_core(H.m + 1, H.n + 1, a, b)
+    hit = f, GameValueReport(chi, win_min, MaxStrategy(sigma), MinStrategy(tau))
+    H.games[key] = hit
+    if len(H.games) > GAME_MEMO_SIZE:
+        H.games.popitem(last=False)
+    return hit
+
+
 def phi(H: HomogeneousInstance, lam: Rational) -> Fraction:
     """The spectral function: value of the parametric game at Min node n+1."""
-    return game_value(game_at(H, lam), H.n)
+    f, rep = game_report(H, lam)
+    return rep.chi[H.n] / f
 
 
 def phi_nonneg(H: HomogeneousInstance, lam: Rational):
     """(phi(lam) >= 0, Max strategy on the winning side, Min strategy off it)."""
-    rep = integer_oracle(game_at(H, lam))
+    _f, rep = game_report(H, lam)
     return H.n in rep.winning, rep.sigma, rep.tau
+
+
+def _value_at_last_node(H: HomogeneousInstance, arcs: dict, mode: str, f: int) -> Fraction:
+    """Cycle time at node n+1 of the one-player graph ``arcs``, divided by f."""
+    D = WeightedDigraph(H.n + 1, tuple((j, l, w) for (j, l), w in arcs.items()))
+    chi = cycle_times(D, mode)[H.n]
+    if chi is None:
+        raise AssertionError("one-player cycle time must be finite under the assumptions")
+    return chi / f
 
 
 def phi_sigma(H: HomogeneousInstance, sigma: MaxStrategy, lam: Rational) -> Fraction:
     """Partial spectral function with Max frozen: concave, <= phi."""
-    mat = restrict_max(game_at(H, lam), sigma)
-    chi = cycle_time_vector(mat, mode="min")[H.n]
-    if not chi.is_finite:
-        raise AssertionError("one-player cycle time must be finite under the assumptions")
-    return chi.value
+    f, a, b = integer_game(H, lam)
+    if len(sigma.choices) != H.m + 1:
+        raise ValueError("Max strategy has the wrong length")
+    arcs = {}
+    for i, l in enumerate(sigma.choices):
+        if not 0 <= l <= H.n or b[i][l] is None:
+            raise ValueError(f"Max strategy picks a forbidden move {i}->{l}")
+        for j, aij in enumerate(a[i]):
+            if aij is not None and ((j, l) not in arcs or b[i][l] - aij < arcs[j, l]):
+                arcs[j, l] = b[i][l] - aij
+    return _value_at_last_node(H, arcs, "min", f)
 
 
 def phi_tau(H: HomogeneousInstance, tau: MinStrategy, lam: Rational) -> Fraction:
     """Partial spectral function with Min frozen: convex, >= phi."""
-    mat = restrict_min(game_at(H, lam), tau)
-    chi = cycle_time_vector(mat, mode="max")[H.n]
-    if not chi.is_finite:
-        raise AssertionError("one-player cycle time must be finite under the assumptions")
-    return chi.value
+    f, a, b = integer_game(H, lam)
+    if len(tau.choices) != H.n + 1:
+        raise ValueError("Min strategy has the wrong length")
+    arcs = {}
+    for j, i in enumerate(tau.choices):
+        if not 0 <= i <= H.m or a[i][j] is None:
+            raise ValueError(f"Min strategy picks a forbidden move {j}->{i}")
+        for l, bil in enumerate(b[i]):
+            if bil is not None:
+                arcs[j, l] = bil - a[i][j]
+    return _value_at_last_node(H, arcs, "max", f)
 
 
 def initial_bounds(H: HomogeneousInstance):
@@ -227,7 +306,8 @@ class SpectralPiece:
 def spectral_grid(H: HomogeneousInstance, grid_cap: int = 10**6) -> list:
     """Sorted grid of rationals with denominator <= min(m,n)+1 covering all breakpoints."""
     k1 = H.k_bound + 1
-    radius = 4 * H.M * k1 * k1
+    # With M = 0 the breakpoints still spread over [-4(k1)^2, 4(k1)^2].
+    radius = 4 * max(H.M, 1) * k1 * k1
     estimate = (2 * radius + 1) * sum(range(1, k1 + 1))
     if estimate > grid_cap:
         raise GridTooLarge(
@@ -253,8 +333,6 @@ def reconstruct(H: HomogeneousInstance, grid_cap: int = 10**6) -> list:
     """
     grid = spectral_grid(H, grid_cap)
     values = [phi(H, lam) for lam in grid]
-    if len(grid) < 2:
-        return [SpectralPiece(NEG_INF, ExtendedNumber(1, Fraction(0)), values[0], 0, 1)]
     pieces = []
     start = 0
     slopes = [

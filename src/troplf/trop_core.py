@@ -131,7 +131,7 @@ class TropMatrix:
         banned = POS_INF if semiring == MAX_PLUS else NEG_INF
         for row in grid:
             for e in row:
-                if e == banned:
+                if e.kind == banned.kind:
                     raise ValueError(f"{semiring} matrix cannot store {banned!r}")
         self.rows = rows
         self.cols = cols
@@ -316,7 +316,7 @@ def _karp_max_mean(nodes: Sequence[int], arcs_in: dict) -> Optional[Fraction]:
     if k == 1:
         v = nodes[0]
         self_loops = [w for (u, w) in arcs_in.get(v, ()) if u == v]
-        return max(self_loops) if self_loops else None
+        return Fraction(max(self_loops)) if self_loops else None
     # The dynamic program runs on plain integers: scaling every weight by the
     # common denominator avoids per-step Fraction normalization.
     denom = 1
@@ -324,7 +324,7 @@ def _karp_max_mean(nodes: Sequence[int], arcs_in: dict) -> Optional[Fraction]:
         for (_u, w) in arcs:
             denom = denom * w.denominator // math.gcd(denom, w.denominator)
     scaled_in = {
-        v: [(u, int(w * denom)) for (u, w) in arcs]
+        v: [(u, w.numerator * (denom // w.denominator)) for (u, w) in arcs]
         for v, arcs in arcs_in.items()
     }
     pos = {v: i for i, v in enumerate(nodes)}
@@ -345,22 +345,26 @@ def _karp_max_mean(nodes: Sequence[int], arcs_in: dict) -> Optional[Fraction]:
                 if best is None or cand > best:
                     best = cand
             cur[pos[v]] = best
-    best_mean = None
+    # Means (last - table[t]) / (k - t) are compared as integer pairs by
+    # cross-multiplication; the denominators k - t are positive.
+    best_num, best_den = None, 1
     last = table[k]
     for i in range(k):
         if last[i] is None:
             continue
-        worst = None
+        worst_num, worst_den = None, 1
         for t in range(k):
             pt = table[t][i]
             if pt is None:
                 continue
-            mean = Fraction(last[i] - pt, (k - t) * denom)
-            if worst is None or mean < worst:
-                worst = mean
-        if worst is not None and (best_mean is None or worst > best_mean):
-            best_mean = worst
-    return best_mean
+            num, den = last[i] - pt, k - t
+            if worst_num is None or num * worst_den < worst_num * den:
+                worst_num, worst_den = num, den
+        if worst_num is not None and (
+            best_num is None or worst_num * best_den > best_num * worst_den
+        ):
+            best_num, best_den = worst_num, worst_den
+    return None if best_num is None else Fraction(best_num, best_den * denom)
 
 
 def cycle_means(D: WeightedDigraph, mode: str = "max"):
@@ -395,14 +399,11 @@ def digraph_of_matrix(E: TropMatrix) -> WeightedDigraph:
     return WeightedDigraph(E.rows, tuple(arcs))
 
 
-def cycle_time_vector(E: TropMatrix, mode: str = "max") -> tuple:
-    """chi_i = max (resp. min) of per-SCC cycle means over SCCs accessible from i.
+def cycle_times(D: WeightedDigraph, mode: str = "max") -> tuple:
+    """Per node, the max (resp. min) cycle mean over the SCCs it accesses.
 
-    Nodes accessing no cycle yield -inf in max mode, +inf in min mode.
+    Entries are Fractions, or None for nodes that access no cycle.
     """
-    if E.rows != E.cols:
-        raise ValueError("cycle_time_vector requires a square matrix")
-    D = digraph_of_matrix(E)
     decomp, means = cycle_means(D, mode)
     ncomp = len(decomp.components)
     # Condensation successors: components are in reverse topological order, so
@@ -419,11 +420,72 @@ def cycle_time_vector(E: TropMatrix, mode: str = "max") -> tuple:
             if best[d] is None:
                 continue
             best[c] = best[d] if best[c] is None else pick(best[c], best[d])
+    return tuple(best[decomp.comp_of[i]] for i in range(D.n))
+
+
+def cycle_time_vector(E: TropMatrix, mode: str = "max") -> tuple:
+    """chi_i = max (resp. min) of per-SCC cycle means over SCCs accessible from i.
+
+    Nodes accessing no cycle yield -inf in max mode, +inf in min mode.
+    """
+    if E.rows != E.cols:
+        raise ValueError("cycle_time_vector requires a square matrix")
     empty = NEG_INF if mode == "max" else POS_INF
     return tuple(
-        empty if best[decomp.comp_of[i]] is None else ExtendedNumber.finite(best[decomp.comp_of[i]])
-        for i in range(E.rows)
+        empty if c is None else ExtendedNumber.finite(c)
+        for c in cycle_times(digraph_of_matrix(E), mode)
     )
+
+
+def kleene_star_int(rows: Sequence, h: Sequence) -> list:
+    """Least integer z with z >= h and z_i >= w + z_j for each (j, w) in rows[i].
+
+    None stands for -inf in h and z.  Sweeps update z in place; without a
+    strictly positive cycle reaching the support of h the least solution is
+    reached within len(h) - 1 sweeps, so a sweep that still changes z after
+    that proves divergence and raises PositiveCycleDiverges.
+    """
+    z = list(h)
+    for _ in range(len(h) + 1):
+        changed = False
+        for i, row in enumerate(rows):
+            acc = z[i]
+            for (j, w) in row:
+                zj = z[j]
+                if zj is not None and (acc is None or acc < w + zj):
+                    acc = w + zj
+            if acc != z[i]:
+                z[i] = acc
+                changed = True
+        if not changed:
+            return z
+    raise PositiveCycleDiverges("a strictly positive cycle reaches the support of h")
+
+
+def _kleene_int_system(E: TropMatrix, h: Sequence) -> tuple:
+    """(rows, h_int, denom): E and h as integers scaled by their common denominator."""
+    if E.semiring != MAX_PLUS:
+        raise ValueError("kleene star is defined on max-plus matrices here")
+    if E.rows != E.cols:
+        raise ValueError("kleene star requires a square matrix")
+    h = tuple(ext(e) for e in h)
+    if len(h) != E.rows:
+        raise ValueError("dimension mismatch")
+    if any(e.kind == 1 for e in h):
+        raise ValueError("+inf is not a valid component of h")
+    denom = 1
+    for e in h + tuple(e for row in E.entries for e in row):
+        if e.is_finite:
+            denom = math.lcm(denom, e.value.denominator)
+    rows = [
+        [(j, int(e.value * denom)) for j, e in enumerate(row) if e.is_finite]
+        for row in E.entries
+    ]
+    return rows, [int(e.value * denom) if e.is_finite else None for e in h], denom
+
+
+def _unscale(z: Sequence, denom: int) -> list:
+    return [NEG_INF if v is None else ExtendedNumber.finite(Fraction(v, denom)) for v in z]
 
 
 def kleene_apply_raw(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
@@ -433,20 +495,14 @@ def kleene_apply_raw(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
     node can reach a strictly-positive-weight cycle that itself reaches the
     support of h.
     """
-    if E.semiring != MAX_PLUS:
-        raise ValueError("kleene star is defined on max-plus matrices here")
-    if E.rows != E.cols:
-        raise ValueError("kleene star requires a square matrix")
+    rows, h_int, denom = _kleene_int_system(E, h)
     n = E.rows
-    h = tuple(ext(e) for e in h)
-    if len(h) != n:
-        raise ValueError("dimension mismatch")
     D = digraph_of_matrix(E)
     succ = [[] for _ in range(n)]
     for (s, t, w) in D.arcs:
         succ[s].append(t)
     # Nodes that can reach supp(h) by following arcs forward.
-    reach_h = set(i for i in range(n) if h[i].kind != -1)
+    reach_h = set(i for i in range(n) if h_int[i] is not None)
     changed = True
     while changed:
         changed = False
@@ -472,46 +528,13 @@ def kleene_apply_raw(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
             if any(w in divergent for w in succ[v]):
                 divergent.add(v)
                 changed = True
-    # Iterate on plain integers scaled by the common denominator; None stands
-    # for -inf.  This keeps the O(n * arcs) inner loop off Fraction arithmetic.
-    denom = 1
-    for (_s, _t, w) in D.arcs:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    for e in h:
-        if e.is_finite:
-            d = e.value.denominator
-            denom = denom * d // math.gcd(denom, d)
-    weights = [[None] * n for _ in range(n)]
-    for (s, t, w) in D.arcs:
-        weights[s][t] = int(w * denom)
-    h_int = [int(e.value * denom) if e.is_finite else None for e in h]
-    if any(e.kind == 1 for e in h):
-        raise ValueError("+inf is not a valid component of h")
-    z = list(h_int)
-    for _ in range(n):
-        nz = list(z)
-        for i in range(n):
-            if i in divergent:
-                continue
-            acc = h_int[i]
-            row = weights[i]
-            for j in succ[i]:
-                if j in divergent:
-                    continue
-                zj = z[j]
-                if zj is None:
-                    continue
-                term = row[j] + zj
-                if acc is None or acc < term:
-                    acc = term
-            nz[i] = acc
-        if nz == z:
-            break
-        z = nz
-    out = [
-        NEG_INF if v is None else ExtendedNumber.finite(Fraction(v, denom))
-        for v in z
+    # With the divergent nodes cut out, no positive cycle reaches supp(h).
+    rows = [
+        [] if i in divergent else [(j, w) for (j, w) in row if j not in divergent]
+        for i, row in enumerate(rows)
     ]
+    h_int = [None if i in divergent else v for i, v in enumerate(h_int)]
+    out = _unscale(kleene_star_int(rows, h_int), denom)
     for i in divergent:
         out[i] = POS_INF
     return tuple(out)
@@ -519,9 +542,5 @@ def kleene_apply_raw(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
 
 def kleene_least_solution(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
     """E*h, raising PositiveCycleDiverges instead of producing +inf components."""
-    z = kleene_apply_raw(E, h)
-    if any(e.kind == 1 for e in z):
-        raise PositiveCycleDiverges(
-            "a strictly positive cycle reaches the support of h"
-        )
-    return z
+    rows, h_int, denom = _kleene_int_system(E, h)
+    return tuple(_unscale(kleene_star_int(rows, h_int), denom))

@@ -269,7 +269,9 @@ def test_spectral_constant_instance_flat(capsys, tmp_path):
     code, out, _ = run(capsys, "spectral", str(path))
     assert code == 0
     pieces = [l.split(",") for l in out.splitlines()[1:] if l.startswith("piece,")]
-    assert pieces and all(row[4] == "0" for row in pieces)
+    # Every finite entry is 0 (M = 0), yet phi is flat only up to lambda = 0
+    # and lambda/2 after it: phi, the oracle and brute force agree on that.
+    assert pieces == [["piece", "-inf", "0", "0", "0", "1"], ["piece", "0", "+inf", "0", "1", "2"]]
 
 
 def test_spectral_out_file(capsys, tmp_path):

@@ -22,8 +22,9 @@ from troplf import (
     phi_tau,
     reconstruct,
 )
-from troplf.game_engine import MaxStrategy
-from troplf.spectral import spectral_grid
+from troplf import certify, game_engine, solver, spectral
+from troplf.game_engine import AssumptionViolated, MaxStrategy, _int_payments, integer_oracle, scaled_copy, value_report
+from troplf.spectral import GAME_MEMO_SIZE, game_report, integer_game, spectral_grid
 
 from conftest import e, make_instance, random_instance
 
@@ -65,6 +66,108 @@ def test_homogenize_scales_rationals():
         ent.value.denominator == 1
         for row in H.C.entries for ent in row if ent.is_finite
     )
+
+
+# --- the integer parametric game ------------------------------------------
+
+
+def _perturbed(inst: LfpInstance, rng: random.Random, big: int) -> LfpInstance:
+    """inst with each finite entry x replaced by big*x + t/q, |t| <= 3, q <= 4."""
+
+    def f(x):
+        if not x.is_finite:
+            return x
+        return fin(big * x.value + Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+
+    return LfpInstance(
+        [[f(x) for x in row] for row in inst.A.entries],
+        [[f(x) for x in row] for row in inst.B.entries],
+        [f(x) for x in inst.c], [f(x) for x in inst.d],
+        [f(x) for x in inst.p], [f(x) for x in inst.q], f(inst.r), f(inst.s),
+    )
+
+
+@pytest.mark.parametrize("big", [1, 2**70])
+def test_integer_game_matches_the_scaled_fraction_game(big):
+    """integer_game(H, lam, k) is the integer game the oracle saw for
+    scaled_copy(game_at(H, lam), k), and game_report solves it alike."""
+    rng = random.Random(17)
+    checked = rational = widest = 0
+    while checked < 25:
+        base = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), 4, 0.35)
+        H = homogenize(_perturbed(base, rng, big) if checked % 2 else base)
+        if all(x is None for x in H.V[-1]):
+            continue  # no parametric game: see the next test
+        k2 = H.k_bound + 2
+        rational += H.scale > 1
+        lams = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-30, 30), rng.randint(2, k2)))
+        for lam in lams:
+            for k in (1, k2):
+                scaled = scaled_copy(game_at(H, lam), k)
+                a, b, d = _int_payments(scaled.A, scaled.B)
+                f, ai, bi = integer_game(H, lam, k)
+                assert f == d * k
+                assert [list(row) for row in ai] == a and [list(row) for row in bi] == b
+                widest = max([widest] + [abs(x) for row in ai + bi for x in row if x is not None])
+                f, rep = game_report(H, lam, k)
+                orc = integer_oracle(scaled)
+                assert (rep.winning, rep.sigma, rep.tau) == (orc.winning, orc.sigma, orc.tau)
+                assert rep.chi == tuple(f * c for c in value_report(game_at(H, lam)).chi)
+        checked += 1
+    assert rational >= 10
+    assert (widest > 2**63) == (big > 1)
+
+
+def test_integer_game_without_denominator_row():
+    """With v all -inf the parametric game breaks Assumption 1, as in game_at."""
+    inst = make_instance(
+        A=[[1, "-inf"]], B=[[0, 2]], c=[0], d=[3], p=[2, 0], q=["-inf", "-inf"], r=1, s="-inf"
+    )
+    H = homogenize(inst)
+    for lam in (Fraction(5, 3), Fraction(4)):
+        with pytest.raises(AssumptionViolated, match="row 1 of B") as fraction_path:
+            game_at(H, lam)
+        for k in (1, H.k_bound + 2):
+            with pytest.raises(AssumptionViolated) as integer_path:
+                integer_game(H, lam, k)
+            assert str(integer_path.value) == str(fraction_path.value)
+            with pytest.raises(AssumptionViolated):
+                game_report(H, lam, k)
+        with pytest.raises(AssumptionViolated):
+            phi_tau(H, MinStrategy((0, 0, 0)), lam)
+
+
+def test_game_memo_is_bounded_and_reused(example2, monkeypatch):
+    H = homogenize(example2)
+    reconstruct(H)
+    assert 0 < len(H.games) <= GAME_MEMO_SIZE
+    calls = []
+    original = spectral._oracle_core
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "_oracle_core", counted)
+    assert phi(H, Fraction(7, 3)) == phi(H, Fraction(7, 3))
+    assert phi_nonneg(H, Fraction(7, 3))[0]
+    assert len(calls) == 1
+
+
+def test_newton_solve_builds_no_scaled_copy(example2, monkeypatch):
+    calls = []
+    original = game_engine.scaled_copy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (game_engine, spectral, solver, certify):
+        if hasattr(module, "scaled_copy"):
+            monkeypatch.setattr(module, "scaled_copy", counted)
+    out = solver.solve(example2, method="newton")
+    assert out.status == "Optimal" and out.lam == 0
+    assert calls == []
 
 
 # --- game_at ---------------------------------------------------------------
@@ -250,8 +353,25 @@ def test_reconstruct_constant_instance_single_flat_piece():
     inst = make_instance(
         A=[[0]], B=[[0]], c=["-inf"], d=[0], p=["-inf"], q=[0], r=0, s="-inf"
     )
-    pieces = reconstruct(homogenize(inst))
-    assert all(p.beta == 0 for p in pieces)
+    H = homogenize(inst)
+    pieces = reconstruct(H)
+    # Every finite entry is 0 (M = 0), yet phi is flat only up to lambda = 0
+    # and lambda/2 after it: phi, the oracle and brute force agree on that.
+    assert [(p.alpha, p.beta, p.k) for p in pieces] == [(0, 0, 1), (0, 1, 2)]
+    for lam in (-4, -1, 0, 1, 4):
+        assert _eval_pieces(pieces, Fraction(lam)) == phi(H, lam)
+
+
+def test_reconstruct_with_all_finite_entries_zero():
+    """M = 0 must not shrink the grid to the single point 0."""
+    inst = make_instance(
+        A=[["-inf"]], B=[[0]], c=[0], d=["-inf"], p=[0], q=[0], r="-inf", s=0
+    )
+    H = homogenize(inst)
+    pieces = reconstruct(H)
+    for lam in (-4, -1, 0, 1, 4):
+        assert _eval_pieces(pieces, Fraction(lam)) == phi(H, lam)
+    assert (phi(H, -2), phi(H, 2)) == (-1, 2)
 
 
 def test_reconstruct_grid_cap(example2):
