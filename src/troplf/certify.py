@@ -6,33 +6,34 @@ tau-restricted game digraph accessible from node n+1 has nonpositive weight,
 strictly negative once the objective row m+1 is deleted, and phi(lambda*) is
 confirmed nonnegative.  An unboundedness certificate is a Max strategy sigma
 whose restricted digraph at lambda = 0 shows only nonnegative cycles
-accessible from node n+1, none through row m+1.  Both checks are
-polynomial-time: SCC decomposition plus Karp cycle means.
+accessible from node n+1, none through row m+1.
+
+Both checks read the integer game of ``spectral.integer_game`` and are
+one-player longest-path questions: a cycle condition holds exactly when the
+longest paths from node n+1, suitably weighted, converge, which the integer
+Kleene iteration decides (``trop_core.positive_cycle_reachable``).  The strict
+condition becomes the same test after reweighting each arc to (n+2)w + 1: a
+simple cycle has at most n+1 arcs, so it is positive under the new weights
+exactly when its old weight is nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .game_engine import (
-    MaxStrategy,
-    MinStrategy,
-    least_solution_fixed,
-    restrict_min,
-    trop_matvec,
+from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed
+from .spectral import (
+    HomogeneousInstance,
+    game_report,
+    integer_game,
+    phi_nonneg,
+    sigma_arcs,
+    tau_arcs,
 )
-from .spectral import HomogeneousInstance, game_at, game_report, integer_game, phi_nonneg
-from .trop_core import (
-    NEG_INF,
-    ExtendedNumber,
-    TropMatrix,
-    WeightedDigraph,
-    cycle_means,
-    digraph_of_matrix,
-    scc_and_access,
-)
+from .trop_core import ExtendedNumber, positive_cycle_reachable
 
 
 class CertificateSynthesisFailed(Exception):
@@ -68,10 +69,28 @@ class CheckResult:
         return self.accepted
 
 
-def _scale_vec(y, scale: int) -> tuple:
-    return tuple(
-        ExtendedNumber.finite(e.value * scale) if e.is_finite else e for e in y
-    )
+def _witness_satisfies(y: tuple, g: int, a, b) -> bool:
+    """U y <= V y on the integer grids a, b, with y in units that g scales to theirs.
+
+    Both sides are compared exactly: y times g is brought to integers by the
+    lcm of its denominators, which multiplies the grids too.
+    """
+    vals = [Fraction(e.value) * g if e.is_finite else None for e in y]
+    den = lcm(*(v.denominator for v in vals if v is not None))
+    z = [None if v is None else v.numerator * (den // v.denominator) for v in vals]
+    top = [j for j, e in enumerate(y) if e.kind == 1]
+
+    def side(row):
+        # (kind, value) keys order -inf < finite < +inf like ExtendedNumber.
+        if any(row[j] is not None for j in top):
+            return (1, 0)
+        best = max(
+            (den * x + zj for x, zj in zip(row, z) if x is not None and zj is not None),
+            default=None,
+        )
+        return (-1, 0) if best is None else (0, best)
+
+    return all(side(ai) <= side(bi) for ai, bi in zip(a, b))
 
 
 def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> CheckResult:
@@ -79,41 +98,25 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     conditions: nonpositive accessible cycles, strictly negative ones without
     row m+1, and a confirmed phi(lambda*) >= 0."""
     lam_s = Fraction(cert.lam) * H.scale
-    game = game_at(H, lam_s)
-    cert.tau.check(game)
+    f, a, b = integer_game(H, lam_s)
+    arcs = tau_arcs(H, cert.tau, a, b)
+    if positive_cycle_reachable(H.n + 1, arcs.items(), H.n):
+        return CheckResult(False, "a cycle accessible from node n+1 has positive weight")
 
-    mat = restrict_min(game, cert.tau)
-    D = digraph_of_matrix(mat)
-    access = scc_and_access(D, H.n).access
-    decomp, means = cycle_means(D, "max")
-    for c, comp in enumerate(decomp.components):
-        if means[c] is not None and means[c] > 0 and any(v in access for v in comp):
-            return CheckResult(False, "a cycle accessible from node n+1 has positive weight")
-
-    # Delete Max node m+1: silence the columns routed to it.
-    rows = [
-        [NEG_INF] * mat.cols if cert.tau.choices[j] == H.m else list(mat.entries[j])
-        for j in range(mat.rows)
-    ]
-    mat2 = TropMatrix(rows)
-    D2 = digraph_of_matrix(mat2)
-    access2 = scc_and_access(D2, H.n).access
-    decomp2, means2 = cycle_means(D2, "max")
-    for c, comp in enumerate(decomp2.components):
-        if means2[c] is not None and means2[c] >= 0 and any(v in access2 for v in comp):
-            return CheckResult(
-                False, "a cycle avoiding row m+1 accessible from node n+1 is not negative"
-            )
+    # Delete Max node m+1: drop the arcs of the columns routed to it.
+    tau, k = cert.tau.choices, H.n + 2
+    kept = (((j, l), k * w + 1) for (j, l), w in arcs.items() if tau[j] != H.m)
+    if positive_cycle_reachable(H.n + 1, kept, H.n):
+        return CheckResult(
+            False, "a cycle avoiding row m+1 accessible from node n+1 is not negative"
+        )
 
     if cert.witness is not None:
-        y = _scale_vec(cert.witness, H.scale)
-        if len(y) != H.n + 1:
+        if len(cert.witness) != H.n + 1:
             return CheckResult(False, "witness has the wrong length")
-        if not y[H.n].is_finite:
+        if not cert.witness[H.n].is_finite:
             return CheckResult(False, "witness coordinate n+1 is not finite")
-        lhs = trop_matvec(game.A, y)
-        rhs = trop_matvec(game.B, y)
-        if not all(a <= b for a, b in zip(lhs, rhs)):
+        if not _witness_satisfies(cert.witness, f * H.scale, a, b):
             return CheckResult(False, "witness violates U y <= V(lambda*) y")
     else:
         ok, _, _ = phi_nonneg(H, lam_s)
@@ -125,30 +128,18 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
 def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) -> CheckResult:
     """Accept iff every cycle of G^sigma_0 accessible from Min node n+1 avoids
     Max row m+1 and has nonnegative weight."""
-    game = game_at(H, 0)
-    cert.sigma.check(game)
-    n_min = H.n + 1
-    n_nodes = n_min + H.m + 1
-    arcs = []
-    for i in range(H.m + 1):
-        mx = n_min + i
-        l = cert.sigma.choices[i]
-        arcs.append((mx, l, game.B.entries[i][l].value))
-        for j in range(n_min):
-            a = game.A.entries[i][j]
-            if a.is_finite:
-                arcs.append((j, mx, -a.value))
-    D = WeightedDigraph.from_arcs(n_nodes, arcs)
-    access = scc_and_access(D, H.n).access
-    decomp, means = cycle_means(D, "min")
-    objective_row = n_min + H.m
-    if objective_row in access:
-        comp = decomp.components[decomp.comp_of[objective_row]]
-        if len(comp) > 1:
-            return CheckResult(False, "a cycle accessible from node n+1 passes through row m+1")
-    for c, comp in enumerate(decomp.components):
-        if means[c] is not None and means[c] < 0 and any(v in access for v in comp):
-            return CheckResult(False, "a cycle accessible from node n+1 has negative weight")
+    _f, a, b = integer_game(H, 0)
+    arcs = sigma_arcs(H, cert.sigma, a, b)
+    # A cycle passes through row m+1 when it uses an arc j -> sigma(m+1) that
+    # row m+1 can realize; weighting those arcs 1 and the rest 0 makes such a
+    # cycle the positive ones.
+    l_obj, enters = cert.sigma.choices[H.m], a[H.m]
+    through = (((j, l), int(l == l_obj and enters[j] is not None)) for (j, l) in arcs)
+    if positive_cycle_reachable(H.n + 1, through, H.n):
+        return CheckResult(False, "a cycle accessible from node n+1 passes through row m+1")
+    negated = (((j, l), -w) for (j, l), w in arcs.items())
+    if positive_cycle_reachable(H.n + 1, negated, H.n):
+        return CheckResult(False, "a cycle accessible from node n+1 has negative weight")
     return CheckResult(True)
 
 
@@ -217,17 +208,14 @@ def _support_condition_certificate(H: HomogeneousInstance):
     ybar = homogeneous_solution_with_zeros(H.C, H.D, supp_u, n)
     if ybar is None:
         return None
-    game = game_at(H, 0)
+    _f, _a, b = integer_game(H, 0)
     choices = []
-    for i in range(H.m + 1):
-        best_l, best_v = None, None
-        for l in game.max_moves(i):
-            b = game.B.entries[i][l]
-            cand = b.add_max(ybar[l])
-            if cand.is_finite and (best_v is None or cand.value > best_v):
-                best_v, best_l = cand.value, l
-        if best_l is None:
-            best_l = game.max_moves(i)[0]
+    for row in b:
+        moves = [l for l, x in enumerate(row) if x is not None]
+        best_l, best_v = moves[0], None
+        for l in moves:
+            if ybar[l].is_finite and (best_v is None or row[l] + ybar[l].value > best_v):
+                best_v, best_l = row[l] + ybar[l].value, l
         choices.append(best_l)
     return UnboundednessCertificate(MaxStrategy(tuple(choices)))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
@@ -107,41 +108,59 @@ GAME_MEMO_SIZE = 8
 
 @dataclass(frozen=True)
 class HomogeneousInstance:
-    """Scaled homogeneous form: C=[A,c], D=[B,d], u=[p,r], v=[q,s].
+    """Scaled homogeneous form: U = [[C],[u]] and V = [[D],[v]] with C=[A,c],
+    D=[B,d], u=[p,r], v=[q,s].
 
     All finite entries are integers after multiplying by ``scale`` (the lcm of
     the original denominators); M bounds their absolute values.  The minimal
     zero of the scaled spectral function is ``scale`` times the original one.
-    U = [[C],[u]] and V = [[D],[v]] hold the same data as integer grids with
-    None for -inf; ``games`` is the memo that ``game_report`` fills.
+    U and V are integer grids with None for -inf; C, D, u and v are views of
+    them as TropMatrix and ExtendedNumber rows, built on first use.  ``games``
+    is the memo that ``game_report`` fills.
     """
 
-    C: TropMatrix
-    D: TropMatrix
-    u: tuple
-    v: tuple
+    U: tuple
+    V: tuple
     M: Fraction
     scale: int
-    U: tuple = field(repr=False, compare=False)
-    V: tuple = field(repr=False, compare=False)
     games: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
-        return self.C.rows
+        return len(self.U) - 1
 
     @property
     def n(self) -> int:
-        return self.C.cols - 1
+        return len(self.U[0]) - 1
 
     @property
     def k_bound(self) -> int:
         """min(m, n): the turn-count bound entering denominators and caps."""
         return min(self.m, self.n)
 
+    @cached_property
+    def C(self) -> TropMatrix:
+        return TropMatrix([_extended(row) for row in self.U[:-1]])
+
+    @cached_property
+    def D(self) -> TropMatrix:
+        return TropMatrix([_extended(row) for row in self.V[:-1]])
+
+    @cached_property
+    def u(self) -> tuple:
+        return _extended(self.U[-1])
+
+    @cached_property
+    def v(self) -> tuple:
+        return _extended(self.V[-1])
+
+
+def _extended(row) -> tuple:
+    return tuple(NEG_INF if x is None else ExtendedNumber.finite(x) for x in row)
+
 
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
-    """Build the integer-scaled homogeneous data (C, D, u, v, M, scale)."""
+    """Build the integer-scaled homogeneous grids U and V, with M and scale."""
     entries = []
     for row in inst.A.entries:
         entries.extend(row)
@@ -164,21 +183,8 @@ def homogenize(inst: LfpInstance) -> HomogeneousInstance:
 
     U = grid([row + (ci,) for row, ci in zip(inst.A.entries, inst.c)] + [inst.p + (inst.r,)])
     V = grid([row + (di,) for row, di in zip(inst.B.entries, inst.d)] + [inst.q + (inst.s,)])
-
-    def extended(row):
-        return tuple(NEG_INF if x is None else ExtendedNumber.finite(x) for x in row)
-
     M = max((abs(x) for g in (U, V) for row in g for x in row if x is not None), default=0)
-    return HomogeneousInstance(
-        TropMatrix([extended(row) for row in U[:-1]]),
-        TropMatrix([extended(row) for row in V[:-1]]),
-        extended(U[-1]),
-        extended(V[-1]),
-        Fraction(M),
-        scale,
-        U,
-        V,
-    )
+    return HomogeneousInstance(U, V, Fraction(M), scale)
 
 
 def game_at(H: HomogeneousInstance, lam: Rational) -> MeanPayoffGame:
@@ -253,9 +259,12 @@ def _value_at_last_node(H: HomogeneousInstance, arcs: dict, mode: str, f: int) -
     return chi / f
 
 
-def phi_sigma(H: HomogeneousInstance, sigma: MaxStrategy, lam: Rational) -> Fraction:
-    """Partial spectral function with Max frozen: concave, <= phi."""
-    f, a, b = integer_game(H, lam)
+def sigma_arcs(H: HomogeneousInstance, sigma: MaxStrategy, a, b) -> dict:
+    """Min's one-player graph against sigma on the integer game (a, b).
+
+    Maps (j, l) to the least b[i][l] - a[i][j] over the rows i with
+    sigma(i) = l and a finite a[i][j].  Raises ValueError on a malformed sigma.
+    """
     if len(sigma.choices) != H.m + 1:
         raise ValueError("Max strategy has the wrong length")
     arcs = {}
@@ -265,12 +274,15 @@ def phi_sigma(H: HomogeneousInstance, sigma: MaxStrategy, lam: Rational) -> Frac
         for j, aij in enumerate(a[i]):
             if aij is not None and ((j, l) not in arcs or b[i][l] - aij < arcs[j, l]):
                 arcs[j, l] = b[i][l] - aij
-    return _value_at_last_node(H, arcs, "min", f)
+    return arcs
 
 
-def phi_tau(H: HomogeneousInstance, tau: MinStrategy, lam: Rational) -> Fraction:
-    """Partial spectral function with Min frozen: convex, >= phi."""
-    f, a, b = integer_game(H, lam)
+def tau_arcs(H: HomogeneousInstance, tau: MinStrategy, a, b) -> dict:
+    """Max's one-player graph against tau on the integer game (a, b).
+
+    Maps (j, l) to b[tau(j)][l] - a[tau(j)][j] for every finite b[tau(j)][l].
+    Raises ValueError on a malformed tau.
+    """
     if len(tau.choices) != H.n + 1:
         raise ValueError("Min strategy has the wrong length")
     arcs = {}
@@ -280,7 +292,19 @@ def phi_tau(H: HomogeneousInstance, tau: MinStrategy, lam: Rational) -> Fraction
         for l, bil in enumerate(b[i]):
             if bil is not None:
                 arcs[j, l] = bil - a[i][j]
-    return _value_at_last_node(H, arcs, "max", f)
+    return arcs
+
+
+def phi_sigma(H: HomogeneousInstance, sigma: MaxStrategy, lam: Rational) -> Fraction:
+    """Partial spectral function with Max frozen: concave, <= phi."""
+    f, a, b = integer_game(H, lam)
+    return _value_at_last_node(H, sigma_arcs(H, sigma, a, b), "min", f)
+
+
+def phi_tau(H: HomogeneousInstance, tau: MinStrategy, lam: Rational) -> Fraction:
+    """Partial spectral function with Min frozen: convex, >= phi."""
+    f, a, b = integer_game(H, lam)
+    return _value_at_last_node(H, tau_arcs(H, tau, a, b), "max", f)
 
 
 def initial_bounds(H: HomogeneousInstance):

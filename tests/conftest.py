@@ -6,10 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from troplf import ExtendedNumber, LfpInstance, MeanPayoffGame, NEG_INF, TropMatrix
 
 NI = "-inf"
+
+# Property tests draw the same cases on every run (no example database, a
+# seed fixed by the test), with no per-case deadline on a shared machine.
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("deterministic")
 
 
 def e(x):

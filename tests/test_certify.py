@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from troplf import (
     NEG_INF,
+    POS_INF,
+    CheckResult,
     ExtendedNumber,
+    LfpInstance,
     MaxStrategy,
     MinStrategy,
     OptimalityCertificate,
+    TropMatrix,
     UnboundednessCertificate,
     check_optimality,
     check_unboundedness,
@@ -21,11 +29,15 @@ from troplf import (
     homogenize,
     make_optimality_certificate,
     make_unboundedness_certificate,
+    phi_nonneg,
     solve,
+    trop_matvec,
 )
 from troplf.certify import CertificateSynthesisFailed
+from troplf.cli_io import format_rational, parse_certificate, parse_instance, serialize_certificate
 from troplf.game_engine import restrict_min
-from troplf.trop_core import cycle_means, digraph_of_matrix
+from troplf.spectral import game_report
+from troplf.trop_core import WeightedDigraph, cycle_means, digraph_of_matrix, scc_and_access
 
 from conftest import e, make_instance, random_instance
 
@@ -169,6 +181,17 @@ def test_unboundedness_rejects_route_through_objective_row():
     assert not res and "passes through row m+1" in res.reason
 
 
+def test_support_condition_sigma_takes_the_first_best_column():
+    """Each row of sigma picks the column attaining the right-hand side at
+    the feasible point; on a tie the first such column, as before."""
+    inst = make_instance(
+        A=[[NI, 1], [0, 1], [1, 0]], B=[[0, 1], [NI, NI], [1, NI]],
+        c=[0, NI, NI], d=[0, 0, 1], p=[NI, 0], q=[0, 0], r=NI, s=0,
+    )
+    cert = make_unboundedness_certificate(homogenize(inst))
+    assert cert.sigma.choices == (0, 2, 0, 0)
+
+
 def test_special_case_equivalence_c_leq_d():
     rng = random.Random(77)
     for _ in range(20):
@@ -263,3 +286,235 @@ def test_corrupted_lambda_below_optimum_rejected():
         bogus = OptimalityCertificate(out.lam - 1, out.certificate.tau, None)
         assert not check_optimality(H, bogus)
         done += 1
+
+
+# --- differential checks against Karp cycle means ---------------------------
+
+POSITIVE = "a cycle accessible from node n+1 has positive weight"
+NOT_NEGATIVE = "a cycle avoiding row m+1 accessible from node n+1 is not negative"
+WRONG_LENGTH = "witness has the wrong length"
+NOT_FINITE = "witness coordinate n+1 is not finite"
+VIOLATES = "witness violates U y <= V(lambda*) y"
+PHI_NEGATIVE = "phi(lambda*) < 0"
+THROUGH_ROW = "a cycle accessible from node n+1 passes through row m+1"
+NEGATIVE = "a cycle accessible from node n+1 has negative weight"
+
+
+def _karp_optimality(H, cert):
+    """check_optimality's verdict from the Fraction game at lambda*, with
+    Karp cycle means on tau's restricted digraph: the reference the integer
+    longest-path check must agree with."""
+    lam_s = Fraction(cert.lam) * H.scale
+    game = game_at(H, lam_s)
+    mat = restrict_min(game, cert.tau)
+    dropped = TropMatrix(
+        [[NEG_INF] * mat.cols if cert.tau.choices[j] == H.m else mat.entries[j]
+         for j in range(mat.rows)]
+    )
+    for E, bad, reason in ((mat, lambda mu: mu > 0, POSITIVE), (dropped, lambda mu: mu >= 0, NOT_NEGATIVE)):
+        D = digraph_of_matrix(E)
+        access = scc_and_access(D, H.n).access
+        decomp, means = cycle_means(D, "max")
+        if any(mu is not None and bad(mu) and access.intersection(comp)
+               for comp, mu in zip(decomp.components, means)):
+            return CheckResult(False, reason)
+    if cert.witness is not None:
+        y = tuple(fin(x.value * H.scale) if x.is_finite else x for x in cert.witness)
+        if len(y) != H.n + 1:
+            return CheckResult(False, WRONG_LENGTH)
+        if not y[H.n].is_finite:
+            return CheckResult(False, NOT_FINITE)
+        if not all(l <= r for l, r in zip(trop_matvec(game.A, y), trop_matvec(game.B, y))):
+            return CheckResult(False, VIOLATES)
+    elif not phi_nonneg(H, lam_s)[0]:
+        return CheckResult(False, PHI_NEGATIVE)
+    return CheckResult(True)
+
+
+def _karp_unboundedness(H, cert):
+    """check_unboundedness's verdict by Karp minimal cycle means on the
+    bipartite digraph of sigma at lambda = 0: the reference."""
+    game = game_at(H, 0)
+    cert.sigma.check(game)
+    n_min = H.n + 1
+    arcs = []
+    for i, l in enumerate(cert.sigma.choices):
+        arcs.append((n_min + i, l, game.B.entries[i][l].value))
+        arcs += [(j, n_min + i, -game.A.entries[i][j].value)
+                 for j in range(n_min) if game.A.entries[i][j].is_finite]
+    D = WeightedDigraph.from_arcs(n_min + H.m + 1, arcs)
+    access = scc_and_access(D, H.n).access
+    decomp, means = cycle_means(D, "min")
+    row = n_min + H.m
+    if row in access and len(decomp.components[decomp.comp_of[row]]) > 1:
+        return CheckResult(False, THROUGH_ROW)
+    if any(mu is not None and mu < 0 and access.intersection(comp)
+           for comp, mu in zip(decomp.components, means)):
+        return CheckResult(False, NEGATIVE)
+    return CheckResult(True)
+
+
+def _same_verdict(check, reference, H, cert, reasons: Counter):
+    try:
+        expected = reference(H, cert)
+    except ValueError:
+        with pytest.raises(ValueError):
+            check(H, cert)
+        reasons["ValueError"] += 1
+        return
+    got = check(H, cert)
+    assert (got.accepted, got.reason) == (expected.accepted, expected.reason), cert
+    reasons[got.reason] += 1
+
+
+def _optimality_mutants(H, cert):
+    """The certificate, and variants with lambda*, tau or the witness changed."""
+    w = cert.witness
+    yield cert
+    yield OptimalityCertificate(cert.lam, cert.tau, None)
+    for delta in (Fraction(1, 7), Fraction(-1, 7), Fraction(1)):
+        yield OptimalityCertificate(cert.lam + delta, cert.tau, w)
+        yield OptimalityCertificate(cert.lam - delta, cert.tau, None)
+    U = H.U
+    for j, i in enumerate(cert.tau.choices):
+        for k in range(H.m + 1):
+            if k != i and U[k][j] is not None:
+                flipped = cert.tau.choices[:j] + (k,) + cert.tau.choices[j + 1:]
+                yield OptimalityCertificate(cert.lam, MinStrategy(flipped), w)
+    # tau of the game at lambda* itself, not of the game just below it, may
+    # close a cycle of weight zero that avoids row m+1.
+    _f, rep = game_report(H, Fraction(cert.lam) * H.scale)
+    yield OptimalityCertificate(cert.lam, rep.tau, w)
+    yield OptimalityCertificate(cert.lam, rep.tau, None)
+    yield OptimalityCertificate(cert.lam, cert.tau, w[:-1])
+    yield OptimalityCertificate(cert.lam, cert.tau, w[:-1] + (NEG_INF,))
+    for j in range(H.n):
+        yield OptimalityCertificate(cert.lam, cert.tau, w[:j] + (POS_INF,) + w[j + 1:])
+    bad_row = cert.tau.choices[:-1] + (H.m + 1,)
+    yield OptimalityCertificate(cert.lam, MinStrategy(bad_row), w)
+
+
+def _unboundedness_mutants(H, cert):
+    """The certificate and every sigma one row away from it."""
+    yield cert
+    V = H.V
+    for i, l in enumerate(cert.sigma.choices):
+        for k in range(H.n + 1):
+            if k != l and V[i][k] is not None:
+                flipped = cert.sigma.choices[:i] + (k,) + cert.sigma.choices[i + 1:]
+                yield UnboundednessCertificate(MaxStrategy(flipped))
+    yield UnboundednessCertificate(MaxStrategy(cert.sigma.choices[:-1]))
+
+
+def _with_denominators(rng, inst):
+    """inst with each finite entry divided by 1, 2, 3 or 6."""
+    def div(x):
+        return fin(x.value / rng.choice((1, 2, 3, 6))) if x.is_finite else x
+
+    def vec(v):
+        return [div(x) for x in v]
+
+    return LfpInstance(
+        [vec(row) for row in inst.A.entries], [vec(row) for row in inst.B.entries],
+        vec(inst.c), vec(inst.d), vec(inst.p), vec(inst.q), div(inst.r), div(inst.s),
+    )
+
+
+def _differential_instances(example1, example2, example3):
+    rng = random.Random(97)
+    yield from (example1, example2, example3)
+    for _ in range(30):
+        yield random_instance(rng, rng.randint(1, 4), rng.randint(1, 4), 4, 0.4)
+    for _ in range(10):
+        yield _with_denominators(rng, random_instance(rng, rng.randint(2, 4), rng.randint(2, 4), 6, 0.3))
+
+
+def test_integer_checks_match_karp_reference(example1, example2, example3):
+    reasons = Counter()
+    scaled = 0
+    for inst in _differential_instances(example1, example2, example3):
+        out = solve(inst)
+        H = homogenize(inst)
+        scaled += H.scale > 1
+        if out.status == "Optimal":
+            for cert in _optimality_mutants(H, out.certificate):
+                _same_verdict(check_optimality, _karp_optimality, H, cert, reasons)
+        elif out.certificate is not None:
+            for cert in _unboundedness_mutants(H, out.certificate):
+                _same_verdict(check_unboundedness, _karp_unboundedness, H, cert, reasons)
+    # The special cases of the unboundedness tests above, every sigma of each.
+    for c_vals in ([0, -2], [1, 0]):
+        H = homogenize(_special_minimization([[0, 1], [2, -1]], [[1, 0], [0, 0]], c_vals, [0, 0]))
+        for sc in product(*[[l for l in range(H.n + 1) if H.V[i][l] is not None] for i in range(H.m + 1)]):
+            _same_verdict(check_unboundedness, _karp_unboundedness, H,
+                          UnboundednessCertificate(MaxStrategy(sc)), reasons)
+    assert scaled > 0
+    every = {"", POSITIVE, NOT_NEGATIVE, WRONG_LENGTH, NOT_FINITE, VIOLATES, PHI_NEGATIVE,
+             THROUGH_ROW, NEGATIVE, "ValueError"}
+    assert every <= set(reasons), every - set(reasons)
+
+
+def test_witness_with_sevenths_is_checked_exactly(example2):
+    """On an integer instance, witness coordinates in sevenths are compared
+    exactly: truncating -15/7 or flooring -13/7 to -2 would accept them."""
+    H = homogenize(example2)
+    for y, accepted in (
+        ((Fraction(-15, 7), 2), False),
+        ((Fraction(-13, 7), 2), False),
+        ((-2, Fraction(15, 7)), True),
+    ):
+        cert = OptimalityCertificate(Fraction(0), PAPER_TAU, (fin(y[0]), fin(y[1]), fin(0)))
+        assert bool(check_optimality(H, cert)) == accepted == bool(_karp_optimality(H, cert))
+
+
+# --- property: self-issued certificates survive the JSON round trip ---------
+
+
+@st.composite
+def instance_documents(draw):
+    """Instance documents up to 5 x 5 with -inf and rational entries, either
+    objective, patched so that every row of [B|d] and every column of A and
+    of c has a finite entry."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def finite():
+        return format_rational(Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3)))))
+
+    def entry():
+        return NI if draw(st.integers(0, 2)) == 0 else finite()
+
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    B = [[entry() for _ in range(n)] for _ in range(m)]
+    c, d = [entry() for _ in range(m)], [entry() for _ in range(m)]
+    for i in range(m):
+        if all(x == NI for x in B[i]) and d[i] == NI:
+            d[i] = finite()
+    for j in range(n):
+        if all(A[i][j] == NI for i in range(m)):
+            A[draw(st.integers(0, m - 1))][j] = finite()
+    if all(x == NI for x in c):
+        c[draw(st.integers(0, m - 1))] = finite()
+    return {
+        "objective": draw(st.sampled_from(("minimize", "maximize"))),
+        "A": A, "B": B, "c": c, "d": d,
+        "p": [entry() for _ in range(n)], "q": [entry() for _ in range(n)],
+        "r": entry(), "s": entry(),
+    }
+
+
+@given(instance_documents())
+def test_self_issued_certificates_pass_the_independent_check(doc):
+    inst = parse_instance(doc).instance
+    H = homogenize(inst)
+    answers = set()
+    for method in ("newton", "bisection", "negative-newton"):
+        out = solve(inst, method=method)
+        answers.add((out.status, out.lam))
+        if out.certificate is None:
+            continue
+        text = json.dumps(serialize_certificate(out.certificate))
+        cert = parse_certificate(json.loads(text), H.m, H.n)
+        check = check_optimality if out.status == "Optimal" else check_unboundedness
+        result = check(H, cert)
+        assert result, result.reason
+    assert len(answers) == 1

@@ -21,7 +21,12 @@ from troplf import (
     residual_apply,
     trop_matvec,
 )
-from troplf.trop_core import WeightedDigraph, kleene_apply_raw, scc_and_access
+from troplf.trop_core import (
+    WeightedDigraph,
+    kleene_apply_raw,
+    positive_cycle_reachable,
+    scc_and_access,
+)
 
 from conftest import e, rows
 
@@ -115,6 +120,17 @@ def test_kleene_positive_self_loop_diverges():
 def test_kleene_raw_divergent_component():
     E = TropMatrix([[fin(1)]])
     assert kleene_apply_raw(E, [fin(0)]) == (POS_INF,)
+
+
+def test_positive_cycle_reachable_only_counts_cycles_behind_the_source():
+    # 0 -> 1 -> 2 -> 1 closes a cycle of weight +1; 3 <-> 4 one of weight +2
+    # that node 0 cannot reach; 5 <-> 6 one of weight 0.
+    arcs = {(0, 1): -5, (1, 2): 3, (2, 1): -2, (3, 4): 1, (4, 3): 1, (5, 6): 4, (6, 5): -4}
+    assert positive_cycle_reachable(7, arcs.items(), 0)
+    assert positive_cycle_reachable(7, arcs.items(), 3)
+    assert not positive_cycle_reachable(7, arcs.items(), 5)
+    arcs[2, 1] = -3
+    assert not positive_cycle_reachable(7, arcs.items(), 0)
 
 
 def test_kleene_least_solution_properties():
