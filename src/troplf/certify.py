@@ -8,7 +8,7 @@ confirmed nonnegative.  An unboundedness certificate is a Max strategy sigma
 whose restricted digraph at lambda = 0 shows only nonnegative cycles
 accessible from node n+1, none through row m+1.
 
-Both checks read the integer game of ``spectral.integer_game`` and are
+Both checks read the integer grids of ``spectral.game_at`` and are
 one-player longest-path questions: a cycle condition holds exactly when the
 longest paths from node n+1, suitably weighted, converge, which the integer
 Kleene iteration decides (``trop_core.positive_cycle_reachable``).  The strict
@@ -27,8 +27,8 @@ from typing import Optional
 from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed
 from .spectral import (
     HomogeneousInstance,
+    game_at,
     game_report,
-    integer_game,
     phi_nonneg,
     sigma_arcs,
     tau_arcs,
@@ -98,8 +98,8 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     conditions: nonpositive accessible cycles, strictly negative ones without
     row m+1, and a confirmed phi(lambda*) >= 0."""
     lam_s = Fraction(cert.lam) * H.scale
-    f, a, b = integer_game(H, lam_s)
-    arcs = tau_arcs(H, cert.tau, a, b)
+    g = game_at(H, lam_s)
+    arcs = tau_arcs(g, cert.tau)
     if positive_cycle_reachable(H.n + 1, arcs.items(), H.n):
         return CheckResult(False, "a cycle accessible from node n+1 has positive weight")
 
@@ -116,7 +116,7 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
             return CheckResult(False, "witness has the wrong length")
         if not cert.witness[H.n].is_finite:
             return CheckResult(False, "witness coordinate n+1 is not finite")
-        if not _witness_satisfies(cert.witness, f * H.scale, a, b):
+        if not _witness_satisfies(cert.witness, g.d * H.scale, g.a, g.b):
             return CheckResult(False, "witness violates U y <= V(lambda*) y")
     else:
         ok, _, _ = phi_nonneg(H, lam_s)
@@ -128,12 +128,12 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
 def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) -> CheckResult:
     """Accept iff every cycle of G^sigma_0 accessible from Min node n+1 avoids
     Max row m+1 and has nonnegative weight."""
-    _f, a, b = integer_game(H, 0)
-    arcs = sigma_arcs(H, cert.sigma, a, b)
+    g = game_at(H, 0)
+    arcs = sigma_arcs(g, cert.sigma)
     # A cycle passes through row m+1 when it uses an arc j -> sigma(m+1) that
     # row m+1 can realize; weighting those arcs 1 and the rest 0 makes such a
     # cycle the positive ones.
-    l_obj, enters = cert.sigma.choices[H.m], a[H.m]
+    l_obj, enters = cert.sigma.choices[H.m], g.a[H.m]
     through = (((j, l), int(l == l_obj and enters[j] is not None)) for (j, l) in arcs)
     if positive_cycle_reachable(H.n + 1, through, H.n):
         return CheckResult(False, "a cycle accessible from node n+1 passes through row m+1")
@@ -158,17 +158,17 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
     """
     lam_scaled = Fraction(lam_scaled)
     k2 = H.k_bound + 2
-    _f, rep = game_report(H, lam_scaled - Fraction(1, k2), k2)
+    rep = game_report(H, lam_scaled - Fraction(1, k2), k2)
     if H.n in rep.winning:
         raise CertificateSynthesisFailed(
             "node n+1 still wins below lambda*: the value is not the minimal zero"
         )
-    _f, at_opt = game_report(H, lam_scaled)
+    at_opt = game_report(H, lam_scaled)
     if H.n not in at_opt.winning:
         raise CertificateSynthesisFailed("no feasible witness at lambda*")
-    f, a, b = integer_game(H, lam_scaled)
-    y = least_solution_fixed(a, b, at_opt.sigma, H.n)
-    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, _unscale_vec(y, f * H.scale))
+    g = game_at(H, lam_scaled)
+    y = least_solution_fixed(g.a, g.b, at_opt.sigma, H.n)
+    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, _unscale_vec(y, g.d * H.scale))
     result = check_optimality(H, cert)
     if not result:
         raise CertificateSynthesisFailed(result.reason)
@@ -202,20 +202,19 @@ def _support_condition_certificate(H: HomogeneousInstance):
     from .solver import homogeneous_solution_with_zeros
 
     n = H.n
-    supp_u = frozenset(j for j in range(n + 1) if H.u[j].is_finite)
+    supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
     if n in supp_u:
         return None
-    ybar = homogeneous_solution_with_zeros(H.C, H.D, supp_u, n)
+    ybar = homogeneous_solution_with_zeros(H.U[:-1], H.V[:-1], supp_u, n)
     if ybar is None:
         return None
-    _f, _a, b = integer_game(H, 0)
     choices = []
-    for row in b:
+    for row in game_at(H, 0).b:
         moves = [l for l, x in enumerate(row) if x is not None]
         best_l, best_v = moves[0], None
         for l in moves:
-            if ybar[l].is_finite and (best_v is None or row[l] + ybar[l].value > best_v):
-                best_v, best_l = row[l] + ybar[l].value, l
+            if ybar[l] is not None and (best_v is None or row[l] + ybar[l] > best_v):
+                best_v, best_l = row[l] + ybar[l], l
         choices.append(best_l)
     return UnboundednessCertificate(MaxStrategy(tuple(choices)))
 
@@ -223,7 +222,7 @@ def _support_condition_certificate(H: HomogeneousInstance):
 def _deep_lambda_certificate(H: HomogeneousInstance):
     # M bounds every payment of the game at lambda = 0.
     lam_low = -(2 * (H.k_bound + 2) * H.M + 1)
-    _f, rep = game_report(H, lam_low)
+    rep = game_report(H, lam_low)
     if H.n not in rep.winning:
         return None
     return UnboundednessCertificate(rep.sigma)

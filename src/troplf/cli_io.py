@@ -19,8 +19,16 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, TextIO
 
 from . import certify, solver
-from .game_engine import MaxStrategy, MinStrategy, game_value
-from .spectral import GridTooLarge, LfpInstance, game_at, homogenize, reconstruct
+from .game_engine import AssumptionViolated, MaxStrategy, MinStrategy, game_value
+from .spectral import (
+    GridTooLarge,
+    HomogeneousInstance,
+    LfpInstance,
+    game_at,
+    homogenize,
+    phi,
+    reconstruct,
+)
 from .trop_core import NEG_INF, ExtendedNumber, ext
 
 
@@ -111,6 +119,8 @@ def parse_instance(doc: dict) -> ParsedInstance:
         n = len(C[0]) - 1
         if len(u) != n + 1 or len(v) != n + 1:
             raise DocumentError("u and v must have one entry per column of C")
+        if any(len(row) != n + 1 for row in C + D):
+            raise DocumentError("every row of C and D must have one entry per column of C")
         A = [row[:n] for row in C]
         c = [row[n] for row in C]
         B = [row[:n] for row in D]
@@ -132,7 +142,7 @@ def parse_instance(doc: dict) -> ParsedInstance:
         p, r, q, s = q, s, p, r
     try:
         inst = LfpInstance(A, B, c, d, p, q, r, s)
-    except ValueError as exc:
+    except (ValueError, AssumptionViolated) as exc:
         raise DocumentError(str(exc))
     return ParsedInstance(inst, objective == "maximize")
 
@@ -257,13 +267,26 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+NO_PARAMETRIC_GAME = (
+    "the parametric game is undefined: the objective's denominator is identically -inf"
+)
+
+
+def _game_instance(path: str) -> HomogeneousInstance:
+    """The homogenized instance at path; a DocumentError when it has no parametric game."""
+    H = homogenize(parse_instance(_load_json(path)).instance)
+    if all(x is None for x in H.V[-1]):
+        raise DocumentError(NO_PARAMETRIC_GAME)
+    return H
+
+
 def cmd_spectral(args, out: TextIO) -> int:
-    parsed = parse_instance(_load_json(args.instance))
-    H = homogenize(parsed.instance)
+    H = _game_instance(args.instance)
     try:
         pieces = reconstruct(H)
     except GridTooLarge as exc:
-        print(f"error: {exc}; reduce the instance or raise the grid cap", file=sys.stderr)
+        print(f"error: {exc}; its entries are too large for the grid reconstruction",
+              file=sys.stderr)
         return 1
     lines = ["piece,lo,hi,alpha,beta,k"]
     for piece in pieces:
@@ -290,8 +313,6 @@ def cmd_spectral(args, out: TextIO) -> int:
         grid = [lo + step * t for t in range(33)]
     else:
         grid = [Fraction(t) for t in range(-4, 5)]
-    from .spectral import phi
-
     for lam in grid:
         val = phi(H, lam)
         lines.append(
@@ -313,10 +334,15 @@ def cmd_check(args, out: TextIO) -> int:
     parsed = parse_instance(_load_json(args.instance))
     H = homogenize(parsed.instance)
     cert = parse_certificate(_load_json(args.certificate), H.m, H.n)
-    if isinstance(cert, certify.OptimalityCertificate):
-        result = certify.check_optimality(H, cert)
-    else:
-        result = certify.check_unboundedness(H, cert)
+    try:
+        if isinstance(cert, certify.OptimalityCertificate):
+            result = certify.check_optimality(H, cert)
+        else:
+            result = certify.check_unboundedness(H, cert)
+    except ValueError as exc:  # a strategy move with a -inf payment
+        result = certify.CheckResult(False, str(exc))
+    except AssumptionViolated:
+        result = certify.CheckResult(False, NO_PARAMETRIC_GAME)
     if result:
         print("accept", file=out)
         return 0
@@ -325,8 +351,7 @@ def cmd_check(args, out: TextIO) -> int:
 
 
 def cmd_game_value(args, out: TextIO) -> int:
-    parsed = parse_instance(_load_json(args.instance))
-    H = homogenize(parsed.instance)
+    H = _game_instance(args.instance)
     node = args.node if args.node is not None else H.n + 1
     if not (1 <= node <= H.n + 1):
         print(f"error: node must be in 1..{H.n + 1}", file=sys.stderr)

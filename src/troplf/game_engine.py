@@ -3,7 +3,9 @@
 A game has m Max nodes (the rows) and n Min nodes (the columns) and is given
 by two max-plus payment matrices A and B: Min moving j -> i pays -a_ij, Max
 moving i -> l receives b_il, and one turn is one Min move followed by one Max
-move.  Values are long-run average payments per turn.
+move.  Values are long-run average payments per turn.  A MeanPayoffGame
+holds the payments as integer grids a, b (None for -inf) over one positive
+denominator d.
 
 The oracle solves a game exactly by min-max policy iteration (Cochet-Terrasson,
 Gaubert & Gunawardena 1998; Dhingra & Gaubert 2006).  Min improves a
@@ -15,11 +17,14 @@ comparison is integer arithmetic.  One run yields the exact values chi of all
 Min nodes, the winning sets and optimal strategies sigma and tau for both
 players.
 
-``_oracle_core`` and ``least_solution_fixed`` work on dense integer payment
-grids (None for -inf).  The TropMatrix entry points scale rational payments
-to such grids once per call; the solver does not go through them, it forms
-the grids of its parametric game directly (``spectral.integer_game``) and
-keeps solved games in a per-instance memo instead of a global cache.
+Policy iteration, the brute-force play evaluation and ``least_solution_fixed``
+work on those grids.  Scaling every payment by d > 0 scales every value by
+d and keeps every strategy optimal, so values are divided by d once at the
+end.  ``MeanPayoffGame(A, B)`` scales two Fraction TropMatrix objects to
+grids once; the solver builds its parametric game from grids instead
+(``spectral.game_at``) and keeps solved games in a per-instance memo.  The
+TropMatrix views ``game.A`` and ``game.B`` serve only the Fraction API
+(``dynamic_operator``, ``restrict_max``, ``restrict_min``).
 
 ``lifting_oracle`` races two pseudo-polynomial energy liftings instead; it is
 kept as a reference implementation that tests compare against.
@@ -75,40 +80,107 @@ BRUTE_FORCE_GUARD = 10**6
 
 
 class MeanPayoffGame:
-    """Validated bipartite mean payoff game (payments A, B; m Max x n Min nodes)."""
+    """Validated bipartite mean payoff game on m Max x n Min nodes.
 
-    __slots__ = ("m", "n", "A", "B")
+    The payments are a/d and b/d: ``a`` and ``b`` are integer grids (tuples of
+    rows, None for -inf) and ``d`` is a positive integer, the least common
+    denominator of the payments wherever this package builds a game.
+    ``MeanPayoffGame(A, B)`` scales two max-plus TropMatrix objects by the lcm
+    of their denominators; ``from_grids`` takes the grids directly.  ``A`` and
+    ``B`` give the payments back as TropMatrix objects, built on first access.
+    """
+
+    __slots__ = ("m", "n", "a", "b", "d", "_A", "_B")
 
     def __init__(self, A: TropMatrix, B: TropMatrix):
         if A.semiring != MAX_PLUS or B.semiring != MAX_PLUS:
             raise ValueError("payment matrices must be max-plus")
         if (A.rows, A.cols) != (B.rows, B.cols):
             raise ValueError("payment matrices must share a shape")
-        self.m = A.rows
-        self.n = A.cols
-        self.A = A
-        self.B = B
-        problems = validate_shape(A, B)
+        (a, b), d = integer_grids(A.entries, B.entries)
+        self._set(a, b, d)
+        self._A, self._B = A, B
+
+    @classmethod
+    def from_grids(cls, a: tuple, b: tuple, d: int = 1) -> "MeanPayoffGame":
+        """The game with payments a/d and b/d (same-shape integer grids)."""
+        game = cls.__new__(cls)
+        game._set(a, b, d)
+        return game
+
+    def _set(self, a, b, d) -> None:
+        self.m, self.n = len(a), len(a[0])
+        self.a, self.b, self.d = a, b, d
+        self._A = self._B = None
+        problems = validate_shape(a, b)
         if problems:
             raise AssumptionViolated("; ".join(problems))
 
+    def _matrix(self, grid) -> TropMatrix:
+        return TropMatrix(
+            [[NEG_INF if x is None else ExtendedNumber.finite(Fraction(x, self.d)) for x in row]
+             for row in grid]
+        )
+
+    @property
+    def A(self) -> TropMatrix:
+        if self._A is None:
+            self._A = self._matrix(self.a)
+        return self._A
+
+    @property
+    def B(self) -> TropMatrix:
+        if self._B is None:
+            self._B = self._matrix(self.b)
+        return self._B
+
     def min_moves(self, j: int) -> list:
         """Max nodes reachable from Min node j (finite a_ij)."""
-        return [i for i in range(self.m) if self.A.entries[i][j].is_finite]
+        return [i for i in range(self.m) if self.a[i][j] is not None]
 
     def max_moves(self, i: int) -> list:
         """Min nodes reachable from Max node i (finite b_il)."""
-        return [l for l in range(self.n) if self.B.entries[i][l].is_finite]
+        return [l for l, x in enumerate(self.b[i]) if x is not None]
 
 
-def validate_shape(A: TropMatrix, B: TropMatrix) -> list:
-    """Assumption 1 (every B row has a finite entry) and 2 (every A column)."""
+def integer_grids(*matrices) -> tuple:
+    """(grids, d): matrices of ExtendedNumber rows (no +inf) times d, the lcm
+    of all their denominators, as tuples of integer rows with None for -inf."""
+    d = 1
+    for rows in matrices:
+        for row in rows:
+            for e in row:
+                if e.is_finite:
+                    d = lcm(d, e.value.denominator)
+    grids = tuple(
+        tuple(
+            tuple(e.value.numerator * (d // e.value.denominator) if e.is_finite else None
+                  for e in row)
+            for row in rows
+        )
+        for rows in matrices
+    )
+    return grids, d
+
+
+def validate_shape(a, b) -> list:
+    """Assumption 1 (every row of b has a finite entry) and 2 (every column of a).
+
+    Each scan stops at the first finite entry, so a dense game costs
+    O(rows + cols).
+    """
     problems = []
-    for i in range(B.rows):
-        if not any(e.is_finite for e in B.entries[i]):
+    for i, row in enumerate(b):
+        for x in row:
+            if x is not None:
+                break
+        else:
             problems.append(f"row {i} of B has no finite entry (Max node stuck)")
-    for j in range(A.cols):
-        if not any(A.entries[i][j].is_finite for i in range(A.rows)):
+    for j in range(len(a[0])):
+        for row in a:
+            if row[j] is not None:
+                break
+        else:
             problems.append(f"column {j} of A has no finite entry (Min node stuck)")
     return problems
 
@@ -126,7 +198,7 @@ class MaxStrategy:
         if len(self.choices) != game.m:
             raise ValueError("Max strategy has the wrong length")
         for i, l in enumerate(self.choices):
-            if not (0 <= l < game.n) or not game.B.entries[i][l].is_finite:
+            if not (0 <= l < game.n) or game.b[i][l] is None:
                 raise ValueError(f"Max strategy picks a forbidden move {i}->{l}")
 
 
@@ -143,7 +215,7 @@ class MinStrategy:
         if len(self.choices) != game.n:
             raise ValueError("Min strategy has the wrong length")
         for j, i in enumerate(self.choices):
-            if not (0 <= i < game.m) or not game.A.entries[i][j].is_finite:
+            if not (0 <= i < game.m) or game.a[i][j] is None:
                 raise ValueError(f"Min strategy picks a forbidden move {j}->{i}")
 
 
@@ -233,9 +305,8 @@ def play_outcome(game: MeanPayoffGame, j: int, tau: MinStrategy, sigma: MaxStrat
     """Mean payment per turn of the unique cycle reached from Min node j."""
     tau.check(game)
     sigma.check(game)
-    a, b, d = _int_payments(game.A, game.B)
-    total, length = _play_cycle(a, b, j, tau.choices, sigma.choices)
-    return Fraction(total, length * d)
+    total, length = _play_cycle(game.a, game.b, j, tau.choices, sigma.choices)
+    return Fraction(total, length * game.d)
 
 
 def _strategy_spaces(game: MeanPayoffGame):
@@ -258,7 +329,7 @@ def brute_force_value(game: MeanPayoffGame, j: int) -> Fraction:
     min_supports, max_supports, size = _strategy_spaces(game)
     if size > BRUTE_FORCE_GUARD:
         raise TooLarge(f"strategy space of size {size} exceeds the guard")
-    a, b, d = _int_payments(game.A, game.B)
+    a, b = game.a, game.b
     best = None
     for tau in product(*min_supports):
         worst = None
@@ -268,32 +339,12 @@ def brute_force_value(game: MeanPayoffGame, j: int) -> Fraction:
                 worst = (total, length)
         if best is None or worst[0] * best[1] < best[0] * worst[1]:
             best = worst
-    return Fraction(best[0], best[1] * d)
+    return Fraction(best[0], best[1] * game.d)
 
 
 # ---------------------------------------------------------------------------
 # Exact oracle: min-max policy iteration.
 # ---------------------------------------------------------------------------
-
-
-def _int_payments(A: TropMatrix, B: TropMatrix):
-    """(a, b, d): A and B times d, the lcm of their denominators, as dense
-    integer grids with None for -inf.  Scaling every payment by d > 0 scales
-    every value by d and keeps every strategy optimal."""
-    d = 1
-    for M in (A, B):
-        for row in M.entries:
-            for e in row:
-                if e.is_finite:
-                    d = lcm(d, e.value.denominator)
-
-    def grid(M):
-        return [
-            [e.value.numerator * (d // e.value.denominator) if e.is_finite else None for e in row]
-            for row in M.entries
-        ]
-
-    return grid(A), grid(B), d
 
 
 def _round_cap(m: int, n: int) -> int:
@@ -449,12 +500,11 @@ def _oracle_core(m, n, a, b):
 def winning_oracle(game: MeanPayoffGame) -> OracleReport:
     """Partition Min nodes into {chi >= 0} and {chi < 0} with witness strategies.
 
-    Rational payments are scaled to integers first, which leaves value signs
-    unchanged.  The strategies are optimal, so they certify both sides of
-    the partition.
+    Policy iteration runs on the integer grids, d times the payments, which
+    leaves value signs unchanged.  The strategies are optimal, so they
+    certify both sides of the partition.
     """
-    a, b, _d = _int_payments(game.A, game.B)
-    _chi, win_min, win_max, sigma, tau = _oracle_core(game.m, game.n, a, b)
+    _chi, win_min, win_max, sigma, tau = _oracle_core(game.m, game.n, game.a, game.b)
     return OracleReport(win_min, win_max, MaxStrategy(sigma), MinStrategy(tau))
 
 
@@ -462,36 +512,33 @@ integer_oracle = winning_oracle
 
 
 def scaled_copy(game: MeanPayoffGame, mult: int, b_shift: Fraction = Fraction(0)) -> MeanPayoffGame:
-    """Game with payments a' = mult*a and b' = mult*b + b_shift (exact)."""
+    """Game with payments mult*a/d and mult*b/d + b_shift (exact).
+
+    The grids are put over the least common denominator of the new payments,
+    as MeanPayoffGame(A, B) would put them.
+    """
     shift = Fraction(b_shift)
-    A = TropMatrix(
-        [
-            [ExtendedNumber.finite(e.value * mult) if e.is_finite else NEG_INF for e in row]
-            for row in game.A.entries
-        ]
-    )
-    B = TropMatrix(
-        [
-            [
-                ExtendedNumber.finite(e.value * mult + shift) if e.is_finite else NEG_INF
-                for e in row
-            ]
-            for row in game.B.entries
-        ]
-    )
-    return MeanPayoffGame(A, B)
+    d = lcm(game.d, shift.denominator)
+    k, s = mult * (d // game.d), shift.numerator * (d // shift.denominator)
+    a = [[None if x is None else k * x for x in row] for row in game.a]
+    b = [[None if x is None else k * x + s for x in row] for row in game.b]
+    g = gcd(d, *(x for row in a + b for x in row if x is not None))
+
+    def grid(rows):
+        return tuple(tuple(None if x is None else x // g for x in row) for row in rows)
+
+    return MeanPayoffGame.from_grids(grid(a), grid(b), d // g)
 
 
 def value_report(game: MeanPayoffGame) -> GameValueReport:
     """Exact values of all Min nodes with optimal strategies for both players.
 
-    Rational payments are scaled to integers by the lcm d of their
-    denominators; values scale by d and strategies are unaffected.
+    Policy iteration runs on the integer grids, whose values are d times the
+    game's; strategies are the same for both.
     """
-    a, b, d = _int_payments(game.A, game.B)
-    chi, win_min, _win_max, sigma, tau = _oracle_core(game.m, game.n, a, b)
-    if d != 1:
-        chi = tuple(c / d for c in chi)
+    chi, win_min, _win_max, sigma, tau = _oracle_core(game.m, game.n, game.a, game.b)
+    if game.d != 1:
+        chi = tuple(c / game.d for c in chi)
     return GameValueReport(chi, win_min, MaxStrategy(sigma), MinStrategy(tau))
 
 
@@ -811,10 +858,8 @@ def lifting_oracle(game: MeanPayoffGame, vectorized: bool = False) -> OracleRepo
     Its liftings climb to caps proportional to the payment size, so it is far
     slower than winning_oracle on large payments; ``vectorized`` picks the
     numpy synchronous lifting over the worklist for the raced liftings.
-    Payments must be integers.
     """
-    a, b, _d = _int_payments(game.A, game.B)
-    win_min, win_max, sigma, tau = _lifting_race(game.m, game.n, a, b, vectorized)
+    win_min, win_max, sigma, tau = _lifting_race(game.m, game.n, game.a, game.b, vectorized)
     return OracleReport(win_min, win_max, MaxStrategy(sigma), MinStrategy(tau))
 
 
@@ -857,19 +902,15 @@ def _fixed_system(a, b, sigma, l: int):
     return targets, [list(row.items()) for row in coef], h
 
 
-def least_solution_fixed(A, B, sigma: MaxStrategy, l: int) -> tuple:
-    """Least x with A x <= B^sigma x and x_l = 0 (via the Kleene star).
+def least_solution_fixed(a, b, sigma: MaxStrategy, l: int) -> tuple:
+    """Least x with a x <= b^sigma x and x_l = 0 (via the Kleene star).
 
-    A and B are TropMatrix objects or integer grids (None for -inf); the
-    result is a tuple of ExtendedNumber either way.  Every row is verified
-    afterwards.  Raises SecondSubsystemViolated when a constant-side row
-    (sigma(i) = l) fails, and propagates PositiveCycleDiverges: both
-    indicate the caller's sigma was not actually winning.
+    a and b are integer grids (None for -inf); the result is a tuple of
+    ExtendedNumber.  Every row is verified afterwards.  Raises
+    SecondSubsystemViolated when a constant-side row (sigma(i) = l) fails,
+    and propagates PositiveCycleDiverges: both indicate the caller's sigma
+    was not actually winning.
     """
-    if isinstance(A, TropMatrix):
-        a, b, d = _int_payments(A, B)
-    else:
-        a, b, d = A, B, 1
     targets, rows, h = _fixed_system(a, b, sigma.choices, l)
     z = kleene_star_int(rows, h)
     x = [None] * len(a[0])
@@ -884,7 +925,7 @@ def least_solution_fixed(A, B, sigma: MaxStrategy, l: int) -> tuple:
         if t == l:
             raise SecondSubsystemViolated(f"row {i} fails against the constant bound")
         raise InternalCertificateMismatch(f"row {i} of the least solution fails A x <= B x")
-    return tuple(NEG_INF if v is None else ExtendedNumber.finite(Fraction(v, d)) for v in x)
+    return tuple(NEG_INF if v is None else ExtendedNumber.finite(v) for v in x)
 
 
 def feasibility_witness(game: MeanPayoffGame, i: int) -> Optional[tuple]:
@@ -892,4 +933,7 @@ def feasibility_witness(game: MeanPayoffGame, i: int) -> Optional[tuple]:
     rep = integer_oracle(game)
     if i not in rep.winning:
         return None
-    return least_solution_fixed(game.A, game.B, rep.sigma, i)
+    x = least_solution_fixed(game.a, game.b, rep.sigma, i)
+    if game.d == 1:
+        return x
+    return tuple(ExtendedNumber.finite(e.value / game.d) if e.is_finite else e for e in x)

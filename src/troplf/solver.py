@@ -31,13 +31,7 @@ from .spectral import (
     phi_nonneg,
     phi_tau,
 )
-from .trop_core import (
-    NEG_INF,
-    ExtendedNumber,
-    TropMatrix,
-    ext,
-    trop_matvec,
-)
+from .trop_core import NEG_INF, ExtendedNumber
 
 
 class IterationCapExceeded(Exception):
@@ -103,13 +97,12 @@ class OptimalAtLowerBound:
 # --- homogeneous feasibility with forced -inf coordinates ------------------
 
 
-def homogeneous_solution_with_zeros(
-    C: TropMatrix, D: TropMatrix, neg_cols, pin: int
-) -> Optional[tuple]:
+def homogeneous_solution_with_zeros(C, D, neg_cols, pin: int) -> Optional[tuple]:
     """A solution y of C y <= D y with y_j = -inf on neg_cols and y_pin = 0.
 
-    Returns None when no such solution exists.  The raw reduced system may
-    break the game assumptions, so a fixpoint preprocessing runs first:
+    C and D are integer grids (None for -inf) and so is y.  Returns None when
+    no such solution exists.  The raw reduced system may break the game
+    assumptions, so a fixpoint preprocessing runs first:
 
     * a row whose right-hand side is identically -inf over the remaining
       columns forces every remaining column in its left-hand support to -inf
@@ -122,81 +115,70 @@ def homogeneous_solution_with_zeros(
     the winning oracle; push-up values are back-substituted in reverse
     elimination order, which is triangular by construction.
     """
-    m, n = C.rows, C.cols
-    forced = set(neg_cols)
-    if pin in forced:
+    m, n = len(C), len(C[0])
+    if pin in neg_cols:
         raise ValueError("the pinned column cannot be forced to -inf")
     alive_rows = set(range(m))
-    alive_cols = set(range(n)) - forced
+    alive_cols = set(range(n)) - set(neg_cols)
     pushups: List[Tuple[int, list]] = []
     changed = True
     while changed:
         changed = False
         for i in sorted(alive_rows):
-            if any(D.entries[i][j].is_finite for j in alive_cols):
+            if any(D[i][j] is not None for j in alive_cols):
                 continue
             for j in sorted(alive_cols):
-                if C.entries[i][j].is_finite:
+                if C[i][j] is not None:
                     if j == pin:
                         return None
                     alive_cols.discard(j)
-                    forced.add(j)
             alive_rows.discard(i)
             changed = True
         for j in sorted(alive_cols):
-            if any(C.entries[i][j].is_finite for i in alive_rows):
+            if any(C[i][j] is not None for i in alive_rows):
                 continue
-            discharged = sorted(i for i in alive_rows if D.entries[i][j].is_finite)
+            discharged = sorted(i for i in alive_rows if D[i][j] is not None)
             pushups.append((j, discharged))
             alive_rows -= set(discharged)
             alive_cols.discard(j)
             changed = True
 
-    y: List[Optional[ExtendedNumber]] = [None] * n
-    for j in forced:
-        y[j] = NEG_INF
+    y: List[Optional[int]] = [None] * n
     rows = sorted(alive_rows)
     cols = sorted(alive_cols)
     if pin in alive_cols:
         if rows:
-            A_core = TropMatrix([[C.entries[i][j] for j in cols] for i in rows])
-            B_core = TropMatrix([[D.entries[i][j] for j in cols] for i in rows])
-            witness = feasibility_witness(MeanPayoffGame(A_core, B_core), cols.index(pin))
+            core = MeanPayoffGame.from_grids(
+                tuple(tuple(C[i][j] for j in cols) for i in rows),
+                tuple(tuple(D[i][j] for j in cols) for i in rows),
+            )
+            witness = feasibility_witness(core, cols.index(pin))
             if witness is None:
                 return None
-            for k, j in enumerate(cols):
-                y[j] = witness[k]
+            for j, e in zip(cols, witness):
+                y[j] = int(e.value) if e.is_finite else None
         else:
-            for j in cols:
-                y[j] = ExtendedNumber.finite(0) if j == pin else NEG_INF
-    else:
-        # pin was discharged by a push-up; the core is satisfied by -inf.
-        for j in cols:
-            y[j] = NEG_INF
+            y[pin] = 0
+    # Otherwise pin was discharged by a push-up; the core is satisfied by -inf.
     for j, discharged in reversed(pushups):
-        bound = Fraction(0)
+        bound = 0
         for i in discharged:
-            lhs = NEG_INF
-            for k in range(n):
-                if k == j:
-                    continue
-                ck = C.entries[i][k]
-                if ck.is_finite and y[k] is not None and y[k].is_finite:
-                    term = ExtendedNumber.finite(ck.value + y[k].value)
-                    if lhs < term:
-                        lhs = term
-            if lhs.is_finite:
-                bound = max(bound, lhs.value - D.entries[i][j].value)
-        y[j] = ExtendedNumber.finite(bound)
-    if y[pin].is_finite and y[pin].value != 0:
-        shift = y[pin].value
-        y = [ExtendedNumber.finite(e.value - shift) if e.is_finite else e for e in y]
-    out = tuple(y)
-    lhs = trop_matvec(C, out)
-    rhs = trop_matvec(D, out)
-    if not all(a <= b for a, b in zip(lhs, rhs)):
-        raise InternalCertificateMismatch("assembled solution fails C y <= D y")
-    return out
+            lhs = _row_max(C[i], y)  # y_j is still -inf here
+            if lhs is not None:
+                bound = max(bound, lhs - D[i][j])
+        y[j] = bound
+    shift = y[pin]
+    y = tuple(None if x is None else x - shift for x in y)
+    for ci, di in zip(C, D):
+        lhs, rhs = _row_max(ci, y), _row_max(di, y)
+        if lhs is not None and (rhs is None or lhs > rhs):
+            raise InternalCertificateMismatch("assembled solution fails C y <= D y")
+    return y
+
+
+def _row_max(row, y) -> Optional[int]:
+    """max_j row_j + y_j over the finite terms, or None (-inf)."""
+    return max((r + x for r, x in zip(row, y) if r is not None and x is not None), default=None)
 
 
 # --- prechecks -------------------------------------------------------------
@@ -206,14 +188,15 @@ def precheck(H: HomogeneousInstance):
     """Classify the instance before iterating: degenerate objectives, the
     global support test for unboundedness, and the initial phi brackets."""
     n = H.n
-    supp_u = frozenset(j for j in range(n + 1) if H.u[j].is_finite)
-    supp_v = frozenset(j for j in range(n + 1) if H.v[j].is_finite)
+    C, D = H.U[:-1], H.V[:-1]
+    supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
+    supp_v = frozenset(j for j, x in enumerate(H.V[-1]) if x is not None)
     if not supp_v:
         if supp_u and n in supp_u:
             return PrecheckInfeasible(
                 "objective numerator is always finite while the denominator is -inf"
             )
-        y = homogeneous_solution_with_zeros(H.C, H.D, supp_u, n)
+        y = homogeneous_solution_with_zeros(C, D, supp_u, n)
         if y is not None:
             return PrecheckUnbounded(degenerate=True)
         return PrecheckInfeasible(
@@ -223,12 +206,12 @@ def precheck(H: HomogeneousInstance):
         )
     if not supp_u:
         # Numerator identically -inf: the objective is -inf wherever feasible.
-        y = homogeneous_solution_with_zeros(H.C, H.D, frozenset(), n)
+        y = homogeneous_solution_with_zeros(C, D, frozenset(), n)
         if y is not None:
             return PrecheckUnbounded()
         return PrecheckInfeasible("no feasible point")
     if n not in supp_u:
-        y = homogeneous_solution_with_zeros(H.C, H.D, supp_u, n)
+        y = homogeneous_solution_with_zeros(C, D, supp_u, n)
         if y is not None:
             return PrecheckUnbounded()
     lam_lo, lam_hi = initial_bounds(H)
@@ -260,7 +243,8 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     if len(sigma.choices) != H.m + 1:
         raise ValueError("sigma must cover all m+1 Max rows of the parametric game")
     l = sigma.choices[H.m]
-    if not H.v[l].is_finite:
+    vl = H.V[H.m][l]
+    if vl is None:
         raise ValueError("sigma routes the objective row to a -inf column")
     rows_sigma = MaxStrategy(sigma.choices[: H.m])
     y = least_solution_fixed(H.U[: H.m], H.V[: H.m], rows_sigma, l)
@@ -270,7 +254,7 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     )
     if uy is None:
         return NEG_INF
-    return ExtendedNumber.finite(uy - H.v[l].value)
+    return ExtendedNumber.finite(uy - vl)
 
 
 def left_optimal_max_strategy(
@@ -284,7 +268,7 @@ def left_optimal_max_strategy(
     minimal zero of phi.
     """
     k2 = H.k_bound + 2
-    _f, rep = game_report(H, Fraction(lam) - Fraction(1, k2), k2)
+    rep = game_report(H, Fraction(lam) - Fraction(1, k2), k2)
     if H.n not in rep.winning:
         return NoneLeftWinning
     # The oracle's sigma guarantees exactly the perturbed value at node n+1,
@@ -432,10 +416,6 @@ def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:
 
 
 # --- outcome assembly ------------------------------------------------------
-
-
-def _unscale_entry(e: ExtendedNumber, scale: int) -> ExtendedNumber:
-    return ExtendedNumber.finite(Fraction(e.value, scale)) if e.is_finite else e
 
 
 def _finish_optimal(H: HomogeneousInstance, lam_scaled: Fraction, trace: list) -> SolveOutcome:

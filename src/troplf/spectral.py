@@ -7,15 +7,16 @@ spectral function phi(lambda) = chi_{n+1}(U# V(lambda)) of the parametric
 mean payoff game with payment matrices U = [[C],[u]] and V(lambda) =
 [[D],[lambda + v]].
 
-Every game the algorithms ask about is this one game at some lambda, often
-with its payments multiplied by an integer k.  ``homogenize`` therefore
-builds U and V(0) once, as integer grids (None for -inf), and
-``integer_game`` forms the integer payments at (lambda, k) from them: both
-grids times d*k, where d is the denominator of k*lambda, and the objective
-row shifted by d*k*lambda.  ``game_report`` runs policy iteration on that
-game through a small per-instance memo of the last few (lambda, k), since
-a solve asks about the same game more than once (the perturbed game at the
-optimum is probed by the Newton iteration and again by the certificate).
+Every game the algorithms, the certificate checks and the command line ask
+about is this one game at some lambda, often with its payments multiplied by
+an integer k.  ``homogenize`` therefore builds U and V(0) once, as integer
+grids (None for -inf), and ``game_at`` forms the game at (lambda, k) from
+them: a MeanPayoffGame whose grids are both grids times d*k, where d is the
+denominator of k*lambda, with the objective row shifted by d*k*lambda.
+``game_report`` runs policy iteration on that game through a small
+per-instance memo of the last few (lambda, k), since a solve asks about the
+same game more than once (the perturbed game at the optimum is probed by the
+Newton iteration and again by the certificate).
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
-from typing import Optional, Sequence, Union
+from math import gcd
+from typing import Sequence, Union
 
 from .game_engine import (
     AssumptionViolated,
@@ -33,7 +33,8 @@ from .game_engine import (
     MaxStrategy,
     MeanPayoffGame,
     MinStrategy,
-    _oracle_core,
+    integer_grids,
+    value_report,
 )
 from .trop_core import (
     NEG_INF,
@@ -48,7 +49,7 @@ Rational = Union[int, Fraction]
 
 
 class GridTooLarge(Exception):
-    """The reconstruction grid exceeds the configured point cap."""
+    """The reconstruction grid would exceed GRID_CAP points."""
 
 
 def _vec(entries: Sequence) -> tuple:
@@ -105,6 +106,9 @@ class LfpInstance:
 # Entries kept in a HomogeneousInstance's memo of solved games.
 GAME_MEMO_SIZE = 8
 
+# Most grid points spectral_grid builds (one game is solved per point).
+GRID_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class HomogeneousInstance:
@@ -114,9 +118,9 @@ class HomogeneousInstance:
     All finite entries are integers after multiplying by ``scale`` (the lcm of
     the original denominators); M bounds their absolute values.  The minimal
     zero of the scaled spectral function is ``scale`` times the original one.
-    U and V are integer grids with None for -inf; C, D, u and v are views of
-    them as TropMatrix and ExtendedNumber rows, built on first use.  ``games``
-    is the memo that ``game_report`` fills.
+    U and V are integer grids with None for -inf, so C, D, u and v are
+    ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``games`` is the memo
+    that ``game_report`` fills.
     """
 
     U: tuple
@@ -138,100 +142,48 @@ class HomogeneousInstance:
         """min(m, n): the turn-count bound entering denominators and caps."""
         return min(self.m, self.n)
 
-    @cached_property
-    def C(self) -> TropMatrix:
-        return TropMatrix([_extended(row) for row in self.U[:-1]])
-
-    @cached_property
-    def D(self) -> TropMatrix:
-        return TropMatrix([_extended(row) for row in self.V[:-1]])
-
-    @cached_property
-    def u(self) -> tuple:
-        return _extended(self.U[-1])
-
-    @cached_property
-    def v(self) -> tuple:
-        return _extended(self.V[-1])
-
-
-def _extended(row) -> tuple:
-    return tuple(NEG_INF if x is None else ExtendedNumber.finite(x) for x in row)
-
 
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
     """Build the integer-scaled homogeneous grids U and V, with M and scale."""
-    entries = []
-    for row in inst.A.entries:
-        entries.extend(row)
-    for row in inst.B.entries:
-        entries.extend(row)
-    entries.extend(inst.c + inst.d + inst.p + inst.q + (inst.r, inst.s))
-    scale = 1
-    for e in entries:
-        if e.is_finite:
-            scale = lcm(scale, e.value.denominator)
-
-    def grid(rows):
-        return tuple(
-            tuple(
-                e.value.numerator * (scale // e.value.denominator) if e.is_finite else None
-                for e in row
-            )
-            for row in rows
-        )
-
-    U = grid([row + (ci,) for row, ci in zip(inst.A.entries, inst.c)] + [inst.p + (inst.r,)])
-    V = grid([row + (di,) for row, di in zip(inst.B.entries, inst.d)] + [inst.q + (inst.s,)])
+    (U, V), scale = integer_grids(
+        [row + (ci,) for row, ci in zip(inst.A.entries, inst.c)] + [inst.p + (inst.r,)],
+        [row + (di,) for row, di in zip(inst.B.entries, inst.d)] + [inst.q + (inst.s,)],
+    )
     M = max((abs(x) for g in (U, V) for row in g for x in row if x is not None), default=0)
     return HomogeneousInstance(U, V, Fraction(M), scale)
 
 
-def game_at(H: HomogeneousInstance, lam: Rational) -> MeanPayoffGame:
-    """The (m+1) x (n+1) game with payments U = [[C],[u]], V = [[D],[lam+v]]."""
-    lam = Fraction(lam)
-    U = TropMatrix(list(H.C.entries) + [list(H.u)])
-    vrow = [ExtendedNumber.finite(e.value + lam) if e.is_finite else NEG_INF for e in H.v]
-    V = TropMatrix(list(H.D.entries) + [vrow])
-    return MeanPayoffGame(U, V)
+def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffGame:
+    """The game with payments mult*U and mult*V(lam), V(lam) = [[D],[lam+v]].
 
-
-def integer_game(H: HomogeneousInstance, lam: Rational, mult: int = 1):
-    """(f, a, b): the payments of game_at(H, lam) times f = d*mult, as integers.
-
-    d is the denominator of mult*lam, so these are exactly the integers the
-    oracle sees for scaled_copy(game_at(H, lam), mult).  Values scale by f;
-    strategies and winning sets are those of game_at(H, lam).  Like game_at,
-    raises AssumptionViolated when v is all -inf.
+    Its grids are U and V(0) times f = d*mult, d the denominator of mult*lam,
+    with the objective row shifted by f*lam; its denominator is d.  Values
+    are mult times those of the game at lam; strategies and winning sets are
+    the same.  Raises AssumptionViolated when v is all -inf.
     """
     lam = Fraction(lam)
-    vrow = H.V[-1]
-    if all(x is None for x in vrow):
-        raise AssumptionViolated(f"row {H.m} of B has no finite entry (Max node stuck)")
-    f = mult * (mult * lam).denominator
-    shift = f * lam
-    last = tuple(None if x is None else f * x + shift.numerator for x in vrow)
+    d = lam.denominator // gcd(lam.denominator, mult)  # the denominator of mult*lam
+    f = mult * d
+    shift = f * lam.numerator // lam.denominator  # f*lam, an integer
+    last = tuple(None if x is None else f * x + shift for x in H.V[-1])
     if f == 1:
-        return f, H.U, H.V[:-1] + (last,)
+        return MeanPayoffGame.from_grids(H.U, H.V[:-1] + (last,), d)
     a = tuple(tuple(None if x is None else f * x for x in row) for row in H.U)
     b = tuple(tuple(None if x is None else f * x for x in row) for row in H.V[:-1])
-    return f, a, b + (last,)
+    return MeanPayoffGame.from_grids(a, b + (last,), d)
 
 
-def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1):
-    """(f, report) for integer_game(H, lam, mult), solved by policy iteration.
+def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> GameValueReport:
+    """value_report(game_at(H, lam, mult)), memoized in H.games.
 
-    report.chi holds the integer game's values, f times those of
-    game_at(H, lam).  The last GAME_MEMO_SIZE results are kept in H.games.
+    The last GAME_MEMO_SIZE results are kept.
     """
     key = (Fraction(lam), mult)
     hit = H.games.get(key)
     if hit is not None:
         H.games.move_to_end(key)
         return hit
-    f, a, b = integer_game(H, lam, mult)
-    chi, win_min, _win_max, sigma, tau = _oracle_core(H.m + 1, H.n + 1, a, b)
-    hit = f, GameValueReport(chi, win_min, MaxStrategy(sigma), MinStrategy(tau))
+    hit = value_report(game_at(H, lam, mult))
     H.games[key] = hit
     if len(H.games) > GAME_MEMO_SIZE:
         H.games.popitem(last=False)
@@ -240,71 +192,67 @@ def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1):
 
 def phi(H: HomogeneousInstance, lam: Rational) -> Fraction:
     """The spectral function: value of the parametric game at Min node n+1."""
-    f, rep = game_report(H, lam)
-    return rep.chi[H.n] / f
+    return game_report(H, lam).chi[H.n]
 
 
 def phi_nonneg(H: HomogeneousInstance, lam: Rational):
     """(phi(lam) >= 0, Max strategy on the winning side, Min strategy off it)."""
-    _f, rep = game_report(H, lam)
+    rep = game_report(H, lam)
     return H.n in rep.winning, rep.sigma, rep.tau
 
 
-def _value_at_last_node(H: HomogeneousInstance, arcs: dict, mode: str, f: int) -> Fraction:
-    """Cycle time at node n+1 of the one-player graph ``arcs``, divided by f."""
-    D = WeightedDigraph(H.n + 1, tuple((j, l, w) for (j, l), w in arcs.items()))
-    chi = cycle_times(D, mode)[H.n]
+def _value_at_last_node(game: MeanPayoffGame, arcs: dict, mode: str) -> Fraction:
+    """Cycle time at node n+1 of the one-player graph ``arcs`` on game's grids,
+    divided by its denominator."""
+    D = WeightedDigraph(game.n, tuple((j, l, w) for (j, l), w in arcs.items()))
+    chi = cycle_times(D, mode)[game.n - 1]
     if chi is None:
         raise AssertionError("one-player cycle time must be finite under the assumptions")
-    return chi / f
+    return chi / game.d
 
 
-def sigma_arcs(H: HomogeneousInstance, sigma: MaxStrategy, a, b) -> dict:
-    """Min's one-player graph against sigma on the integer game (a, b).
+def sigma_arcs(game: MeanPayoffGame, sigma: MaxStrategy) -> dict:
+    """Min's one-player graph against sigma on the game's integer grids.
 
     Maps (j, l) to the least b[i][l] - a[i][j] over the rows i with
     sigma(i) = l and a finite a[i][j].  Raises ValueError on a malformed sigma.
     """
-    if len(sigma.choices) != H.m + 1:
-        raise ValueError("Max strategy has the wrong length")
+    sigma.check(game)
     arcs = {}
     for i, l in enumerate(sigma.choices):
-        if not 0 <= l <= H.n or b[i][l] is None:
-            raise ValueError(f"Max strategy picks a forbidden move {i}->{l}")
-        for j, aij in enumerate(a[i]):
-            if aij is not None and ((j, l) not in arcs or b[i][l] - aij < arcs[j, l]):
-                arcs[j, l] = b[i][l] - aij
+        bil = game.b[i][l]
+        for j, aij in enumerate(game.a[i]):
+            if aij is not None and ((j, l) not in arcs or bil - aij < arcs[j, l]):
+                arcs[j, l] = bil - aij
     return arcs
 
 
-def tau_arcs(H: HomogeneousInstance, tau: MinStrategy, a, b) -> dict:
-    """Max's one-player graph against tau on the integer game (a, b).
+def tau_arcs(game: MeanPayoffGame, tau: MinStrategy) -> dict:
+    """Max's one-player graph against tau on the game's integer grids.
 
     Maps (j, l) to b[tau(j)][l] - a[tau(j)][j] for every finite b[tau(j)][l].
     Raises ValueError on a malformed tau.
     """
-    if len(tau.choices) != H.n + 1:
-        raise ValueError("Min strategy has the wrong length")
+    tau.check(game)
     arcs = {}
     for j, i in enumerate(tau.choices):
-        if not 0 <= i <= H.m or a[i][j] is None:
-            raise ValueError(f"Min strategy picks a forbidden move {j}->{i}")
-        for l, bil in enumerate(b[i]):
+        aij = game.a[i][j]
+        for l, bil in enumerate(game.b[i]):
             if bil is not None:
-                arcs[j, l] = bil - a[i][j]
+                arcs[j, l] = bil - aij
     return arcs
 
 
 def phi_sigma(H: HomogeneousInstance, sigma: MaxStrategy, lam: Rational) -> Fraction:
     """Partial spectral function with Max frozen: concave, <= phi."""
-    f, a, b = integer_game(H, lam)
-    return _value_at_last_node(H, sigma_arcs(H, sigma, a, b), "min", f)
+    g = game_at(H, lam)
+    return _value_at_last_node(g, sigma_arcs(g, sigma), "min")
 
 
 def phi_tau(H: HomogeneousInstance, tau: MinStrategy, lam: Rational) -> Fraction:
     """Partial spectral function with Min frozen: convex, >= phi."""
-    f, a, b = integer_game(H, lam)
-    return _value_at_last_node(H, tau_arcs(H, tau, a, b), "max", f)
+    g = game_at(H, lam)
+    return _value_at_last_node(g, tau_arcs(g, tau), "max")
 
 
 def initial_bounds(H: HomogeneousInstance):
@@ -327,35 +275,31 @@ class SpectralPiece:
         return Fraction(self.alpha + self.beta * Fraction(lam), self.k)
 
 
-def spectral_grid(H: HomogeneousInstance, grid_cap: int = 10**6) -> list:
+def spectral_grid(H: HomogeneousInstance) -> list:
     """Sorted grid of rationals with denominator <= min(m,n)+1 covering all breakpoints."""
     k1 = H.k_bound + 1
     # With M = 0 the breakpoints still spread over [-4(k1)^2, 4(k1)^2].
     radius = 4 * max(H.M, 1) * k1 * k1
     estimate = (2 * radius + 1) * sum(range(1, k1 + 1))
-    if estimate > grid_cap:
-        raise GridTooLarge(
-            f"about {estimate} grid points exceed the cap of {grid_cap}"
-        )
+    if estimate > GRID_CAP:
+        raise GridTooLarge(f"about {estimate} grid points exceed the cap of {GRID_CAP}")
     points = set()
     for q in range(1, k1 + 1):
         num_lo = -radius * q
         num_hi = radius * q
         for num in range(int(num_lo), int(num_hi) + 1):
             points.add(Fraction(num, q))
-    if len(points) > grid_cap:
-        raise GridTooLarge(f"{len(points)} grid points exceed the cap of {grid_cap}")
     return sorted(points)
 
 
-def reconstruct(H: HomogeneousInstance, grid_cap: int = 10**6) -> list:
+def reconstruct(H: HomogeneousInstance) -> list:
     """Fit the maximal affine pieces of phi from exact grid evaluation.
 
     Breakpoints have denominator <= min(m,n)+1 and phi is linear outside
     [-4M(min(m,n)+1)^2, 4M(min(m,n)+1)^2], so consecutive-grid-point slopes
     are exact piece slopes and the end pieces extend to +-inf.
     """
-    grid = spectral_grid(H, grid_cap)
+    grid = spectral_grid(H)
     values = [phi(H, lam) for lam in grid]
     pieces = []
     start = 0

@@ -482,8 +482,12 @@ def positive_cycle_reachable(n: int, arcs: Iterable, source: int) -> bool:
     return False
 
 
-def _kleene_int_system(E: TropMatrix, h: Sequence) -> tuple:
-    """(rows, h_int, denom): E and h as integers scaled by their common denominator."""
+def kleene_least_solution(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
+    """E*h, raising PositiveCycleDiverges instead of producing +inf components.
+
+    E and h are scaled to integers by their common denominator and solved by
+    kleene_star_int.
+    """
     if E.semiring != MAX_PLUS:
         raise ValueError("kleene star is defined on max-plus matrices here")
     if E.rows != E.cols:
@@ -501,66 +505,5 @@ def _kleene_int_system(E: TropMatrix, h: Sequence) -> tuple:
         [(j, int(e.value * denom)) for j, e in enumerate(row) if e.is_finite]
         for row in E.entries
     ]
-    return rows, [int(e.value * denom) if e.is_finite else None for e in h], denom
-
-
-def _unscale(z: Sequence, denom: int) -> list:
-    return [NEG_INF if v is None else ExtendedNumber.finite(Fraction(v, denom)) for v in z]
-
-
-def kleene_apply_raw(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
-    """E*h over the full extended line: components may come out +inf.
-
-    E*h is the least z with Ez v h <= z.  A component is +inf exactly when the
-    node can reach a strictly-positive-weight cycle that itself reaches the
-    support of h.
-    """
-    rows, h_int, denom = _kleene_int_system(E, h)
-    n = E.rows
-    D = digraph_of_matrix(E)
-    succ = [[] for _ in range(n)]
-    for (s, t, w) in D.arcs:
-        succ[s].append(t)
-    # Nodes that can reach supp(h) by following arcs forward.
-    reach_h = set(i for i in range(n) if h_int[i] is not None)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if v in reach_h:
-                continue
-            if any(w in reach_h for w in succ[v]):
-                reach_h.add(v)
-                changed = True
-    decomp, means = cycle_means(D, "max")
-    bad_comps = {
-        c
-        for c, comp in enumerate(decomp.components)
-        if means[c] is not None and means[c] > 0 and any(v in reach_h for v in comp)
-    }
-    divergent = set(v for v in range(n) if decomp.comp_of[v] in bad_comps)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if v in divergent:
-                continue
-            if any(w in divergent for w in succ[v]):
-                divergent.add(v)
-                changed = True
-    # With the divergent nodes cut out, no positive cycle reaches supp(h).
-    rows = [
-        [] if i in divergent else [(j, w) for (j, w) in row if j not in divergent]
-        for i, row in enumerate(rows)
-    ]
-    h_int = [None if i in divergent else v for i, v in enumerate(h_int)]
-    out = _unscale(kleene_star_int(rows, h_int), denom)
-    for i in divergent:
-        out[i] = POS_INF
-    return tuple(out)
-
-
-def kleene_least_solution(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
-    """E*h, raising PositiveCycleDiverges instead of producing +inf components."""
-    rows, h_int, denom = _kleene_int_system(E, h)
-    return tuple(_unscale(kleene_star_int(rows, h_int), denom))
+    z = kleene_star_int(rows, [int(e.value * denom) if e.is_finite else None for e in h])
+    return tuple(NEG_INF if v is None else ExtendedNumber.finite(Fraction(v, denom)) for v in z)

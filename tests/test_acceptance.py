@@ -82,7 +82,7 @@ def test_criterion_2_maximization_golden_run(example1):
         sigma = left_optimal_max_strategy(H, Fraction(lam))
         assert sigma is not NoneLeftWinning
         y = least_solution_fixed(
-            H.C, H.D, MaxStrategy(sigma.choices[: H.m]), sigma.choices[H.m]
+            H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), sigma.choices[H.m]
         )
         assert (y[0], y[2]) == (y1 if y1 is not None else y[0], y3)
         if y1 is None:
@@ -96,7 +96,9 @@ def test_criterion_2_maximization_golden_run(example1):
 def test_criterion_3_one_step_golden_run(example3):
     H = homogenize(example3)
     sigma = MaxStrategy((3, 1, 0, 3, 0))
-    y = least_solution_fixed(H.C, H.D, MaxStrategy(sigma.choices[: H.m]), sigma.choices[H.m])
+    y = least_solution_fixed(
+        H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), sigma.choices[H.m]
+    )
     assert (y[1], y[3]) == (fin(-1), fin(-2))
     assert not y[2].is_finite
     assert newton_step(H, sigma) == fin(-4)

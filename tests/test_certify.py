@@ -383,7 +383,7 @@ def _optimality_mutants(H, cert):
                 yield OptimalityCertificate(cert.lam, MinStrategy(flipped), w)
     # tau of the game at lambda* itself, not of the game just below it, may
     # close a cycle of weight zero that avoids row m+1.
-    _f, rep = game_report(H, Fraction(cert.lam) * H.scale)
+    rep = game_report(H, Fraction(cert.lam) * H.scale)
     yield OptimalityCertificate(cert.lam, rep.tau, w)
     yield OptimalityCertificate(cert.lam, rep.tau, None)
     yield OptimalityCertificate(cert.lam, cert.tau, w[:-1])

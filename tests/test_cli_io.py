@@ -83,6 +83,31 @@ def test_parse_rejects_malformed_documents():
         parse_instance({"C": [[0, 0]], "D": [[0, 0]], "u": [0], "v": [0, 0]})
 
 
+def test_short_homogeneous_rows_are_document_errors(capsys, tmp_path):
+    short_d = {"C": [[0, 0]], "D": [[0]], "u": [0, 0], "v": [0, 0]}
+    short_c = {"C": [[0, 0], [0]], "D": [[0, 0], [0, 0]], "u": [0, 0], "v": [0, 0]}
+    for k, doc in enumerate((short_d, short_c)):
+        with pytest.raises(DocumentError, match="every row of C and D"):
+            parse_instance(doc)
+        path = tmp_path / f"short{k}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["solve", str(path)], ["check", str(path), str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("error: every row of C and D")
+
+
+def test_documents_breaking_the_game_assumptions_are_document_errors(capsys, tmp_path):
+    doc = {"A": [[0]], "B": [[0]], "c": ["-inf"], "d": [0], "p": [0], "q": [0],
+           "r": "-inf", "s": 0}
+    with pytest.raises(DocumentError, match=r"column \[\[c\],\[r\]\] has no finite entry"):
+        parse_instance(doc)
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["solve", str(path)], ["check", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: column [[c],[r]]")
+
+
 # --- certificate documents -------------------------------------------------
 
 
@@ -218,6 +243,52 @@ def test_check_unboundedness_certificate(capsys, tmp_path):
     assert json.loads(cert_path.read_text())["type"] == "unboundedness"
     code, out, _ = run(capsys, "check", str(inst_path), str(cert_path))
     assert code == 0 and "accept" in out
+
+
+def test_check_rejects_strategies_with_forbidden_moves(capsys, tmp_path):
+    from troplf import certify
+
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "solve", EX2, "--cert-out", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    doc["tau"] = [1, 4, 4]  # row 1 has no finite entry in column 1
+    cert_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", EX2, str(cert_path))
+    assert code == 4 and out == "reject: Min strategy picks a forbidden move 0->0\n"
+    with open(EX2, encoding="utf-8") as fh:
+        H = homogenize(parse_instance(json.load(fh)).instance)
+    with pytest.raises(ValueError):
+        certify.check_optimality(H, parse_certificate(doc, H.m, H.n))
+
+    inst_path = tmp_path / "unbounded.json"
+    inst_path.write_text(json.dumps({
+        "A": [[0, "-inf"], ["-inf", 0]], "B": [[0, "-inf"], ["-inf", 0]],
+        "c": [0, -1], "d": [0, 0],
+        "p": ["-inf", "-inf"], "q": [0, 0], "r": "-inf", "s": 0,
+    }))
+    cert_path.write_text(json.dumps({"type": "unboundedness", "sigma": [2, 1, 1]}))
+    code, out, _ = run(capsys, "check", str(inst_path), str(cert_path))
+    assert code == 4 and out == "reject: Max strategy picks a forbidden move 0->1\n"
+
+
+def test_commands_without_a_parametric_game(capsys, tmp_path):
+    """A denominator row that is identically -inf leaves no parametric game."""
+    path = tmp_path / "no_game.json"
+    path.write_text(json.dumps({
+        "A": [[0]], "B": [[0]], "c": [0], "d": [0], "p": [0], "q": ["-inf"],
+        "r": 0, "s": "-inf",
+    }))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 2 and out.strip() == "infeasible"
+    for argv in (["spectral", str(path)], ["game-value", str(path), "--lambda", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: the parametric game is undefined: the objective's " \
+                      "denominator is identically -inf\n"
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"type": "unboundedness", "sigma": [1, 1]}))
+    code, out, _ = run(capsys, "check", str(path), str(cert_path))
+    assert code == 4 and out.startswith("reject: the parametric game is undefined")
 
 
 # --- game-value command ----------------------------------------------------

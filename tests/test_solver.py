@@ -87,11 +87,15 @@ def test_precheck_degenerate_unbounded_flag():
 
 def test_homogeneous_solution_with_zeros_basic(example2):
     H = homogenize(example2)
-    y = homogeneous_solution_with_zeros(H.C, H.D, frozenset(), H.n)
-    assert y is not None and y[H.n].is_finite and y[H.n].value == 0
-    lhs = trop_matvec(H.C, y)
-    rhs = trop_matvec(H.D, y)
-    assert all(a <= b for a, b in zip(lhs, rhs))
+    C, D = H.U[:-1], H.V[:-1]
+    y = homogeneous_solution_with_zeros(C, D, frozenset(), H.n)
+    assert y is not None and y[H.n] == 0
+
+    def side(row):  # max_j row_j + y_j, with -inf below every integer
+        return max(((1, r + x) for r, x in zip(row, y) if r is not None and x is not None),
+                   default=(0, 0))
+
+    assert all(side(ci) <= side(di) for ci, di in zip(C, D))
 
 
 # --- newton_step goldens ---------------------------------------------------
@@ -101,7 +105,7 @@ def test_newton_step_example3_golden(example3):
     H = homogenize(example3)
     sigma = MaxStrategy((3, 1, 0, 3, 0))  # rows 1..4 then the objective row
     l = sigma.choices[H.m]
-    y = least_solution_fixed(H.C, H.D, MaxStrategy(sigma.choices[: H.m]), l)
+    y = least_solution_fixed(H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), l)
     assert y == (fin(0), fin(-1), NEG_INF, fin(-2))
     assert newton_step(H, sigma) == fin(-4)
 
@@ -110,7 +114,7 @@ def test_newton_step_example2_golden(example2):
     H = homogenize(example2)
     sigma = MaxStrategy((0,) * 7 + (2,))
     l = sigma.choices[H.m]
-    y = least_solution_fixed(H.C, H.D, MaxStrategy(sigma.choices[: H.m]), l)
+    y = least_solution_fixed(H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), l)
     assert y[:2] == (fin(2), NEG_INF)
     assert newton_step(H, sigma) == fin(4)
 
@@ -121,7 +125,7 @@ def test_newton_step_example1_golden(example1):
     assert sigma is not NoneLeftWinning
     l = sigma.choices[H.m]
     assert l == 1
-    y = least_solution_fixed(H.C, H.D, MaxStrategy(sigma.choices[: H.m]), l)
+    y = least_solution_fixed(H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), l)
     assert (y[0], y[2]) == (NEG_INF, fin(-1))
     assert newton_step(H, sigma) == fin(-4)
 

@@ -12,7 +12,9 @@ from troplf import (
     ExtendedNumber,
     GridTooLarge,
     LfpInstance,
+    MeanPayoffGame,
     MinStrategy,
+    TropMatrix,
     game_at,
     homogenize,
     initial_bounds,
@@ -23,8 +25,8 @@ from troplf import (
     reconstruct,
 )
 from troplf import certify, game_engine, solver, spectral
-from troplf.game_engine import AssumptionViolated, MaxStrategy, _int_payments, integer_oracle, scaled_copy, value_report
-from troplf.spectral import GAME_MEMO_SIZE, game_report, integer_game, spectral_grid
+from troplf.game_engine import AssumptionViolated, MaxStrategy, scaled_copy, value_report
+from troplf.spectral import GAME_MEMO_SIZE, game_report, spectral_grid
 
 from conftest import e, make_instance, random_instance
 
@@ -33,24 +35,30 @@ def fin(x):
     return ExtendedNumber.finite(x)
 
 
+def grid_entries(vec) -> tuple:
+    """ExtendedNumbers as grid entries: integers, None for -inf."""
+    return tuple(x.value if x.is_finite else None for x in vec)
+
+
 # --- homogenize ------------------------------------------------------------
 
 
 def test_homogenize_example1(example1):
     H = homogenize(example1)
-    assert H.u == (NEG_INF, NEG_INF, fin(0))
-    assert H.v == (fin(1), fin(3), NEG_INF)
+    assert H.U[-1] == (None, None, 0)
+    assert H.V[-1] == (1, 3, None)
     assert H.scale == 1 and H.M == 3
 
 
 def test_homogenize_example2(example2):
     H = homogenize(example2)
-    assert H.u == (fin(2), fin(-4), NEG_INF)
-    assert H.v == (NEG_INF, NEG_INF, fin(0))
+    assert H.U[-1] == (2, -4, None)
+    assert H.V[-1] == (None, None, 0)
     assert H.scale == 1 and H.M == 6
-    assert H.C.cols == 3 and H.C.rows == 7
-    assert H.C.column(2) == example2.c
-    assert H.D.column(2) == example2.d
+    C, D = H.U[:-1], H.V[:-1]
+    assert len(C[0]) == 3 and len(C) == 7
+    assert tuple(row[2] for row in C) == grid_entries(example2.c)
+    assert tuple(row[2] for row in D) == grid_entries(example2.d)
 
 
 def test_homogenize_scales_rationals():
@@ -60,12 +68,9 @@ def test_homogenize_scales_rationals():
     )
     H = homogenize(inst)
     assert H.scale == 6
-    assert H.C.entries[0][0] == fin(3)
-    assert H.D.entries[0][0] == fin(2)
-    assert all(
-        ent.value.denominator == 1
-        for row in H.C.entries for ent in row if ent.is_finite
-    )
+    assert H.U[0][0] == 3
+    assert H.V[0][0] == 2
+    assert all(type(x) is int for row in H.U[:-1] for x in row if x is not None)
 
 
 # --- the integer parametric game ------------------------------------------
@@ -87,50 +92,62 @@ def _perturbed(inst: LfpInstance, rng: random.Random, big: int) -> LfpInstance:
     )
 
 
+def _reference_game(inst: LfpInstance, scale: int, lam) -> MeanPayoffGame:
+    """The game at lam built from the instance's own entries times scale, as
+    Fraction matrices: U = [[A, c], [p, r]] and V = [[B, d], [q + lam, s + lam]]."""
+
+    def row(entries, shift=0):
+        return [fin(x.value * scale + shift) if x.is_finite else NEG_INF for x in entries]
+
+    U = [row(r + (c,)) for r, c in zip(inst.A.entries, inst.c)] + [row(inst.p + (inst.r,))]
+    V = [row(r + (d,)) for r, d in zip(inst.B.entries, inst.d)]
+    V.append(row(inst.q + (inst.s,), Fraction(lam)))
+    return MeanPayoffGame(TropMatrix(U), TropMatrix(V))
+
+
 @pytest.mark.parametrize("big", [1, 2**70])
-def test_integer_game_matches_the_scaled_fraction_game(big):
-    """integer_game(H, lam, k) is the integer game the oracle saw for
-    scaled_copy(game_at(H, lam), k), and game_report solves it alike."""
+def test_game_at_matches_the_fraction_reference(big):
+    """game_at(H, lam, k) has the integer payments of the Fraction game at lam
+    times k, and the same values and strategies."""
     rng = random.Random(17)
     checked = rational = widest = 0
     while checked < 25:
         base = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), 4, 0.35)
-        H = homogenize(_perturbed(base, rng, big) if checked % 2 else base)
+        inst = _perturbed(base, rng, big) if checked % 2 else base
+        H = homogenize(inst)
         if all(x is None for x in H.V[-1]):
             continue  # no parametric game: see the next test
         k2 = H.k_bound + 2
         rational += H.scale > 1
         lams = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-30, 30), rng.randint(2, k2)))
         for lam in lams:
+            ref = _reference_game(inst, H.scale, lam)
             for k in (1, k2):
-                scaled = scaled_copy(game_at(H, lam), k)
-                a, b, d = _int_payments(scaled.A, scaled.B)
-                f, ai, bi = integer_game(H, lam, k)
-                assert f == d * k
-                assert [list(row) for row in ai] == a and [list(row) for row in bi] == b
-                widest = max([widest] + [abs(x) for row in ai + bi for x in row if x is not None])
-                f, rep = game_report(H, lam, k)
-                orc = integer_oracle(scaled)
-                assert (rep.winning, rep.sigma, rep.tau) == (orc.winning, orc.sigma, orc.tau)
-                assert rep.chi == tuple(f * c for c in value_report(game_at(H, lam)).chi)
+                scaled = scaled_copy(ref, k)
+                g = game_at(H, lam, k)
+                assert (g.a, g.b, g.d) == (scaled.a, scaled.b, scaled.d)
+                widest = max([widest] + [abs(x) for row in g.a + g.b for x in row if x is not None])
+                rep = value_report(g)
+                assert rep == value_report(scaled) == game_report(H, lam, k)
+                assert rep.chi == tuple(k * c for c in value_report(ref).chi)
         checked += 1
     assert rational >= 10
     assert (widest > 2**63) == (big > 1)
 
 
-def test_integer_game_without_denominator_row():
-    """With v all -inf the parametric game breaks Assumption 1, as in game_at."""
+def test_game_at_without_denominator_row():
+    """With v all -inf the parametric game breaks Assumption 1."""
     inst = make_instance(
         A=[[1, "-inf"]], B=[[0, 2]], c=[0], d=[3], p=[2, 0], q=["-inf", "-inf"], r=1, s="-inf"
     )
     H = homogenize(inst)
     for lam in (Fraction(5, 3), Fraction(4)):
-        with pytest.raises(AssumptionViolated, match="row 1 of B") as fraction_path:
-            game_at(H, lam)
+        with pytest.raises(AssumptionViolated, match="row 1 of B") as reference:
+            _reference_game(inst, H.scale, lam)
         for k in (1, H.k_bound + 2):
-            with pytest.raises(AssumptionViolated) as integer_path:
-                integer_game(H, lam, k)
-            assert str(integer_path.value) == str(fraction_path.value)
+            with pytest.raises(AssumptionViolated) as built:
+                game_at(H, lam, k)
+            assert str(built.value) == str(reference.value)
             with pytest.raises(AssumptionViolated):
                 game_report(H, lam, k)
         with pytest.raises(AssumptionViolated):
@@ -142,13 +159,13 @@ def test_game_memo_is_bounded_and_reused(example2, monkeypatch):
     reconstruct(H)
     assert 0 < len(H.games) <= GAME_MEMO_SIZE
     calls = []
-    original = spectral._oracle_core
+    original = game_engine._oracle_core
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(spectral, "_oracle_core", counted)
+    monkeypatch.setattr(game_engine, "_oracle_core", counted)
     assert phi(H, Fraction(7, 3)) == phi(H, Fraction(7, 3))
     assert phi_nonneg(H, Fraction(7, 3))[0]
     assert len(calls) == 1
@@ -374,6 +391,9 @@ def test_reconstruct_with_all_finite_entries_zero():
     assert (phi(H, -2), phi(H, 2)) == (-1, 2)
 
 
-def test_reconstruct_grid_cap(example2):
+def test_reconstruct_grid_cap():
+    """M = 10^5 puts about 9.6 million points on a 1x1 instance's grid: the
+    estimate rejects it before any point is built."""
+    inst = make_instance(A=[[10**5]], B=[[0]], c=[0], d=[0], p=[0], q=[0], r=0, s=0)
     with pytest.raises(GridTooLarge):
-        reconstruct(homogenize(example2), grid_cap=10)
+        reconstruct(homogenize(inst))

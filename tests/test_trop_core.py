@@ -23,7 +23,6 @@ from troplf import (
 )
 from troplf.trop_core import (
     WeightedDigraph,
-    kleene_apply_raw,
     positive_cycle_reachable,
     scc_and_access,
 )
@@ -115,11 +114,6 @@ def test_kleene_positive_self_loop_diverges():
     E = TropMatrix([[fin(1)]])
     with pytest.raises(PositiveCycleDiverges):
         kleene_least_solution(E, [fin(0)])
-
-
-def test_kleene_raw_divergent_component():
-    E = TropMatrix([[fin(1)]])
-    assert kleene_apply_raw(E, [fin(0)]) == (POS_INF,)
 
 
 def test_positive_cycle_reachable_only_counts_cycles_behind_the_source():
