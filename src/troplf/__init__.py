@@ -48,6 +48,7 @@ from .germs import (
     germ_optimal_strategies,
 )
 from .solver import (
+    InfeasibleStart,
     IterationCapExceeded,
     NoneLeftWinning,
     OptimalAtLowerBound,

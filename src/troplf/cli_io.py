@@ -4,7 +4,10 @@ Documents are JSON with every numeric entry an integer, a rational string
 like "3/2" or "-4", or the token "-inf".  Instances come in the original
 form {A,B,c,d,p,q,r,s} or the homogeneous form {C,D,u,v}, optionally with
 "objective": "minimize" (default) or "maximize" (handled by dualization at
-parse time).  Certificates carry 1-based strategy successor arrays.
+parse time).  Entries are read straight to int, Fraction or None (-inf) and
+become the LfpInstance's integer grids; ExtendedNumber appears only in a
+certificate's lambda and witness.  Certificates carry 1-based strategy
+successor arrays.
 
 Exit codes: 0 optimal / certificate accepted, 1 usage or parse error,
 2 infeasible, 3 unbounded, 4 certificate rejected.
@@ -16,7 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import certify, solver
 from .game_engine import AssumptionViolated, MaxStrategy, MinStrategy, game_value
@@ -29,7 +32,7 @@ from .spectral import (
     phi,
     reconstruct,
 )
-from .trop_core import NEG_INF, ExtendedNumber, ext
+from .trop_core import NEG_INF, ExtendedNumber
 
 
 class DocumentError(Exception):
@@ -39,21 +42,28 @@ class DocumentError(Exception):
 # --- scalar tokens ---------------------------------------------------------
 
 
-def parse_entry(token, where: str = "entry") -> ExtendedNumber:
-    """int / rational string / "-inf" -> ExtendedNumber (no +inf, no NaN)."""
+def read_entry(token, where: str = "entry"):
+    """int / rational string / "-inf" -> int, Fraction or None (no +inf, no NaN)."""
     if isinstance(token, bool):
         raise DocumentError(f"{where}: booleans are not numbers")
     if isinstance(token, int):
-        return ExtendedNumber.finite(token)
+        return token
     if isinstance(token, str):
         text = token.strip()
         if text == "-inf":
-            return NEG_INF
+            return None
         try:
-            return ExtendedNumber.finite(Fraction(text))
+            x = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"{where}: cannot parse {token!r} as a rational")
+        return x.numerator if x.denominator == 1 else x
     raise DocumentError(f"{where}: unsupported value {token!r}")
+
+
+def parse_entry(token, where: str = "entry") -> ExtendedNumber:
+    """read_entry as an ExtendedNumber."""
+    x = read_entry(token, where)
+    return NEG_INF if x is None else ExtendedNumber.finite(x)
 
 
 def format_rational(x: Fraction) -> str:
@@ -65,13 +75,13 @@ def format_entry(e: ExtendedNumber) -> str:
     return format_rational(e.value) if e.is_finite else "-inf"
 
 
-def _parse_vector(doc, key: str) -> list:
+def _parse_vector(doc, key: str, read=read_entry) -> list:
     if key not in doc:
         raise DocumentError(f"missing field {key!r}")
     v = doc[key]
     if not isinstance(v, list):
         raise DocumentError(f"field {key!r} must be an array")
-    return [parse_entry(e, f"{key}[{i}]") for i, e in enumerate(v)]
+    return [read(e, f"{key}[{i}]") for i, e in enumerate(v)]
 
 
 def _parse_matrix(doc, key: str) -> list:
@@ -80,8 +90,9 @@ def _parse_matrix(doc, key: str) -> list:
     rows = doc[key]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError(f"field {key!r} must be an array of arrays")
+    # Integers, most entries of a dense document, skip building the location.
     return [
-        [parse_entry(e, f"{key}[{i}][{j}]") for j, e in enumerate(row)]
+        [e if type(e) is int else read_entry(e, f"{key}[{i}][{j}]") for j, e in enumerate(row)]
         for i, row in enumerate(rows)
     ]
 
@@ -134,8 +145,8 @@ def parse_instance(doc: dict) -> ParsedInstance:
         d = _parse_vector(doc, "d")
         p = _parse_vector(doc, "p")
         q = _parse_vector(doc, "q")
-        r = parse_entry(doc.get("r", "-inf"), "r")
-        s = parse_entry(doc.get("s", "-inf"), "s")
+        r = read_entry(doc.get("r", "-inf"), "r")
+        s = read_entry(doc.get("s", "-inf"), "s")
     if objective == "maximize":
         # max (num - den) = -min (den - num): swap numerator and denominator
         # and negate the reported optimum.
@@ -148,15 +159,20 @@ def parse_instance(doc: dict) -> ParsedInstance:
 
 
 def serialize_instance(inst: LfpInstance) -> dict:
+    n = inst.n
+    U, V = (
+        [["-inf" if x is None else format_rational(Fraction(x, inst.scale)) for x in row] for row in g]
+        for g in (inst.U, inst.V)
+    )
     return {
-        "A": [[format_entry(e) for e in row] for row in inst.A.entries],
-        "B": [[format_entry(e) for e in row] for row in inst.B.entries],
-        "c": [format_entry(e) for e in inst.c],
-        "d": [format_entry(e) for e in inst.d],
-        "p": [format_entry(e) for e in inst.p],
-        "q": [format_entry(e) for e in inst.q],
-        "r": format_entry(inst.r),
-        "s": format_entry(inst.s),
+        "A": [row[:n] for row in U[:-1]],
+        "B": [row[:n] for row in V[:-1]],
+        "c": [row[n] for row in U[:-1]],
+        "d": [row[n] for row in V[:-1]],
+        "p": U[-1][:n],
+        "q": V[-1][:n],
+        "r": U[-1][n],
+        "s": V[-1][n],
         "objective": "minimize",
     }
 
@@ -195,15 +211,14 @@ def parse_certificate(doc: dict, m: int, n: int):
             raise DocumentError(f"tau must list {n + 1} successors")
         choices = []
         for j, i in enumerate(tau):
-            if not isinstance(i, int) or not (1 <= i <= m + 1):
+            if isinstance(i, bool) or not isinstance(i, int) or not (1 <= i <= m + 1):
                 raise DocumentError(f"tau[{j}] must be a row index in 1..{m + 1}")
             choices.append(i - 1)
         witness = None
         if "witness" in doc:
-            w = _parse_vector(doc, "witness")
-            if len(w) != n + 1:
+            witness = tuple(_parse_vector(doc, "witness", parse_entry))
+            if len(witness) != n + 1:
                 raise DocumentError(f"witness must have {n + 1} coordinates")
-            witness = tuple(w)
         return certify.OptimalityCertificate(lam.value, MinStrategy(tuple(choices)), witness)
     if kind == "unboundedness":
         if "sigma" not in doc:
@@ -213,7 +228,7 @@ def parse_certificate(doc: dict, m: int, n: int):
             raise DocumentError(f"sigma must list {m + 1} successors")
         choices = []
         for i, l in enumerate(sigma):
-            if not isinstance(l, int) or not (1 <= l <= n + 1):
+            if isinstance(l, bool) or not isinstance(l, int) or not (1 <= l <= n + 1):
                 raise DocumentError(f"sigma[{i}] must be a column index in 1..{n + 1}")
             choices.append(l - 1)
         return certify.UnboundednessCertificate(MaxStrategy(tuple(choices)))
@@ -234,13 +249,14 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_solve(args, out: TextIO) -> int:
+    if args.lambda0 is not None and args.method != "newton":
+        raise DocumentError("--lambda0 applies only to --method newton")
     parsed = parse_instance(_load_json(args.instance))
-    lam0 = None
-    if args.lambda0 is not None:
-        lam0 = Fraction(args.lambda0)
-        if parsed.maximize:
-            lam0 = -lam0
-    outcome = solver.solve(parsed.instance, method=args.method, lam0=lam0)
+    lam0 = -args.lambda0 if parsed.maximize and args.lambda0 is not None else args.lambda0
+    try:
+        outcome = solver.solve(parsed.instance, method=args.method, lam0=lam0)
+    except solver.InfeasibleStart as exc:
+        raise DocumentError(str(exc))
     for (k, lam, sign) in outcome.trace:
         print(f"iteration {k}: lambda = {format_rational(lam)} (phi {sign})", file=out)
     if outcome.status == "Infeasible":
@@ -300,15 +316,9 @@ def cmd_spectral(args, out: TextIO) -> int:
             )
         )
     lines.append("sample,lambda,phi")
-    samples = []
-    for piece in pieces:
-        if piece.lo.is_finite:
-            samples.append(piece.lo.value)
-        if piece.hi.is_finite:
-            samples.append(piece.hi.value)
+    samples = [e.value for piece in pieces for e in (piece.lo, piece.hi) if e.is_finite]
     if samples:
-        span = sorted(set(samples))
-        lo, hi = span[0] - 1, span[-1] + 1
+        lo, hi = min(samples) - 1, max(samples) + 1
         step = Fraction(hi - lo, 32)
         grid = [lo + step * t for t in range(33)]
     else:

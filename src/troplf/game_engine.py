@@ -20,8 +20,10 @@ players.
 Policy iteration, the brute-force play evaluation and ``least_solution_fixed``
 work on those grids.  Scaling every payment by d > 0 scales every value by
 d and keeps every strategy optimal, so values are divided by d once at the
-end.  ``MeanPayoffGame(A, B)`` scales two Fraction TropMatrix objects to
-grids once; the solver builds its parametric game from grids instead
+end.  ``integer_grids`` is the one scaling routine: it puts int and Fraction
+entries over their least common denominator, for ``spectral.LfpInstance``
+and for ``MeanPayoffGame(A, B)``, which takes two Fraction TropMatrix
+objects.  The solver builds its parametric game from grids
 (``spectral.game_at``) and keeps solved games in a per-instance memo.  The
 TropMatrix views ``game.A`` and ``game.B`` serve only the Fraction API
 (``dynamic_operator``, ``restrict_max``, ``restrict_min``).
@@ -48,7 +50,7 @@ from .trop_core import (
     POS_INF,
     ExtendedNumber,
     TropMatrix,
-    cycle_time_vector,
+    cycle_time_vector,  # noqa: F401  (tests import it from here)
     ext,
     kleene_star_int,
     residual_apply,
@@ -97,7 +99,9 @@ class MeanPayoffGame:
             raise ValueError("payment matrices must be max-plus")
         if (A.rows, A.cols) != (B.rows, B.cols):
             raise ValueError("payment matrices must share a shape")
-        (a, b), d = integer_grids(A.entries, B.entries)
+        (a, b), d = integer_grids(
+            *([[e.value if e.is_finite else None for e in row] for row in M.entries] for M in (A, B))
+        )
         self._set(a, b, d)
         self._A, self._B = A, B
 
@@ -144,18 +148,17 @@ class MeanPayoffGame:
 
 
 def integer_grids(*matrices) -> tuple:
-    """(grids, d): matrices of ExtendedNumber rows (no +inf) times d, the lcm
-    of all their denominators, as tuples of integer rows with None for -inf."""
+    """(grids, d): matrices of int or Fraction entries (None for -inf) times d,
+    the lcm of all their denominators, as tuples of integer rows."""
     d = 1
     for rows in matrices:
         for row in rows:
-            for e in row:
-                if e.is_finite:
-                    d = lcm(d, e.value.denominator)
+            for x in row:
+                if x is not None and x.denominator != 1:
+                    d = lcm(d, x.denominator)
     grids = tuple(
         tuple(
-            tuple(e.value.numerator * (d // e.value.denominator) if e.is_finite else None
-                  for e in row)
+            tuple(None if x is None else x.numerator * (d // x.denominator) for x in row)
             for row in rows
         )
         for rows in matrices

@@ -118,21 +118,6 @@ def _validate_germ_game(A: Sequence[Sequence[Germ]], B: Sequence[Sequence[Germ]]
     return m, n
 
 
-def _germ_play_outcome(A, B, j: int, tau: Sequence[int], sigma: Sequence[int]) -> Germ:
-    first_seen = {j: 0}
-    payments: List[Germ] = []
-    cur = j
-    while True:
-        i = tau[cur]
-        nxt = sigma[i]
-        payments.append(germ_mul(B[i][nxt], germ_neg(A[i][cur])))
-        t = len(payments)
-        if nxt in first_seen:
-            return _germ_mean(payments[first_seen[nxt]:t])
-        first_seen[nxt] = t
-        cur = nxt
-
-
 def _germ_sunflower_values(A, B, n: int, tau: Sequence[int], sigma: Sequence[int]) -> List[Germ]:
     """Play outcomes at every Min node once both strategies are fixed.
 

@@ -38,6 +38,10 @@ class IterationCapExceeded(Exception):
     """A solver ran past its proven iteration bound: an implementation bug."""
 
 
+class InfeasibleStart(ValueError):
+    """The lam0 given to solve lies below the optimum: phi(lam0) < 0."""
+
+
 class _NoneLeftWinningType:
     """Marker: no Max strategy keeps node n+1 winning in the perturbed game.
 
@@ -445,13 +449,13 @@ def solve(inst: LfpInstance, method: str = "newton", lam0: Optional[Fraction] = 
         return _finish_unbounded(H, [], pre.degenerate)
     if isinstance(pre, OptimalAtLowerBound):
         return _finish_optimal(H, pre.lam, [(0, pre.lam, ">=0")])
-    if method in ("newton", "positive-newton"):
+    if method == "newton":
         start = None
         if lam0 is not None:
             start = Fraction(lam0) * H.scale
             ok, _, _ = phi_nonneg(H, start)
             if not ok:
-                raise ValueError("lam0 is not feasible: phi(lam0) < 0")
+                raise InfeasibleStart("lam0 is not feasible: phi(lam0) < 0")
         return positive_newton_solve(H, start)
     if method == "bisection":
         return bisection_solve(H)

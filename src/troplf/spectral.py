@@ -9,10 +9,11 @@ mean payoff game with payment matrices U = [[C],[u]] and V(lambda) =
 
 Every game the algorithms, the certificate checks and the command line ask
 about is this one game at some lambda, often with its payments multiplied by
-an integer k.  ``homogenize`` therefore builds U and V(0) once, as integer
-grids (None for -inf), and ``game_at`` forms the game at (lambda, k) from
-them: a MeanPayoffGame whose grids are both grids times d*k, where d is the
-denominator of k*lambda, with the objective row shifted by d*k*lambda.
+an integer k.  An ``LfpInstance`` therefore holds nothing but U and V(0),
+scaled to integer grids (None for -inf) when it is built; ``homogenize``
+adds their bound M and a memo, and ``game_at`` forms the game at (lambda, k)
+from them: a MeanPayoffGame whose grids are both grids times d*k, where d is
+the denominator of k*lambda, with the objective row shifted by d*k*lambda.
 ``game_report`` runs policy iteration on that game through a small
 per-instance memo of the last few (lambda, k), since a solve asks about the
 same game more than once (the perturbed game at the optimum is probed by the
@@ -25,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
+from typing import Union
 
 from .game_engine import (
     AssumptionViolated,
@@ -36,14 +37,7 @@ from .game_engine import (
     integer_grids,
     value_report,
 )
-from .trop_core import (
-    NEG_INF,
-    ExtendedNumber,
-    TropMatrix,
-    WeightedDigraph,
-    cycle_times,
-    ext,
-)
+from .trop_core import NEG_INF, ExtendedNumber, WeightedDigraph, cycle_times, ext
 
 Rational = Union[int, Fraction]
 
@@ -52,12 +46,29 @@ class GridTooLarge(Exception):
     """The reconstruction grid would exceed GRID_CAP points."""
 
 
-def _vec(entries: Sequence) -> tuple:
-    return tuple(ext(e) for e in entries)
+def _entry(x, plus_inf: str):
+    """An entry other than None or an int as a Fraction or None (-inf); a +inf
+    raises ValueError(plus_inf)."""
+    if isinstance(x, ExtendedNumber):
+        if x.kind == 1:
+            raise ValueError(plus_inf)
+        return x.value if x.kind == 0 else None
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _entries(values, plus_inf: str) -> list:
+    """values as int, Fraction or None (-inf)."""
+    return [x if x is None or type(x) is int else _entry(x, plus_inf) for x in values]
 
 
 class LfpInstance:
     """Tropical linear-fractional program data (A,B,c,d,p,q,r,s), no +inf.
+
+    Entries are int, Fraction or ExtendedNumber (None also stands for -inf).
+    The instance keeps only its homogeneous form scaled to integers: the
+    grids U = [[A, c], [p, r]] and V(0) = [[B, d], [q, s]] (tuples of integer
+    rows, None for -inf) times ``scale``, the lcm of all denominators, and the
+    shape m x n of A.
 
     Construction checks the shape and the game assumptions on the homogenized
     constraint block: every row of [B|d] and every column of [[A],[p]] and
@@ -66,41 +77,36 @@ class LfpInstance:
     prechecks.
     """
 
-    __slots__ = ("A", "B", "c", "d", "p", "q", "r", "s", "m", "n")
+    __slots__ = ("U", "V", "scale", "m", "n")
 
     def __init__(self, A, B, c, d, p, q, r, s):
-        self.A = A if isinstance(A, TropMatrix) else TropMatrix(A)
-        self.B = B if isinstance(B, TropMatrix) else TropMatrix(B)
-        self.c = _vec(c)
-        self.d = _vec(d)
-        self.p = _vec(p)
-        self.q = _vec(q)
-        self.r = ext(r)
-        self.s = ext(s)
-        self.m = self.A.rows
-        self.n = self.A.cols
-        if (self.B.rows, self.B.cols) != (self.m, self.n):
+        A, B = list(A), list(B)
+        if any(len(row) != len(M[0]) for M in (A, B) for row in M):
+            raise ValueError("ragged entry grid")
+        A, B = ([_entries(row, "max_plus matrix cannot store +inf") for row in M] for M in (A, B))
+        m, n = len(A), len(A[0]) if A else 0
+        if (len(B), len(B[0]) if B else 0) != (m, n):
             raise ValueError("A and B must share a shape")
-        if len(self.c) != self.m or len(self.d) != self.m:
+        if len(c) != m or len(d) != m:
             raise ValueError("c and d must have one entry per constraint row")
-        if len(self.p) != self.n or len(self.q) != self.n:
+        if len(p) != n or len(q) != n:
             raise ValueError("p and q must have one entry per variable")
-        for vec in (self.c, self.d, self.p, self.q, (self.r, self.s)):
-            for e in vec:
-                if e.kind == 1:
-                    raise ValueError("+inf coefficients are not allowed")
-        problems = []
-        for i in range(self.m):
-            if not (any(e.is_finite for e in self.B.entries[i]) or self.d[i].is_finite):
-                problems.append(f"row {i} of [B|d] has no finite entry")
-        for j in range(self.n):
-            col_finite = any(self.A.entries[i][j].is_finite for i in range(self.m))
-            if not (col_finite or self.p[j].is_finite):
-                problems.append(f"column {j} of [[A],[p]] has no finite entry")
-        if not (any(e.is_finite for e in self.c) or self.r.is_finite):
+        c, d, p, q, (r, s) = (
+            _entries(v, "+inf coefficients are not allowed") for v in (c, d, p, q, (r, s))
+        )
+        (U, V), scale = integer_grids(
+            [row + [ci] for row, ci in zip(A, c)] + [p + [r]],
+            [row + [di] for row, di in zip(B, d)] + [q + [s]],
+        )
+        problems = [f"row {i} of [B|d] has no finite entry"
+                    for i in range(m) if all(x is None for x in V[i])]
+        problems += [f"column {j} of [[A],[p]] has no finite entry"
+                     for j in range(n) if all(row[j] is None for row in U)]
+        if all(row[n] is None for row in U):
             problems.append("column [[c],[r]] has no finite entry")
         if problems:
             raise AssumptionViolated("; ".join(problems))
+        self.U, self.V, self.scale, self.m, self.n = U, V, scale, m, n
 
 
 # Entries kept in a HomogeneousInstance's memo of solved games.
@@ -144,13 +150,9 @@ class HomogeneousInstance:
 
 
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
-    """Build the integer-scaled homogeneous grids U and V, with M and scale."""
-    (U, V), scale = integer_grids(
-        [row + (ci,) for row, ci in zip(inst.A.entries, inst.c)] + [inst.p + (inst.r,)],
-        [row + (di,) for row, di in zip(inst.B.entries, inst.d)] + [inst.q + (inst.s,)],
-    )
-    M = max((abs(x) for g in (U, V) for row in g for x in row if x is not None), default=0)
-    return HomogeneousInstance(U, V, Fraction(M), scale)
+    """The instance's grids U and V(0) with their bound M and a fresh game memo."""
+    M = max((abs(x) for g in (inst.U, inst.V) for row in g for x in row if x is not None), default=0)
+    return HomogeneousInstance(inst.U, inst.V, Fraction(M), inst.scale)
 
 
 def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffGame:

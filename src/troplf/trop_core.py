@@ -138,16 +138,6 @@ class TropMatrix:
         self.entries = grid
         self.semiring = semiring
 
-    def __getitem__(self, ij) -> ExtendedNumber:
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropMatrix):
             return NotImplemented

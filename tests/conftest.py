@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from troplf import ExtendedNumber, LfpInstance, MeanPayoffGame, NEG_INF, TropMatrix
+from troplf import ExtendedNumber, LfpInstance, MeanPayoffGame, NEG_INF, TropMatrix, ext
 
 NI = "-inf"
 
@@ -32,12 +32,26 @@ def vec(values):
     return [e(x) for x in values]
 
 
-def make_instance(A, B, c, d, p, q, r, s) -> LfpInstance:
-    return LfpInstance(rows(A), rows(B), vec(c), vec(d), vec(p), vec(q), e(r), e(s))
+class RawInstance(LfpInstance):
+    """An LfpInstance that also keeps the entries it was built from, as
+    ExtendedNumber (A and B as TropMatrix), so that reference computations in
+    the tests read those and not the package's scaled grids."""
+
+    __slots__ = ("A", "B", "c", "d", "p", "q", "r", "s")
+
+    def __init__(self, A, B, c, d, p, q, r, s):
+        super().__init__(A, B, c, d, p, q, r, s)
+        self.A, self.B = TropMatrix(A), TropMatrix(B)
+        self.c, self.d, self.p, self.q = (tuple(map(ext, v)) for v in (c, d, p, q))
+        self.r, self.s = ext(r), ext(s)
+
+
+def make_instance(A, B, c, d, p, q, r, s) -> RawInstance:
+    return RawInstance(rows(A), rows(B), vec(c), vec(d), vec(p), vec(q), e(r), e(s))
 
 
 @pytest.fixture
-def example1() -> LfpInstance:
+def example1() -> RawInstance:
     """Two-variable maximization instance, solved via its minimization dual.
 
     The original objective maximize (1+x1) v (3+x2) becomes minimize
@@ -56,7 +70,7 @@ def example1() -> LfpInstance:
 
 
 @pytest.fixture
-def example2() -> LfpInstance:
+def example2() -> RawInstance:
     """Seven-constraint minimization instance with the four-step Newton trace."""
     return make_instance(
         A=[[NI, NI], [NI, NI], [NI, NI], [NI, -3], [NI, -4], [NI, -5], [NI, -6]],
@@ -71,7 +85,7 @@ def example2() -> LfpInstance:
 
 
 @pytest.fixture
-def example3() -> LfpInstance:
+def example3() -> RawInstance:
     """Three-variable instance whose homogeneous form is given directly.
 
     The last column of the homogeneous C/D plays the role of the affine
@@ -89,7 +103,7 @@ def example3() -> LfpInstance:
     )
 
 
-def random_instance(rng: random.Random, m: int, n: int, M: int, density: float) -> LfpInstance:
+def random_instance(rng: random.Random, m: int, n: int, M: int, density: float) -> RawInstance:
     """A random instance; resamples until the homogeneous form is well posed."""
     while True:
         def ent():
@@ -106,7 +120,7 @@ def random_instance(rng: random.Random, m: int, n: int, M: int, density: float) 
         r = ent()
         s = ent()
         try:
-            return LfpInstance(A, B, c, d, p, q, r, s)
+            return RawInstance(A, B, c, d, p, q, r, s)
         except Exception:
             continue
 

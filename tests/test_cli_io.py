@@ -6,8 +6,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from troplf import ExtendedNumber, NEG_INF, homogenize
+from troplf import AssumptionViolated, ExtendedNumber, LfpInstance, NEG_INF, homogenize
 from troplf.cli_io import (
     DocumentError,
     format_entry,
@@ -20,7 +22,7 @@ from troplf.cli_io import (
     serialize_instance,
 )
 
-from conftest import make_instance
+from conftest import NI, make_instance
 
 EX1 = "data/example1.json"
 EX2 = "data/example2.json"
@@ -70,6 +72,67 @@ def test_parse_homogeneous_form_matches_original():
     parsed = parse_instance(doc)
     H = homogenize(parsed.instance)
     assert (H.m, H.n) == (len(doc["C"]), len(doc["C"][0]) - 1)
+
+
+EX3_ORIGINAL = {
+    "A": [[-3, -4, NI], [-1, NI, NI], [NI, NI, NI], [1, NI, 0]],
+    "B": [[NI, NI, NI], [NI, 0, NI], [0, NI, NI], [0, NI, NI]],
+    "c": [NI, 1, 0, NI],
+    "d": [0, NI, NI, 3],
+    "p": [NI, 0, NI],
+    "q": [3, NI, NI],
+    "r": NI,
+    "s": NI,
+}
+
+
+def test_three_spellings_of_example3_give_the_same_grids():
+    """The homogeneous document, the original form and a maximization with
+    numerator and denominator swapped are one instance: the same U, V(0)
+    and scale, which are C and D with u and v appended."""
+    with open(EX3, "r", encoding="utf-8") as fh:
+        homogeneous = json.load(fh)
+    swapped = dict(EX3_ORIGINAL, p=EX3_ORIGINAL["q"], q=EX3_ORIGINAL["p"],
+                   r=EX3_ORIGINAL["s"], s=EX3_ORIGINAL["r"], objective="maximize")
+
+    def grid(rows):
+        return tuple(tuple(None if x == NI else x for x in row) for row in rows)
+
+    U = grid(homogeneous["C"] + [homogeneous["u"]])
+    V = grid(homogeneous["D"] + [homogeneous["v"]])
+    for doc in (homogeneous, EX3_ORIGINAL, swapped):
+        inst = parse_instance(doc).instance
+        assert (inst.U, inst.V, inst.scale, inst.m, inst.n) == (U, V, 1, 4, 3)
+
+
+_entries = st.one_of(
+    st.none(),
+    st.integers(-10**20, 10**20),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@given(st.data())
+def test_serialized_instances_parse_to_the_same_grids(data):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+
+    def vector(k):
+        return data.draw(st.lists(_entries, min_size=k, max_size=k))
+
+    args = [[vector(n) for _ in range(m)], [vector(n) for _ in range(m)],
+            vector(m), vector(m), vector(n), vector(n), *vector(2)]
+    try:
+        inst = LfpInstance(*args)
+    except AssumptionViolated:
+        assume(False)
+    again = parse_instance(json.loads(json.dumps(serialize_instance(inst)))).instance
+    assert (again.U, again.V, again.scale, again.m, again.n) == (inst.U, inst.V, inst.scale, m, n)
+    # the grids are the entries times the scale
+    A, c, r = args[0], args[2], args[6]
+    assert inst.U[-1][n] == (None if r is None else r * inst.scale)
+    assert all(inst.U[i][:n] == tuple(None if x is None else x * inst.scale for x in A[i])
+               and inst.U[i][n] == (None if c[i] is None else c[i] * inst.scale)
+               for i in range(m))
 
 
 def test_parse_rejects_malformed_documents():
@@ -124,6 +187,14 @@ def test_certificate_round_trip(example2):
     assert again.witness == cert.witness
 
 
+def test_certificate_parse_rejects_booleans(example2):
+    H = homogenize(example2)
+    with pytest.raises(DocumentError, match=r"tau\[0\] must be a row index"):
+        parse_certificate({"type": "optimality", "lambda": "0", "tau": [True, 4, 4]}, H.m, H.n)
+    with pytest.raises(DocumentError, match=r"sigma\[7\] must be a column index"):
+        parse_certificate({"type": "unboundedness", "sigma": [1] * 7 + [True]}, H.m, H.n)
+
+
 def test_certificate_parse_rejects_bad_shapes(example2):
     H = homogenize(example2)
     with pytest.raises(DocumentError):
@@ -147,6 +218,20 @@ def test_solve_example2_with_trace(capsys):
     assert "lambda* = 0" in lines
     traced = [l for l in lines if l.startswith("iteration")]
     assert [l.split()[4] for l in traced] == ["15", "4", "1", "0"]
+
+
+def test_solve_infeasible_lambda0_is_an_error(capsys):
+    for path, lam0 in ((EX2, "-100"), (EX1, "6")):  # EX1 maximizes: lambda0 = 6 is -6 inside
+        code, out, err = run(capsys, "solve", path, "--lambda0", lam0)
+        assert (code, out, err) == (1, "", "error: lam0 is not feasible: phi(lam0) < 0\n")
+    code, out, _ = run(capsys, "solve", EX1, "--lambda0", "-3")
+    assert code == 0 and "optimal 5" in out
+
+
+def test_lambda0_only_with_newton(capsys):
+    for method in ("bisection", "negative-newton"):
+        code, out, err = run(capsys, "solve", EX2, "--method", method, "--lambda0", "15")
+        assert (code, out, err) == (1, "", "error: --lambda0 applies only to --method newton\n")
 
 
 def test_solve_example1_maximization(capsys):

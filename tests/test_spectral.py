@@ -28,7 +28,7 @@ from troplf import certify, game_engine, solver, spectral
 from troplf.game_engine import AssumptionViolated, MaxStrategy, scaled_copy, value_report
 from troplf.spectral import GAME_MEMO_SIZE, game_report, spectral_grid
 
-from conftest import e, make_instance, random_instance
+from conftest import RawInstance, e, make_instance, random_instance
 
 
 def fin(x):
@@ -76,7 +76,7 @@ def test_homogenize_scales_rationals():
 # --- the integer parametric game ------------------------------------------
 
 
-def _perturbed(inst: LfpInstance, rng: random.Random, big: int) -> LfpInstance:
+def _perturbed(inst: RawInstance, rng: random.Random, big: int) -> RawInstance:
     """inst with each finite entry x replaced by big*x + t/q, |t| <= 3, q <= 4."""
 
     def f(x):
@@ -84,7 +84,7 @@ def _perturbed(inst: LfpInstance, rng: random.Random, big: int) -> LfpInstance:
             return x
         return fin(big * x.value + Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
 
-    return LfpInstance(
+    return RawInstance(
         [[f(x) for x in row] for row in inst.A.entries],
         [[f(x) for x in row] for row in inst.B.entries],
         [f(x) for x in inst.c], [f(x) for x in inst.d],
@@ -92,7 +92,7 @@ def _perturbed(inst: LfpInstance, rng: random.Random, big: int) -> LfpInstance:
     )
 
 
-def _reference_game(inst: LfpInstance, scale: int, lam) -> MeanPayoffGame:
+def _reference_game(inst: RawInstance, scale: int, lam) -> MeanPayoffGame:
     """The game at lam built from the instance's own entries times scale, as
     Fraction matrices: U = [[A, c], [p, r]] and V = [[B, d], [q + lam, s + lam]]."""
 
