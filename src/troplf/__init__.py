@@ -28,24 +28,10 @@ from .game_engine import (
     MinStrategy,
     OracleReport,
     SecondSubsystemViolated,
-    TooLarge,
-    brute_force_value,
-    dynamic_operator,
     feasibility_witness,
     game_value,
-    game_value_and_strategy,
     integer_oracle,
     value_report,
-    winning_oracle,
-)
-from .germs import (
-    GERM_BOTTOM,
-    Germ,
-    germ,
-    germ_add,
-    germ_brute_force_value,
-    germ_mul,
-    germ_optimal_strategies,
 )
 from .solver import (
     InfeasibleStart,
@@ -90,8 +76,6 @@ from .trop_core import (
     cycle_time_vector,
     ext,
     kleene_least_solution,
-    residual_apply,
-    trop_matvec,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

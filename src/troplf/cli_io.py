@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
@@ -257,7 +258,8 @@ def cmd_solve(args, out: TextIO) -> int:
         outcome = solver.solve(parsed.instance, method=args.method, lam0=lam0)
     except solver.InfeasibleStart as exc:
         raise DocumentError(str(exc))
-    for (k, lam, sign) in outcome.trace:
+    for (k, lam, sign) in outcome.trace:  # each lambda_k in document units
+        lam = parsed.objective_value(lam / parsed.instance.scale)
         print(f"iteration {k}: lambda = {format_rational(lam)} (phi {sign})", file=out)
     if outcome.status == "Infeasible":
         print("infeasible", file=out)
@@ -304,13 +306,23 @@ def cmd_spectral(args, out: TextIO) -> int:
         print(f"error: {exc}; its entries are too large for the grid reconstruction",
               file=sys.stderr)
         return 1
+
+    # lambda, phi and alpha print in document units: divided by the scale.
+    def unscaled(x) -> str:
+        return format_rational(Fraction(x) / H.scale)
+
+    def endpoint(e: ExtendedNumber) -> str:
+        if e.is_finite:
+            return unscaled(e.value)
+        return "+inf" if e.kind == 1 else "-inf"
+
     lines = ["piece,lo,hi,alpha,beta,k"]
     for piece in pieces:
         lines.append(
             "piece,{},{},{},{},{}".format(
-                format_entry(piece.lo) if piece.lo.kind != 1 else "+inf",
-                "+inf" if piece.hi.kind == 1 else format_entry(piece.hi),
-                format_rational(piece.alpha),
+                endpoint(piece.lo),
+                endpoint(piece.hi),
+                unscaled(piece.alpha),
                 piece.beta,
                 piece.k,
             )
@@ -324,13 +336,7 @@ def cmd_spectral(args, out: TextIO) -> int:
     else:
         grid = [Fraction(t) for t in range(-4, 5)]
     for lam in grid:
-        val = phi(H, lam)
-        lines.append(
-            "sample,{},{}".format(
-                format_rational(Fraction(lam) / H.scale),
-                format_rational(Fraction(val) / H.scale),
-            )
-        )
+        lines.append(f"sample,{unscaled(lam)},{unscaled(phi(H, lam))}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -376,6 +382,13 @@ def cmd_game_value(args, out: TextIO) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that looks like a negative number as an
+        # option value, not a flag; "-1/2" should look like one, as "-1" and
+        # "-0.5" do.  No option of this parser looks like a negative number.
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise DocumentError(message)
 

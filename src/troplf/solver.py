@@ -152,7 +152,7 @@ def homogeneous_solution_with_zeros(C, D, neg_cols, pin: int) -> Optional[tuple]
     cols = sorted(alive_cols)
     if pin in alive_cols:
         if rows:
-            core = MeanPayoffGame.from_grids(
+            core = MeanPayoffGame(
                 tuple(tuple(C[i][j] for j in cols) for i in rows),
                 tuple(tuple(D[i][j] for j in cols) for i in rows),
             )

@@ -169,10 +169,10 @@ def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffG
     shift = f * lam.numerator // lam.denominator  # f*lam, an integer
     last = tuple(None if x is None else f * x + shift for x in H.V[-1])
     if f == 1:
-        return MeanPayoffGame.from_grids(H.U, H.V[:-1] + (last,), d)
+        return MeanPayoffGame(H.U, H.V[:-1] + (last,), d)
     a = tuple(tuple(None if x is None else f * x for x in row) for row in H.U)
     b = tuple(tuple(None if x is None else f * x for x in row) for row in H.V[:-1])
-    return MeanPayoffGame.from_grids(a, b + (last,), d)
+    return MeanPayoffGame(a, b + (last,), d)
 
 
 def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> GameValueReport:

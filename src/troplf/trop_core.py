@@ -148,53 +148,6 @@ class TropMatrix:
         return f"TropMatrix[{self.semiring} {self.rows}x{self.cols}: {body}]"
 
 
-def trop_matvec(E: TropMatrix, x: Sequence[ExtendedNumber]) -> tuple:
-    """Matrix-vector product in E's semiring; empty max is -inf, empty min is +inf."""
-    if E.cols != len(x):
-        raise ValueError(f"dimension mismatch: {E.cols} columns vs vector of {len(x)}")
-    x = tuple(ext(e) for e in x)
-    out = []
-    if E.semiring == MAX_PLUS:
-        for row in E.entries:
-            acc = NEG_INF
-            for e, xj in zip(row, x):
-                term = e.add_max(xj)
-                if acc < term:
-                    acc = term
-            out.append(acc)
-    else:
-        for row in E.entries:
-            acc = POS_INF
-            for e, xj in zip(row, x):
-                term = e.add_min(xj)
-                if term < acc:
-                    acc = term
-            out.append(acc)
-    return tuple(out)
-
-
-def residual_apply(E: TropMatrix, y: Sequence[ExtendedNumber]) -> tuple:
-    """Residuation (Cuninghame-Green inverse): component j is min_i(-e_ij + y_i).
-
-    E must be max-plus; the result behaves as the min-plus product of the
-    negated transpose, so the (-inf)+(+inf) = +inf convention applies.
-    """
-    if E.semiring != MAX_PLUS:
-        raise ValueError("residual_apply expects a max-plus matrix")
-    if E.rows != len(y):
-        raise ValueError(f"dimension mismatch: {E.rows} rows vs vector of {len(y)}")
-    y = tuple(ext(e) for e in y)
-    out = []
-    for j in range(E.cols):
-        acc = POS_INF
-        for i in range(E.rows):
-            term = (-E.entries[i][j]).add_min(y[i])
-            if term < acc:
-                acc = term
-        out.append(acc)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class WeightedDigraph:
     """Finite digraph with exact rational arc weights and no parallel arcs."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from troplf import ExtendedNumber, LfpInstance, MeanPayoffGame, NEG_INF, TropMatrix, ext
+from troplf.game_engine import integer_grids
 
 NI = "-inf"
 
@@ -30,6 +31,18 @@ def rows(grid):
 
 def vec(values):
     return [e(x) for x in values]
+
+
+def make_game(a, b) -> MeanPayoffGame:
+    """The game with payment matrices a and b, whose entries are int,
+    Fraction, ExtendedNumber or "-inf", over the lcm of their denominators."""
+
+    def entry(x):
+        x = e(x) if x == NI else ext(x)
+        return x.value if x.is_finite else None
+
+    (ga, gb), d = integer_grids(*([[entry(x) for x in row] for row in M] for M in (a, b)))
+    return MeanPayoffGame(ga, gb, d)
 
 
 class RawInstance(LfpInstance):
@@ -140,7 +153,7 @@ def random_game(rng: random.Random, m: int, n: int, M: int, density: float) -> M
     for j in range(n):
         if all(not a[i][j].is_finite for i in range(m)):
             a[rng.randrange(m)][j] = ExtendedNumber.finite(rng.randint(-M, M))
-    return MeanPayoffGame(TropMatrix(a), TropMatrix(b))
+    return make_game(a, b)
 
 
 def frac(x) -> Fraction:

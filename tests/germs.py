@@ -1,5 +1,9 @@
 """Lexicographic germ semiring and brute-force germ-valued games.
 
+The reference for the perturbed games of the Newton step: the tests compare
+the left-optimal Max strategies of ``solver.left_optimal_max_strategy`` with
+the germ-optimal strategies found here by enumeration.
+
 A germ (a, b) stands for the function epsilon -> a + epsilon*b near 0+;
 addition is lexicographic max and multiplication is componentwise sum, with a
 single bottom element standing for -inf.  Germ games validate the perturbed
@@ -14,7 +18,8 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .game_engine import BRUTE_FORCE_GUARD, MaxStrategy, MinStrategy, TooLarge
+from brute_force import BRUTE_FORCE_GUARD, TooLarge
+from troplf.game_engine import MaxStrategy, MinStrategy
 
 Rational = Fraction
 

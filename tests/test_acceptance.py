@@ -15,17 +15,12 @@ from troplf import (
     LfpInstance,
     ExtendedNumber,
     MaxStrategy,
-    MeanPayoffGame,
     MinStrategy,
     NoneLeftWinning,
     OptimalityCertificate,
-    TropMatrix,
-    brute_force_value,
     check_optimality,
     game_at,
     game_value,
-    germ_brute_force_value,
-    germ_optimal_strategies,
     homogenize,
     left_optimal_max_strategy,
     newton_step,
@@ -35,17 +30,20 @@ from troplf import (
     reconstruct,
     solve,
 )
-from troplf.game_engine import (
-    cycle_time_vector,
-    least_solution_fixed,
-    restrict_max,
-    restrict_min,
-)
-from troplf.germs import GERM_BOTTOM, Germ, _germ_strategy_spaces, _germ_sunflower_values
+from troplf.game_engine import least_solution_fixed
 from troplf.solver import positive_newton_solve, bisection_solve
 from troplf.spectral import spectral_grid
 
-from conftest import make_instance, random_instance
+from brute_force import brute_force_value
+from conftest import make_game, random_instance
+from germs import (
+    GERM_BOTTOM,
+    Germ,
+    _germ_strategy_spaces,
+    _germ_sunflower_values,
+    germ_brute_force_value,
+    germ_optimal_strategies,
+)
 
 NI = "-inf"
 
@@ -152,18 +150,16 @@ def test_criterion_5_oracle_equivalence():
             if key in seen:
                 continue
             seen.add(key)
-            ga = TropMatrix([[fin(key[0]), fin(key[1])], [fin(key[2]), fin(key[3])]])
-            gb = TropMatrix([[fin(key[4]), fin(key[5])], [fin(key[6]), fin(key[7])]])
-            g = MeanPayoffGame(ga, gb)
+            g = make_game([key[0:2], key[2:4]], [key[4:6], key[6:8]])
             for j in range(2):
                 assert game_value(g, j) == brute_force_value(g, j)
             checked_classes += 1
     # direct spot check without canonicalization, from the same exhaustive box
     rng = random.Random(5)
     for _ in range(300):
-        ga = TropMatrix([[fin(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)])
-        gb = TropMatrix([[fin(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)])
-        g = MeanPayoffGame(ga, gb)
+        ga = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+        gb = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+        g = make_game(ga, gb)
         for j in range(2):
             assert game_value(g, j) == brute_force_value(g, j)
     # 500 random 3x3 games, 30% -inf density, assumptions repaired
@@ -275,11 +271,9 @@ def test_criterion_8_germ_consistency():
             for eps in (Fraction(1, 16), Fraction(1, 32)):
                 if delta is not None and not (eps < Fraction(delta, 4 * big_m)):
                     continue
-                ga = TropMatrix([[fin(x) for x in af[:2]], [fin(x) for x in af[2:]]])
-                gb = TropMatrix(
-                    [[fin(x - eps) for x in bf[:2]], [fin(x - eps) for x in bf[2:]]]
+                g = make_game(
+                    [af[:2], af[2:]], [[x - eps for x in bf[:2]], [x - eps for x in bf[2:]]]
                 )
-                g = MeanPayoffGame(ga, gb)
                 for j in range(2):
                     assert brute_force_value(g, j) == value[j].eval_at(eps)
                 eps_checked += 1
@@ -305,15 +299,15 @@ def test_criterion_8_germ_consistency():
                 continue
             g = game_at(H, lam)
             A = [
-                [Germ(x.value, 0) if x.is_finite else GERM_BOTTOM for x in row]
-                for row in g.A.entries
+                [GERM_BOTTOM if x is None else Germ(Fraction(x, g.d), 0) for x in row]
+                for row in g.a
             ]
             B = [
                 [
-                    Germ(x.value, -1 if i == H.m else 0) if x.is_finite else GERM_BOTTOM
+                    GERM_BOTTOM if x is None else Germ(Fraction(x, g.d), -1 if i == H.m else 0)
                     for x in row
                 ]
-                for i, row in enumerate(g.B.entries)
+                for i, row in enumerate(g.b)
             ]
             value, sigma_germ, _tau = germ_optimal_strategies(A, B, H.n)
             if value.b == 0:

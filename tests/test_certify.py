@@ -30,8 +30,8 @@ from troplf import (
     make_optimality_certificate,
     make_unboundedness_certificate,
     phi_nonneg,
+    integer_oracle,
     solve,
-    trop_matvec,
 )
 from troplf.certify import CertificateSynthesisFailed
 from troplf.cli_io import format_rational, parse_certificate, parse_instance, serialize_certificate
@@ -39,7 +39,8 @@ from troplf.game_engine import restrict_min
 from troplf.spectral import game_report
 from troplf.trop_core import WeightedDigraph, cycle_means, digraph_of_matrix, scc_and_access
 
-from conftest import e, make_instance, random_instance
+from conftest import e, make_game, make_instance, random_instance
+from maxplus import payment_matrices, trop_matvec
 
 NI = "-inf"
 
@@ -214,10 +215,6 @@ def test_special_case_equivalence_c_leq_d():
 
 def test_special_case_equivalence_maximization():
     # maximizing q x is unbounded exactly when Ax <= Bx has a finite solution
-    from troplf import winning_oracle
-    from troplf import MeanPayoffGame, TropMatrix
-    from conftest import rows as _rows
-
     rng = random.Random(79)
     for _ in range(20):
         m, n = rng.randint(1, 2), rng.randint(1, 2)
@@ -236,8 +233,8 @@ def test_special_case_equivalence_maximization():
             check_unboundedness(H, UnboundednessCertificate(MaxStrategy(sc)))
             for sc in product(*[g.max_moves(i) for i in range(H.m + 1)])
         )
-        bare = MeanPayoffGame(TropMatrix(_rows(A)), TropMatrix(_rows(B)))
-        rep = winning_oracle(bare)
+        bare = make_game(A, B)
+        rep = integer_oracle(bare)
         finite_solution = rep.winning == frozenset(range(n))
         assert some_sigma_accepted == finite_solution
 
@@ -324,7 +321,8 @@ def _karp_optimality(H, cert):
             return CheckResult(False, WRONG_LENGTH)
         if not y[H.n].is_finite:
             return CheckResult(False, NOT_FINITE)
-        if not all(l <= r for l, r in zip(trop_matvec(game.A, y), trop_matvec(game.B, y))):
+        A, B = payment_matrices(game)
+        if not all(l <= r for l, r in zip(trop_matvec(A, y), trop_matvec(B, y))):
             return CheckResult(False, VIOLATES)
     elif not phi_nonneg(H, lam_s)[0]:
         return CheckResult(False, PHI_NEGATIVE)
@@ -336,12 +334,13 @@ def _karp_unboundedness(H, cert):
     bipartite digraph of sigma at lambda = 0: the reference."""
     game = game_at(H, 0)
     cert.sigma.check(game)
+    A, B = payment_matrices(game)
     n_min = H.n + 1
     arcs = []
     for i, l in enumerate(cert.sigma.choices):
-        arcs.append((n_min + i, l, game.B.entries[i][l].value))
-        arcs += [(j, n_min + i, -game.A.entries[i][j].value)
-                 for j in range(n_min) if game.A.entries[i][j].is_finite]
+        arcs.append((n_min + i, l, B.entries[i][l].value))
+        arcs += [(j, n_min + i, -A.entries[i][j].value)
+                 for j in range(n_min) if A.entries[i][j].is_finite]
     D = WeightedDigraph.from_arcs(n_min + H.m + 1, arcs)
     access = scc_and_access(D, H.n).access
     decomp, means = cycle_means(D, "min")

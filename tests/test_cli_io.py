@@ -228,6 +228,41 @@ def test_solve_infeasible_lambda0_is_an_error(capsys):
     assert code == 0 and "optimal 5" in out
 
 
+def _halved(path: str, tmp_path) -> str:
+    """A copy of the document at path with every numeric entry halved."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+
+    def half(x):
+        if isinstance(x, list):
+            return [half(y) for y in x]
+        return x if x == NI else format_rational(Fraction(x) / 2)
+
+    target = tmp_path / ("half_" + path.rsplit("/", 1)[-1])
+    target.write_text(json.dumps({k: v if k == "objective" else half(v) for k, v in doc.items()}))
+    return str(target)
+
+
+def test_solve_trace_in_document_units(capsys, tmp_path):
+    """On a rational maximize document the trace starts at --lambda0 and ends
+    at the optimum, in the units of the document."""
+    path = _halved(EX1, tmp_path)
+    for method, start in (("newton", ["--lambda0=-3/2"]), ("negative-newton", [])):
+        code, out, _ = run(capsys, "solve", path, "--method", method, *start)
+        lines = out.splitlines()
+        assert code == 0 and "optimal 5/2" in lines and "lambda* = -5/2" in lines
+        traced = [l.split()[4] for l in lines if l.startswith("iteration")]
+        if start:
+            assert traced[0] == "-3/2"
+        assert traced[-1] == "5/2"
+
+
+def test_solve_takes_a_negative_rational_lambda0(capsys):
+    code, out, _ = run(capsys, "solve", EX1, "--lambda0", "-7/2")
+    assert code == 0 and "optimal 5" in out
+    assert out.splitlines()[0] == "iteration 0: lambda = -7/2 (phi >=0)"
+
+
 def test_lambda0_only_with_newton(capsys):
     for method in ("bisection", "negative-newton"):
         code, out, err = run(capsys, "solve", EX2, "--method", method, "--lambda0", "15")
@@ -386,6 +421,11 @@ def test_game_value_goldens(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+def test_game_value_takes_a_negative_rational_lambda(capsys):
+    for argv in (["--lambda", "-1/2"], ["--lambda=-1/2"]):
+        assert run(capsys, "game-value", *argv, EX2) == (0, "-1/4\n", "")
+
+
 def test_game_value_node_out_of_range(capsys):
     code, _, err = run(capsys, "game-value", EX2, "--lambda", "0", "--node", "99")
     assert code == 1 and "node" in err
@@ -414,6 +454,24 @@ def test_spectral_example2_table(capsys, example2):
     assert any(Fraction(row[3]) == 0 for row in crossing)  # alpha/k + 0*beta = 0
     samples = [l.split(",") for l in lines if l.startswith("sample,") and len(l.split(",")) == 3]
     assert samples and all(len(row) == 3 for row in samples)
+
+
+def test_spectral_rational_document_in_document_units(capsys, tmp_path):
+    """With every entry of example 2 halved, the breakpoints halve too, and
+    each piece evaluated at a sample lambda it covers gives that sample's phi."""
+    code, out, _ = run(capsys, "spectral", _halved(EX2, tmp_path))
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()]
+    pieces = [r[1:] for r in rows if r[0] == "piece" and r[1] != "lo"]
+    samples = [(Fraction(r[1]), Fraction(r[2])) for r in rows if r[0] == "sample" and r[1] != "lambda"]
+    assert pieces[0][:2] == ["-inf", "1"]
+    for lam, value in samples:
+        covering = [
+            (Fraction(alpha) + int(beta) * lam) / int(k)
+            for lo, hi, alpha, beta, k in pieces
+            if (lo == "-inf" or Fraction(lo) <= lam) and (hi == "+inf" or lam <= Fraction(hi))
+        ]
+        assert covering and all(v == value for v in covering)
 
 
 def test_spectral_constant_instance_flat(capsys, tmp_path):

@@ -9,39 +9,29 @@ from itertools import product
 import pytest
 
 from troplf import (
-    NEG_INF,
     AssumptionViolated,
     ExtendedNumber,
     MaxStrategy,
-    MeanPayoffGame,
     MinStrategy,
-    TropMatrix,
-    brute_force_value,
     cycle_time_vector,
-    dynamic_operator,
     feasibility_witness,
     game_at,
     game_value,
-    game_value_and_strategy,
     homogenize,
     integer_oracle,
-    residual_apply,
-    trop_matvec,
     value_report,
-    winning_oracle,
 )
 import troplf.game_engine as ge
-from troplf.game_engine import play_outcome, restrict_max, restrict_min
+from troplf.game_engine import restrict_max, restrict_min
 
-from conftest import e, random_game, rows
+from brute_force import brute_force_value, play_outcome
+from conftest import make_game, random_game
+from lifting import lifting_oracle
+from maxplus import payment_matrices, trop_matvec
 
 
 def fin(x):
     return ExtendedNumber.finite(x)
-
-
-def game(a, b) -> MeanPayoffGame:
-    return MeanPayoffGame(TropMatrix(rows(a)), TropMatrix(rows(b)))
 
 
 # --- validation ------------------------------------------------------------
@@ -55,60 +45,32 @@ def test_example2_game_valid(example2):
 
 def test_all_neg_inf_b_row_rejected():
     with pytest.raises(AssumptionViolated, match="row"):
-        game([[0]], [["-inf"]])
+        make_game([[0]], [["-inf"]])
 
 
 def test_all_neg_inf_a_column_rejected():
     with pytest.raises(AssumptionViolated, match="column"):
-        game([["-inf"]], [[0]])
-
-
-# --- dynamic operator ------------------------------------------------------
-
-
-def test_dynamic_operator_fixed_point():
-    assert dynamic_operator(game([[0]], [[0]]), [fin(0)]) == (fin(0),)
-
-
-def test_dynamic_operator_single_turn():
-    assert dynamic_operator(game([[2]], [[5]]), [fin(0)]) == (fin(3),)
-
-
-def test_dynamic_operator_composition_isotone_homogeneous():
-    rng = random.Random(31)
-    for _ in range(100):
-        g = random_game(rng, 2, 2, 5, 0.3)
-        x = [fin(rng.randint(-5, 5)) for _ in range(2)]
-        assert dynamic_operator(g, x) == residual_apply(g.A, trop_matvec(g.B, x))
-        lam = Fraction(rng.randint(-3, 3))
-        shifted = dynamic_operator(g, [fin(v.value + lam) for v in x])
-        fx = dynamic_operator(g, x)
-        assert shifted == tuple(
-            fin(v.value + lam) if v.is_finite else v for v in fx
-        )
-        y = [fin(v.value + rng.randint(0, 3)) for v in x]
-        fy = dynamic_operator(g, y)
-        assert all(a <= b for a, b in zip(fx, fy))
+        make_game([["-inf"]], [[0]])
 
 
 # --- strategy restriction --------------------------------------------------
 
 
 def test_restrict_max_single():
-    mat = restrict_max(game([[2]], [[5]]), MaxStrategy((0,)))
+    mat = restrict_max(make_game([[2]], [[5]]), MaxStrategy((0,)))
     assert mat.semiring == "min_plus"
     assert mat.entries[0][0] == fin(3)
 
 
 def test_restrict_min_single():
-    mat = restrict_min(game([[2]], [[5]]), MinStrategy((0,)))
+    mat = restrict_min(make_game([[2]], [[5]]), MinStrategy((0,)))
     assert mat.semiring == "max_plus"
     assert mat.entries[0][0] == fin(3)
 
 
 def test_restrict_max_rejects_forbidden_choice():
     with pytest.raises(ValueError):
-        restrict_max(game([[2, 2]], [[5, "-inf"]]), MaxStrategy((1,)))
+        restrict_max(make_game([[2, 2]], [[5, "-inf"]]), MaxStrategy((1,)))
 
 
 def test_example2_certificate_tau_cycle_time(example2):
@@ -121,7 +83,7 @@ def test_example2_certificate_tau_cycle_time(example2):
 
 
 def test_play_outcome_single():
-    assert play_outcome(game([[2]], [[5]]), 0, MinStrategy((0,)), MaxStrategy((0,))) == 3
+    assert play_outcome(make_game([[2]], [[5]]), 0, MinStrategy((0,)), MaxStrategy((0,))) == 3
 
 
 def test_play_outcome_example2_zero_cycle(example2):
@@ -161,9 +123,9 @@ def test_determinacy_on_random_games():
 
 
 def test_brute_force_simple_cases():
-    assert brute_force_value(game([[2]], [[5]]), 0) == 3
+    assert brute_force_value(make_game([[2]], [[5]]), 0) == 3
     zeros = [[0, 0], [0, 0]]
-    assert brute_force_value(game(zeros, zeros), 0) == 0
+    assert brute_force_value(make_game(zeros, zeros), 0) == 0
 
 
 # --- winning oracle --------------------------------------------------------
@@ -176,7 +138,7 @@ def test_winning_oracle_example2(example2):
 
 
 def test_winning_oracle_trivial_loss():
-    rep = winning_oracle(game([[0]], [[-1]]))
+    rep = integer_oracle(make_game([[0]], [[-1]]))
     assert rep.winning == frozenset()
     assert rep.tau.choices == (0,)
 
@@ -186,7 +148,7 @@ def test_oracle_strategies_certify():
     rng = random.Random(41)
     for _ in range(40):
         g = random_game(rng, rng.randint(1, 4), rng.randint(1, 4), 4, 0.4)
-        rep = winning_oracle(g)
+        rep = integer_oracle(g)
         chi_sigma = cycle_time_vector(restrict_max(g, rep.sigma), "min")
         chi_tau = cycle_time_vector(restrict_min(g, rep.tau), "max")
         for j in range(g.n):
@@ -200,7 +162,7 @@ def test_winning_set_matches_brute_force_sign():
     rng = random.Random(43)
     for _ in range(30):
         g = random_game(rng, 2, 2, 3, 0.3)
-        rep = winning_oracle(g)
+        rep = integer_oracle(g)
         for j in range(g.n):
             assert (j in rep.winning) == (brute_force_value(g, j) >= 0)
 
@@ -227,7 +189,8 @@ def test_game_value_strategy_attains_value():
     for _ in range(30):
         g = random_game(rng, 3, 3, 4, 0.3)
         j = rng.randrange(3)
-        chi, sigma = game_value_and_strategy(g, j)
+        rep = value_report(g)
+        chi, sigma = rep.chi[j], rep.sigma
         assert cycle_time_vector(restrict_max(g, sigma), "min")[j] == fin(chi)
 
 
@@ -259,7 +222,7 @@ def test_scaled_payments_scale_values_exactly(shift):
 
 def test_policy_iteration_round_cap(monkeypatch):
     """A game the greedy start does not solve needs 3 rounds; a cap of 2 raises."""
-    g = game([[3, 0], [3, -2]], [[0, 3], [1, -3]])
+    g = make_game([[3, 0], [3, -2]], [[0, 3], [1, -3]])
     monkeypatch.setattr(ge, "_round_cap", lambda m, n: 2)
     with pytest.raises(ge.PolicyIterationStalled):
         value_report(g)
@@ -268,7 +231,7 @@ def test_policy_iteration_round_cap(monkeypatch):
 
 
 def test_rational_payments_prescaled():
-    g = game([[Fraction(1, 2)]], [[Fraction(5, 3)]])
+    g = make_game([[Fraction(1, 2)]], [[Fraction(5, 3)]])
     assert game_value(g, 0) == Fraction(7, 6)
 
 
@@ -300,9 +263,9 @@ def test_vectorized_and_worklist_liftings_agree():
     rng = random.Random(67)
     for _ in range(30):
         g = random_game(rng, rng.randint(2, 6), rng.randint(2, 6), 6, 0.4)
-        rep_work = ge.lifting_oracle(g, vectorized=False)
-        rep_vec = ge.lifting_oracle(g, vectorized=True)
-        rep_pi = winning_oracle(g)
+        rep_work = lifting_oracle(g, vectorized=False)
+        rep_vec = lifting_oracle(g, vectorized=True)
+        rep_pi = integer_oracle(g)
         assert rep_work.winning == rep_vec.winning == rep_pi.winning
         assert rep_work.winning_max == rep_vec.winning_max == rep_pi.winning_max
         for rep in (rep_work, rep_vec, rep_pi):
@@ -321,30 +284,32 @@ def test_vectorized_and_worklist_liftings_agree():
 def test_feasibility_witness_example2(example2):
     H = homogenize(example2)
     g = game_at(H, 0)
+    A, B = payment_matrices(g)
     x = feasibility_witness(g, 2)
     assert x is not None and x[2].is_finite
-    assert all(a <= b for a, b in zip(trop_matvec(g.A, x), trop_matvec(g.B, x)))
+    assert all(a <= b for a, b in zip(trop_matvec(A, x), trop_matvec(B, x)))
     known_y = (fin(-2), fin(2), fin(0))
     assert all(
-        a <= b for a, b in zip(trop_matvec(g.A, known_y), trop_matvec(g.B, known_y))
+        a <= b for a, b in zip(trop_matvec(A, known_y), trop_matvec(B, known_y))
     )
 
 
 def test_feasibility_witness_losing_node():
-    assert feasibility_witness(game([[0]], [[-1]]), 0) is None
+    assert feasibility_witness(make_game([[0]], [[-1]]), 0) is None
 
 
 def test_feasibility_witness_random():
     rng = random.Random(71)
     for _ in range(40):
         g = random_game(rng, 3, 3, 4, 0.4)
+        A, B = payment_matrices(g)
         for j in range(g.n):
             x = feasibility_witness(g, j)
             if brute_force_value(g, j) >= 0:
                 assert x is not None
                 assert x[j] == fin(0)
                 assert all(
-                    a <= b for a, b in zip(trop_matvec(g.A, x), trop_matvec(g.B, x))
+                    a <= b for a, b in zip(trop_matvec(A, x), trop_matvec(B, x))
                 )
             else:
                 assert x is None

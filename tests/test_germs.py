@@ -1,4 +1,4 @@
-"""The lexicographic germ semiring and germ-valued games."""
+"""The lexicographic germ semiring and germ-valued games (tests/germs.py)."""
 
 from __future__ import annotations
 
@@ -8,26 +8,20 @@ from itertools import product
 
 import pytest
 
-from troplf import (
+from troplf import game_at, homogenize, phi
+
+from brute_force import TooLarge, brute_force_value
+from conftest import make_game
+from germs import (
     GERM_BOTTOM,
-    ExtendedNumber,
-    MeanPayoffGame,
-    TropMatrix,
-    brute_force_value,
-    game_at,
+    GERM_ZERO,
+    Germ,
     germ,
     germ_add,
     germ_brute_force_value,
     germ_mul,
-    germ_optimal_strategies,
-    homogenize,
-    phi,
-)
-from troplf.game_engine import TooLarge
-from troplf.germs import (
-    GERM_ZERO,
-    Germ,
     germ_neg,
+    germ_optimal_strategies,
     _germ_strategy_spaces,
     _germ_sunflower_values,
 )
@@ -139,13 +133,9 @@ def test_germ_value_matches_perturbed_game():
         if any(all(A[i][j].is_bottom for i in range(m)) for j in range(n)):
             continue
         for eps in (Fraction(1, 16), Fraction(1, 32)):
-            ga = TropMatrix(
-                [[_real_entry(g, eps) for g in row] for row in A]
-            )
-            gb = TropMatrix(
-                [[_real_entry(g, eps) for g in row] for row in B]
-            )
-            real_game = MeanPayoffGame(ga, gb)
+            ga = [[_real_entry(g, eps) for g in row] for row in A]
+            gb = [[_real_entry(g, eps) for g in row] for row in B]
+            real_game = make_game(ga, gb)
             for j in range(n):
                 expected = germ_brute_force_value(A, B, j).eval_at(eps)
                 assert brute_force_value(real_game, j) == expected
@@ -153,11 +143,7 @@ def test_germ_value_matches_perturbed_game():
 
 
 def _real_entry(g, eps):
-    from troplf import NEG_INF
-
-    if g.is_bottom:
-        return NEG_INF
-    return ExtendedNumber.finite(g.eval_at(eps))
+    return "-inf" if g.is_bottom else g.eval_at(eps)
 
 
 def test_uniform_optimality_of_returned_strategies():
@@ -218,15 +204,15 @@ def germ_game_of(H, lam):
     """The game at lambda - eps encoded with germ payments."""
     g = game_at(H, lam)
     A = [
-        [Germ(x.value, 0) if x.is_finite else GERM_BOTTOM for x in row]
-        for row in g.A.entries
+        [GERM_BOTTOM if x is None else Germ(Fraction(x, g.d), 0) for x in row]
+        for row in g.a
     ]
     B = [
         [
-            Germ(x.value, -1 if i == H.m else 0) if x.is_finite else GERM_BOTTOM
+            GERM_BOTTOM if x is None else Germ(Fraction(x, g.d), -1 if i == H.m else 0)
             for x in row
         ]
-        for i, row in enumerate(g.B.entries)
+        for i, row in enumerate(g.b)
     ]
     return A, B
 

@@ -26,7 +26,7 @@ from troplf import (
     precheck,
     solve,
 )
-from troplf.game_engine import least_solution_fixed, trop_matvec
+from troplf.game_engine import least_solution_fixed
 from troplf.solver import (
     bisection_cap,
     bisection_solve,
@@ -37,6 +37,7 @@ from troplf.solver import (
 )
 
 from conftest import e, make_instance, random_instance
+from maxplus import payment_matrices, trop_matvec
 
 NI = "-inf"
 
@@ -154,7 +155,7 @@ def test_left_optimal_perturbed_scaling_example3(example3):
     perturbed = scaled_copy(game_at(H, Fraction(-1, k2)), k2)
     entries = {
         x.value
-        for mat in (perturbed.A, perturbed.B)
+        for mat in payment_matrices(perturbed)
         for row in mat.entries
         for x in row
         if x.is_finite

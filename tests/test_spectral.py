@@ -14,7 +14,6 @@ from troplf import (
     LfpInstance,
     MeanPayoffGame,
     MinStrategy,
-    TropMatrix,
     game_at,
     homogenize,
     initial_bounds,
@@ -28,7 +27,8 @@ from troplf import certify, game_engine, solver, spectral
 from troplf.game_engine import AssumptionViolated, MaxStrategy, scaled_copy, value_report
 from troplf.spectral import GAME_MEMO_SIZE, game_report, spectral_grid
 
-from conftest import RawInstance, e, make_instance, random_instance
+from conftest import RawInstance, e, make_game, make_instance, random_instance
+from maxplus import payment_matrices
 
 
 def fin(x):
@@ -94,7 +94,7 @@ def _perturbed(inst: RawInstance, rng: random.Random, big: int) -> RawInstance:
 
 def _reference_game(inst: RawInstance, scale: int, lam) -> MeanPayoffGame:
     """The game at lam built from the instance's own entries times scale, as
-    Fraction matrices: U = [[A, c], [p, r]] and V = [[B, d], [q + lam, s + lam]]."""
+    Fraction payments: U = [[A, c], [p, r]] and V = [[B, d], [q + lam, s + lam]]."""
 
     def row(entries, shift=0):
         return [fin(x.value * scale + shift) if x.is_finite else NEG_INF for x in entries]
@@ -102,7 +102,7 @@ def _reference_game(inst: RawInstance, scale: int, lam) -> MeanPayoffGame:
     U = [row(r + (c,)) for r, c in zip(inst.A.entries, inst.c)] + [row(inst.p + (inst.r,))]
     V = [row(r + (d,)) for r, d in zip(inst.B.entries, inst.d)]
     V.append(row(inst.q + (inst.s,), Fraction(lam)))
-    return MeanPayoffGame(TropMatrix(U), TropMatrix(V))
+    return make_game(U, V)
 
 
 @pytest.mark.parametrize("big", [1, 2**70])
@@ -192,10 +192,10 @@ def test_newton_solve_builds_no_scaled_copy(example2, monkeypatch):
 
 def test_game_at_only_objective_row_moves(example2):
     H = homogenize(example2)
-    g0, g5 = game_at(H, 0), game_at(H, 5)
-    assert g0.A == g5.A
-    assert g0.B.entries[:-1] == g5.B.entries[:-1]
-    row0, row5 = g0.B.entries[-1], g5.B.entries[-1]
+    (A0, B0), (A5, B5) = payment_matrices(game_at(H, 0)), payment_matrices(game_at(H, 5))
+    assert A0 == A5
+    assert B0.entries[:-1] == B5.entries[:-1]
+    row0, row5 = B0.entries[-1], B5.entries[-1]
     for a, b in zip(row0, row5):
         if a.is_finite:
             assert b.value - a.value == 5

@@ -18,8 +18,6 @@ from troplf import (
     cycle_means,
     cycle_time_vector,
     kleene_least_solution,
-    residual_apply,
-    trop_matvec,
 )
 from troplf.trop_core import (
     WeightedDigraph,
@@ -28,13 +26,14 @@ from troplf.trop_core import (
 )
 
 from conftest import e, rows
+from maxplus import trop_matvec
 
 
 def fin(x):
     return ExtendedNumber.finite(x)
 
 
-# --- trop_matvec -----------------------------------------------------------
+# --- trop_matvec, the tests' reference product ------------------------------
 
 
 def test_matvec_identity():
@@ -63,38 +62,8 @@ def test_matvec_dimension_mismatch():
         trop_matvec(E, [fin(1)])
 
 
-# --- residual_apply --------------------------------------------------------
-
-
-def test_residual_single_entry():
-    E = TropMatrix([[fin(2)]])
-    assert residual_apply(E, [fin(5)]) == (fin(3),)
-
-
-def test_residual_empty_column_is_pos_inf():
-    E = TropMatrix(rows([["-inf", 3], ["-inf", 0]]))
-    out = residual_apply(E, [fin(1), fin(2)])
-    assert out[0] == POS_INF
-    assert out[1] == fin(-2)
-
-
 def _leq(x, y):
     return all(a <= b for a, b in zip(x, y))
-
-
-def test_residual_galois_connection():
-    """Ex <= y iff x <= residual_apply(E, y), on a random sample."""
-    rng = random.Random(11)
-    for _ in range(200):
-        def ent():
-            return NEG_INF if rng.random() < 0.3 else fin(rng.randint(-5, 5))
-
-        E = TropMatrix([[ent() for _ in range(3)] for _ in range(3)])
-        x = [ent() for _ in range(3)]
-        y = [ent() for _ in range(3)]
-        lhs = _leq(trop_matvec(E, x), y)
-        rhs = _leq(x, residual_apply(E, y))
-        assert lhs == rhs
 
 
 # --- kleene_least_solution -------------------------------------------------
