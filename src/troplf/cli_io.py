@@ -23,12 +23,12 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from . import certify, solver
-from .game_engine import AssumptionViolated, MaxStrategy, MinStrategy, game_value
+from .game_engine import AssumptionViolated, MaxStrategy, MinStrategy
 from .spectral import (
     GridTooLarge,
     HomogeneousInstance,
     LfpInstance,
-    game_at,
+    game_report,
     homogenize,
     phi,
     reconstruct,
@@ -372,8 +372,7 @@ def cmd_game_value(args, out: TextIO) -> int:
     if not (1 <= node <= H.n + 1):
         print(f"error: node must be in 1..{H.n + 1}", file=sys.stderr)
         return 1
-    lam = Fraction(args.lam) * H.scale
-    chi = game_value(game_at(H, lam), node - 1)
+    chi = game_report(H, Fraction(args.lam) * H.scale).chi[node - 1]
     print(format_rational(chi / H.scale), file=out)
     return 0
 
@@ -404,14 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="troplf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance")
+    p = sub.add_parser(
+        "solve", help="solve an instance",
+        description="Solve an instance.  Each trace line gives lambda_k in the document's "
+        "units and the sign of phi there: (phi >=0) when that objective level is attained "
+        "by a feasible point (a value at most lambda_k when minimizing, at least lambda_k "
+        "when maximizing), (phi <0) when it is not.",
+    )
     p.add_argument("instance")
     p.add_argument("--method", choices=["newton", "bisection", "negative-newton"], default="newton")
     p.add_argument("--lambda0", type=_rational, default=None)
     p.add_argument("--cert-out", default=None)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("spectral", help="reconstruct the spectral function pieces")
+    p = sub.add_parser(
+        "spectral", help="reconstruct the spectral function pieces",
+        description="Print the affine pieces and samples of the spectral function phi, "
+        "whose smallest zero is the optimum.  For a \"maximize\" document, lambda is the "
+        "dualized minimization's, lambda_dual = -lambda_doc: the smallest zero is the "
+        "negated optimum.",
+    )
     p.add_argument("instance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectral)
@@ -421,9 +432,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("game-value", help="exact game value at a node")
+    p = sub.add_parser(
+        "game-value", help="exact game value at a node",
+        description="Print the exact value of the parametric game at lambda at a Min "
+        "node (default n+1, where it is phi(lambda)).",
+    )
     p.add_argument("instance")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    p.add_argument(
+        "--lambda", dest="lam", type=_rational, required=True,
+        help="the parameter; for a \"maximize\" document the dualized minimization's, "
+        "lambda_dual = -lambda_doc",
+    )
     p.add_argument("--node", type=int, default=None)
     p.set_defaults(func=cmd_game_value)
     return parser

@@ -22,10 +22,19 @@ every payment by d > 0 scales every value by d and keeps every strategy
 optimal, so values are divided by d once at the end.  ``integer_grids`` is
 the one scaling routine: it puts int and Fraction entries over their least
 common denominator, for ``spectral.LfpInstance`` and for anyone building a
-game from rational payments.  The solver builds its parametric game from
-grids (``spectral.game_at``) and keeps solved games in a per-instance memo.
-``restrict_max`` and ``restrict_min`` give a strategy's one-player game as a
-Fraction TropMatrix, for cross-checks against Karp cycle means.
+game from rational payments.
+
+``_policy_iteration`` is the one policy-iteration routine, and it runs on
+numpy arrays, from the greedy strategy pair or from a given one.
+``_oracle_core`` solves a lone game cold, building its arrays from the
+grids (``integer_oracle``, ``value_report``, ``feasibility_witness``).  The
+solver's games are the parametric game of one instance at many (lambda, k):
+each instance has one ``ParametricOracle`` (``spectral.game_report`` asks
+it), which builds the masks and weights once and starts each run from the
+strategies of the last, so its sigma and tau are an optimal pair, not
+necessarily the pair a cold run returns.  ``restrict_max`` and
+``restrict_min`` give a strategy's one-player game as a Fraction TropMatrix,
+for cross-checks against Karp cycle means.
 """
 
 from __future__ import annotations
@@ -231,26 +240,52 @@ def _round_cap(m: int, n: int) -> int:
 
     Policy iteration needs a handful of rounds on every game seen so far; the
     cap only turns a cycling bug into PolicyIterationStalled, and it bounds
-    the biases for the int64 overflow check in _policy_iteration.
+    the biases for the int64 overflow check in _payment_dtype.
     """
     return 100 * (m + n + 1)
 
 
-def _evaluate(tau, sigma, a, b, ref):
-    """Cycle means and biases of the policy graph j -> sigma(tau(j)).
+def _payment_dtype(m: int, n: int, W: int):
+    """The numpy dtype of a game's payments, biases and products, W bounding
+    every |payment| + 1: int64 when the a-priori bound (|v| grows by at most
+    4nW per Min round) fits, else Python ints (object), so large payments
+    stay exact instead of wrapping."""
+    bound = 4 * n * n * W * (_round_cap(m, n) + 1) + 2 * n * W + 2
+    return np.int64 if bound < 2**62 else object
 
-    Arc j -> l weighs w_j = b[tau(j)][l] - a[tau(j)][j].  Returns lists
-    (P, Q, V): from node j the graph reaches a cycle of mean eta_j = P_j/Q_j
-    (reduced, Q_j > 0), and the bias v_j = V_j/Q_j obeys
-    v_j = w_j - eta_j + v_next(j).  Each cycle's bias is pinned at its
-    smallest node r, to ref's bias there when ref (the previous values, or
-    None) gives r the same mean, else to 0.  The pin depends only on the
-    cycle, so a cycle that survives a strategy change keeps its biases: that
-    makes every improvement round a strict lexicographic step.
+
+def _weights(grid, dt) -> np.ndarray:
+    """An integer grid as a dtype dt array, 0 at -inf."""
+    return np.array([[0 if x is None else x for x in row] for row in grid], dtype=dt)
+
+
+def _mask(grid) -> np.ndarray:
+    """The finite entries of an integer grid."""
+    return np.array([[x is not None for x in row] for row in grid], dtype=bool)
+
+
+def _game_arrays(a, b) -> tuple:
+    """(masks of a and b, weights of a and b): an integer game as
+    _policy_iteration reads it."""
+    W = 1 + max((abs(x) for row in a + b for x in row if x is not None), default=0)
+    dt = _payment_dtype(len(a), len(a[0]), W)
+    return _mask(a), _mask(b), _weights(a, dt), _weights(b, dt)
+
+
+def _evaluate(nxt, w, ref):
+    """Cycle means and biases of the policy graph j -> nxt[j] with arc weights w.
+
+    For strategies tau and sigma, nxt[j] = sigma(tau(j)) and arc j weighs
+    w_j = b[tau(j)][nxt[j]] - a[tau(j)][j].  Returns lists (P, Q, V): from
+    node j the graph reaches a cycle of mean eta_j = P_j/Q_j (reduced,
+    Q_j > 0), and the bias v_j = V_j/Q_j obeys v_j = w_j - eta_j + v_next(j).
+    Each cycle's bias is pinned at its smallest node r, to ref's bias there
+    when ref (the previous values, or None) gives r the same mean, else to 0.
+    The pin depends only on the cycle, so a cycle that survives a strategy
+    change keeps its biases: that makes every improvement round a strict
+    lexicographic step.
     """
-    n = len(tau)
-    nxt = [sigma[i] for i in tau]
-    w = [b[i][l] - a[i][j] for j, (i, l) in enumerate(zip(tau, nxt))]
+    n = len(nxt)
     P = [0] * n
     Q = [0] * n
     V = [0] * n
@@ -292,31 +327,30 @@ def _ranks(P, Q) -> list:
     return [pos[pq] for pq in zip(P, Q)]
 
 
-def _policy_iteration(m, n, a, b):
+def _policy_iteration(arrays, start=None):
     """Exact values and optimal positional strategies of an integer game.
 
-    Returns (chi, sigma, tau) with chi[j] the Fraction value of Min node j.
-    Values compare lexicographically as (eta, v), i.e. as the germ
-    eta*t + v for large t.  Max's step moves each row to the lex-largest
-    (eta_l, b_il + v_l); Min's step moves each column to the lex-smallest
-    (top_i, best_i - a_ij) over its rows, where (top_i, best_i) is row i's
-    best Max reply.  Both switch only on strict improvement.  At the end
-    (eta, v) is a lexicographic fixed point of the Shapley operator, of its
-    restriction to sigma and of its restriction to tau, so sigma and tau
-    are optimal from every node.
+    ``arrays`` is the game as ``_game_arrays`` gives it: the masks of the
+    finite entries of a and b, and their weights (0 at -inf) in one numpy
+    dtype, int64 or object as ``_payment_dtype`` picks it.  ``start`` is a
+    legal strategy pair (sigma, tau) to start from; None starts from the
+    greedy pair, the best replies when every value and bias is 0.  Policy
+    iteration converges from any start, to values that do not depend on it.
 
-    All payments, biases and products live in one numpy dtype: int64 when
-    the a-priori bound (|v| grows by at most 4nW per Min round) fits, else
-    Python ints (object), so large payments stay exact instead of wrapping.
+    Returns (chi, sigma, tau, rounds) with chi[j] the Fraction value of Min
+    node j and rounds the improvement rounds taken.  Values compare
+    lexicographically as (eta, v), i.e. as the germ eta*t + v for large t.
+    Max's step moves each row to the lex-largest (eta_l, b_il + v_l); Min's
+    step moves each column to the lex-smallest (top_i, best_i - a_ij) over
+    its rows, where (top_i, best_i) is row i's best Max reply.  Both switch
+    only on strict improvement.  At the end (eta, v) is a lexicographic fixed
+    point of the Shapley operator, of its restriction to sigma and of its
+    restriction to tau, so sigma and tau are optimal from every node.
     """
-    W = 1 + max((abs(x) for row in a + b for x in row if x is not None), default=0)
+    Am, Bm, Aw, Bw = arrays
+    m, n = Am.shape
+    dt = Aw.dtype
     cap = _round_cap(m, n)
-    bound = 4 * n * n * W * (cap + 1) + 2 * n * W + 2
-    dt = np.int64 if bound < 2**62 else object
-    Am = np.array([[x is not None for x in row] for row in a], dtype=bool)
-    Bm = np.array([[x is not None for x in row] for row in b], dtype=bool)
-    Aw = np.array([[0 if x is None else x for x in row] for row in a], dtype=dt)
-    Bw = np.array([[0 if x is None else x for x in row] for row in b], dtype=dt)
     rows, cols = np.arange(m), np.arange(n)
 
     def max_step(rk, Qv, Vv):
@@ -333,10 +367,12 @@ def _policy_iteration(m, n, a, b):
         masked = np.where(Am & (top[:, None] == mtop[None, :]), cand, cand.max() + 1)
         return mtop, cand, masked.min(axis=0), masked.argmin(axis=0)
 
-    # Greedy start: the best replies when every value and bias is 0.
-    unit = np.ones(n, dtype=dt)
-    top, _val, best, sigma = max_step(np.zeros(n, dtype=np.int64), unit, unit - 1)
-    tau = min_step(top, best, unit[sigma])[3]
+    if start is None:
+        unit = np.ones(n, dtype=dt)
+        top, _val, best, sigma = max_step(np.zeros(n, dtype=np.int64), unit, unit - 1)
+        tau = min_step(top, best, unit[sigma])[3]
+    else:
+        sigma, tau = (np.array(s, dtype=np.intp) for s in start)
     ref = None
     rounds = 0
     while True:
@@ -346,7 +382,8 @@ def _policy_iteration(m, n, a, b):
             rounds += 1
             if rounds > cap:
                 raise PolicyIterationStalled(f"no fixed point after {cap} rounds")
-            P, Q, V = _evaluate(tau.tolist(), sigma.tolist(), a, b, ref)
+            nxt = sigma[tau]
+            P, Q, V = _evaluate(nxt.tolist(), (Bw[tau, nxt] - Aw[tau, cols]).tolist(), ref)
             rk = np.array(_ranks(P, Q), dtype=np.int64)
             Qv = np.array(Q, dtype=dt)
             top, val, best, arg = max_step(rk, Qv, np.array(V, dtype=dt))
@@ -363,12 +400,22 @@ def _policy_iteration(m, n, a, b):
         tau = np.where(switch, carg, tau)
         ref = (P, Q, V)
     chi = tuple(Fraction(p, q) for p, q in zip(P, Q))
-    return chi, tuple(sigma.tolist()), tuple(tau.tolist())
+    return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds
+
+
+def _report(chi, d: int, sigma, tau) -> GameValueReport:
+    """The report of a game over denominator d from its grids' values chi."""
+    if d != 1:
+        chi = tuple(c / d for c in chi)
+    return GameValueReport(
+        chi, frozenset(j for j, c in enumerate(chi) if c >= 0), MaxStrategy(sigma), MinStrategy(tau)
+    )
 
 
 def _oracle_core(m, n, a, b):
-    """(chi, winning Min nodes, winning Max nodes, sigma, tau) of an integer game."""
-    chi, sigma, tau = _policy_iteration(m, n, a, b)
+    """(chi, winning Min nodes, winning Max nodes, sigma, tau) of an integer
+    game, by a cold run of policy iteration."""
+    chi, sigma, tau, _rounds = _policy_iteration(_game_arrays(a, b))
     win_min = frozenset(j for j in range(n) if chi[j] >= 0)
     win_max = frozenset(
         i for i in range(m) if any(b[i][l] is not None for l in win_min)
@@ -412,15 +459,83 @@ def value_report(game: MeanPayoffGame) -> GameValueReport:
     Policy iteration runs on the integer grids, whose values are d times the
     game's; strategies are the same for both.
     """
-    chi, win_min, _win_max, sigma, tau = _oracle_core(game.m, game.n, game.a, game.b)
-    if game.d != 1:
-        chi = tuple(c / game.d for c in chi)
-    return GameValueReport(chi, win_min, MaxStrategy(sigma), MinStrategy(tau))
+    chi, _win_min, _win_max, sigma, tau = _oracle_core(game.m, game.n, game.a, game.b)
+    return _report(chi, game.d, sigma, tau)
 
 
 def game_value(game: MeanPayoffGame, j: int) -> Fraction:
     """Exact chi_j by policy iteration."""
     return value_report(game).chi[j]
+
+
+@dataclass
+class OracleStats:
+    """The work of one instance's parametric oracle."""
+
+    runs: int = 0  # policy-iteration runs
+    memo_hits: int = 0  # queries answered by the instance's memo of solved games
+    rounds: int = 0  # improvement rounds over all runs
+
+
+class ParametricOracle:
+    """Policy iteration on the games of one parametric family.
+
+    The family is the games with grids f*U and f*V, whose last row is shifted
+    by an integer s on its finite entries, over a denominator d: f*U and
+    f*V(s/f) in the units of ``spectral.game_at``.  Its members share the
+    support and the moves, so the support is validated, and the masks and
+    the weights of U and V built, once, when the first game is solved.  The
+    largest |entry| of U and of V's other rows and the least and largest
+    finite entry of V's last row give each game's exact payment bound, so
+    each run picks the dtype a cold run on the same game would.
+
+    Each run starts from the strategies the last run returned; the first run
+    starts from the greedy pair, as a cold run does.  A report's sigma and tau
+    are therefore an optimal pair of the game, not necessarily the pair a cold
+    run returns.  ``stats`` counts the runs, their rounds, and the memo hits
+    that ``spectral.game_report`` books.
+    """
+
+    def __init__(self, U: tuple, V: tuple):
+        self.U, self.V = U, V
+        self.stats = OracleStats()
+        self.last = None  # (sigma, tau) of the last run
+        self._masks = None
+        self._weights = {}  # dtype -> weights of U and V
+
+    def _setup(self) -> None:
+        problems = validate_shape(self.U, self.V)
+        if problems:
+            raise AssumptionViolated("; ".join(problems))
+        U, V = self.U, self.V
+        self._rest = max((abs(x) for row in U + V[:-1] for x in row if x is not None), default=0)
+        last = [x for x in V[-1] if x is not None]
+        self._last_range = min(last), max(last)
+        self._masks = _mask(U), _mask(V)
+
+    def report(self, f: int, s: int, d: int) -> GameValueReport:
+        """The exact values, over d, and an optimal strategy pair of the game
+        with grids f*U and f*V, V's last row shifted by s."""
+        if self._masks is None:
+            self._setup()
+        Um, Vm = self._masks
+        lo, hi = self._last_range
+        W = 1 + max(f * self._rest, abs(f * lo + s), abs(f * hi + s))
+        # numpy multiplies int64 weights only by a factor that fits int64
+        dt = _payment_dtype(*Um.shape, W) if f < 2**62 else object
+        if dt not in self._weights:
+            self._weights[dt] = _weights(self.U, dt), _weights(self.V, dt)
+        Uw, Vw = self._weights[dt]
+        if f != 1:
+            Uw, Vw = Uw * f, Vw * f
+        else:
+            Vw = Vw.copy()
+        Vw[-1] = np.where(Vm[-1], Vw[-1] + s, 0)
+        chi, sigma, tau, rounds = _policy_iteration((Um, Vm, Uw, Vw), self.last)
+        self.last = sigma, tau
+        self.stats.runs += 1
+        self.stats.rounds += rounds
+        return _report(chi, d, sigma, tau)
 
 
 # ---------------------------------------------------------------------------

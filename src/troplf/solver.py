@@ -10,7 +10,7 @@ lambda* between the initial bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -19,6 +19,7 @@ from .game_engine import (
     MaxStrategy,
     MeanPayoffGame,
     MinStrategy,
+    OracleStats,
     feasibility_witness,
 )
 from .spectral import (
@@ -63,7 +64,9 @@ class SolveOutcome:
     """Result of a solve: status, unscaled lambda*, witness, certificate, trace.
 
     The trace lists (iteration, lambda_k, phi sign) triples in the scaled
-    units the algorithms iterate in.
+    units the algorithms iterate in.  ``solve`` adds ``stats``, the work of
+    the instance's parametric oracle (runs, memo hits, policy-iteration
+    rounds); it is not part of the answer, so outcomes compare without it.
     """
 
     status: str  # "Optimal" | "Unbounded" | "Infeasible"
@@ -71,6 +74,7 @@ class SolveOutcome:
     witness: Optional[tuple]
     certificate: Optional[object]
     trace: list
+    stats: Optional[OracleStats] = field(default=None, compare=False)
 
 
 # --- precheck result markers ----------------------------------------------
@@ -440,8 +444,13 @@ def _finish_unbounded(
 
 
 def solve(inst: LfpInstance, method: str = "newton", lam0: Optional[Fraction] = None) -> SolveOutcome:
-    """Homogenize, precheck, run the chosen method, and unscale the result."""
+    """Homogenize, precheck, run the chosen method, and unscale the result,
+    with the oracle's stats."""
     H = homogenize(inst)
+    return replace(_solve(H, method, lam0), stats=replace(H.oracle.stats))
+
+
+def _solve(H: HomogeneousInstance, method: str, lam0: Optional[Fraction]) -> SolveOutcome:
     pre = precheck(H)
     if isinstance(pre, PrecheckInfeasible):
         return SolveOutcome("Infeasible", None, None, None, [])

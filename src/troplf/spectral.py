@@ -11,13 +11,18 @@ Every game the algorithms, the certificate checks and the command line ask
 about is this one game at some lambda, often with its payments multiplied by
 an integer k.  An ``LfpInstance`` therefore holds nothing but U and V(0),
 scaled to integer grids (None for -inf) when it is built; ``homogenize``
-adds their bound M and a memo, and ``game_at`` forms the game at (lambda, k)
-from them: a MeanPayoffGame whose grids are both grids times d*k, where d is
-the denominator of k*lambda, with the objective row shifted by d*k*lambda.
-``game_report`` runs policy iteration on that game through a small
-per-instance memo of the last few (lambda, k), since a solve asks about the
-same game more than once (the perturbed game at the optimum is probed by the
-Newton iteration and again by the certificate).
+adds their bound M, a memo and an oracle, and ``game_at`` forms the game at
+(lambda, k) from them: a MeanPayoffGame whose grids are both grids times
+d*k, where d is the denominator of k*lambda, with the objective row shifted
+by d*k*lambda.
+``game_report`` solves the game at (lambda, k) by the instance's one
+``ParametricOracle``: policy iteration on the grids U and V(0) times f with
+the objective row shifted, set up once per instance and started from the
+strategies of the instance's last run, so a report's sigma and tau are an
+optimal pair, not necessarily the pair a cold ``value_report`` returns.  A
+small per-instance memo keeps the last few (lambda, k), since a solve asks
+about the same game more than once (the perturbed game at the optimum is
+probed by the Newton iteration and again by the certificate).
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from .game_engine import (
     MaxStrategy,
     MeanPayoffGame,
     MinStrategy,
+    ParametricOracle,
     integer_grids,
-    value_report,
 )
 from .trop_core import NEG_INF, ExtendedNumber, WeightedDigraph, cycle_times, ext
 
@@ -126,7 +131,8 @@ class HomogeneousInstance:
     zero of the scaled spectral function is ``scale`` times the original one.
     U and V are integer grids with None for -inf, so C, D, u and v are
     ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``games`` is the memo
-    that ``game_report`` fills.
+    that ``game_report`` fills, and ``oracle`` the parametric oracle that
+    solves its games; its masks and weights are built on the first query.
     """
 
     U: tuple
@@ -134,6 +140,10 @@ class HomogeneousInstance:
     M: Fraction
     scale: int
     games: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
+    oracle: ParametricOracle = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "oracle", ParametricOracle(self.U, self.V))
 
     @property
     def m(self) -> int:
@@ -155,6 +165,14 @@ def homogenize(inst: LfpInstance) -> HomogeneousInstance:
     return HomogeneousInstance(inst.U, inst.V, Fraction(M), inst.scale)
 
 
+def _factors(lam: Fraction, mult: int) -> tuple:
+    """(d, f, shift) of the game at (lam, mult): d the denominator of
+    mult*lam, f = d*mult and shift = f*lam, an integer."""
+    d = lam.denominator // gcd(lam.denominator, mult)
+    f = mult * d
+    return d, f, f * lam.numerator // lam.denominator
+
+
 def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffGame:
     """The game with payments mult*U and mult*V(lam), V(lam) = [[D],[lam+v]].
 
@@ -163,10 +181,7 @@ def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffG
     are mult times those of the game at lam; strategies and winning sets are
     the same.  Raises AssumptionViolated when v is all -inf.
     """
-    lam = Fraction(lam)
-    d = lam.denominator // gcd(lam.denominator, mult)  # the denominator of mult*lam
-    f = mult * d
-    shift = f * lam.numerator // lam.denominator  # f*lam, an integer
+    d, f, shift = _factors(Fraction(lam), mult)
     last = tuple(None if x is None else f * x + shift for x in H.V[-1])
     if f == 1:
         return MeanPayoffGame(H.U, H.V[:-1] + (last,), d)
@@ -176,16 +191,23 @@ def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffG
 
 
 def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> GameValueReport:
-    """value_report(game_at(H, lam, mult)), memoized in H.games.
+    """The values and an optimal strategy pair of game_at(H, lam, mult).
 
-    The last GAME_MEMO_SIZE results are kept.
+    H's parametric oracle solves the game from the grids U and V(0), warm
+    started from the strategies of its last run, without building game_at's
+    grids: chi and the winning set are value_report(game_at(H, lam, mult))'s,
+    sigma and tau an optimal pair, equal to value_report's on the first query
+    of a fresh instance (a cold run).  The last GAME_MEMO_SIZE results are
+    kept in H.games.  Raises AssumptionViolated when v is all -inf.
     """
     key = (Fraction(lam), mult)
     hit = H.games.get(key)
     if hit is not None:
         H.games.move_to_end(key)
+        H.oracle.stats.memo_hits += 1
         return hit
-    hit = value_report(game_at(H, lam, mult))
+    d, f, shift = _factors(key[0], mult)
+    hit = H.oracle.report(f, shift, d)
     H.games[key] = hit
     if len(H.games) > GAME_MEMO_SIZE:
         H.games.popitem(last=False)

@@ -426,6 +426,32 @@ def test_game_value_takes_a_negative_rational_lambda(capsys):
         assert run(capsys, "game-value", *argv, EX2) == (0, "-1/4\n", "")
 
 
+def test_maximize_spectral_and_game_value_take_the_dual_lambda(capsys):
+    """For a "maximize" document, spectral and game-value speak of the
+    dualized minimization, lambda_dual = -lambda_doc: example 1's optimum
+    is 5, and phi's smallest zero is -5."""
+    code, out, _ = run(capsys, "solve", EX1)
+    assert code == 0 and "optimal 5\n" in out
+    code, out, _ = run(capsys, "spectral", EX1)
+    assert code == 0
+    pieces = [l.split(",")[1:] for l in out.splitlines()[1:] if l.startswith("piece,")]
+
+    def phi(lam):
+        return next(
+            (Fraction(alpha) + int(beta) * lam) / int(k)
+            for lo, hi, alpha, beta, k in pieces
+            if (lo == "-inf" or Fraction(lo) <= lam) and (hi == "+inf" or lam <= Fraction(hi))
+        )
+
+    # phi is nondecreasing, so it is negative left of its smallest zero
+    assert phi(Fraction(-5)) == 0 and phi(Fraction(-501, 100)) < 0
+    assert run(capsys, "game-value", EX1, "--lambda", "-5") == (0, "0\n", "")
+    assert run(capsys, "game-value", EX1, "--lambda", "-501/100")[1].startswith("-")
+    for command in ("spectral", "game-value"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "lambda_dual = -lambda_doc" in " ".join(out.split())
+
+
 def test_game_value_node_out_of_range(capsys):
     code, _, err = run(capsys, "game-value", EX2, "--lambda", "0", "--node", "99")
     assert code == 1 and "node" in err

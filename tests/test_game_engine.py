@@ -230,6 +230,23 @@ def test_policy_iteration_round_cap(monkeypatch):
     assert value_report(g).chi == tuple(brute_force_value(g, j) for j in range(2))
 
 
+def test_policy_iteration_from_any_legal_start():
+    """Started from random legal strategy pairs, policy iteration returns the
+    brute-force values on criterion 5's games: 2 x 2 games over [-2, 2] and
+    3 x 3 games with -inf entries."""
+    rng = random.Random(55)
+    games = [
+        make_game(*([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)] for _ in range(2)))
+        for _ in range(300)
+    ]
+    games += [random_game(rng, 3, 3, 5, 0.3) for _ in range(500)]
+    for g in games:
+        sigma = tuple(rng.choice(g.max_moves(i)) for i in range(g.m))
+        tau = tuple(rng.choice(g.min_moves(j)) for j in range(g.n))
+        chi = ge._policy_iteration(ge._game_arrays(g.a, g.b), (sigma, tau))[0]
+        assert tuple(c / g.d for c in chi) == tuple(brute_force_value(g, j) for j in range(g.n))
+
+
 def test_rational_payments_prescaled():
     g = make_game([[Fraction(1, 2)]], [[Fraction(5, 3)]])
     assert game_value(g, 0) == Fraction(7, 6)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,15 @@ def test_bisection_cap(example2):
     H = homogenize(example2)
     out = bisection_solve(H)
     assert len(out.trace) <= bisection_cap(H)
+
+
+def test_solve_reports_the_oracle_work(example2):
+    """Newton on example 2 solves the two precheck games, one perturbed game
+    per step (the certificate reuses the last one) and the game at lambda*."""
+    out = solve(example2)
+    assert (out.stats.runs, out.stats.memo_hits) == (2 + len(out.trace) + 1, 1)
+    assert out.stats.rounds >= out.stats.runs
+    assert out == replace(out, stats=None)
 
 
 def test_optimal_outcome_witness_and_certificate(example2):

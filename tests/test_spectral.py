@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from troplf import (
     NEG_INF,
@@ -14,6 +16,7 @@ from troplf import (
     LfpInstance,
     MeanPayoffGame,
     MinStrategy,
+    cycle_time_vector,
     game_at,
     homogenize,
     initial_bounds,
@@ -24,7 +27,14 @@ from troplf import (
     reconstruct,
 )
 from troplf import certify, game_engine, solver, spectral
-from troplf.game_engine import AssumptionViolated, MaxStrategy, scaled_copy, value_report
+from troplf.game_engine import (
+    AssumptionViolated,
+    MaxStrategy,
+    restrict_max,
+    restrict_min,
+    scaled_copy,
+    value_report,
+)
 from troplf.spectral import GAME_MEMO_SIZE, game_report, spectral_grid
 
 from conftest import RawInstance, e, make_game, make_instance, random_instance
@@ -105,10 +115,21 @@ def _reference_game(inst: RawInstance, scale: int, lam) -> MeanPayoffGame:
     return make_game(U, V)
 
 
+def assert_warm_report(g: MeanPayoffGame, warm, cold) -> None:
+    """warm, a game_report of g, has cold's values and winning set, and an
+    optimal strategy pair: each one-player game it leaves has the values."""
+    assert (warm.chi, warm.winning) == (cold.chi, cold.winning)
+    chi = tuple(fin(c) for c in cold.chi)
+    assert cycle_time_vector(restrict_max(g, warm.sigma), "min") == chi
+    assert cycle_time_vector(restrict_min(g, warm.tau), "max") == chi
+
+
 @pytest.mark.parametrize("big", [1, 2**70])
 def test_game_at_matches_the_fraction_reference(big):
     """game_at(H, lam, k) has the integer payments of the Fraction game at lam
-    times k, and the same values and strategies."""
+    times k, and the same values and strategies.  game_report's first query
+    on an instance is a cold run; later ones are warm started and give the
+    same values with an optimal strategy pair."""
     rng = random.Random(17)
     checked = rational = widest = 0
     while checked < 25:
@@ -120,6 +141,7 @@ def test_game_at_matches_the_fraction_reference(big):
         k2 = H.k_bound + 2
         rational += H.scale > 1
         lams = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-30, 30), rng.randint(2, k2)))
+        first = True
         for lam in lams:
             ref = _reference_game(inst, H.scale, lam)
             for k in (1, k2):
@@ -128,11 +150,74 @@ def test_game_at_matches_the_fraction_reference(big):
                 assert (g.a, g.b, g.d) == (scaled.a, scaled.b, scaled.d)
                 widest = max([widest] + [abs(x) for row in g.a + g.b for x in row if x is not None])
                 rep = value_report(g)
-                assert rep == value_report(scaled) == game_report(H, lam, k)
+                assert rep == value_report(scaled)
+                if first:
+                    assert rep == game_report(H, lam, k)
+                    first = False
+                else:
+                    assert_warm_report(g, game_report(H, lam, k), rep)
                 assert rep.chi == tuple(k * c for c in value_report(ref).chi)
         checked += 1
     assert rational >= 10
     assert (widest > 2**63) == (big > 1)
+
+
+@st.composite
+def query_sequences(draw):
+    """An instance up to 3 x 3 with -inf and rational entries, past 2**63 in
+    half the draws, and a few (lambda, k) queries on its parametric game."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    big = draw(st.sampled_from((1, 2**64)))
+
+    def finite():
+        return big * draw(st.integers(-6, 6)) + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+    def entry():
+        return None if draw(st.integers(0, 2)) == 0 else finite()
+
+    A, B = ([[entry() for _ in range(n)] for _ in range(m)] for _ in range(2))
+    c, d, p, q = ([entry() for _ in range(size)] for size in (m, m, n, n))
+    r, s = entry(), entry()
+    # the game assumptions: finite entries in each row of [B|d], each column
+    # of [[A],[p]] and [[c],[r]], and in v = [q, s]
+    for i in range(m):
+        if all(x is None for x in B[i] + [d[i]]):
+            d[i] = finite()
+    for j in range(n):
+        if all(row[j] is None for row in A) and p[j] is None:
+            p[j] = finite()
+    if all(x is None for x in c) and r is None:
+        r = finite()
+    if all(x is None for x in q) and s is None:
+        s = finite()
+    k2 = min(m, n) + 2
+    queries = draw(st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(1, k2), st.sampled_from((1, k2))),
+        min_size=1, max_size=6,
+    ))
+    lams = [(Fraction(big * x + y, den), k) for x, y, den, k in queries]
+    return LfpInstance(A, B, c, d, p, q, r, s), lams
+
+
+@given(query_sequences())
+def test_warm_started_reports_match_cold_runs(case):
+    """Each game_report of a query sequence, warm started from the last run,
+    has a cold value_report's values and an optimal strategy pair."""
+    inst, queries = case
+    H = homogenize(inst)
+    for lam, k in queries:
+        g = game_at(H, lam, k)
+        assert_warm_report(g, game_report(H, lam, k), value_report(g))
+    assert H.oracle.stats.runs == len(set(queries))
+
+
+def test_game_report_with_a_factor_past_int64():
+    """A lambda with a huge denominator scales the grids by a factor past
+    int64, although the payments themselves stay small."""
+    H = homogenize(make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[0], q=[0], r=0, s=0))
+    for lam in (Fraction(0), Fraction(1, 10**30), Fraction(-3, 10**30 + 1)):
+        g = game_at(H, lam, 3)
+        assert_warm_report(g, game_report(H, lam, 3), value_report(g))
 
 
 def test_game_at_without_denominator_row():
@@ -154,21 +239,15 @@ def test_game_at_without_denominator_row():
             phi_tau(H, MinStrategy((0, 0, 0)), lam)
 
 
-def test_game_memo_is_bounded_and_reused(example2, monkeypatch):
+def test_game_memo_is_bounded_and_reused(example2):
     H = homogenize(example2)
     reconstruct(H)
     assert 0 < len(H.games) <= GAME_MEMO_SIZE
-    calls = []
-    original = game_engine._oracle_core
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(game_engine, "_oracle_core", counted)
+    runs, hits = H.oracle.stats.runs, H.oracle.stats.memo_hits
     assert phi(H, Fraction(7, 3)) == phi(H, Fraction(7, 3))
     assert phi_nonneg(H, Fraction(7, 3))[0]
-    assert len(calls) == 1
+    assert H.oracle.stats.runs - runs == 1
+    assert H.oracle.stats.memo_hits - hits == 2
 
 
 def test_newton_solve_builds_no_scaled_copy(example2, monkeypatch):
