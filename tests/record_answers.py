@@ -20,7 +20,7 @@ whether ``troplf check`` accepts that certificate, and the trace.  A
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances.
 
-``compare`` prints, per family, the records whose status or lambda* differ
+``compare`` prints, per family, the records whose status, lambda* or pieces differ
 (an error: it exits 1), those that differ only elsewhere (witness,
 certificate or trace, where another optimal strategy came back), the
 certificates either record's checker rejected, and the Newton step totals.
@@ -43,7 +43,7 @@ METHODS = ("newton", "bisection", "negative-newton")
 def _families():
     """(family, index, LfpInstance, methods) for every solve record, and
     (family, index, LfpInstance) for every reconstruct record, in order."""
-    from troplf import MaxStrategy, MinStrategy, game_at, homogenize
+    from troplf import game_at, homogenize
     from troplf.cli_io import parse_instance
     from troplf.spectral import spectral_grid
 
@@ -79,18 +79,16 @@ def _families():
         H = homogenize(inst)
         samples = sorted(rng.randint(-6 * int(H.M) - 4, 6 * int(H.M) + 4) for _ in range(6))
         g = game_at(H, 0)
-        for _ in range(10):
-            MaxStrategy(tuple(rng.choice(g.max_moves(i)) for i in range(g.m)))
-            MinStrategy(tuple(rng.choice(g.min_moves(j)) for j in range(g.n)))
+        for _ in range(10):  # a Max strategy, a Min strategy and a sample
+            for i in range(g.m):
+                rng.choice(g.max_moves(i))
+            for j in range(g.n):
+                rng.choice(g.min_moves(j))
             rng.choice(samples)
         grid = spectral_grid(H)
         rng.sample(grid, min(100, len(grid)))
         rebuilds.append(("reconstruct-criterion-7", len(rebuilds) - 3, inst))
     return solves, rebuilds
-
-
-def _text(x) -> str:
-    return None if x is None else str(x)
 
 
 def record(path: str) -> None:
@@ -112,7 +110,7 @@ def record(path: str) -> None:
                     accepted = bool(check(H, parsed))
                 rec = {
                     "family": family, "index": index, "method": method,
-                    "status": res.status, "lam": _text(res.lam),
+                    "status": res.status, "lam": None if res.lam is None else str(res.lam),
                     "witness": None if res.witness is None else [format_entry(e) for e in res.witness],
                     "certificate": cert, "accepted": accepted,
                     "trace": [[k, str(lam), sign] for k, lam, sign in res.trace],
