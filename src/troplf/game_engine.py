@@ -484,10 +484,11 @@ class ParametricOracle:
     by an integer s on its finite entries, over a denominator d: f*U and
     f*V(s/f) in the units of ``spectral.game_at``.  Its members share the
     support and the moves, so the support is validated, and the masks and
-    the weights of U and V built, once, when the first game is solved.  The
-    largest |entry| of U and of V's other rows and the least and largest
-    finite entry of V's last row give each game's exact payment bound, so
-    each run picks the dtype a cold run on the same game would.
+    the weights of U and of V's other rows built, once, when the first game
+    is solved.  Each run builds the shifted last row in Python ints and
+    takes the game's exact payment bound from it and from the largest
+    |entry| of U and of V's other rows, so it picks the dtype a cold run on
+    the same game would.
 
     Each run starts from the strategies the last run returned; the first run
     starts from the greedy pair, as a cold run does.  A report's sigma and tau
@@ -501,7 +502,7 @@ class ParametricOracle:
         self.stats = OracleStats()
         self.last = None  # (sigma, tau) of the last run
         self._masks = None
-        self._weights = {}  # dtype -> weights of U and V
+        self._weights = {}  # dtype -> weights of U and of V's other rows
 
     def _setup(self) -> None:
         problems = validate_shape(self.U, self.V)
@@ -509,8 +510,6 @@ class ParametricOracle:
             raise AssumptionViolated("; ".join(problems))
         U, V = self.U, self.V
         self._rest = max((abs(x) for row in U + V[:-1] for x in row if x is not None), default=0)
-        last = [x for x in V[-1] if x is not None]
-        self._last_range = min(last), max(last)
         self._masks = _mask(U), _mask(V)
 
     def report(self, f: int, s: int, d: int) -> GameValueReport:
@@ -519,18 +518,17 @@ class ParametricOracle:
         if self._masks is None:
             self._setup()
         Um, Vm = self._masks
-        lo, hi = self._last_range
-        W = 1 + max(f * self._rest, abs(f * lo + s), abs(f * hi + s))
+        last = [0 if x is None else f * x + s for x in self.V[-1]]
+        W = 1 + max(f * self._rest, max(abs(x) for x in last))
         # numpy multiplies int64 weights only by a factor that fits int64
         dt = _payment_dtype(*Um.shape, W) if f < 2**62 else object
         if dt not in self._weights:
-            self._weights[dt] = _weights(self.U, dt), _weights(self.V, dt)
-        Uw, Vw = self._weights[dt]
+            rest = _weights(self.V[:-1], dt).reshape(len(self.V) - 1, Vm.shape[1])
+            self._weights[dt] = _weights(self.U, dt), rest
+        Uw, Vr = self._weights[dt]
         if f != 1:
-            Uw, Vw = Uw * f, Vw * f
-        else:
-            Vw = Vw.copy()
-        Vw[-1] = np.where(Vm[-1], Vw[-1] + s, 0)
+            Uw, Vr = Uw * f, Vr * f
+        Vw = np.vstack([Vr, np.array([last], dtype=dt)])
         chi, sigma, tau, rounds = _policy_iteration((Um, Vm, Uw, Vw), self.last)
         self.last = sigma, tau
         self.stats.runs += 1

@@ -1,17 +1,21 @@
 """Record the solver's answers on fixed instance families, and compare two records.
 
-A change that should not move any optimum is checked by recording at the
-parent commit and at the change, then comparing:
+A change that should not move any optimum is checked by recording the
+parent commit's answers and the change's, then comparing:
 
-    python3 tests/record_answers.py record parent.jsonl      # in each checkout
+    python3 tests/record_answers.py record parent.jsonl PARENT_CHECKOUT
     python3 tests/record_answers.py record change.jsonl
     python3 tests/record_answers.py compare parent.jsonl change.jsonl
 
-``record`` imports ``troplf`` from the checkout's ``src/`` and writes one
-JSON line per record.  A solve record has the family, the instance index,
-the method, the status, lambda*, the witness, the serialized certificate,
-whether ``troplf check`` accepts that certificate, and the trace.  A
-``reconstruct`` record has the spectral function's pieces.  The families:
+``record`` imports ``troplf`` from the ``src/`` of the checkout given (by
+default the one this file is in), and always takes the instance families
+from this file's own tests, so both records cover the same instances.  It
+writes one JSON line per record.  A solve record has the family, the
+instance index, the method, the status, lambda*, the witness, the
+serialized certificate, whether ``troplf check`` accepts that certificate,
+and the trace.  A ``reconstruct`` record has the spectral function's
+pieces.  The random families come from the acceptance criteria's own
+generators in ``test_acceptance``:
 
 * ``examples``: data/example{1,2,3}.json by all three methods;
 * ``criterion-6``: the 200 instances of acceptance criterion 6, all methods;
@@ -20,8 +24,8 @@ whether ``troplf check`` accepts that certificate, and the trace.  A
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances.
 
-``compare`` prints, per family, the records whose status, lambda* or pieces differ
-(an error: it exits 1), those that differ only elsewhere (witness,
+``compare`` prints, per family, the records whose status, lambda* or
+pieces differ (an error: it exits 1), those that differ only elsewhere (witness,
 certificate or trace, where another optimal strategy came back), the
 certificates either record's checker rejected, and the Newton step totals.
 pytest does not collect this file.
@@ -30,9 +34,9 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import json
-import random
 import sys
 from collections import defaultdict
+from itertools import islice
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -42,52 +46,30 @@ METHODS = ("newton", "bisection", "negative-newton")
 
 def _families():
     """(family, index, LfpInstance, methods) for every solve record, and
-    (family, index, LfpInstance) for every reconstruct record, in order."""
-    from troplf import game_at, homogenize
+    (family, index, LfpInstance) for every reconstruct record, in order.
+    The acceptance criteria's own generators give the random families."""
     from troplf.cli_io import parse_instance
-    from troplf.spectral import spectral_grid
 
-    from conftest import random_instance
-    from test_acceptance import _random_all_finite
+    from test_acceptance import (
+        criterion_6_instances,
+        criterion_7_instances,
+        criterion_9_draws,
+        criterion_10_instances,
+    )
 
     examples = []
     for k in (1, 2, 3):
         with open(ROOT / "data" / f"example{k}.json", encoding="utf-8") as fh:
             examples.append(parse_instance(json.load(fh)).instance)
     solves = [("examples", k, inst, METHODS) for k, inst in enumerate(examples, 1)]
-
-    rng = random.Random(60)
-    for i in range(200):
-        inst = random_instance(rng, rng.randint(1, 8), rng.randint(1, 8), 10, 0.4)
-        solves.append(("criterion-6", i, inst, METHODS))
-    rng = random.Random(90)
-    for i in range(120):
-        inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 5), 8, 0.4)
-        solves.append(("criterion-9", i, inst, METHODS))
-    rng = random.Random(100)
-    for i in range(20):
-        solves.append(("criterion-10", i, _random_all_finite(rng, 50, 500), ("newton",)))
-
+    solves += [("criterion-6", i, inst, METHODS) for i, inst in enumerate(criterion_6_instances())]
+    solves += [("criterion-9", i, inst, METHODS)
+               for i, inst in enumerate(islice(criterion_9_draws(), 120))]
+    solves += [("criterion-10", i, inst, ("newton",))
+               for i, inst in enumerate(criterion_10_instances())]
     rebuilds = [("reconstruct-examples", k, inst) for k, inst in enumerate(examples, 1)]
-    # Criterion 7's instances: the same draws from its generator, which also
-    # consumes the samples and strategies that the criterion checks.
-    rng = random.Random(70)
-    while len(rebuilds) < 3 + 50:
-        inst = random_instance(rng, rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2), 0.3)
-        if not (any(x.is_finite for x in inst.q) or inst.s.is_finite):
-            continue
-        H = homogenize(inst)
-        samples = sorted(rng.randint(-6 * int(H.M) - 4, 6 * int(H.M) + 4) for _ in range(6))
-        g = game_at(H, 0)
-        for _ in range(10):  # a Max strategy, a Min strategy and a sample
-            for i in range(g.m):
-                rng.choice(g.max_moves(i))
-            for j in range(g.n):
-                rng.choice(g.min_moves(j))
-            rng.choice(samples)
-        grid = spectral_grid(H)
-        rng.sample(grid, min(100, len(grid)))
-        rebuilds.append(("reconstruct-criterion-7", len(rebuilds) - 3, inst))
+    rebuilds += [("reconstruct-criterion-7", i, inst)
+                 for i, inst in enumerate(criterion_7_instances())]
     return solves, rebuilds
 
 
@@ -170,8 +152,9 @@ def compare(path_a: str, path_b: str) -> int:
 
 
 def main(argv) -> int:
-    if len(argv) == 2 and argv[0] == "record":
-        sys.path[:0] = [str(ROOT / "src"), str(TESTS)]
+    if argv[:1] == ["record"] and len(argv) in (2, 3):
+        checkout = Path(argv[2]) if len(argv) == 3 else ROOT
+        sys.path[:0] = [str(checkout / "src"), str(TESTS)]
         record(argv[1])
         return 0
     if len(argv) == 3 and argv[0] == "compare":

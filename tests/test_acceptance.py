@@ -141,6 +141,23 @@ def _canonical_2x2(a, b):
     return best
 
 
+def criterion_5_random_games():
+    """(game, Min nodes to check) of criterion 5's random spot checks: 300
+    2x2 games over [-2, 2], both nodes, then 500 3x3 games with -inf entries,
+    one random node each."""
+    from conftest import random_game
+
+    rng = random.Random(5)
+    for _ in range(300):
+        ga = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+        gb = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+        yield make_game(ga, gb), (0, 1)
+    rng = random.Random(50)
+    for _ in range(500):
+        g = random_game(rng, 3, 3, 5, 0.3)
+        yield g, (rng.randrange(3),)
+
+
 def test_criterion_5_oracle_equivalence():
     checked_classes = 0
     seen = set()
@@ -154,32 +171,26 @@ def test_criterion_5_oracle_equivalence():
             for j in range(2):
                 assert game_value(g, j) == brute_force_value(g, j)
             checked_classes += 1
-    # direct spot check without canonicalization, from the same exhaustive box
-    rng = random.Random(5)
-    for _ in range(300):
-        ga = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
-        gb = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
-        g = make_game(ga, gb)
-        for j in range(2):
+    # direct spot checks without canonicalization, from the same exhaustive
+    # box, and on random 3x3 games, 30% -inf density, assumptions repaired
+    for g, nodes in criterion_5_random_games():
+        for j in nodes:
             assert game_value(g, j) == brute_force_value(g, j)
-    # 500 random 3x3 games, 30% -inf density, assumptions repaired
-    from conftest import random_game
-
-    rng = random.Random(50)
-    for _ in range(500):
-        g = random_game(rng, 3, 3, 5, 0.3)
-        j = rng.randrange(3)
-        assert game_value(g, j) == brute_force_value(g, j)
     ok(5, f"oracle equals brute force on the exhaustive 2x2 suite "
           f"({checked_classes} symmetry classes covering 5^8 games) "
           f"and on 500 random 3x3 games")
 
 
-def test_criterion_6_method_agreement():
+def criterion_6_instances():
+    """Criterion 6's 200 random instances, up to 8 x 8."""
     rng = random.Random(60)
-    statuses = {"Optimal": 0, "Unbounded": 0, "Infeasible": 0}
     for _ in range(200):
-        inst = random_instance(rng, rng.randint(1, 8), rng.randint(1, 8), 10, 0.4)
+        yield random_instance(rng, rng.randint(1, 8), rng.randint(1, 8), 10, 0.4)
+
+
+def test_criterion_6_method_agreement():
+    statuses = {"Optimal": 0, "Unbounded": 0, "Infeasible": 0}
+    for inst in criterion_6_instances():
         a = solve(inst, method="bisection")
         b = solve(inst, method="newton")
         c = solve(inst, method="negative-newton")
@@ -193,13 +204,21 @@ def test_criterion_6_method_agreement():
           f"{statuses['Infeasible']} infeasible)")
 
 
-def test_criterion_7_structure_suite():
+def criterion_7_instances():
+    """Criterion 7's 50 random instances, up to 2 x 2, each with a finite
+    denominator entry."""
     rng = random.Random(70)
     checked = 0
     while checked < 50:
         inst = random_instance(rng, rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2), 0.3)
-        if not (any(x.is_finite for x in inst.q) or inst.s.is_finite):
-            continue
+        if any(x.is_finite for x in inst.q) or inst.s.is_finite:
+            yield inst
+            checked += 1
+
+
+def test_criterion_7_structure_suite():
+    rng = random.Random(71)  # samples and strategies
+    for inst in criterion_7_instances():
         H = homogenize(inst)
         samples = sorted(Fraction(rng.randint(-6 * int(H.M) - 4, 6 * int(H.M) + 4)) for _ in range(6))
         values = [phi(H, lam) for lam in samples]
@@ -225,7 +244,6 @@ def test_criterion_7_structure_suite():
                 and (not p.hi.is_finite or lam <= p.hi.value)
             ]
             assert covering and all(p.value_at(lam) == phi(H, lam) for p in covering)
-        checked += 1
     ok(7, "spectral structure on 50 random instances: monotone 1-Lipschitz "
           "samples, strategy sandwich, and exact piecewise reconstruction")
 
@@ -319,12 +337,19 @@ def test_criterion_8_germ_consistency():
           f"reproduce {compared} Newton steps at nondegenerate points")
 
 
-def test_criterion_9_iteration_caps():
+def criterion_9_draws():
+    """Criterion 9's random instances, up to 5 x 5, as drawn: the criterion
+    keeps the first 40 that precheck to Proceed."""
     rng = random.Random(90)
+    while True:
+        yield random_instance(rng, rng.randint(1, 5), rng.randint(1, 5), 8, 0.4)
+
+
+def test_criterion_9_iteration_caps():
     done = 0
+    draws = criterion_9_draws()
     while done < 40:
-        inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 5), 8, 0.4)
-        H = homogenize(inst)
+        H = homogenize(next(draws))
         from troplf import precheck, Proceed
 
         if not isinstance(precheck(H), Proceed):
@@ -363,12 +388,17 @@ def _random_all_finite(rng, n, M):
     )
 
 
-def test_criterion_10_scaling_smoke():
+def criterion_10_instances():
+    """Criterion 10's 20 random all-finite 50 x 50 instances."""
     rng = random.Random(100)
+    for _ in range(20):
+        yield _random_all_finite(rng, 50, 500)
+
+
+def test_criterion_10_scaling_smoke():
     t0 = time.perf_counter()
     iteration_counts = []
-    for _ in range(20):
-        inst = _random_all_finite(rng, 50, 500)
+    for inst in criterion_10_instances():
         out = solve(inst, method="newton")
         assert out.status == "Optimal"
         iteration_counts.append(len(out.trace))

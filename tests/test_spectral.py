@@ -164,13 +164,16 @@ def test_game_at_matches_the_fraction_reference(big):
 
 @st.composite
 def query_sequences(draw):
-    """An instance up to 3 x 3 with -inf and rational entries, past 2**63 in
-    half the draws, and a few (lambda, k) queries on its parametric game."""
+    """An instance up to 3 x 3 with -inf and rational entries, some of them
+    past 2**63 in half the draws, and a few (lambda, k) queries on its
+    parametric game."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    big = draw(st.sampled_from((1, 2**64)))
+    bigs = draw(st.sampled_from(((1,), (1, 2**64))))
+    big = bigs[-1]
 
     def finite():
-        return big * draw(st.integers(-6, 6)) + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        mult = draw(st.sampled_from(bigs))
+        return mult * draw(st.integers(-6, 6)) + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
 
     def entry():
         return None if draw(st.integers(0, 2)) == 0 else finite()
@@ -218,6 +221,21 @@ def test_game_report_with_a_factor_past_int64():
     for lam in (Fraction(0), Fraction(1, 10**30), Fraction(-3, 10**30 + 1)):
         g = game_at(H, lam, 3)
         assert_warm_report(g, game_report(H, lam, 3), value_report(g))
+
+
+def test_objective_row_past_int64_with_small_other_entries():
+    """q past int64 with every other entry small: the payment bound of the
+    game at lambda* is small, but the raw objective row is not."""
+    inst = make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[0], q=[2**70], r=0, s="-inf")
+    out = solver.solve(inst)
+    assert (out.status, out.lam) == ("Optimal", Fraction(-(2**70)))
+    H = homogenize(inst)
+    lam = out.lam * H.scale
+    g = game_at(H, lam)
+    assert game_report(H, lam) == value_report(g)
+    for other in (Fraction(0), Fraction(-(2**70) + 1, 3), lam - 1):
+        h = game_at(H, other, 2)
+        assert_warm_report(h, game_report(H, other, 2), value_report(h))
 
 
 def test_game_at_without_denominator_row():
