@@ -51,7 +51,6 @@ from .solver import (
     solve,
 )
 from .spectral import (
-    GridTooLarge,
     HomogeneousInstance,
     LfpInstance,
     SpectralPiece,

@@ -27,6 +27,7 @@ from .spectral import (
     LfpInstance,
     game_at,  # noqa: F401  (the benchmark's tracer test reads solver.game_at)
     game_report,
+    grid_point_between,
     homogenize,
     initial_bounds,
     phi_nonneg,
@@ -348,58 +349,30 @@ def _min_strategy_count(H: HomogeneousInstance) -> int:
 def _min_zero_phi_tau(
     H: HomogeneousInstance, tau: MinStrategy, lam_k: Fraction, lam_hi: Fraction
 ) -> Optional[Fraction]:
-    """Minimal zero of the convex nondecreasing phi_tau in (lam_k, lam_hi].
+    """Minimal zero of the convex nondecreasing phi_tau in (lam_k, lam_hi],
+    where phi_tau(lam_k) < 0.
 
-    Integer dichotomy finds the first nonnegative integer value; the grid of
-    rationals with denominator <= min(m,n)+1 inside the final unit interval
-    brackets the zero between breakpoint-free neighbours, where one exact
-    linear interpolation finishes.  Returns None when phi_tau stays negative
-    up to lam_hi.
+    A dichotomy through grid_point_between keeps phi_tau(lo) < 0 <=
+    phi_tau(hi) until no breakpoint can lie strictly between lo and hi;
+    phi_tau is then affine on [lo, hi], and one exact linear interpolation
+    finishes.  Returns None when phi_tau stays negative up to lam_hi.
     """
-    cache = {}
-
-    def f(z: Fraction) -> Fraction:
-        if z not in cache:
-            cache[z] = phi_tau(H, tau, z)
-        return cache[z]
-
-    if f(Fraction(lam_hi)) < 0:
+    lo, hi = Fraction(lam_k), Fraction(lam_hi)
+    v_hi = phi_tau(H, tau, hi)
+    if v_hi < 0:
         return None
-    lo = math.floor(lam_k)  # f(lo) <= f(lam_k) < 0 by monotonicity
-    hi = math.ceil(lam_hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(Fraction(mid)) >= 0:
-            hi = mid
+    while (mid := grid_point_between(H, lo, hi)) is not None:
+        v = phi_tau(H, tau, mid)
+        if v >= 0:
+            hi, v_hi = mid, v
         else:
             lo = mid
-    z0 = hi
-    left = max(Fraction(z0 - 1), Fraction(lam_k))
-    k1 = H.k_bound + 1
-    pts = sorted(
-        {
-            Fraction(num, q)
-            for q in range(1, k1 + 1)
-            for num in range(math.floor(left * q) + 1, z0 * q + 1)
-            if Fraction(num, q) > left
-        }
-    )
-    lo_idx, hi_idx = -1, len(pts) - 1  # f(pts[-1]) = f(z0) >= 0
-    while hi_idx - lo_idx > 1:
-        mid = (lo_idx + hi_idx) // 2
-        if f(pts[mid]) >= 0:
-            hi_idx = mid
-        else:
-            lo_idx = mid
-    c = pts[hi_idx]
-    vc = f(c)
-    if vc == 0:
-        return c
-    prev = pts[lo_idx] if lo_idx >= 0 else left
-    vp = f(prev)
-    if not vp < 0:
+    if v_hi == 0:
+        return hi
+    v_lo = phi_tau(H, tau, lo)
+    if not v_lo < 0:
         raise AssertionError("zero bracketing lost the sign change")
-    return prev + (c - prev) * (-vp) / (vc - vp)
+    return lo + (hi - lo) * (-v_lo) / (v_hi - v_lo)
 
 
 def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:

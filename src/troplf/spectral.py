@@ -23,6 +23,14 @@ optimal pair, not necessarily the pair a cold ``value_report`` returns.  A
 small per-instance memo keeps the last few (lambda, k), since a solve asks
 about the same game more than once (the perturbed game at the optimum is
 probed by the Newton iteration and again by the certificate).
+
+phi is piecewise affine, and its breakpoints, like those of each partial
+function phi_tau, are rationals with denominator <= min(m,n)+1;
+``grid_point_between`` is the one place that bound is read.  ``reconstruct``
+finds the pieces by a dichotomy on [-R, R]: an interval is final when no such
+rational lies inside it, or when the optimal strategies at its ends prove
+phi affine there (the strategy sandwich phi_sigma <= phi <= phi_tau).  Its
+oracle runs grow with the number of pieces, not with the entries.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 from .game_engine import (
     AssumptionViolated,
@@ -42,13 +50,9 @@ from .game_engine import (
     ParametricOracle,
     integer_grids,
 )
-from .trop_core import NEG_INF, ExtendedNumber, WeightedDigraph, cycle_times, ext
+from .trop_core import NEG_INF, POS_INF, ExtendedNumber, WeightedDigraph, cycle_times, ext
 
 Rational = Union[int, Fraction]
-
-
-class GridTooLarge(Exception):
-    """The reconstruction grid would exceed GRID_CAP points."""
 
 
 def _entry(x, plus_inf: str):
@@ -116,9 +120,6 @@ class LfpInstance:
 
 # Entries kept in a HomogeneousInstance's memo of solved games.
 GAME_MEMO_SIZE = 8
-
-# Most grid points spectral_grid builds (one game is solved per point).
-GRID_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -299,32 +300,52 @@ class SpectralPiece:
         return Fraction(self.alpha + self.beta * Fraction(lam), self.k)
 
 
-def spectral_grid(H: HomogeneousInstance) -> list:
-    """Sorted grid of rationals with denominator <= min(m,n)+1 covering all breakpoints."""
-    k1 = H.k_bound + 1
-    # With M = 0 the breakpoints still spread over [-4(k1)^2, 4(k1)^2].
-    radius = 4 * max(H.M, 1) * k1 * k1
-    estimate = (2 * radius + 1) * sum(range(1, k1 + 1))
-    if estimate > GRID_CAP:
-        raise GridTooLarge(f"about {estimate} grid points exceed the cap of {GRID_CAP}")
-    points = set()
-    for q in range(1, k1 + 1):
-        num_lo = -radius * q
-        num_hi = radius * q
-        for num in range(int(num_lo), int(num_hi) + 1):
-            points.add(Fraction(num, q))
-    return sorted(points)
+def grid_point_between(H: HomogeneousInstance, a: Rational, b: Rational) -> Optional[Fraction]:
+    """The rational with denominator <= min(m,n)+1 nearest the middle of
+    (a, b), or None when no such rational lies strictly inside (a, b).
+
+    Every breakpoint of phi and of each phi_tau has such a denominator, so
+    None proves them all affine on [a, b].
+    """
+    c = ((Fraction(a) + Fraction(b)) / 2).limit_denominator(H.k_bound + 1)
+    return c if a < c < b else None
 
 
 def reconstruct(H: HomogeneousInstance) -> list:
-    """Fit the maximal affine pieces of phi from exact grid evaluation.
+    """The maximal affine pieces of phi, by a dichotomy that strategies certify.
 
-    Breakpoints have denominator <= min(m,n)+1 and phi is linear outside
-    [-4M(min(m,n)+1)^2, 4M(min(m,n)+1)^2], so consecutive-grid-point slopes
-    are exact piece slopes and the end pieces extend to +-inf.
+    phi is affine outside [-R, R], R = 4M(min(m,n)+1)^2, so the end pieces
+    extend to -inf and +inf.  An interval [a, b] of [-R, R] is final when
+    grid_point_between finds no point inside it, or when sigma optimal at a
+    and tau optimal at b give phi_sigma(b) = phi(b) and phi_tau(a) = phi(a):
+    then chord <= phi_sigma <= phi <= phi_tau <= chord on [a, b], since
+    phi_sigma is concave and phi_tau convex.  Any other interval is split at
+    grid_point_between's point.  Adjacent final intervals of equal slope make
+    one piece, so the pieces' slopes are exact.
     """
-    grid = spectral_grid(H)
-    values = [phi(H, lam) for lam in grid]
+    k1 = H.k_bound + 1
+    # With M = 0 the breakpoints still spread over [-4(k1)^2, 4(k1)^2].
+    radius = 4 * max(H.M, 1) * k1 * k1
+
+    def probe(lam):
+        return Fraction(lam), game_report(H, lam)
+
+    # Left to right: the right ends still to reach wait on a stack, and grid
+    # and values collect the ends of the final intervals in order.
+    (a, rep_a), pending = probe(-radius), [probe(radius)]
+    grid, values = [a], [rep_a.chi[H.n]]
+    while pending:
+        b, rep_b = pending[-1]
+        mid = grid_point_between(H, a, b)
+        if mid is None or (
+            phi_sigma(H, rep_a.sigma, b) == rep_b.chi[H.n]
+            and phi_tau(H, rep_b.tau, a) == rep_a.chi[H.n]
+        ):
+            a, rep_a = pending.pop()
+            grid.append(a)
+            values.append(rep_a.chi[H.n])
+        else:
+            pending.append(probe(mid))
     pieces = []
     start = 0
     slopes = [
@@ -336,7 +357,7 @@ def reconstruct(H: HomogeneousInstance) -> list:
         """Piece spanning grid[first] .. grid[last] with uniform slope."""
         slope = slopes[first]
         lo = NEG_INF if first == 0 else ext(grid[first])
-        hi = ExtendedNumber(1, Fraction(0)) if last == len(grid) - 1 else ext(grid[last])
+        hi = POS_INF if last == len(grid) - 1 else ext(grid[last])
         if slope == 0:
             pieces.append(SpectralPiece(lo, hi, values[first], 0, 1))
         else:

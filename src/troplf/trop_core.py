@@ -60,11 +60,6 @@ class ExtendedNumber:
             return POS_INF
         return NEG_INF
 
-    def __neg__(self) -> "ExtendedNumber":
-        if self.kind == 0:
-            return ExtendedNumber(0, -self.value)
-        return NEG_INF if self.kind == 1 else POS_INF
-
     def _key(self):
         return (self.kind, self.value if self.kind == 0 else Fraction(0))
 

@@ -22,7 +22,10 @@ generators in ``test_acceptance``:
 * ``criterion-9``: the first 120 draws of criterion 9, all methods;
 * ``criterion-10``: the 20 instances of criterion 10, by Newton;
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
-  the spectral function of examples 1-3 and of criterion 7's 50 instances.
+  the spectral function of examples 1-3 and of criterion 7's 50 instances;
+* ``reconstruct-spectral-small``: the pieces of the 320 instances of the
+  benchmark's ``spectral-small`` workload at seed 1, generated by
+  ``bench/run.py`` (loaded as ``tests/test_bench_run.py`` loads it).
 
 ``compare`` prints, per family, the records whose status, lambda* or
 pieces differ (an error: it exits 1), those that differ only elsewhere (witness,
@@ -56,6 +59,7 @@ def _families():
         criterion_9_draws,
         criterion_10_instances,
     )
+    from test_bench_run import _load_run
 
     examples = []
     for k in (1, 2, 3):
@@ -70,6 +74,9 @@ def _families():
     rebuilds = [("reconstruct-examples", k, inst) for k, inst in enumerate(examples, 1)]
     rebuilds += [("reconstruct-criterion-7", i, inst)
                  for i, inst in enumerate(criterion_7_instances())]
+    pool = _load_run().SpectralSmall()
+    rebuilds += [("reconstruct-spectral-small", i, parse_instance(pool.instance(1, i)).instance)
+                 for i in range(pool.setup_count)]
     return solves, rebuilds
 
 

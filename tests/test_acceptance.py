@@ -32,7 +32,6 @@ from troplf import (
 )
 from troplf.game_engine import least_solution_fixed
 from troplf.solver import positive_newton_solve, bisection_solve
-from troplf.spectral import spectral_grid
 
 from brute_force import brute_force_value
 from conftest import make_game, random_instance
@@ -44,6 +43,7 @@ from germs import (
     germ_brute_force_value,
     germ_optimal_strategies,
 )
+from grid_reference import spectral_grid
 
 NI = "-inf"
 

@@ -514,6 +514,25 @@ def test_spectral_constant_instance_flat(capsys, tmp_path):
     assert pieces == [["piece", "-inf", "0", "0", "0", "1"], ["piece", "0", "+inf", "0", "1", "2"]]
 
 
+def test_spectral_large_entries(capsys, tmp_path):
+    """An entry of 10^5 would put about 9.6 million points on a rational
+    grid; the spectral command still prints the pieces, and each sample's
+    phi lies on the pieces that cover it."""
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({
+        "A": [[10**5]], "B": [[0]], "c": [0], "d": [0], "p": [0], "q": [0], "r": 0, "s": 0,
+    }))
+    code, out, err = run(capsys, "spectral", str(path))
+    assert code == 0 and err == ""
+    rows = [l.split(",") for l in out.splitlines()]
+    pieces = [r[1:] for r in rows if r[0] == "piece" and r[1] != "lo"]
+    assert pieces == [["-inf", "0", "0", "1", "1"], ["0", "+inf", "0", "0", "1"]]
+    samples = [(Fraction(r[1]), Fraction(r[2])) for r in rows if r[0] == "sample" and r[1] != "lambda"]
+    assert samples
+    for lam, value in samples:
+        assert value == (lam if lam <= 0 else 0)
+
+
 def test_spectral_out_file(capsys, tmp_path):
     target = tmp_path / "spec.csv"
     code, out, _ = run(capsys, "spectral", EX2, "--out", str(target))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from troplf import (
     NEG_INF,
     ExtendedNumber,
-    GridTooLarge,
     LfpInstance,
     MeanPayoffGame,
     MinStrategy,
@@ -35,9 +34,10 @@ from troplf.game_engine import (
     scaled_copy,
     value_report,
 )
-from troplf.spectral import GAME_MEMO_SIZE, game_report, spectral_grid
+from troplf.spectral import GAME_MEMO_SIZE, game_report
 
 from conftest import RawInstance, e, make_game, make_instance, random_instance
+from grid_reference import reconstruct as grid_reconstruct, spectral_grid
 from maxplus import payment_matrices
 
 
@@ -162,18 +162,9 @@ def test_game_at_matches_the_fraction_reference(big):
     assert (widest > 2**63) == (big > 1)
 
 
-@st.composite
-def query_sequences(draw):
-    """An instance up to 3 x 3 with -inf and rational entries, some of them
-    past 2**63 in half the draws, and a few (lambda, k) queries on its
-    parametric game."""
-    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    bigs = draw(st.sampled_from(((1,), (1, 2**64))))
-    big = bigs[-1]
-
-    def finite():
-        mult = draw(st.sampled_from(bigs))
-        return mult * draw(st.integers(-6, 6)) + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+def _draw_instance(draw, m, n, finite):
+    """An m x n LfpInstance whose entries are -inf (a third of them) or
+    finite(), with finite() put where the game assumptions need an entry."""
 
     def entry():
         return None if draw(st.integers(0, 2)) == 0 else finite()
@@ -193,13 +184,30 @@ def query_sequences(draw):
         r = finite()
     if all(x is None for x in q) and s is None:
         s = finite()
+    return LfpInstance(A, B, c, d, p, q, r, s)
+
+
+@st.composite
+def query_sequences(draw):
+    """An instance up to 3 x 3 with -inf and rational entries, some of them
+    past 2**63 in half the draws, and a few (lambda, k) queries on its
+    parametric game."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bigs = draw(st.sampled_from(((1,), (1, 2**64))))
+    big = bigs[-1]
+
+    def finite():
+        mult = draw(st.sampled_from(bigs))
+        return mult * draw(st.integers(-6, 6)) + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+    inst = _draw_instance(draw, m, n, finite)
     k2 = min(m, n) + 2
     queries = draw(st.lists(
         st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(1, k2), st.sampled_from((1, k2))),
         min_size=1, max_size=6,
     ))
     lams = [(Fraction(big * x + y, den), k) for x, y, den, k in queries]
-    return LfpInstance(A, B, c, d, p, q, r, s), lams
+    return inst, lams
 
 
 @given(query_sequences())
@@ -488,9 +496,28 @@ def test_reconstruct_with_all_finite_entries_zero():
     assert (phi(H, -2), phi(H, 2)) == (-1, 2)
 
 
-def test_reconstruct_grid_cap():
-    """M = 10^5 puts about 9.6 million points on a 1x1 instance's grid: the
-    estimate rejects it before any point is built."""
+def test_reconstruct_large_entries():
+    """M = 10^5 puts about 9.6 million points on a 1x1 instance's grid; the
+    pieces still agree with phi on both sides of -10^5 and of 10^5."""
     inst = make_instance(A=[[10**5]], B=[[0]], c=[0], d=[0], p=[0], q=[0], r=0, s=0)
-    with pytest.raises(GridTooLarge):
-        reconstruct(homogenize(inst))
+    H = homogenize(inst)
+    pieces = reconstruct(H)
+    for centre in (-(10**5), 10**5):
+        for offset in (-(10**6), -7, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 7, 10**6):
+            lam = centre + Fraction(offset)
+            assert _eval_pieces(pieces, lam) == phi(H, lam)
+
+
+@st.composite
+def small_instances(draw):
+    """An instance up to 2 x 3 with -inf and rational entries; in a third of
+    the draws every finite entry is 0, so M = 0."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    values = draw(st.sampled_from(((-1, 0, 1, Fraction(1, 2)), (-2, Fraction(-1, 2), 2), (0,))))
+    return _draw_instance(draw, m, n, lambda: draw(st.sampled_from(values)))
+
+
+@given(small_instances())
+def test_reconstruct_matches_the_grid_reference(inst):
+    """The certified dichotomy gives the grid reference's pieces, piece for piece."""
+    assert reconstruct(homogenize(inst)) == grid_reconstruct(homogenize(inst))
