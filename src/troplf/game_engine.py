@@ -25,7 +25,11 @@ common denominator, for ``spectral.LfpInstance`` and for anyone building a
 game from rational payments.
 
 ``_policy_iteration`` is the one policy-iteration routine, and it runs on
-numpy arrays, from the greedy strategy pair or from a given one.
+numpy arrays, from the greedy strategy pair or from a given one.  It starts
+on int64 whenever the payments allow it and checks the exact biases after
+each evaluation: once int64 could no longer hold its keys, it moves the
+weights to Python ints (object arrays) for the rest of the run, so every
+number it computes is exact in either dtype.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``).  The
 solver's games are the parametric game of one instance at many (lambda, k):
@@ -239,19 +243,23 @@ def _round_cap(m: int, n: int) -> int:
     """Improvement rounds (Max and Min together) allowed per game.
 
     Policy iteration needs a handful of rounds on every game seen so far; the
-    cap only turns a cycling bug into PolicyIterationStalled, and it bounds
-    the biases for the int64 overflow check in _payment_dtype.
+    cap only turns a cycling bug into PolicyIterationStalled.
     """
     return 100 * (m + n + 1)
 
 
-def _payment_dtype(m: int, n: int, W: int):
-    """The numpy dtype of a game's payments, biases and products, W bounding
-    every |payment| + 1: int64 when the a-priori bound (|v| grows by at most
-    4nW per Min round) fits, else Python ints (object), so large payments
-    stay exact instead of wrapping."""
-    bound = 4 * n * n * W * (_round_cap(m, n) + 1) + 2 * n * W + 2
-    return np.int64 if bound < 2**62 else object
+def _payment_dtype(n: int, W: int, vmax: int = 0):
+    """The numpy dtype for policy iteration on a game with n Min nodes, W
+    bounding every |payment| + 1, while its biases V stay within vmax in
+    absolute value: int64 when every number the run holds in its arrays fits,
+    else Python ints (object), so large payments stay exact instead of
+    wrapping.  A run starts with vmax = 0 and asks again after each
+    evaluation (``_policy_iteration``)."""
+    # Max's key Q*b + V and Min's key best - Q*a, with Q <= n a cycle length
+    # and |a|, |b| < W, hold at most 2nW + vmax, and the -1/+1 sentinels of
+    # the masked argmax and argmin one more; the arc weights b - a stay below
+    # 2W.  (2n + 1)W + vmax + 2 bounds them all.
+    return np.int64 if (2 * n + 1) * W + vmax + 2 < 2**62 else object
 
 
 def _weights(grid, dt) -> np.ndarray:
@@ -265,11 +273,11 @@ def _mask(grid) -> np.ndarray:
 
 
 def _game_arrays(a, b) -> tuple:
-    """(masks of a and b, weights of a and b): an integer game as
-    _policy_iteration reads it."""
+    """((masks of a and b, weights of a and b), W): an integer game as
+    _policy_iteration reads it, W bounding every |payment| + 1."""
     W = 1 + max((abs(x) for row in a + b for x in row if x is not None), default=0)
-    dt = _payment_dtype(len(a), len(a[0]), W)
-    return _mask(a), _mask(b), _weights(a, dt), _weights(b, dt)
+    dt = _payment_dtype(len(a[0]), W)
+    return (_mask(a), _mask(b), _weights(a, dt), _weights(b, dt)), W
 
 
 def _evaluate(nxt, w, ref):
@@ -327,18 +335,26 @@ def _ranks(P, Q) -> list:
     return [pos[pq] for pq in zip(P, Q)]
 
 
-def _policy_iteration(arrays, start=None):
+def _policy_iteration(arrays, W, start=None):
     """Exact values and optimal positional strategies of an integer game.
 
     ``arrays`` is the game as ``_game_arrays`` gives it: the masks of the
     finite entries of a and b, and their weights (0 at -inf) in one numpy
-    dtype, int64 or object as ``_payment_dtype`` picks it.  ``start`` is a
-    legal strategy pair (sigma, tau) to start from; None starts from the
-    greedy pair, the best replies when every value and bias is 0.  Policy
-    iteration converges from any start, to values that do not depend on it.
+    dtype, int64 or object as ``_payment_dtype(n, W)`` picks it, W bounding
+    every |payment| + 1.  ``start`` is a legal strategy pair (sigma, tau) to
+    start from; None starts from the greedy pair, the best replies when every
+    value and bias is 0.  Policy iteration converges from any start, to
+    values that do not depend on it.
 
-    Returns (chi, sigma, tau, rounds) with chi[j] the Fraction value of Min
-    node j and rounds the improvement rounds taken.  Values compare
+    ``_evaluate`` gives the biases V as Python ints.  After each evaluation
+    the run asks ``_payment_dtype`` again with max|V|; once int64 could no
+    longer hold the keys, the weights become object arrays and stay so, so
+    no number is ever computed in a dtype that could wrap, and the results
+    are those of a run on object arrays throughout.
+
+    Returns (chi, sigma, tau, rounds, bigint) with chi[j] the Fraction value
+    of Min node j, rounds the improvement rounds taken and bigint whether
+    the run ended on object arrays.  Values compare
     lexicographically as (eta, v), i.e. as the germ eta*t + v for large t.
     Max's step moves each row to the lex-largest (eta_l, b_il + v_l); Min's
     step moves each column to the lex-smallest (top_i, best_i - a_ij) over
@@ -384,6 +400,8 @@ def _policy_iteration(arrays, start=None):
                 raise PolicyIterationStalled(f"no fixed point after {cap} rounds")
             nxt = sigma[tau]
             P, Q, V = _evaluate(nxt.tolist(), (Bw[tau, nxt] - Aw[tau, cols]).tolist(), ref)
+            if dt != object and _payment_dtype(n, W, max(map(abs, V))) is object:
+                Aw, Bw, dt = Aw.astype(object), Bw.astype(object), np.dtype(object)
             rk = np.array(_ranks(P, Q), dtype=np.int64)
             Qv = np.array(Q, dtype=dt)
             top, val, best, arg = max_step(rk, Qv, np.array(V, dtype=dt))
@@ -400,7 +418,7 @@ def _policy_iteration(arrays, start=None):
         tau = np.where(switch, carg, tau)
         ref = (P, Q, V)
     chi = tuple(Fraction(p, q) for p, q in zip(P, Q))
-    return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds
+    return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds, dt == object
 
 
 def _report(chi, d: int, sigma, tau) -> GameValueReport:
@@ -415,7 +433,7 @@ def _report(chi, d: int, sigma, tau) -> GameValueReport:
 def _oracle_core(m, n, a, b):
     """(chi, winning Min nodes, winning Max nodes, sigma, tau) of an integer
     game, by a cold run of policy iteration."""
-    chi, sigma, tau, _rounds = _policy_iteration(_game_arrays(a, b))
+    chi, sigma, tau = _policy_iteration(*_game_arrays(a, b))[:3]
     win_min = frozenset(j for j in range(n) if chi[j] >= 0)
     win_max = frozenset(
         i for i in range(m) if any(b[i][l] is not None for l in win_min)
@@ -475,6 +493,7 @@ class OracleStats:
     runs: int = 0  # policy-iteration runs
     memo_hits: int = 0  # queries answered by the instance's memo of solved games
     rounds: int = 0  # improvement rounds over all runs
+    bigint_runs: int = 0  # runs that ended on Python ints (object arrays)
 
 
 class ParametricOracle:
@@ -487,14 +506,16 @@ class ParametricOracle:
     the weights of U and of V's other rows built, once, when the first game
     is solved.  Each run builds the shifted last row in Python ints and
     takes the game's exact payment bound from it and from the largest
-    |entry| of U and of V's other rows, so it picks the dtype a cold run on
-    the same game would.
+    |entry| of U and of V's other rows, so it starts on the dtype a cold run
+    on the same game would, and hands the bound to ``_policy_iteration`` for
+    its per-round check.
 
     Each run starts from the strategies the last run returned; the first run
     starts from the greedy pair, as a cold run does.  A report's sigma and tau
     are therefore an optimal pair of the game, not necessarily the pair a cold
-    run returns.  ``stats`` counts the runs, their rounds, and the memo hits
-    that ``spectral.game_report`` books.
+    run returns.  ``stats`` counts the runs, their rounds, the runs that
+    ended on Python ints, and the memo hits that ``spectral.game_report``
+    books.
     """
 
     def __init__(self, U: tuple, V: tuple):
@@ -521,7 +542,7 @@ class ParametricOracle:
         last = [0 if x is None else f * x + s for x in self.V[-1]]
         W = 1 + max(f * self._rest, max(abs(x) for x in last))
         # numpy multiplies int64 weights only by a factor that fits int64
-        dt = _payment_dtype(*Um.shape, W) if f < 2**62 else object
+        dt = _payment_dtype(Um.shape[1], W) if f < 2**62 else object
         if dt not in self._weights:
             rest = _weights(self.V[:-1], dt).reshape(len(self.V) - 1, Vm.shape[1])
             self._weights[dt] = _weights(self.U, dt), rest
@@ -529,10 +550,11 @@ class ParametricOracle:
         if f != 1:
             Uw, Vr = Uw * f, Vr * f
         Vw = np.vstack([Vr, np.array([last], dtype=dt)])
-        chi, sigma, tau, rounds = _policy_iteration((Um, Vm, Uw, Vw), self.last)
+        chi, sigma, tau, rounds, bigint = _policy_iteration((Um, Vm, Uw, Vw), W, self.last)
         self.last = sigma, tau
         self.stats.runs += 1
         self.stats.rounds += rounds
+        self.stats.bigint_runs += bigint
         return _report(chi, d, sigma, tau)
 
 

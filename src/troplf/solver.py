@@ -27,7 +27,6 @@ from .spectral import (
     LfpInstance,
     game_at,  # noqa: F401  (the benchmark's tracer test reads solver.game_at)
     game_report,
-    grid_point_between,
     homogenize,
     initial_bounds,
     phi_nonneg,
@@ -67,7 +66,8 @@ class SolveOutcome:
     The trace lists (iteration, lambda_k, phi sign) triples in the scaled
     units the algorithms iterate in.  ``solve`` adds ``stats``, the work of
     the instance's parametric oracle (runs, memo hits, policy-iteration
-    rounds); it is not part of the answer, so outcomes compare without it.
+    rounds, runs that ended on Python ints); it is not part of the answer,
+    so outcomes compare without it.
     """
 
     status: str  # "Optimal" | "Unbounded" | "Infeasible"
@@ -350,29 +350,35 @@ def _min_zero_phi_tau(
     H: HomogeneousInstance, tau: MinStrategy, lam_k: Fraction, lam_hi: Fraction
 ) -> Optional[Fraction]:
     """Minimal zero of the convex nondecreasing phi_tau in (lam_k, lam_hi],
-    where phi_tau(lam_k) < 0.
+    where phi_tau(lam_k) < 0 and both ends are integers.
 
-    A dichotomy through grid_point_between keeps phi_tau(lo) < 0 <=
-    phi_tau(hi) until no breakpoint can lie strictly between lo and hi;
-    phi_tau is then affine on [lo, hi], and one exact linear interpolation
-    finishes.  Returns None when phi_tau stays negative up to lam_hi.
+    The zero is an integer.  phi_tau is the largest cycle mean reachable
+    from node n+1 in tau's one-player graph, whose arcs are integer except
+    that the arcs leaving row m+1 carry lambda.  A cycle through row m+1
+    c > 1 times splits there into c cycles whose mean it averages, so the
+    largest mean is attained by a cycle through row m+1 at most once: each
+    piece of phi_tau is w/L or (w + lambda)/L with w an integer, and the
+    first to reach 0 does so at lambda = -w.  An integer dichotomy, as in
+    bisection_solve, keeps phi_tau(lo) < 0 and ends with hi the zero; lam_hi
+    is probed only when every point below it is negative.  Returns None
+    when phi_tau stays negative up to lam_hi.
     """
-    lo, hi = Fraction(lam_k), Fraction(lam_hi)
-    v_hi = phi_tau(H, tau, hi)
-    if v_hi < 0:
-        return None
-    while (mid := grid_point_between(H, lo, hi)) is not None:
+    lo, hi = int(lam_k), int(lam_hi)
+    v_hi = None  # phi_tau(hi), once probed
+    while hi - lo > 1:
+        mid = -((-(hi + lo)) // 2)
         v = phi_tau(H, tau, mid)
         if v >= 0:
             hi, v_hi = mid, v
         else:
             lo = mid
-    if v_hi == 0:
-        return hi
-    v_lo = phi_tau(H, tau, lo)
-    if not v_lo < 0:
-        raise AssertionError("zero bracketing lost the sign change")
-    return lo + (hi - lo) * (-v_lo) / (v_hi - v_lo)
+    if v_hi is None:
+        v_hi = phi_tau(H, tau, hi)
+        if v_hi < 0:
+            return None
+    if v_hi != 0:
+        raise AssertionError("phi_tau has no zero at the integer it crosses 0")
+    return Fraction(hi)
 
 
 def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:
@@ -387,7 +393,7 @@ def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:
         trace.append((k, lam, ">=0" if ok else "<0"))
         if ok:
             return _finish_optimal(H, lam, trace)
-        nxt = _min_zero_phi_tau(H, tau, lam, Fraction(lam_hi))
+        nxt = _min_zero_phi_tau(H, tau, lam, lam_hi)
         if nxt is None:
             return SolveOutcome("Infeasible", None, None, None, trace)
         if not nxt > lam:

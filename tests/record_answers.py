@@ -21,11 +21,15 @@ generators in ``test_acceptance``:
 * ``criterion-6``: the 200 instances of acceptance criterion 6, all methods;
 * ``criterion-9``: the first 120 draws of criterion 9, all methods;
 * ``criterion-10``: the 20 instances of criterion 10, by Newton;
+* ``solve-rational-bigint-30``: the 60 instances of the benchmark's
+  ``rational-bigint-30`` workload at seed 1, by Newton;
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances;
 * ``reconstruct-spectral-small``: the pieces of the 320 instances of the
-  benchmark's ``spectral-small`` workload at seed 1, generated by
-  ``bench/run.py`` (loaded as ``tests/test_bench_run.py`` loads it).
+  benchmark's ``spectral-small`` workload at seed 1.
+
+The benchmark's documents are generated by ``bench/run.py``, loaded as
+``tests/test_bench_run.py`` loads it.
 
 ``compare`` prints, per family, the records whose status, lambda* or
 pieces differ (an error: it exits 1), those that differ only elsewhere (witness,
@@ -71,10 +75,14 @@ def _families():
                for i, inst in enumerate(islice(criterion_9_draws(), 120))]
     solves += [("criterion-10", i, inst, ("newton",))
                for i, inst in enumerate(criterion_10_instances())]
+    run = _load_run()
+    pool = run.RationalBigint30()
+    solves += [("solve-rational-bigint-30", i, parse_instance(pool.instance(1, i)).instance, ("newton",))
+               for i in range(pool.setup_count)]
     rebuilds = [("reconstruct-examples", k, inst) for k, inst in enumerate(examples, 1)]
     rebuilds += [("reconstruct-criterion-7", i, inst)
                  for i, inst in enumerate(criterion_7_instances())]
-    pool = _load_run().SpectralSmall()
+    pool = run.SpectralSmall()
     rebuilds += [("reconstruct-spectral-small", i, parse_instance(pool.instance(1, i)).instance)
                  for i in range(pool.setup_count)]
     return solves, rebuilds

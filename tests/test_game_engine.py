@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import islice, product
 
+import numpy as np
 import pytest
 
 from troplf import (
@@ -205,9 +206,11 @@ def test_value_report_consistency():
         assert rep.winning == frozenset(j for j in range(g.n) if rep.chi[j] >= 0)
 
 
-@pytest.mark.parametrize("shift", [20, 58, 70])
+@pytest.mark.parametrize("shift", [20, 57, 58, 70])
 def test_scaled_payments_scale_values_exactly(shift):
-    """Values scale with the payments, past the int64 range and without drift."""
+    """Values scale with the payments, past the int64 range and without drift.
+    At shift 57 two games start on int64 and one of them moves to Python
+    ints during its run; the others, and all at 58 and 70, start on them."""
     rng = random.Random(3)
     factor = 2**shift
     for _ in range(30):
@@ -231,6 +234,42 @@ def test_policy_iteration_round_cap(monkeypatch):
     assert value_report(g).chi == tuple(brute_force_value(g, j) for j in range(2))
 
 
+def test_policy_iteration_moves_to_python_ints_during_a_run():
+    """Each player has one move: Min node j goes to row j and row i to Min
+    node i+1, so nodes 0-2 lead into the cycle 3 -> 4 -> 5, whose mean has
+    denominator 3.  With E as large as an int64 start allows, the chain's
+    biases reach 36E, past int64: the run moves to Python ints after its
+    first evaluation and returns the exact mean.  At E/4 it stays on int64."""
+    top = (2**62 - 3) // 13 - 1  # 13(E + 1) + 2 < 2**62: the 6-node start bound
+    for E, bigint in ((top // 4, 0), (top, 1)):
+        a = tuple(tuple((E if i < 3 else -E) if i == j else None for j in range(6)) for i in range(6))
+        nxt = {0: (1, -E), 1: (2, -E), 2: (3, -E), 3: (4, E), 4: (5, E), 5: (3, E - 1)}
+        b = tuple(tuple(nxt[i][1] if j == nxt[i][0] else None for j in range(6)) for i in range(6))
+        assert ge._game_arrays(a, b)[0][2].dtype == np.int64
+        oracle = ge.ParametricOracle(a, b)
+        rep = oracle.report(1, 0, 1)
+        assert (oracle.stats.runs, oracle.stats.bigint_runs) == (1, bigint)
+        assert rep.chi == (Fraction(6 * E - 1, 3),) * 6
+        assert rep == value_report(ge.MeanPayoffGame(a, b))
+
+
+def test_int64_run_on_large_payments_matches_python_ints():
+    """A 31 x 31 game with payments near 10**14, the size of the benchmark's
+    rational-bigint-30 games, runs on int64 and returns what a run on Python
+    ints returns."""
+    rng = random.Random(5)
+    grid = [[rng.randint(-10**14, 10**14) for _ in range(31)] for _ in range(62)]
+    a, b = tuple(map(tuple, grid[:31])), tuple(map(tuple, grid[31:]))
+    oracle = ge.ParametricOracle(a, b)
+    rep = oracle.report(1, 0, 1)
+    assert (oracle.stats.runs, oracle.stats.bigint_runs) == (1, 0)
+    (Am, Bm, Aw, Bw), W = ge._game_arrays(a, b)
+    chi, sigma, tau, _rounds, bigint = ge._policy_iteration(
+        (Am, Bm, Aw.astype(object), Bw.astype(object)), W
+    )
+    assert bigint and (rep.chi, rep.sigma.choices, rep.tau.choices) == (chi, sigma, tau)
+
+
 def test_policy_iteration_from_any_legal_start():
     """Started from random legal strategy pairs, policy iteration returns the
     brute-force values on every tenth of criterion 5's random games."""
@@ -238,7 +277,7 @@ def test_policy_iteration_from_any_legal_start():
     for g, _nodes in islice(criterion_5_random_games(), 0, None, 10):
         sigma = tuple(rng.choice(g.max_moves(i)) for i in range(g.m))
         tau = tuple(rng.choice(g.min_moves(j)) for j in range(g.n))
-        chi = ge._policy_iteration(ge._game_arrays(g.a, g.b), (sigma, tau))[0]
+        chi = ge._policy_iteration(*ge._game_arrays(g.a, g.b), (sigma, tau))[0]
         assert tuple(c / g.d for c in chi) == tuple(brute_force_value(g, j) for j in range(g.n))
 
 

@@ -20,15 +20,18 @@ from troplf import (
     check_unboundedness,
     game_at,
     homogenize,
+    initial_bounds,
     left_optimal_max_strategy,
     newton_step,
     phi,
     phi_nonneg,
+    phi_tau,
     precheck,
     solve,
 )
 from troplf.game_engine import least_solution_fixed
 from troplf.solver import (
+    _min_zero_phi_tau,
     bisection_cap,
     bisection_solve,
     homogeneous_solution_with_zeros,
@@ -199,6 +202,28 @@ def test_bisection_goldens(example1, example2, example3):
 def test_negative_newton_golden(example2):
     out = solve(example2, method="negative-newton")
     assert out.status == "Optimal" and out.lam == 0
+
+
+def test_negative_newton_steps_land_on_the_minimal_zero_of_phi_tau():
+    """Each negative-Newton step returns an integer z with phi_tau(z) = 0
+    and phi_tau < 0 at z - eps.  Breakpoints have denominators <=
+    min(m,n)+1, so none lies in (z - eps, z): phi_tau is affine there, and z
+    is its minimal zero."""
+    rng = random.Random(83)
+    steps = 0
+    while steps < 30:
+        H = homogenize(random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), 5, 0.3))
+        if not isinstance(precheck(H), Proceed):
+            continue
+        lam, lam_hi = initial_bounds(H)
+        eps = Fraction(1, 2 * (H.k_bound + 1) ** 2)
+        ok, _sigma, tau = phi_nonneg(H, lam)
+        while not ok and (z := _min_zero_phi_tau(H, tau, lam, lam_hi)) is not None:
+            assert z.denominator == 1 and z > lam
+            assert phi_tau(H, tau, z) == 0 > phi_tau(H, tau, z - eps)
+            steps += 1
+            lam = z
+            ok, _sigma, tau = phi_nonneg(H, lam)
 
 
 def test_solve_rejects_unknown_method(example2):

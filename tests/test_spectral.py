@@ -131,7 +131,7 @@ def test_game_at_matches_the_fraction_reference(big):
     on an instance is a cold run; later ones are warm started and give the
     same values with an optimal strategy pair."""
     rng = random.Random(17)
-    checked = rational = widest = 0
+    checked = rational = widest = bigint = 0
     while checked < 25:
         base = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), 4, 0.35)
         inst = _perturbed(base, rng, big) if checked % 2 else base
@@ -158,8 +158,9 @@ def test_game_at_matches_the_fraction_reference(big):
                     assert_warm_report(g, game_report(H, lam, k), rep)
                 assert rep.chi == tuple(k * c for c in value_report(ref).chi)
         checked += 1
+        bigint += H.oracle.stats.bigint_runs
     assert rational >= 10
-    assert (widest > 2**63) == (big > 1)
+    assert (widest > 2**63) == (big > 1) == (bigint > 0)
 
 
 def _draw_instance(draw, m, n, finite):
@@ -237,6 +238,7 @@ def test_objective_row_past_int64_with_small_other_entries():
     inst = make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[0], q=[2**70], r=0, s="-inf")
     out = solver.solve(inst)
     assert (out.status, out.lam) == ("Optimal", Fraction(-(2**70)))
+    assert out.stats.bigint_runs > 0
     H = homogenize(inst)
     lam = out.lam * H.scale
     g = game_at(H, lam)
