@@ -8,13 +8,25 @@ confirmed nonnegative.  An unboundedness certificate is a Max strategy sigma
 whose restricted digraph at lambda = 0 shows only nonnegative cycles
 accessible from node n+1, none through row m+1.
 
-Both checks read the integer grids of ``spectral.game_at`` and are
-one-player longest-path questions: a cycle condition holds exactly when the
-longest paths from node n+1, suitably weighted, converge, which the integer
-Kleene iteration decides (``trop_core.positive_cycle_reachable``).  The strict
-condition becomes the same test after reweighting each arc to (n+2)w + 1: a
-simple cycle has at most n+1 arcs, so it is positive under the new weights
-exactly when its old weight is nonnegative.
+Each of these four cycle conditions reads the integer grids of
+``spectral.game_at`` (at lambda* for optimality, at 0 for unboundedness) and
+says that no cycle of positive weight is reachable from node n+1 in a
+one-player graph: Max's graph against tau; the same without the columns tau
+routes to row m+1, each arc reweighted to (n+2)w + 1 (a simple cycle has at
+most n+1 arcs, so it is positive under the new weights exactly when its old
+weight is nonnegative); and Min's graph against sigma, weighted 1 on the
+arcs row m+1 realizes and 0 elsewhere, or with its weights negated.
+
+Its dual witness is a vector of integer potentials z, -inf off the nodes
+that node n+1 reaches, with z_{n+1} finite and z_v >= z_u + w on every arc
+that leaves a node of finite z, and a certificate carries one vector per
+condition (``potentials`` and ``strict_potentials``, ``through_potentials``
+and ``negated_potentials``).  The check verifies them in one pass over the
+strategy's arcs and trusts no solver code (McConnell, Mehlhorn, Naeher &
+Schweitzer, "Certifying algorithms", 2011).  A certificate without them
+gets them from ``longest_paths``, the integer Kleene iteration from node
+n+1, which diverges exactly when the condition fails; the certificates this
+module issues carry the potentials that iteration found.
 """
 
 from __future__ import annotations
@@ -25,19 +37,17 @@ from math import lcm
 from typing import Optional
 
 from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed
-from .spectral import (
-    HomogeneousInstance,
-    game_at,
-    game_report,
-    phi_nonneg,
-    sigma_arcs,
-    tau_arcs,
-)
-from .trop_core import ExtendedNumber, positive_cycle_reachable
+from .spectral import HomogeneousInstance, game_at, game_report, phi_nonneg
+from .trop_core import ExtendedNumber, PositiveCycleDiverges, kleene_star_int
 
 
 class CertificateSynthesisFailed(Exception):
     """A generated certificate failed validation: indicates an oracle bug."""
+
+
+# The potential vectors of each certificate type: field names and JSON keys.
+OPTIMALITY_POTENTIALS = ("potentials", "strict_potentials")
+UNBOUNDEDNESS_POTENTIALS = ("through_potentials", "negated_potentials")
 
 
 @dataclass(frozen=True)
@@ -45,19 +55,29 @@ class OptimalityCertificate:
     """lambda* (unscaled), a left-optimal Min strategy, and a feasible witness.
 
     The witness is the full homogeneous vector in the caller's units, with
-    coordinate n+1 normalized to 0.
+    coordinate n+1 normalized to 0.  The optional potentials (n+1 ints, None
+    for -inf, in the units of the grids of game_at(H, lam * H.scale)) prove
+    the two cycle conditions on tau's graph.
     """
 
     lam: Fraction
     tau: MinStrategy
     witness: Optional[tuple]
+    potentials: Optional[tuple] = None
+    strict_potentials: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class UnboundednessCertificate:
-    """A Max strategy certifying phi >= 0 for every lambda."""
+    """A Max strategy certifying phi >= 0 for every lambda.
+
+    The optional potentials (n+1 ints, None for -inf, in the units of the
+    grids of game_at(H, 0)) prove the two cycle conditions on sigma's graph.
+    """
 
     sigma: MaxStrategy
+    through_potentials: Optional[tuple] = None
+    negated_potentials: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -93,23 +113,118 @@ def _witness_satisfies(y: tuple, g: int, a, b) -> bool:
     return all(side(ai) <= side(bi) for ai, bi in zip(a, b))
 
 
+# Each cycle condition is a one-player graph on the Min nodes 0..n (node n is
+# the paper's n+1, the source), read from grid rows in bundles of arcs
+# (out, node, row, k, c): with out true, node -> l of weight k*row[l] + c for
+# each finite row[l]; else j -> node of weight k*row[j] + c for each finite
+# row[j].
+
+
+def _optimality_bundles(g, tau: tuple, m: int, strict: bool) -> list:
+    """Max's graph against tau, arcs j -> l of weight b[tau(j)][l] - a[tau(j)][j];
+    strict drops the columns routed to row m (the objective row) and
+    reweights each arc from w to (n+2)w + 1."""
+    a, b = g.a, g.b
+    if strict:
+        k = g.n + 1  # the game's n is the instance's n + 1
+        return [(True, j, b[i], k, 1 - k * a[i][j]) for j, i in enumerate(tau) if i != m]
+    return [(True, j, b[i], 1, -a[i][j]) for j, i in enumerate(tau)]
+
+
+def _unboundedness_bundles(g, sigma: tuple, m: int, through: bool) -> list:
+    """Min's graph against sigma, arcs j -> sigma(i) for each row i: weighted
+    1 on row m's arcs and 0 elsewhere (through), or a_ij - b_i,sigma(i)."""
+    a, b = g.a, g.b
+    if through:
+        return [(False, l, a[i], 0, int(i == m)) for i, l in enumerate(sigma)]
+    return [(False, l, a[i], 1, -b[i][l]) for i, l in enumerate(sigma)]
+
+
+def longest_paths(bundles: list, n: int) -> Optional[tuple]:
+    """The least z with z_n >= 0 and z_v >= z_u + w on every arc, None for
+    -inf (nodes node n does not reach), by the integer Kleene iteration; None
+    when it diverges, that is when a cycle of positive weight is reachable
+    from node n.  These are the potentials a certificate carries."""
+    into = [[] for _ in range(n + 1)]
+    for out, node, row, k, c in bundles:
+        if out:
+            for l, x in enumerate(row):
+                if x is not None:
+                    into[l].append((node, k * x + c))
+        else:
+            into[node] += [(j, k * x + c) for j, x in enumerate(row) if x is not None]
+    h = [None] * (n + 1)
+    h[n] = 0
+    try:
+        return tuple(kleene_star_int(into, h))
+    except PositiveCycleDiverges:
+        return None
+
+
+def _broken_potentials(z, bundles: list, n: int, key: str) -> str:
+    """Why z fails to prove that no cycle of positive weight is reachable
+    from node n, or "" when it proves it: z_n is finite and z_v >= z_u + w on
+    every arc that leaves a node u with finite z_u.  Then every node that n
+    reaches has a finite z, and the weights of a reachable cycle sum to at
+    most the sum of z_v - z_u around it, which is 0."""
+    if len(z) != n + 1:
+        return f"{key} has the wrong length"
+    if z[n] is None:
+        return f"{key}: node n+1 is -inf"
+    for out, node, row, k, c in bundles:
+        if out:
+            zu = z[node]
+            if zu is None:
+                continue
+            t = zu + c
+            for l, (zl, x) in enumerate(zip(z, row)):
+                if x is not None and (zl is None or zl < t + k * x):
+                    return _broken_arc(key, node, l, k * x + c)
+        else:
+            zl = z[node]
+            for j, (zj, x) in enumerate(zip(z, row)):
+                if x is not None and zj is not None and (zl is None or zl < zj + k * x + c):
+                    return _broken_arc(key, j, node, k * x + c)
+    return ""
+
+
+def _broken_arc(key: str, u: int, v: int, w: int) -> str:
+    return f"{key}: the arc {u + 1} -> {v + 1} of weight {w} breaks z_v >= z_u + w"
+
+
+def _cycle_condition(z, bundles: list, n: int, key: str, diverged: str) -> str:
+    """Why the condition fails ("" when it holds), checked on the potentials
+    z; a certificate without them gets them from longest_paths, and the
+    reason ``diverged`` when they do not exist."""
+    if z is None:
+        z = longest_paths(bundles, n)
+        if z is None:
+            return diverged
+    return _broken_potentials(z, bundles, n, key)
+
+
+POSITIVE = "a cycle accessible from node n+1 has positive weight"
+NOT_NEGATIVE = "a cycle avoiding row m+1 accessible from node n+1 is not negative"
+THROUGH_ROW = "a cycle accessible from node n+1 passes through row m+1"
+NEGATIVE = "a cycle accessible from node n+1 has negative weight"
+
+
 def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> CheckResult:
     """Accept iff tau's restricted digraph certifies lambda* per the three
     conditions: nonpositive accessible cycles, strictly negative ones without
     row m+1, and a confirmed phi(lambda*) >= 0."""
     lam_s = Fraction(cert.lam) * H.scale
     g = game_at(H, lam_s)
-    arcs = tau_arcs(g, cert.tau)
-    if positive_cycle_reachable(H.n + 1, arcs.items(), H.n):
-        return CheckResult(False, "a cycle accessible from node n+1 has positive weight")
-
-    # Delete Max node m+1: drop the arcs of the columns routed to it.
-    tau, k = cert.tau.choices, H.n + 2
-    kept = (((j, l), k * w + 1) for (j, l), w in arcs.items() if tau[j] != H.m)
-    if positive_cycle_reachable(H.n + 1, kept, H.n):
-        return CheckResult(
-            False, "a cycle avoiding row m+1 accessible from node n+1 is not negative"
-        )
+    cert.tau.check(g)
+    tau, m, n = cert.tau.choices, H.m, H.n
+    reason = _cycle_condition(
+        cert.potentials, _optimality_bundles(g, tau, m, False), n, "potentials", POSITIVE
+    ) or _cycle_condition(
+        cert.strict_potentials, _optimality_bundles(g, tau, m, True), n,
+        "strict_potentials", NOT_NEGATIVE,
+    )
+    if reason:
+        return CheckResult(False, reason)
 
     if cert.witness is not None:
         if len(cert.witness) != H.n + 1:
@@ -129,18 +244,16 @@ def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) 
     """Accept iff every cycle of G^sigma_0 accessible from Min node n+1 avoids
     Max row m+1 and has nonnegative weight."""
     g = game_at(H, 0)
-    arcs = sigma_arcs(g, cert.sigma)
-    # A cycle passes through row m+1 when it uses an arc j -> sigma(m+1) that
-    # row m+1 can realize; weighting those arcs 1 and the rest 0 makes such a
-    # cycle the positive ones.
-    l_obj, enters = cert.sigma.choices[H.m], g.a[H.m]
-    through = (((j, l), int(l == l_obj and enters[j] is not None)) for (j, l) in arcs)
-    if positive_cycle_reachable(H.n + 1, through, H.n):
-        return CheckResult(False, "a cycle accessible from node n+1 passes through row m+1")
-    negated = (((j, l), -w) for (j, l), w in arcs.items())
-    if positive_cycle_reachable(H.n + 1, negated, H.n):
-        return CheckResult(False, "a cycle accessible from node n+1 has negative weight")
-    return CheckResult(True)
+    cert.sigma.check(g)
+    sigma, m, n = cert.sigma.choices, H.m, H.n
+    reason = _cycle_condition(
+        cert.through_potentials, _unboundedness_bundles(g, sigma, m, True), n,
+        "through_potentials", THROUGH_ROW,
+    ) or _cycle_condition(
+        cert.negated_potentials, _unboundedness_bundles(g, sigma, m, False), n,
+        "negated_potentials", NEGATIVE,
+    )
+    return CheckResult(not reason, reason)
 
 
 def _unscale_vec(y, scale: int) -> tuple:
@@ -154,7 +267,8 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
 
     tau comes from the oracle on the integer-scaled perturbed game at
     lambda* - 1/(min(m,n)+2), where node n+1 loses; the witness from the
-    Kleene least solution on the integer game at lambda*.
+    Kleene least solution on the integer game at lambda*, and the potentials
+    from longest_paths on tau's graph at lambda*.
     """
     lam_scaled = Fraction(lam_scaled)
     k2 = H.k_bound + 2
@@ -168,8 +282,14 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
         raise CertificateSynthesisFailed("no feasible witness at lambda*")
     g = game_at(H, lam_scaled)
     y = least_solution_fixed(g.a, g.b, at_opt.sigma, H.n)
-    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, _unscale_vec(y, g.d * H.scale))
-    result = check_optimality(H, cert)
+    z = [longest_paths(_optimality_bundles(g, rep.tau.choices, H.m, strict), H.n)
+         for strict in (False, True)]
+    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, _unscale_vec(y, g.d * H.scale), *z)
+    return _validated(check_optimality(H, cert), cert)
+
+
+def _validated(result: CheckResult, cert):
+    """cert when it passed its check; a failed check means an oracle bug."""
     if not result:
         raise CertificateSynthesisFailed(result.reason)
     return cert
@@ -185,20 +305,22 @@ def make_unboundedness_certificate(H: HomogeneousInstance) -> UnboundednessCerti
     nonnegative, and supp(u) screening keeps row m+1 inaccessible.  Otherwise
     sigma is taken from the winning oracle at a lambda so negative that any
     cycle through row m+1 has negative weight: a strategy winning there can
-    only rely on lambda-free cycles, which certify at lambda = 0.
+    only rely on lambda-free cycles, which certify at lambda = 0.  The
+    potentials come from longest_paths on sigma's graph at lambda = 0.
     """
-    cert = _support_condition_certificate(H)
-    if cert is None:
-        cert = _deep_lambda_certificate(H)
-    if cert is None:
+    sigma = _support_condition_sigma(H)
+    if sigma is None:
+        sigma = _deep_lambda_sigma(H)
+    if sigma is None:
         raise CertificateSynthesisFailed("no certifying Max strategy was found")
-    result = check_unboundedness(H, cert)
-    if not result:
-        raise CertificateSynthesisFailed(result.reason)
-    return cert
+    g = game_at(H, 0)
+    z = [longest_paths(_unboundedness_bundles(g, sigma.choices, H.m, through), H.n)
+         for through in (True, False)]
+    cert = UnboundednessCertificate(sigma, *z)
+    return _validated(check_unboundedness(H, cert), cert)
 
 
-def _support_condition_certificate(H: HomogeneousInstance):
+def _support_condition_sigma(H: HomogeneousInstance):
     from .solver import homogeneous_solution_with_zeros
 
     n = H.n
@@ -216,13 +338,13 @@ def _support_condition_certificate(H: HomogeneousInstance):
             if ybar[l] is not None and (best_v is None or row[l] + ybar[l] > best_v):
                 best_v, best_l = row[l] + ybar[l], l
         choices.append(best_l)
-    return UnboundednessCertificate(MaxStrategy(tuple(choices)))
+    return MaxStrategy(tuple(choices))
 
 
-def _deep_lambda_certificate(H: HomogeneousInstance):
+def _deep_lambda_sigma(H: HomogeneousInstance):
     # M bounds every payment of the game at lambda = 0.
     lam_low = -(2 * (H.k_bound + 2) * H.M + 1)
     rep = game_report(H, lam_low)
     if H.n not in rep.winning:
         return None
-    return UnboundednessCertificate(rep.sigma)
+    return rep.sigma

@@ -7,7 +7,11 @@ form {A,B,c,d,p,q,r,s} or the homogeneous form {C,D,u,v}, optionally with
 parse time).  Entries are read straight to int, Fraction or None (-inf) and
 become the LfpInstance's integer grids; ExtendedNumber appears only in a
 certificate's lambda and witness.  Certificates carry 1-based strategy
-successor arrays.
+successor arrays, and optionally integer potentials: n+1 JSON integers or
+"-inf" under each of the keys "potentials" and "strict_potentials"
+(optimality) or "through_potentials" and "negated_potentials"
+(unboundedness), in the units of the integer grids of ``spectral.game_at``
+at lambda* (at 0 for unboundedness); ``certify`` says what they prove.
 
 Exit codes: 0 optimal / certificate accepted, 1 usage or parse error,
 2 infeasible, 3 unbounded, 4 certificate rejected.
@@ -53,11 +57,30 @@ def read_entry(token, where: str = "entry"):
         if text == "-inf":
             return None
         try:
-            x = Fraction(text)
+            x = _read_rational(text)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"{where}: cannot parse {token!r} as a rational")
         return x.numerator if x.denominator == 1 else x
     raise DocumentError(f"{where}: unsupported value {token!r}")
+
+
+def _read_rational(text: str):
+    """The value of Fraction(text), an int for an integer token, read
+    without Fraction's regular expression in the two common forms.  int()
+    takes exactly the integer tokens Fraction takes (a sign, digits, single
+    underscores between them); "p/q" takes the quick path only with an
+    optionally signed decimal p and a decimal q, since int() would also take
+    a sign or spaces that Fraction refuses around the slash ("3/-4",
+    "3 / 4")."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        try:
+            return int(text)
+        except ValueError:
+            return Fraction(text)  # decimals, exponents, or an error
+    if den.isdecimal() and (num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal()):
+        return Fraction(int(num), int(den))
+    return Fraction(text)
 
 
 def parse_entry(token, where: str = "entry") -> ExtendedNumber:
@@ -180,6 +203,14 @@ def serialize_instance(inst: LfpInstance) -> dict:
 # --- certificate documents -------------------------------------------------
 
 
+def _put_potentials(doc: dict, cert, keys: tuple) -> None:
+    """The certificate's potential vectors under their JSON keys."""
+    for key in keys:
+        z = getattr(cert, key)
+        if z is not None:
+            doc[key] = ["-inf" if x is None else x for x in z]
+
+
 def serialize_certificate(cert) -> dict:
     if isinstance(cert, certify.OptimalityCertificate):
         doc = {
@@ -189,10 +220,31 @@ def serialize_certificate(cert) -> dict:
         }
         if cert.witness is not None:
             doc["witness"] = [format_entry(e) for e in cert.witness]
+        _put_potentials(doc, cert, certify.OPTIMALITY_POTENTIALS)
         return doc
     if isinstance(cert, certify.UnboundednessCertificate):
-        return {"type": "unboundedness", "sigma": [l + 1 for l in cert.sigma.choices]}
+        doc = {"type": "unboundedness", "sigma": [l + 1 for l in cert.sigma.choices]}
+        _put_potentials(doc, cert, certify.UNBOUNDEDNESS_POTENTIALS)
+        return doc
     raise ValueError(f"unknown certificate object {cert!r}")
+
+
+def _parse_potentials(doc: dict, keys: tuple, n: int) -> list:
+    """The potential vectors under keys, None where a key is absent: n+1
+    JSON integers or "-inf" each, read as int or None."""
+    found = []
+    for key in keys:
+        if key not in doc:
+            found.append(None)
+            continue
+        z = doc[key]
+        if not isinstance(z, list) or len(z) != n + 1:
+            raise DocumentError(f"{key} must list {n + 1} potentials")
+        for j, x in enumerate(z):
+            if type(x) is not int and x != "-inf":  # no bool, float, null or rational
+                raise DocumentError(f'{key}[{j}] must be an integer or "-inf"')
+        found.append(tuple(None if x == "-inf" else x for x in z))
+    return found
 
 
 def parse_certificate(doc: dict, m: int, n: int):
@@ -219,7 +271,10 @@ def parse_certificate(doc: dict, m: int, n: int):
             witness = tuple(_parse_vector(doc, "witness", parse_entry))
             if len(witness) != n + 1:
                 raise DocumentError(f"witness must have {n + 1} coordinates")
-        return certify.OptimalityCertificate(lam.value, MinStrategy(tuple(choices)), witness)
+        return certify.OptimalityCertificate(
+            lam.value, MinStrategy(tuple(choices)), witness,
+            *_parse_potentials(doc, certify.OPTIMALITY_POTENTIALS, n),
+        )
     if kind == "unboundedness":
         if "sigma" not in doc:
             raise DocumentError("unboundedness certificate needs 'sigma'")
@@ -231,7 +286,10 @@ def parse_certificate(doc: dict, m: int, n: int):
             if isinstance(l, bool) or not isinstance(l, int) or not (1 <= l <= n + 1):
                 raise DocumentError(f"sigma[{i}] must be a column index in 1..{n + 1}")
             choices.append(l - 1)
-        return certify.UnboundednessCertificate(MaxStrategy(tuple(choices)))
+        return certify.UnboundednessCertificate(
+            MaxStrategy(tuple(choices)),
+            *_parse_potentials(doc, certify.UNBOUNDEDNESS_POTENTIALS, n),
+        )
     raise DocumentError(f"unknown certificate type {kind!r}")
 
 

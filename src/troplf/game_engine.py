@@ -368,51 +368,62 @@ def _policy_iteration(arrays, W, start=None):
     dt = Aw.dtype
     cap = _round_cap(m, n)
     rows, cols = np.arange(m), np.arange(n)
+    # Ranks lie in 0..n-1; these offsets push the ranks of -inf entries out
+    # of reach of every row's best (every row of b and column of a has a
+    # finite entry), so no mask is applied per round.
+    Boff = np.where(Bm, 0, -n - 1)
+    Aoff = np.where(Am, 0, n + 1)
 
     def max_step(rk, Qv, Vv):
-        """Per row: best eta rank, all keys Q_l*b_il + V_l, best key, argmax."""
-        top = np.where(Bm, rk[None, :], -1).max(axis=1)
+        """Per row: best eta rank, the keys Q_l*b_il + V_l among the moves
+        of that rank (others below every key), best key, argmax."""
+        rank = rk[None, :] + Boff
+        top = rank.max(axis=1)
         val = Qv[None, :] * Bw + Vv[None, :]
-        masked = np.where(Bm & (rk[None, :] == top[:, None]), val, val.min() - 1)
-        return top, val, masked.max(axis=1), masked.argmax(axis=1)
+        masked = np.where(rank == top[:, None], val, val.min() - 1)
+        arg = masked.argmax(axis=1)
+        return top, masked, masked[rows, arg], arg
 
     def min_step(top, best, Qtop):
-        """Per column: least row rank, all keys, least key, argmin."""
+        """Per column: least row rank, the keys among the rows of that rank
+        (others above every key), least key, argmin."""
         cand = best[:, None] - Qtop[:, None] * Aw
-        mtop = np.where(Am, top[:, None], n).min(axis=0)
-        masked = np.where(Am & (top[:, None] == mtop[None, :]), cand, cand.max() + 1)
-        return mtop, cand, masked.min(axis=0), masked.argmin(axis=0)
+        rank = top[:, None] + Aoff
+        mtop = rank.min(axis=0)
+        masked = np.where(rank == mtop[None, :], cand, cand.max() + 1)
+        arg = masked.argmin(axis=0)
+        return masked, masked[arg, cols], arg
 
     if start is None:
         unit = np.ones(n, dtype=dt)
-        top, _val, best, sigma = max_step(np.zeros(n, dtype=np.int64), unit, unit - 1)
-        tau = min_step(top, best, unit[sigma])[3]
+        top, _masked, best, sigma = max_step(np.zeros(n, dtype=np.int64), unit, unit - 1)
+        tau = min_step(top, best, unit[sigma])[2]
     else:
         sigma, tau = (np.array(s, dtype=np.intp) for s in start)
     ref = None
     rounds = 0
     while True:
-        used = np.zeros(m, dtype=bool)
-        used[tau] = True
+        paid = Aw[tau, cols]
         while True:  # Howard: Max's best reply to tau
             rounds += 1
             if rounds > cap:
                 raise PolicyIterationStalled(f"no fixed point after {cap} rounds")
             nxt = sigma[tau]
-            P, Q, V = _evaluate(nxt.tolist(), (Bw[tau, nxt] - Aw[tau, cols]).tolist(), ref)
+            P, Q, V = _evaluate(nxt.tolist(), (Bw[tau, nxt] - paid).tolist(), ref)
             if dt != object and _payment_dtype(n, W, max(map(abs, V))) is object:
                 Aw, Bw, dt = Aw.astype(object), Bw.astype(object), np.dtype(object)
+                paid = Aw[tau, cols]
             rk = np.array(_ranks(P, Q), dtype=np.int64)
             Qv = np.array(Q, dtype=dt)
-            top, val, best, arg = max_step(rk, Qv, np.array(V, dtype=dt))
-            cur = rk[sigma]
-            switch = (top > cur) | ((top == cur) & (best > val[rows, sigma]))
+            top, masked, best, arg = max_step(rk, Qv, np.array(V, dtype=dt))
+            # sigma's key is below the best exactly when sigma's move is not
+            # of the top rank or falls short of the best key among them.
+            switch = best > masked[rows, sigma]
             sigma = np.where(switch, arg, sigma)
-            if not (switch & used).any():
+            if not switch[tau].any():
                 break
-        mtop, cand, cbest, carg = min_step(top, best, Qv[arg])
-        cur = top[tau]
-        switch = (mtop < cur) | ((mtop == cur) & (cbest < cand[tau, cols]))
+        cmasked, cbest, carg = min_step(top, best, Qv[arg])
+        switch = cbest < cmasked[tau, cols]
         if not switch.any():
             break
         tau = np.where(switch, carg, tau)

@@ -400,26 +400,6 @@ def kleene_star_int(rows: Sequence, h: Sequence) -> list:
     raise PositiveCycleDiverges("a strictly positive cycle reaches the support of h")
 
 
-def positive_cycle_reachable(n: int, arcs: Iterable, source: int) -> bool:
-    """Whether a cycle of strictly positive weight is reachable from source.
-
-    arcs yields ((u, v), w) for each arc u -> v of integer weight w on nodes
-    0..n-1.  The longest path weights from source are the least z with
-    z_source >= 0 and z_v >= w + z_u, which kleene_star_int finds exactly
-    when no such cycle is reachable.
-    """
-    arcs_in = [[] for _ in range(n)]
-    for (u, v), w in arcs:
-        arcs_in[v].append((u, w))
-    h = [None] * n
-    h[source] = 0
-    try:
-        kleene_star_int(arcs_in, h)
-    except PositiveCycleDiverges:
-        return True
-    return False
-
-
 def kleene_least_solution(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
     """E*h, raising PositiveCycleDiverges instead of producing +inf components.
 

@@ -32,10 +32,12 @@ The benchmark's documents are generated by ``bench/run.py``, loaded as
 ``tests/test_bench_run.py`` loads it.
 
 ``compare`` prints, per family, the records whose status, lambda* or
-pieces differ (an error: it exits 1), those that differ only elsewhere (witness,
-certificate or trace, where another optimal strategy came back), the
-certificates either record's checker rejected, and the Newton step totals.
-pytest does not collect this file.
+pieces differ (an error: it exits 1), those whose only difference is a
+certificate's potential vectors (present on one side only, or with other
+values), those that differ elsewhere (witness, strategy or trace, where
+another optimal strategy came back), the certificates either record's
+checker rejected, and the Newton step totals.  pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 METHODS = ("newton", "bisection", "negative-newton")
+# The optional potential vectors of the certificate documents.
+POTENTIAL_KEYS = ("potentials", "strict_potentials", "through_potentials", "negated_potentials")
 
 
 def _families():
@@ -129,6 +133,14 @@ def _load(path: str) -> dict:
     return {(r["family"], r["index"], r.get("method")): r for r in recs}
 
 
+def _without_potentials(rec: dict) -> dict:
+    """rec with its certificate's potential vectors dropped."""
+    cert = rec.get("certificate")
+    if not cert:
+        return rec
+    return {**rec, "certificate": {k: v for k, v in cert.items() if k not in POTENTIAL_KEYS}}
+
+
 def compare(path_a: str, path_b: str) -> int:
     a, b = _load(path_a), _load(path_b)
     if a.keys() != b.keys():
@@ -136,6 +148,7 @@ def compare(path_a: str, path_b: str) -> int:
         return 1
     total = defaultdict(int)
     answer = defaultdict(list)
+    potentials = defaultdict(list)
     other = defaultdict(list)
     rejected = defaultdict(list)
     steps = defaultdict(lambda: [0, 0])
@@ -147,8 +160,10 @@ def compare(path_a: str, path_b: str) -> int:
             rb.get("status"), rb.get("lam"), rb.get("pieces")
         ):
             answer[family].append(key)
-        elif ra != rb:
+        elif _without_potentials(ra) != _without_potentials(rb):
             other[family].append(key)
+        elif ra != rb:
+            potentials[family].append(key)
         if False in (ra.get("accepted"), rb.get("accepted")):
             rejected[family].append(key)
         if key[2] == "newton":
@@ -156,7 +171,8 @@ def compare(path_a: str, path_b: str) -> int:
             steps[family][1] += len(rb["trace"])
     for family in total:
         line = (f"{family}: {total[family]} records, {len(answer[family])} with another "
-                f"status, lambda* or pieces, {len(other[family])} differing elsewhere, "
+                f"status, lambda* or pieces, {len(potentials[family])} differing only in "
+                f"potentials, {len(other[family])} differing elsewhere, "
                 f"{len(rejected[family])} rejected certificates")
         if family in steps:
             line += f"; Newton steps {steps[family][0]} -> {steps[family][1]}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -33,8 +34,19 @@ from troplf import (
     integer_oracle,
     solve,
 )
-from troplf.certify import CertificateSynthesisFailed
-from troplf.cli_io import format_rational, parse_certificate, parse_instance, serialize_certificate
+from troplf.certify import (
+    OPTIMALITY_POTENTIALS,
+    UNBOUNDEDNESS_POTENTIALS,
+    CertificateSynthesisFailed,
+    longest_paths,
+)
+from troplf.cli_io import (
+    DocumentError,
+    format_rational,
+    parse_certificate,
+    parse_instance,
+    serialize_certificate,
+)
 from troplf.game_engine import restrict_min
 from troplf.spectral import game_report
 from troplf.trop_core import WeightedDigraph, cycle_means, digraph_of_matrix, scc_and_access
@@ -285,6 +297,151 @@ def test_corrupted_lambda_below_optimum_rejected():
         done += 1
 
 
+# --- potentials ------------------------------------------------------------
+
+
+def test_longest_paths_only_count_cycles_behind_the_source():
+    # 0 -> 1 -> 2 -> 1 closes a cycle of weight +1; 3 <-> 4 one of weight +2
+    # that node 0 cannot reach; 5 <-> 6 one of weight 0.
+    arcs = {(0, 1): -5, (1, 2): 3, (2, 1): -2, (3, 4): 1, (4, 3): 1, (5, 6): 4, (6, 5): -4}
+
+    def paths(source):
+        # longest_paths starts from its last node: swap source and node 6.
+        name = {source: 6, 6: source}
+        bundles = []
+        for (u, v), w in arcs.items():
+            row = [None] * 7
+            row[name.get(v, v)] = w
+            bundles.append((True, name.get(u, u), row, 1, 0))
+        z = longest_paths(bundles, 6)
+        return z and tuple(z[name.get(v, v)] for v in range(7))
+
+    assert paths(0) is None
+    assert paths(3) is None
+    assert paths(5) == (None,) * 5 + (0, 4)
+    arcs[2, 1] = -3
+    assert paths(0) == (0, -5, -2) + (None,) * 4
+
+
+def _issued_certificates():
+    """(H, certificate, check, potential keys) of random optimal and
+    unbounded solves."""
+    rng = random.Random(101)
+    seen = Counter()
+    while seen["Optimal"] < 12 or seen["Unbounded"] < 6:
+        inst = random_instance(rng, rng.randint(1, 4), rng.randint(1, 4), 5, 0.4)
+        out = solve(inst)
+        if out.certificate is None:
+            continue
+        seen[out.status] += 1
+        if out.status == "Optimal":
+            yield homogenize(inst), out.certificate, check_optimality, OPTIMALITY_POTENTIALS
+        else:
+            yield homogenize(inst), out.certificate, check_unboundedness, UNBOUNDEDNESS_POTENTIALS
+
+
+def test_corrupted_potentials_are_rejected_at_the_arc_they_break():
+    """Issued potentials are the least ones, so every node the source
+    reaches has a tight arc into it: lowering its potential by one breaks
+    that arc, and -inf there breaks every arc into it.  -inf at the source
+    is refused.  Each reason names the vector and the arc.  Shifting every
+    finite potential by one constant keeps the certificate valid."""
+    mutated = Counter()
+    for H, cert, check, keys in _issued_certificates():
+        for key in keys:
+            z = getattr(cert, key)
+            assert z is not None and len(z) == H.n + 1 and z[H.n] is not None
+            result = check(H, replace(cert, **{key: z[:-1] + (None,)}))
+            assert not result and result.reason == f"{key}: node n+1 is -inf"
+            for v, zv in enumerate(z[:-1]):
+                if zv is None:
+                    continue
+                for what, bad in (("lowered", zv - 1), ("erased", None)):
+                    result = check(H, replace(cert, **{key: z[:v] + (bad,) + z[v + 1:]}))
+                    assert not result
+                    assert result.reason.startswith(f"{key}: the arc ")
+                    assert f" -> {v + 1} of weight " in result.reason
+                    assert result.reason.endswith(" breaks z_v >= z_u + w")
+                    mutated[key, what] += 1
+            for shift in (-7, 1, 10**20):
+                shifted = tuple(None if x is None else x + shift for x in z)
+                assert check(H, replace(cert, **{key: shifted})), key
+    every = {(key, what) for key in OPTIMALITY_POTENTIALS + UNBOUNDEDNESS_POTENTIALS
+             for what in ("lowered", "erased")}
+    assert every <= set(mutated), every - set(mutated)
+
+
+def test_certificates_without_potentials_are_still_checked(example2):
+    """A certificate without potentials, or without one of its vectors, gets
+    them from the Kleene iteration; a vector of the wrong length is refused."""
+    H = homogenize(example2)
+    cert = make_optimality_certificate(H, Fraction(0))
+    assert cert.potentials is not None and cert.strict_potentials is not None
+    assert check_optimality(H, replace(cert, potentials=None, strict_potentials=None))
+    assert check_optimality(H, replace(cert, potentials=None))
+    short = check_optimality(H, replace(cert, potentials=cert.potentials[:-1]))
+    assert not short and short.reason == "potentials has the wrong length"
+
+
+def _acceptance_solves():
+    """(instance, method) of the acceptance criteria's examples and of
+    criterion 6's 200 instances, by every method."""
+    from test_acceptance import criterion_6_instances
+
+    examples = []
+    for k in (1, 2, 3):
+        with open(f"data/example{k}.json", encoding="utf-8") as fh:
+            examples.append(parse_instance(json.load(fh)).instance)
+    for inst in examples + list(criterion_6_instances()):
+        for method in ("newton", "bisection", "negative-newton"):
+            yield inst, method
+
+
+def test_issued_certificates_pass_with_and_without_their_potentials():
+    """Every certificate the acceptance families issue carries its potentials
+    in JSON, and passes the check with them and with those keys deleted."""
+    counts = Counter()
+    for inst, method in _acceptance_solves():
+        out = solve(inst, method=method)
+        if out.certificate is None:
+            continue
+        H = homogenize(inst)
+        doc = json.loads(json.dumps(serialize_certificate(out.certificate)))
+        keys = OPTIMALITY_POTENTIALS if doc["type"] == "optimality" else UNBOUNDEDNESS_POTENTIALS
+        check = check_optimality if doc["type"] == "optimality" else check_unboundedness
+        assert all(len(doc[key]) == H.n + 1 for key in keys)
+        assert check(H, parse_certificate(doc, H.m, H.n))
+        bare = {k: v for k, v in doc.items() if k not in keys}
+        assert check(H, parse_certificate(bare, H.m, H.n))
+        counts[doc["type"]] += 1
+    assert counts["optimality"] > 100 and counts["unboundedness"] > 10, counts
+
+
+def test_certificate_parse_reads_potentials_strictly(example2):
+    H = homogenize(example2)
+    cert = make_optimality_certificate(H, Fraction(0))
+    doc = json.loads(json.dumps(serialize_certificate(cert)))
+    assert parse_certificate(doc, H.m, H.n) == cert
+    for key in OPTIMALITY_POTENTIALS:
+        for bad, where in ((True, 0), (1.0, 1), ("3/2", 0), ("7", 2), (None, 1), ("+inf", 0)):
+            vector = list(doc[key])
+            vector[where] = bad
+            with pytest.raises(DocumentError, match=rf"{key}\[{where}\] must be an integer"):
+                parse_certificate({**doc, key: vector}, H.m, H.n)
+        for vector in (doc[key][:-1], doc[key] + [0], {"0": 1}, "-inf"):
+            with pytest.raises(DocumentError, match=f"{key} must list {H.n + 1} potentials"):
+                parse_certificate({**doc, key: vector}, H.m, H.n)
+    inst = _special_minimization([[0, 1], [2, -1]], [[1, 0], [0, 0]], [0, -2], [0, 0])
+    H = homogenize(inst)
+    doc = json.loads(json.dumps(serialize_certificate(make_unboundedness_certificate(H))))
+    assert set(UNBOUNDEDNESS_POTENTIALS) <= set(doc)
+    for key in UNBOUNDEDNESS_POTENTIALS:
+        with pytest.raises(DocumentError, match=rf"{key}\[0\] must be an integer"):
+            parse_certificate({**doc, key: [False] + doc[key][1:]}, H.m, H.n)
+        with pytest.raises(DocumentError, match=f"{key} must list {H.n + 1} potentials"):
+            parse_certificate({**doc, key: doc[key] * 2}, H.m, H.n)
+
+
 # --- differential checks against Karp cycle means ---------------------------
 
 POSITIVE = "a cycle accessible from node n+1 has positive weight"
@@ -511,8 +668,11 @@ def test_self_issued_certificates_pass_the_independent_check(doc):
         answers.add((out.status, out.lam))
         if out.certificate is None:
             continue
-        text = json.dumps(serialize_certificate(out.certificate))
-        cert = parse_certificate(json.loads(text), H.m, H.n)
+        doc = serialize_certificate(out.certificate)
+        keys = OPTIMALITY_POTENTIALS if out.status == "Optimal" else UNBOUNDEDNESS_POTENTIALS
+        assert all(len(doc[key]) == H.n + 1 for key in keys)
+        cert = parse_certificate(json.loads(json.dumps(doc)), H.m, H.n)
+        assert all(getattr(cert, key) is not None for key in keys)
         check = check_optimality if out.status == "Optimal" else check_unboundedness
         result = check(H, cert)
         assert result, result.reason

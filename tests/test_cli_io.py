@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from troplf.cli_io import (
     parse_certificate,
     parse_entry,
     parse_instance,
+    read_entry,
     serialize_certificate,
     serialize_instance,
 )
@@ -46,6 +48,25 @@ def test_parse_entry_tokens():
     for bad in ("+inf", "nan", "1.5.2", "", True, None, [1]):
         with pytest.raises(DocumentError):
             parse_entry(bad)
+
+
+def test_rational_tokens_keep_their_accepted_set():
+    """Tokens read as Fraction(text) reads them: a sign only in front, no
+    spaces around the slash, no zero denominator; decimals, exponents and
+    underscores between digits as Fraction takes them; no booleans."""
+    for token, value in (("1.5", Fraction(3, 2)), ("1e3", 1000), ("1_000", 1000), (" 7 ", 7),
+                         ("-6/4", Fraction(-3, 2)), ("+3/4", Fraction(3, 4)), ("8/4", 2),
+                         ("1_0/4", Fraction(5, 2)), ("-0", 0)):
+        x = read_entry(token)
+        assert x == value and type(x) is type(value), token
+    for token in ("3/-4", "3/+4", "3 / 4", "3 /4", "3/ 4", "3/0", "/4", "3/", "1/2/3",
+                  "1__0", "_1", "--3/4", "+inf", "inf"):
+        message = f"c[0]: cannot parse {token!r} as a rational"
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            read_entry(token, "c[0]")
+    for token in (True, False):
+        with pytest.raises(DocumentError, match="booleans are not numbers"):
+            read_entry(token)
 
 
 def test_format_rational_canonical():
@@ -329,6 +350,40 @@ def test_check_round_trip(capsys, tmp_path):
     assert code == 0 and "accept" in out
 
 
+UNBOUNDED_DOC = {
+    "A": [[0, "-inf"], ["-inf", 0]], "B": [[0, "-inf"], ["-inf", 0]],
+    "c": [0, -1], "d": [0, 0],
+    "p": ["-inf", "-inf"], "q": [0, 0], "r": "-inf", "s": 0,
+}
+
+
+def test_check_reads_potentials_and_does_without_them(capsys, tmp_path):
+    """The issued certificates carry potentials; troplf check accepts them
+    with those keys deleted and rejects a corrupted potential, naming it."""
+    inst_path = tmp_path / "unbounded.json"
+    inst_path.write_text(json.dumps(UNBOUNDED_DOC))
+    cert_path = tmp_path / "cert.json"
+    for inst, keys in ((EX2, ("potentials", "strict_potentials")),
+                       (str(inst_path), ("through_potentials", "negated_potentials"))):
+        run(capsys, "solve", inst, "--cert-out", str(cert_path))
+        doc = json.loads(cert_path.read_text())
+        for key in keys:
+            assert doc[key][-1] == 0 and doc[key][0] != "-inf"
+            for value, reason in (
+                ("-inf", f"reject: {key}: node n+1 is -inf\n"),
+                (-1, f"reject: {key}: the arc "),
+            ):
+                where = -1 if value == "-inf" else 0
+                bad = doc[key][:]
+                bad[where] = value if value == "-inf" else bad[where] + value
+                cert_path.write_text(json.dumps({**doc, key: bad}))
+                code, out, _ = run(capsys, "check", inst, str(cert_path))
+                assert code == 4 and out.startswith(reason), out
+        cert_path.write_text(json.dumps({k: v for k, v in doc.items() if k not in keys}))
+        code, out, _ = run(capsys, "check", inst, str(cert_path))
+        assert code == 0 and out == "accept\n"
+
+
 def test_check_rejects_wrong_lambda(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     run(capsys, "solve", EX2, "--cert-out", str(cert_path))
@@ -352,11 +407,7 @@ def test_check_truncated_tau_is_usage_error(capsys, tmp_path):
 
 def test_check_unboundedness_certificate(capsys, tmp_path):
     inst_path = tmp_path / "unbounded.json"
-    inst_path.write_text(json.dumps({
-        "A": [[0, "-inf"], ["-inf", 0]], "B": [[0, "-inf"], ["-inf", 0]],
-        "c": [0, -1], "d": [0, 0],
-        "p": ["-inf", "-inf"], "q": [0, 0], "r": "-inf", "s": 0,
-    }))
+    inst_path.write_text(json.dumps(UNBOUNDED_DOC))
     cert_path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "solve", str(inst_path), "--cert-out", str(cert_path))
     assert code == 3
@@ -381,11 +432,7 @@ def test_check_rejects_strategies_with_forbidden_moves(capsys, tmp_path):
         certify.check_optimality(H, parse_certificate(doc, H.m, H.n))
 
     inst_path = tmp_path / "unbounded.json"
-    inst_path.write_text(json.dumps({
-        "A": [[0, "-inf"], ["-inf", 0]], "B": [[0, "-inf"], ["-inf", 0]],
-        "c": [0, -1], "d": [0, 0],
-        "p": ["-inf", "-inf"], "q": [0, 0], "r": "-inf", "s": 0,
-    }))
+    inst_path.write_text(json.dumps(UNBOUNDED_DOC))
     cert_path.write_text(json.dumps({"type": "unboundedness", "sigma": [2, 1, 1]}))
     code, out, _ = run(capsys, "check", str(inst_path), str(cert_path))
     assert code == 4 and out == "reject: Max strategy picks a forbidden move 0->1\n"

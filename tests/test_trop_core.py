@@ -19,11 +19,7 @@ from troplf import (
     cycle_time_vector,
     kleene_least_solution,
 )
-from troplf.trop_core import (
-    WeightedDigraph,
-    positive_cycle_reachable,
-    scc_and_access,
-)
+from troplf.trop_core import WeightedDigraph, scc_and_access
 
 from conftest import e, rows
 from maxplus import trop_matvec
@@ -83,17 +79,6 @@ def test_kleene_positive_self_loop_diverges():
     E = TropMatrix([[fin(1)]])
     with pytest.raises(PositiveCycleDiverges):
         kleene_least_solution(E, [fin(0)])
-
-
-def test_positive_cycle_reachable_only_counts_cycles_behind_the_source():
-    # 0 -> 1 -> 2 -> 1 closes a cycle of weight +1; 3 <-> 4 one of weight +2
-    # that node 0 cannot reach; 5 <-> 6 one of weight 0.
-    arcs = {(0, 1): -5, (1, 2): 3, (2, 1): -2, (3, 4): 1, (4, 3): 1, (5, 6): 4, (6, 5): -4}
-    assert positive_cycle_reachable(7, arcs.items(), 0)
-    assert positive_cycle_reachable(7, arcs.items(), 3)
-    assert not positive_cycle_reachable(7, arcs.items(), 5)
-    arcs[2, 1] = -3
-    assert not positive_cycle_reachable(7, arcs.items(), 0)
 
 
 def test_kleene_least_solution_properties():
