@@ -22,11 +22,14 @@ that node n+1 reaches, with z_{n+1} finite and z_v >= z_u + w on every arc
 that leaves a node of finite z, and a certificate carries one vector per
 condition (``potentials`` and ``strict_potentials``, ``through_potentials``
 and ``negated_potentials``).  The check verifies them in one pass over the
-strategy's arcs and trusts no solver code (McConnell, Mehlhorn, Naeher &
-Schweitzer, "Certifying algorithms", 2011).  A certificate without them
-gets them from ``longest_paths``, the integer Kleene iteration from node
-n+1, which diverges exactly when the condition fails; the certificates this
-module issues carry the potentials that iteration found.
+strategy's arcs, read from the grids, and trusts no solver code (McConnell,
+Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", 2011).  The
+potentials are the least ones, the longest paths from node n+1
+(``trop_core.longest_paths``) on the same graphs built from the parametric
+oracle's arrays; they exist exactly when the condition holds.  The
+certificates this module issues carry them, and a certificate without them
+gets them the same way.  The witness is the least solution at lambda*
+(``least_solution_fixed``) on those arrays, divided once by d*scale.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed
-from .spectral import HomogeneousInstance, game_at, game_report, phi_nonneg
-from .trop_core import ExtendedNumber, PositiveCycleDiverges, kleene_star_int
+import numpy as np
+
+from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed, max_graph, min_graph
+from .spectral import HomogeneousInstance, game_arrays, game_at, game_report, phi_nonneg
+from .trop_core import NEG_INF, ExtendedNumber, PositiveCycleDiverges, longest_paths
 
 
 class CertificateSynthesisFailed(Exception):
@@ -92,12 +97,12 @@ class CheckResult:
 def _witness_satisfies(y: tuple, g: int, a, b) -> bool:
     """U y <= V y on the integer grids a, b, with y in units that g scales to theirs.
 
-    Both sides are compared exactly: y times g is brought to integers by the
-    lcm of its denominators, which multiplies the grids too.
+    Both sides are compared exactly in integers: with den the lcm of the
+    denominators of y, den*g*y is integral, and the grids are multiplied
+    by den.
     """
-    vals = [Fraction(e.value) * g if e.is_finite else None for e in y]
-    den = lcm(*(v.denominator for v in vals if v is not None))
-    z = [None if v is None else v.numerator * (den // v.denominator) for v in vals]
+    den = lcm(*(e.value.denominator for e in y if e.kind == 0))
+    z = [g * e.value.numerator * (den // e.value.denominator) if e.kind == 0 else None for e in y]
     top = [j for j, e in enumerate(y) if e.kind == 1]
 
     def side(row):
@@ -140,23 +145,32 @@ def _unboundedness_bundles(g, sigma: tuple, m: int, through: bool) -> list:
     return [(False, l, a[i], 1, -b[i][l]) for i, l in enumerate(sigma)]
 
 
-def longest_paths(bundles: list, n: int) -> Optional[tuple]:
-    """The least z with z_n >= 0 and z_v >= z_u + w on every arc, None for
-    -inf (nodes node n does not reach), by the integer Kleene iteration; None
-    when it diverges, that is when a cycle of positive weight is reachable
-    from node n.  These are the potentials a certificate carries."""
-    into = [[] for _ in range(n + 1)]
-    for out, node, row, k, c in bundles:
-        if out:
-            for l, x in enumerate(row):
-                if x is not None:
-                    into[l].append((node, k * x + c))
-        else:
-            into[node] += [(j, k * x + c) for j, x in enumerate(row) if x is not None]
-    h = [None] * (n + 1)
-    h[n] = 0
+def _optimality_graphs(arrays, tau: tuple, m: int) -> tuple:
+    """The graphs of _optimality_bundles as (weights, mask) of the oracle's
+    arrays: Max's against tau, plain and strict.  Where the oracle's weights
+    are int64, (2N+1)W + 2 < 2**62 for N Min nodes and |payments| < W, so the
+    strict weights (N+1)w + 1 of |w| < 2W stay below 2**63."""
+    tau = np.array(tau, dtype=np.intp)
+    w, mask = max_graph(arrays, tau)
+    return (w, mask), ((len(tau) + 1) * w + 1, mask & (tau != m)[:, None])
+
+
+def _unboundedness_graphs(arrays, sigma: tuple, m: int) -> tuple:
+    """The graphs of _unboundedness_bundles as (weights, mask): Min's against
+    sigma, through and negated.  They share their arcs; only row m's,
+    j -> sigma(m), weigh 1 in the first."""
+    Am, _Bm, Aw, Bw = arrays
+    sigma = np.array(sigma, dtype=np.intp)
+    w, mask = min_graph(Am, Aw - Bw[np.arange(len(sigma)), sigma][:, None], sigma)
+    through = np.zeros(mask.shape, dtype=np.int64)
+    through[Am[m], sigma[m]] = 1
+    return (through, mask), (w, mask)
+
+
+def _potentials(graph: tuple, n: int) -> Optional[tuple]:
+    """The longest paths from node n, None when they diverge."""
     try:
-        return tuple(kleene_star_int(into, h))
+        return tuple(longest_paths(*graph, n))
     except PositiveCycleDiverges:
         return None
 
@@ -192,12 +206,12 @@ def _broken_arc(key: str, u: int, v: int, w: int) -> str:
     return f"{key}: the arc {u + 1} -> {v + 1} of weight {w} breaks z_v >= z_u + w"
 
 
-def _cycle_condition(z, bundles: list, n: int, key: str, diverged: str) -> str:
+def _cycle_condition(z, bundles: list, graph, n: int, key: str, diverged: str) -> str:
     """Why the condition fails ("" when it holds), checked on the potentials
-    z; a certificate without them gets them from longest_paths, and the
-    reason ``diverged`` when they do not exist."""
+    z, or on the longest paths on graph() when z is None; ``diverged`` when
+    those do not exist."""
     if z is None:
-        z = longest_paths(bundles, n)
+        z = _potentials(graph(), n)
         if z is None:
             return diverged
     return _broken_potentials(z, bundles, n, key)
@@ -217,10 +231,12 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     g = game_at(H, lam_s)
     cert.tau.check(g)
     tau, m, n = cert.tau.choices, H.m, H.n
+    graphs = lambda: _optimality_graphs(game_arrays(H, lam_s)[0], tau, m)  # noqa: E731
     reason = _cycle_condition(
-        cert.potentials, _optimality_bundles(g, tau, m, False), n, "potentials", POSITIVE
+        cert.potentials, _optimality_bundles(g, tau, m, False), lambda: graphs()[0], n,
+        "potentials", POSITIVE,
     ) or _cycle_condition(
-        cert.strict_potentials, _optimality_bundles(g, tau, m, True), n,
+        cert.strict_potentials, _optimality_bundles(g, tau, m, True), lambda: graphs()[1], n,
         "strict_potentials", NOT_NEGATIVE,
     )
     if reason:
@@ -246,20 +262,15 @@ def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) 
     g = game_at(H, 0)
     cert.sigma.check(g)
     sigma, m, n = cert.sigma.choices, H.m, H.n
+    graphs = lambda: _unboundedness_graphs(game_arrays(H, 0)[0], sigma, m)  # noqa: E731
     reason = _cycle_condition(
-        cert.through_potentials, _unboundedness_bundles(g, sigma, m, True), n,
-        "through_potentials", THROUGH_ROW,
+        cert.through_potentials, _unboundedness_bundles(g, sigma, m, True), lambda: graphs()[0],
+        n, "through_potentials", THROUGH_ROW,
     ) or _cycle_condition(
-        cert.negated_potentials, _unboundedness_bundles(g, sigma, m, False), n,
-        "negated_potentials", NEGATIVE,
+        cert.negated_potentials, _unboundedness_bundles(g, sigma, m, False), lambda: graphs()[1],
+        n, "negated_potentials", NEGATIVE,
     )
     return CheckResult(not reason, reason)
-
-
-def _unscale_vec(y, scale: int) -> tuple:
-    return tuple(
-        ExtendedNumber.finite(Fraction(e.value, scale)) if e.is_finite else e for e in y
-    )
 
 
 def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) -> OptimalityCertificate:
@@ -267,8 +278,8 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
 
     tau comes from the oracle on the integer-scaled perturbed game at
     lambda* - 1/(min(m,n)+2), where node n+1 loses; the witness from the
-    Kleene least solution on the integer game at lambda*, and the potentials
-    from longest_paths on tau's graph at lambda*.
+    least solution on the integer game at lambda*, and the potentials from
+    longest paths on tau's graph at lambda*, both on the oracle's arrays.
     """
     lam_scaled = Fraction(lam_scaled)
     k2 = H.k_bound + 2
@@ -280,11 +291,12 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
     at_opt = game_report(H, lam_scaled)
     if H.n not in at_opt.winning:
         raise CertificateSynthesisFailed("no feasible witness at lambda*")
-    g = game_at(H, lam_scaled)
-    y = least_solution_fixed(g.a, g.b, at_opt.sigma, H.n)
-    z = [longest_paths(_optimality_bundles(g, rep.tau.choices, H.m, strict), H.n)
-         for strict in (False, True)]
-    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, _unscale_vec(y, g.d * H.scale), *z)
+    arrays, d = game_arrays(H, lam_scaled)
+    y = least_solution_fixed(arrays, at_opt.sigma, H.n)
+    den = d * H.scale
+    witness = tuple(NEG_INF if v is None else ExtendedNumber(0, Fraction(v, den)) for v in y)
+    z = [_potentials(g, H.n) for g in _optimality_graphs(arrays, rep.tau.choices, H.m)]
+    cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, witness, *z)
     return _validated(check_optimality(H, cert), cert)
 
 
@@ -306,16 +318,15 @@ def make_unboundedness_certificate(H: HomogeneousInstance) -> UnboundednessCerti
     sigma is taken from the winning oracle at a lambda so negative that any
     cycle through row m+1 has negative weight: a strategy winning there can
     only rely on lambda-free cycles, which certify at lambda = 0.  The
-    potentials come from longest_paths on sigma's graph at lambda = 0.
+    potentials come from longest paths on sigma's graph at lambda = 0.
     """
     sigma = _support_condition_sigma(H)
     if sigma is None:
         sigma = _deep_lambda_sigma(H)
     if sigma is None:
         raise CertificateSynthesisFailed("no certifying Max strategy was found")
-    g = game_at(H, 0)
-    z = [longest_paths(_unboundedness_bundles(g, sigma.choices, H.m, through), H.n)
-         for through in (True, False)]
+    graphs = _unboundedness_graphs(game_arrays(H, 0)[0], sigma.choices, H.m)
+    z = [_potentials(g, H.n) for g in graphs]
     cert = UnboundednessCertificate(sigma, *z)
     return _validated(check_unboundedness(H, cert), cert)
 

@@ -17,9 +17,9 @@ comparison is integer arithmetic.  One run yields the exact values chi of all
 Min nodes, the winning sets and optimal strategies sigma and tau for both
 players.
 
-Policy iteration and ``least_solution_fixed`` work on those grids.  Scaling
-every payment by d > 0 scales every value by d and keeps every strategy
-optimal, so values are divided by d once at the end.  ``integer_grids`` is
+Policy iteration and ``least_solution_fixed`` work on those grids, as numpy
+masks and weights.  Scaling every payment by d > 0 scales every value by d
+and keeps every strategy optimal, so values are divided by d once at the end.  ``integer_grids`` is
 the one scaling routine: it puts int and Fraction entries over their least
 common denominator, for ``spectral.LfpInstance`` and for anyone building a
 game from rational payments.
@@ -36,9 +36,13 @@ solver's games are the parametric game of one instance at many (lambda, k):
 each instance has one ``ParametricOracle`` (``spectral.game_report`` asks
 it), which builds the masks and weights once and starts each run from the
 strategies of the last, so its sigma and tau are an optimal pair, not
-necessarily the pair a cold run returns.  ``restrict_max`` and
-``restrict_min`` give a strategy's one-player game as a Fraction TropMatrix,
-for cross-checks against Karp cycle means.
+necessarily the pair a cold run returns; ``ParametricOracle.arrays`` gives
+the same masks and weights to the rest of a solve.  ``restrict_min`` gives
+tau's one-player game as a Fraction TropMatrix, for cross-checks against
+Karp cycle means.
+``least_solution_fixed`` is the longest paths (``trop_core.longest_paths``)
+in Min's one-player graph against sigma, ``min_graph``; with ``max_graph``,
+Max's against tau, it gives the certificates their witnesses and potentials.
 """
 
 from __future__ import annotations
@@ -51,15 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trop_core import (
-    MAX_PLUS,
-    MIN_PLUS,
-    NEG_INF,
-    POS_INF,
-    ExtendedNumber,
-    TropMatrix,
-    kleene_star_int,
-)
+from .trop_core import MAX_PLUS, NEG_INF, ExtendedNumber, TropMatrix, longest_paths
 
 
 class AssumptionViolated(Exception):
@@ -198,26 +194,6 @@ class GameValueReport:
     winning: frozenset
     sigma: MaxStrategy
     tau: MinStrategy
-
-
-def restrict_max(game: MeanPayoffGame, sigma: MaxStrategy) -> TropMatrix:
-    """Min-plus n x n matrix of the min-only map f^sigma (x -> A# B^sigma x)."""
-    sigma.check(game)
-    n = game.n
-    grid = [[POS_INF] * n for _ in range(n)]
-    for j in range(n):
-        for l in range(n):
-            acc = None
-            for i in range(game.m):
-                a = game.a[i][j]
-                if sigma.choices[i] != l or a is None:
-                    continue
-                val = game.b[i][l] - a
-                if acc is None or val < acc:
-                    acc = val
-            if acc is not None:
-                grid[j][l] = ExtendedNumber.finite(Fraction(acc, game.d))
-    return TropMatrix(grid, semiring=MIN_PLUS)
 
 
 def restrict_min(game: MeanPayoffGame, tau: MinStrategy) -> TropMatrix:
@@ -544,9 +520,11 @@ class ParametricOracle:
         self._rest = max((abs(x) for row in U + V[:-1] for x in row if x is not None), default=0)
         self._masks = _mask(U), _mask(V)
 
-    def report(self, f: int, s: int, d: int) -> GameValueReport:
-        """The exact values, over d, and an optimal strategy pair of the game
-        with grids f*U and f*V, V's last row shifted by s."""
+    def arrays(self, f: int, s: int) -> tuple:
+        """((masks of U and V, weights of f*U and f*V with V's last row
+        shifted by s on its finite entries), W): the family's game at (f, s)
+        as _policy_iteration and least_solution_fixed read it, W bounding
+        every |payment| + 1."""
         if self._masks is None:
             self._setup()
         Um, Vm = self._masks
@@ -558,10 +536,15 @@ class ParametricOracle:
             rest = _weights(self.V[:-1], dt).reshape(len(self.V) - 1, Vm.shape[1])
             self._weights[dt] = _weights(self.U, dt), rest
         Uw, Vr = self._weights[dt]
-        if f != 1:
-            Uw, Vr = Uw * f, Vr * f
-        Vw = np.vstack([Vr, np.array([last], dtype=dt)])
-        chi, sigma, tau, rounds, bigint = _policy_iteration((Um, Vm, Uw, Vw), W, self.last)
+        Vw = np.empty(Vm.shape, dtype=dt)
+        np.multiply(Vr, f, out=Vw[:-1])
+        Vw[-1] = last
+        return (Um, Vm, Uw * f if f != 1 else Uw, Vw), W
+
+    def report(self, f: int, s: int, d: int) -> GameValueReport:
+        """The exact values, over d, and an optimal strategy pair of the game
+        with grids f*U and f*V, V's last row shifted by s."""
+        chi, sigma, tau, rounds, bigint = _policy_iteration(*self.arrays(f, s), self.last)
         self.last = sigma, tau
         self.stats.runs += 1
         self.stats.rounds += rounds
@@ -570,76 +553,61 @@ class ParametricOracle:
 
 
 # ---------------------------------------------------------------------------
-# Reduction of A x <= B^sigma x with one coordinate pinned to 0.
+# One-player graphs on the Min nodes, and the least solution of A x <= B^sigma x.
 # ---------------------------------------------------------------------------
 
 
-def _fixed_system(a, b, sigma, l: int):
-    """Split a x <= b^sigma x with x_l = 0 into an integer Kleene system.
+def min_graph(Am, vals, sigma) -> tuple:
+    """(weights, mask) of Min's graph against sigma on the Min nodes: an arc
+    j -> sigma(i) of weight vals[i, j] for each finite a_ij (Am[i, j]), the
+    largest where rows share sigma(i), by a segment max of the rows."""
+    low = vals.min() - 1
+    G = np.full((Am.shape[1],) * 2, low, dtype=vals.dtype)
+    np.maximum.at(G, sigma, np.where(Am, vals, low))
+    return G.T, (G > low).T
 
-    Rows i with sigma(i) != l become x_t >= a_ij - b_it + x_j for t = sigma(i),
-    over the coordinates targeted by sigma; the x_l = 0 column gives the
-    constants h, and coordinates no row targets are pinned to -inf, so their
-    coefficients drop out.  Rows with sigma(i) = l have a constant right-hand
-    side and are left to verification.  Returns (targets, rows, h) where
-    rows[k] lists (position, weight) arcs of the system over targets.
+
+def max_graph(arrays, tau) -> tuple:
+    """(weights, mask) of Max's graph against tau on the Min nodes: an arc
+    j -> l of weight b[tau(j)][l] - a[tau(j)][j] for each finite b[tau(j)][l]."""
+    _Am, Bm, Aw, Bw = arrays
+    return Bw[tau] - Aw[tau, np.arange(len(tau))][:, None], Bm[tau]
+
+
+def least_solution_fixed(arrays, sigma: MaxStrategy, l: int) -> tuple:
+    """Least x with a x <= b^sigma x and x_l = 0, as ints (None for -inf).
+
+    ``arrays`` is the game as ``_game_arrays`` gives it.  Rows i with
+    sigma(i) != l say x_t >= a_ij - b_it + x_j for t = sigma(i), so x is the
+    longest paths from l in Min's graph against sigma without the rows
+    sigma sends to l.  Every row is verified afterwards: a failing row with
+    sigma(i) = l raises SecondSubsystemViolated, any other
+    InternalCertificateMismatch.  PositiveCycleDiverges propagates.  The
+    first and the last indicate the caller's sigma was not actually winning.
     """
-    targets = sorted({t for t in sigma if t != l})
-    tpos = {t: k for k, t in enumerate(targets)}
-    coef = [dict() for _ in targets]
-    h = [None] * len(targets)
-    for i, t in enumerate(sigma):
-        if t == l:
-            continue
-        k = tpos[t]
-        bv = b[i][t]
-        row = coef[k]
-        for j, av in enumerate(a[i]):
-            if av is None:
-                continue
-            w = av - bv
-            if j == l:
-                if h[k] is None or h[k] < w:
-                    h[k] = w
-            elif j in tpos:
-                pj = tpos[j]
-                if pj not in row or row[pj] < w:
-                    row[pj] = w
-    return targets, [list(row.items()) for row in coef], h
-
-
-def least_solution_fixed(a, b, sigma: MaxStrategy, l: int) -> tuple:
-    """Least x with a x <= b^sigma x and x_l = 0 (via the Kleene star).
-
-    a and b are integer grids (None for -inf); the result is a tuple of
-    ExtendedNumber.  Every row is verified afterwards.  Raises
-    SecondSubsystemViolated when a constant-side row (sigma(i) = l) fails,
-    and propagates PositiveCycleDiverges: both indicate the caller's sigma
-    was not actually winning.
-    """
-    targets, rows, h = _fixed_system(a, b, sigma.choices, l)
-    z = kleene_star_int(rows, h)
-    x = [None] * len(a[0])
-    x[l] = 0
-    for k, t in enumerate(targets):
-        x[t] = z[k]
-    for i, t in enumerate(sigma.choices):
-        lhs = max((av + xj for av, xj in zip(a[i], x) if av is not None and xj is not None),
-                  default=None)
-        if lhs is None or (x[t] is not None and lhs <= b[i][t] + x[t]):
-            continue
-        if t == l:
+    Am, _Bm, Aw, Bw = arrays
+    sig = np.array(sigma.choices, dtype=np.intp)
+    vals = Aw - Bw[np.arange(len(sig)), sig][:, None]
+    x = longest_paths(*min_graph(Am & (sig != l)[:, None], vals, sig), l)
+    # Row i fails where a finite a_ij + x_j exceeds b_i,sigma(i) + x_sigma(i),
+    # or exists while x_sigma(i) is -inf.
+    fin = np.array([v is not None for v in x])
+    xv = np.array([0 if v is None else v for v in x], dtype=Aw.dtype)
+    fails = Am & fin & ((vals + xv > xv[sig][:, None]) | ~fin[sig][:, None])
+    bad = fails.any(axis=1).nonzero()[0]
+    if len(bad):
+        i = int(bad[0])
+        if sig[i] == l:
             raise SecondSubsystemViolated(f"row {i} fails against the constant bound")
         raise InternalCertificateMismatch(f"row {i} of the least solution fails A x <= B x")
-    return tuple(NEG_INF if v is None else ExtendedNumber.finite(v) for v in x)
+    return tuple(x)
 
 
 def feasibility_witness(game: MeanPayoffGame, i: int) -> Optional[tuple]:
     """A vector x with A x <= B x and x_i = 0, or None when chi_i < 0."""
-    rep = integer_oracle(game)
-    if i not in rep.winning:
+    arrays, W = _game_arrays(game.a, game.b)
+    chi, sigma = _policy_iteration(arrays, W)[:2]
+    if chi[i] < 0:
         return None
-    x = least_solution_fixed(game.a, game.b, rep.sigma, i)
-    if game.d == 1:
-        return x
-    return tuple(ExtendedNumber.finite(e.value / game.d) if e.is_finite else e for e in x)
+    x = least_solution_fixed(arrays, MaxStrategy(sigma), i)
+    return tuple(NEG_INF if v is None else ExtendedNumber(0, Fraction(v, game.d)) for v in x)

@@ -25,6 +25,7 @@ from .game_engine import (
 from .spectral import (
     HomogeneousInstance,
     LfpInstance,
+    game_arrays,
     game_at,  # noqa: F401  (the benchmark's tracer test reads solver.game_at)
     game_report,
     homogenize,
@@ -243,9 +244,9 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     """One positive-Newton step: the minimal zero of phi^sigma.
 
     With l = sigma(m+1) and y_l pinned to 0, the least solution y of
-    C y <= D^sigma y (Kleene star on the first subsystem, the second one
-    verified afterwards, on the integer grids of C and D) gives
-    lambda_next = (u y) - v_l, or -inf when u y is -inf.
+    C y <= D^sigma y (longest paths on Min's graph against sigma, the rows
+    sigma sends to l verified afterwards, on the oracle's arrays of C and D)
+    gives lambda_next = (u y) - v_l, or -inf when u y is -inf.
     """
     from .game_engine import least_solution_fixed
 
@@ -255,11 +256,10 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     vl = H.V[H.m][l]
     if vl is None:
         raise ValueError("sigma routes the objective row to a -inf column")
-    rows_sigma = MaxStrategy(sigma.choices[: H.m])
-    y = least_solution_fixed(H.U[: H.m], H.V[: H.m], rows_sigma, l)
+    arrays = tuple(x[: H.m] for x in game_arrays(H, 0)[0])
+    y = least_solution_fixed(arrays, MaxStrategy(sigma.choices[: H.m]), l)
     uy = max(
-        (u + yj.value for u, yj in zip(H.U[H.m], y) if u is not None and yj.is_finite),
-        default=None,
+        (u + yj for u, yj in zip(H.U[H.m], y) if u is not None and yj is not None), default=None
     )
     if uy is None:
         return NEG_INF

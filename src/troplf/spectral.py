@@ -191,6 +191,13 @@ def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffG
     return MeanPayoffGame(a, b + (last,), d)
 
 
+def game_arrays(H: HomogeneousInstance, lam: Rational) -> tuple:
+    """(arrays, d): game_at(H, lam) from H's parametric oracle, as policy
+    iteration and ``least_solution_fixed`` read it, and its denominator d."""
+    d, f, shift = _factors(Fraction(lam), 1)
+    return H.oracle.arrays(f, shift)[0], d
+
+
 def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> GameValueReport:
     """The values and an optimal strategy pair of game_at(H, lam, mult).
 

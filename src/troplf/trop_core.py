@@ -3,8 +3,11 @@
 Everything here is pure and immutable: extended numbers wrap exact rationals
 with infinity flags, matrices are dense grids of extended numbers carrying a
 semiring tag, and the digraph helpers (Tarjan decomposition, Karp cycle means,
-cycle-time vectors, Kleene-star least solutions) are the building blocks for
-the game and solver layers.
+cycle-time vectors) are the building blocks for the game and solver layers.
+``longest_paths`` is the one integer longest-path kernel: Bellman-Ford sweeps
+on a dense numpy weight matrix, on int64 while its sentinels fit and on
+Python ints past that.  The Newton step's least solution, the certificates'
+witnesses and potentials, and ``kleene_least_solution`` all run on it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 Rational = Union[int, Fraction]
 
@@ -375,36 +380,46 @@ def cycle_time_vector(E: TropMatrix, mode: str = "max") -> tuple:
     )
 
 
-def kleene_star_int(rows: Sequence, h: Sequence) -> list:
-    """Least integer z with z >= h and z_i >= w + z_j for each (j, w) in rows[i].
+def longest_paths(w: np.ndarray, mask: np.ndarray, source: int) -> list:
+    """The least z >= e_source with z_v >= z_u + w[u, v] on every arc u -> v
+    (mask[u, v]), None for -inf at the nodes ``source`` does not reach: the
+    longest path weights from ``source``.  Raises PositiveCycleDiverges when
+    a cycle of positive weight is reachable from it.
 
-    None stands for -inf in h and z.  Sweeps update z in place; without a
-    strictly positive cycle reaching the support of h the least solution is
-    reached within len(h) - 1 sweeps, so a sweep that still changes z after
-    that proves divergence and raises PositiveCycleDiverges.
+    w is an N x N array of int64 or Python ints.  z starts as the arcs out
+    of the source, and each Bellman-Ford sweep is (G.T + z).max(axis=1), G
+    being w with a sentinel L at the missing arcs.  After k sweeps the real
+    values of z are the longest walks of at most k + 1 arcs, within
+    R = (N + 1)W over N sweeps, W the largest |entry| of w; a sum with a
+    sentinel term starts below L + R and grows by at most W a sweep, so with
+    L = -(3R + 2) it stays below -R and reads as -inf.  int64 holds it all
+    while 2L >= -2**63 (3R + 2 <= 2**62); past that the sweeps run on Python
+    ints.  Real values settle within N - 1 sweeps unless a positive cycle is
+    reachable, so a change at sweep N proves divergence.
     """
-    z = list(h)
-    for _ in range(len(h) + 1):
-        changed = False
-        for i, row in enumerate(rows):
-            acc = z[i]
-            for (j, w) in row:
-                zj = z[j]
-                if zj is not None and (acc is None or acc < w + zj):
-                    acc = w + zj
-            if acc != z[i]:
-                z[i] = acc
-                changed = True
-        if not changed:
-            return z
-    raise PositiveCycleDiverges("a strictly positive cycle reaches the support of h")
+    n = len(w)
+    reach = (n + 1) * int(np.abs(w).max())
+    dt = np.int64 if 3 * reach + 2 <= 2**62 else object
+    low = -(3 * reach + 2)
+    G = np.where(mask, w if w.dtype == dt else w.astype(dt), low)
+    z = G[source].copy()
+    z[source] = max(z[source], 0)
+    G, floor = G.T, np.full(n, -reach - 1, dtype=dt)
+    for _ in range(n):
+        cand = (G + z).max(axis=1)
+        # Stop when no real value of cand is above the real (or -inf) z.
+        if not np.count_nonzero(cand > np.maximum(z, floor)):
+            return [None if v < -reach else v for v in z.tolist()]
+        z = np.maximum(z, cand)
+    raise PositiveCycleDiverges("a strictly positive cycle is reachable from the source")
 
 
 def kleene_least_solution(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
     """E*h, raising PositiveCycleDiverges instead of producing +inf components.
 
-    E and h are scaled to integers by their common denominator and solved by
-    kleene_star_int.
+    E and h are scaled to integers by their common denominator; E*h is then
+    the longest paths from an extra node n with an arc of weight h_i to each
+    node i, E's arcs being j -> i of weight e_ij.
     """
     if E.semiring != MAX_PLUS:
         raise ValueError("kleene star is defined on max-plus matrices here")
@@ -415,13 +430,10 @@ def kleene_least_solution(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:
         raise ValueError("dimension mismatch")
     if any(e.kind == 1 for e in h):
         raise ValueError("+inf is not a valid component of h")
-    denom = 1
-    for e in h + tuple(e for row in E.entries for e in row):
-        if e.is_finite:
-            denom = math.lcm(denom, e.value.denominator)
-    rows = [
-        [(j, int(e.value * denom)) for j, e in enumerate(row) if e.is_finite]
-        for row in E.entries
-    ]
-    z = kleene_star_int(rows, [int(e.value * denom) if e.is_finite else None for e in h])
+    n = E.rows
+    grid = tuple(zip(*E.entries)) + (h,)  # row u: the arcs out of node u
+    denom = math.lcm(*(e.value.denominator for row in grid for e in row if e.is_finite))
+    mask = np.array([[e.is_finite for e in row] + [False] for row in grid])
+    w = np.array([[int(e.value * denom) for e in row] + [0] for row in grid], dtype=object)
+    z = longest_paths(w, mask, n)[:n]
     return tuple(NEG_INF if v is None else ExtendedNumber.finite(Fraction(v, denom)) for v in z)

@@ -30,7 +30,7 @@ from troplf import (
     reconstruct,
     solve,
 )
-from troplf.game_engine import least_solution_fixed
+from troplf.game_engine import _game_arrays, least_solution_fixed
 from troplf.solver import positive_newton_solve, bisection_solve
 
 from brute_force import brute_force_value
@@ -75,16 +75,15 @@ def test_criterion_2_maximization_golden_run(example1):
     lams = [lam for (_k, lam, _s) in out.trace]
     assert lams == [3, -4, -5]
     H = homogenize(example1)
-    goldens = {3: (None, fin(-1)), -4: (fin(-1), fin(-2))}
+    goldens = {3: (None, -1), -4: (-1, -2)}
     for lam, (y1, y3) in goldens.items():
         sigma = left_optimal_max_strategy(H, Fraction(lam))
         assert sigma is not NoneLeftWinning
         y = least_solution_fixed(
-            H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), sigma.choices[H.m]
+            _game_arrays(H.U[:-1], H.V[:-1])[0], MaxStrategy(sigma.choices[: H.m]),
+            sigma.choices[H.m],
         )
-        assert (y[0], y[2]) == (y1 if y1 is not None else y[0], y3)
-        if y1 is None:
-            assert not y[0].is_finite
+        assert (y[0], y[2]) == (y1, y3)
     # the document-level maximization optimum is -lambda* = 5
     assert -out.lam == 5
     ok(2, "two-variable maximization golden run: trace 3, -4, -5, "
@@ -95,10 +94,11 @@ def test_criterion_3_one_step_golden_run(example3):
     H = homogenize(example3)
     sigma = MaxStrategy((3, 1, 0, 3, 0))
     y = least_solution_fixed(
-        H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), sigma.choices[H.m]
+        _game_arrays(H.U[:-1], H.V[:-1])[0], MaxStrategy(sigma.choices[: H.m]),
+        sigma.choices[H.m],
     )
-    assert (y[1], y[3]) == (fin(-1), fin(-2))
-    assert not y[2].is_finite
+    assert (y[1], y[3]) == (-1, -2)
+    assert y[2] is None
     assert newton_step(H, sigma) == fin(-4)
     out = solve(example3, method="newton", lam0=0)
     assert [lam for (_k, lam, _s) in out.trace] == [0, -4]

@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,7 +39,6 @@ from troplf.certify import (
     OPTIMALITY_POTENTIALS,
     UNBOUNDEDNESS_POTENTIALS,
     CertificateSynthesisFailed,
-    longest_paths,
 )
 from troplf.cli_io import (
     DocumentError,
@@ -49,7 +49,14 @@ from troplf.cli_io import (
 )
 from troplf.game_engine import restrict_min
 from troplf.spectral import game_report
-from troplf.trop_core import WeightedDigraph, cycle_means, digraph_of_matrix, scc_and_access
+from troplf.trop_core import (
+    PositiveCycleDiverges,
+    WeightedDigraph,
+    cycle_means,
+    digraph_of_matrix,
+    longest_paths,
+    scc_and_access,
+)
 
 from conftest import e, make_game, make_instance, random_instance
 from maxplus import payment_matrices, trop_matvec
@@ -306,15 +313,14 @@ def test_longest_paths_only_count_cycles_behind_the_source():
     arcs = {(0, 1): -5, (1, 2): 3, (2, 1): -2, (3, 4): 1, (4, 3): 1, (5, 6): 4, (6, 5): -4}
 
     def paths(source):
-        # longest_paths starts from its last node: swap source and node 6.
-        name = {source: 6, 6: source}
-        bundles = []
-        for (u, v), w in arcs.items():
-            row = [None] * 7
-            row[name.get(v, v)] = w
-            bundles.append((True, name.get(u, u), row, 1, 0))
-        z = longest_paths(bundles, 6)
-        return z and tuple(z[name.get(v, v)] for v in range(7))
+        w = np.zeros((7, 7), dtype=np.int64)
+        mask = np.zeros((7, 7), dtype=bool)
+        for (u, v), x in arcs.items():
+            w[u, v], mask[u, v] = x, True
+        try:
+            return tuple(longest_paths(w, mask, source))
+        except PositiveCycleDiverges:
+            return None
 
     assert paths(0) is None
     assert paths(3) is None

@@ -14,6 +14,7 @@ from troplf import (
     ExtendedNumber,
     MaxStrategy,
     MinStrategy,
+    PositiveCycleDiverges,
     cycle_time_vector,
     feasibility_witness,
     game_at,
@@ -23,12 +24,12 @@ from troplf import (
     value_report,
 )
 import troplf.game_engine as ge
-from troplf.game_engine import restrict_max, restrict_min
+from troplf.game_engine import restrict_min
 
 from brute_force import brute_force_value, play_outcome
 from conftest import make_game, random_game
 from lifting import lifting_oracle
-from maxplus import payment_matrices, trop_matvec
+from maxplus import payment_matrices, restrict_max, trop_matvec
 from test_acceptance import criterion_5_random_games
 
 
@@ -364,3 +365,35 @@ def test_feasibility_witness_random():
                 )
             else:
                 assert x is None
+
+
+# --- the least solution's error paths -----------------------------------------
+
+
+def _least(a, b, sigma, l):
+    return ge.least_solution_fixed(ge._game_arrays(a, b)[0], MaxStrategy(sigma), l)
+
+
+def test_least_solution_fixed_golden():
+    # x_1 >= 3 + x_0 from row 0; row 1 is constant-side: 0 + x_0 <= 0 + x_0.
+    assert _least(((3, None), (0, None)), ((None, 0), (0, None)), (1, 0), 0) == (0, 3)
+
+
+def test_least_solution_fixed_constant_side_row_fails():
+    # Row 1 sends x_1 >= x_0 = 0; row 0, routed to l = 0, then reads
+    # max(0 + x_0, 5 + x_1) = 5 > 0 + x_0.
+    with pytest.raises(ge.SecondSubsystemViolated, match="row 0"):
+        _least(((0, 5), (0, None)), ((0, None), (None, 0)), (0, 1), 0)
+
+
+def test_least_solution_fixed_propagates_divergence():
+    # Row 0 gives x_1 >= x_0 and the positive self-loop x_1 >= 1 + x_1.
+    with pytest.raises(PositiveCycleDiverges):
+        _least(((0, 1),), ((None, 0),), (1,), 0)
+
+
+def test_least_solution_fixed_verifies_the_longest_paths(monkeypatch):
+    # The least solution is (0, 3); longest paths that return (0, 0) fail row 0.
+    monkeypatch.setattr(ge, "longest_paths", lambda w, mask, source: [0, 0])
+    with pytest.raises(ge.InternalCertificateMismatch, match="row 0"):
+        _least(((3, None),), ((None, 0),), (1,), 0)

@@ -29,7 +29,7 @@ from troplf import (
     precheck,
     solve,
 )
-from troplf.game_engine import least_solution_fixed
+from troplf.game_engine import _game_arrays, least_solution_fixed
 from troplf.solver import (
     _min_zero_phi_tau,
     bisection_cap,
@@ -110,8 +110,9 @@ def test_newton_step_example3_golden(example3):
     H = homogenize(example3)
     sigma = MaxStrategy((3, 1, 0, 3, 0))  # rows 1..4 then the objective row
     l = sigma.choices[H.m]
-    y = least_solution_fixed(H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), l)
-    assert y == (fin(0), fin(-1), NEG_INF, fin(-2))
+    C, D = H.U[:-1], H.V[:-1]
+    y = least_solution_fixed(_game_arrays(C, D)[0], MaxStrategy(sigma.choices[: H.m]), l)
+    assert y == (0, -1, None, -2)
     assert newton_step(H, sigma) == fin(-4)
 
 
@@ -119,8 +120,9 @@ def test_newton_step_example2_golden(example2):
     H = homogenize(example2)
     sigma = MaxStrategy((0,) * 7 + (2,))
     l = sigma.choices[H.m]
-    y = least_solution_fixed(H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), l)
-    assert y[:2] == (fin(2), NEG_INF)
+    C, D = H.U[:-1], H.V[:-1]
+    y = least_solution_fixed(_game_arrays(C, D)[0], MaxStrategy(sigma.choices[: H.m]), l)
+    assert y[:2] == (2, None)
     assert newton_step(H, sigma) == fin(4)
 
 
@@ -130,8 +132,9 @@ def test_newton_step_example1_golden(example1):
     assert sigma is not NoneLeftWinning
     l = sigma.choices[H.m]
     assert l == 1
-    y = least_solution_fixed(H.U[:-1], H.V[:-1], MaxStrategy(sigma.choices[: H.m]), l)
-    assert (y[0], y[2]) == (NEG_INF, fin(-1))
+    C, D = H.U[:-1], H.V[:-1]
+    y = least_solution_fixed(_game_arrays(C, D)[0], MaxStrategy(sigma.choices[: H.m]), l)
+    assert (y[0], y[2]) == (None, -1)
     assert newton_step(H, sigma) == fin(-4)
 
 

@@ -29,7 +29,6 @@ from troplf import certify, game_engine, solver, spectral
 from troplf.game_engine import (
     AssumptionViolated,
     MaxStrategy,
-    restrict_max,
     restrict_min,
     scaled_copy,
     value_report,
@@ -38,7 +37,7 @@ from troplf.spectral import GAME_MEMO_SIZE, game_report
 
 from conftest import RawInstance, e, make_game, make_instance, random_instance
 from grid_reference import reconstruct as grid_reconstruct, spectral_grid
-from maxplus import payment_matrices
+from maxplus import payment_matrices, restrict_max
 
 
 def fin(x):

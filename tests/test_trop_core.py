@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from troplf import (
@@ -19,10 +20,10 @@ from troplf import (
     cycle_time_vector,
     kleene_least_solution,
 )
-from troplf.trop_core import WeightedDigraph, scc_and_access
+from troplf.trop_core import WeightedDigraph, longest_paths, scc_and_access
 
 from conftest import e, rows
-from maxplus import trop_matvec
+from maxplus import kleene_star_int, trop_matvec
 
 
 def fin(x):
@@ -79,6 +80,66 @@ def test_kleene_positive_self_loop_diverges():
     E = TropMatrix([[fin(1)]])
     with pytest.raises(PositiveCycleDiverges):
         kleene_least_solution(E, [fin(0)])
+
+
+def _reference_paths(w, mask, source):
+    """longest_paths by the Gauss-Seidel reference on Python ints, or None
+    when it diverges."""
+    n = len(w)
+    into = [[(u, int(w[u, v])) for u in range(n) if mask[u, v]] for v in range(n)]
+    try:
+        return kleene_star_int(into, [0 if v == source else None for v in range(n)])
+    except PositiveCycleDiverges:
+        return None
+
+
+def _int64_runs(w):
+    """Whether longest_paths keeps w's sweeps on int64: 3R + 2 <= 2**62 with
+    R = (N + 1) times the largest |entry| of w."""
+    return 3 * (len(w) + 1) * max(abs(int(x)) for x in w.flat) + 2 <= 2**62
+
+
+def test_longest_paths_match_the_reference():
+    """On seeded random graphs, dense and with -inf entries, with positive
+    cycles behind the source and off it, and with weights from small to past
+    int64 (near 2**61 and 2**70, and at the largest int64 sweeps allow), the
+    numpy sweeps give the reference's least solution, or both diverge."""
+    rng = random.Random(97)
+    seen = {"int64": 0, "object": 0, "diverged": 0, "cycle off the source": 0}
+    for k in range(600):
+        n = rng.randint(1, 8)
+        density = rng.choice((1.0, 0.6, 0.25))
+        scale = rng.choice(("small", "limit", "past", "2**61", "2**70"))
+        top = {
+            "small": 6,
+            "limit": (2**62 - 2) // (3 * (n + 1)),
+            "past": (2**62 - 2) // (3 * (n + 1)) + 1,
+            "2**61": 2**61,
+            "2**70": 2**70,
+        }[scale]
+        mask = np.array([[rng.random() < density for _ in range(n)] for _ in range(n)])
+        # Mostly negative weights, and a self-loop of either sign at node 0,
+        # so that cycles of both signs occur, and not always behind the source.
+        w = np.array(
+            [[rng.randint(-top, top // 8) if mask[u, v] else 0 for v in range(n)] for u in range(n)],
+            dtype=object,
+        )
+        mask[0, 0], w[0, 0] = True, rng.choice((-top, top))
+        if scale in ("limit", "small"):
+            w = w.astype(np.int64)
+        source = rng.randrange(n)
+        expected = _reference_paths(w, mask, source)
+        try:
+            got = longest_paths(w, mask, source)
+        except PositiveCycleDiverges:
+            got = None
+        assert got == expected, (k, n, scale)
+        seen["int64" if _int64_runs(w) else "object"] += 1
+        if expected is None:
+            seen["diverged"] += 1
+        elif any(_reference_paths(w, mask, u) is None for u in range(n)):
+            seen["cycle off the source"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_kleene_least_solution_properties():
