@@ -24,9 +24,10 @@ condition (``potentials`` and ``strict_potentials``, ``through_potentials``
 and ``negated_potentials``).  The check verifies them in one pass over the
 strategy's arcs, read from the grids, and trusts no solver code (McConnell,
 Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", 2011).  The
-potentials are the least ones, the longest paths from node n+1
-(``trop_core.longest_paths``) on the same graphs built from the parametric
-oracle's arrays; they exist exactly when the condition holds.  The
+potentials are the least ones, the longest paths from node n+1 on the
+same graphs built from the parametric oracle's arrays: the conditions are
+``trop_core.means_at_most`` at 0, and at -1/(n+2) for the reweighted one,
+whose paths exist exactly when the condition holds.  The
 certificates this module issues carry them, and a certificate without them
 gets them the same way.  The witness is the least solution at lambda*
 (``least_solution_fixed``) on those arrays, divided once by d*scale.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed, max_graph, min_graph
 from .spectral import HomogeneousInstance, game_arrays, game_at, game_report, phi_nonneg
-from .trop_core import NEG_INF, ExtendedNumber, PositiveCycleDiverges, longest_paths
+from .trop_core import NEG_INF, ExtendedNumber, means_at_most
 
 
 class CertificateSynthesisFailed(Exception):
@@ -146,33 +147,25 @@ def _unboundedness_bundles(g, sigma: tuple, m: int, through: bool) -> list:
 
 
 def _optimality_graphs(arrays, tau: tuple, m: int) -> tuple:
-    """The graphs of _optimality_bundles as (weights, mask) of the oracle's
-    arrays: Max's against tau, plain and strict.  Where the oracle's weights
-    are int64, (2N+1)W + 2 < 2**62 for N Min nodes and |payments| < W, so the
-    strict weights (N+1)w + 1 of |w| < 2W stay below 2**63."""
+    """The graphs of _optimality_bundles as (weights, mask, p, q) of the
+    oracle's arrays, their cycle means to be at most p/q: Max's against tau,
+    at most 0, and without the columns tau routes to row m, at most
+    -1/(N+1) for N Min nodes (reweighted to (N+1)w + 1, as the bundles
+    read them)."""
     tau = np.array(tau, dtype=np.intp)
     w, mask = max_graph(arrays, tau)
-    return (w, mask), ((len(tau) + 1) * w + 1, mask & (tau != m)[:, None])
+    return (w, mask, 0, 1), (w, mask & (tau != m)[:, None], -1, len(tau) + 1)
 
 
 def _unboundedness_graphs(arrays, sigma: tuple, m: int) -> tuple:
-    """The graphs of _unboundedness_bundles as (weights, mask): Min's against
-    sigma, through and negated.  They share their arcs; only row m's,
-    j -> sigma(m), weigh 1 in the first."""
-    Am, _Bm, Aw, Bw = arrays
-    sigma = np.array(sigma, dtype=np.intp)
-    w, mask = min_graph(Am, Aw - Bw[np.arange(len(sigma)), sigma][:, None], sigma)
+    """The graphs of _unboundedness_bundles as (weights, mask, 0, 1): Min's
+    against sigma, through and negated, their cycle means to be at most 0.
+    They share their arcs; only row m's, j -> sigma(m), weigh 1 in the
+    first."""
+    w, mask = min_graph(arrays, sigma)
     through = np.zeros(mask.shape, dtype=np.int64)
-    through[Am[m], sigma[m]] = 1
-    return (through, mask), (w, mask)
-
-
-def _potentials(graph: tuple, n: int) -> Optional[tuple]:
-    """The longest paths from node n, None when they diverge."""
-    try:
-        return tuple(longest_paths(*graph, n))
-    except PositiveCycleDiverges:
-        return None
+    through[arrays[0][m], sigma[m]] = 1
+    return (through, mask, 0, 1), (w, mask, 0, 1)
 
 
 def _broken_potentials(z, bundles: list, n: int, key: str) -> str:
@@ -208,10 +201,11 @@ def _broken_arc(key: str, u: int, v: int, w: int) -> str:
 
 def _cycle_condition(z, bundles: list, graph, n: int, key: str, diverged: str) -> str:
     """Why the condition fails ("" when it holds), checked on the potentials
-    z, or on the longest paths on graph() when z is None; ``diverged`` when
-    those do not exist."""
+    z, or on the longest paths from node n on graph() = (weights, mask, p, q)
+    when z is None; ``diverged`` when those do not exist."""
     if z is None:
-        z = _potentials(graph(), n)
+        w, mask, p, q = graph()
+        z = means_at_most(w, mask, n, p, q)
         if z is None:
             return diverged
     return _broken_potentials(z, bundles, n, key)
@@ -295,7 +289,8 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
     y = least_solution_fixed(arrays, at_opt.sigma, H.n)
     den = d * H.scale
     witness = tuple(NEG_INF if v is None else ExtendedNumber(0, Fraction(v, den)) for v in y)
-    z = [_potentials(g, H.n) for g in _optimality_graphs(arrays, rep.tau.choices, H.m)]
+    graphs = _optimality_graphs(arrays, rep.tau.choices, H.m)
+    z = [means_at_most(w, mask, H.n, p, q) for w, mask, p, q in graphs]
     cert = OptimalityCertificate(lam_scaled / H.scale, rep.tau, witness, *z)
     return _validated(check_optimality(H, cert), cert)
 
@@ -326,7 +321,7 @@ def make_unboundedness_certificate(H: HomogeneousInstance) -> UnboundednessCerti
     if sigma is None:
         raise CertificateSynthesisFailed("no certifying Max strategy was found")
     graphs = _unboundedness_graphs(game_arrays(H, 0)[0], sigma.choices, H.m)
-    z = [_potentials(g, H.n) for g in graphs]
+    z = [means_at_most(w, mask, H.n, p, q) for w, mask, p, q in graphs]
     cert = UnboundednessCertificate(sigma, *z)
     return _validated(check_unboundedness(H, cert), cert)
 
@@ -342,7 +337,7 @@ def _support_condition_sigma(H: HomogeneousInstance):
     if ybar is None:
         return None
     choices = []
-    for row in game_at(H, 0).b:
+    for row in H.V:  # the rows of game_at(H, 0).b
         moves = [l for l, x in enumerate(row) if x is not None]
         best_l, best_v = moves[0], None
         for l in moves:

@@ -17,12 +17,10 @@ comparison is integer arithmetic.  One run yields the exact values chi of all
 Min nodes, the winning sets and optimal strategies sigma and tau for both
 players.
 
-Policy iteration and ``least_solution_fixed`` work on those grids, as numpy
-masks and weights.  Scaling every payment by d > 0 scales every value by d
-and keeps every strategy optimal, so values are divided by d once at the end.  ``integer_grids`` is
-the one scaling routine: it puts int and Fraction entries over their least
-common denominator, for ``spectral.LfpInstance`` and for anyone building a
-game from rational payments.
+Policy iteration works on those grids, as numpy masks and weights.  Scaling
+every payment by d > 0 scales every value by d and keeps every strategy
+optimal, so values are divided by d once at the end.  ``integer_grids`` puts
+int and Fraction entries over their least common denominator.
 
 ``_policy_iteration`` is the one policy-iteration routine, and it runs on
 numpy arrays, from the greedy strategy pair or from a given one.  It starts
@@ -37,12 +35,12 @@ each instance has one ``ParametricOracle`` (``spectral.game_report`` asks
 it), which builds the masks and weights once and starts each run from the
 strategies of the last, so its sigma and tau are an optimal pair, not
 necessarily the pair a cold run returns; ``ParametricOracle.arrays`` gives
-the same masks and weights to the rest of a solve.  ``restrict_min`` gives
-tau's one-player game as a Fraction TropMatrix, for cross-checks against
-Karp cycle means.
-``least_solution_fixed`` is the longest paths (``trop_core.longest_paths``)
-in Min's one-player graph against sigma, ``min_graph``; with ``max_graph``,
-Max's against tau, it gives the certificates their witnesses and potentials.
+the same masks and weights to the rest of a solve.  On them, ``min_graph``
+and ``max_graph`` build the one-player graphs against sigma and tau whose
+longest paths (``trop_core``) give ``least_solution_fixed``, the
+certificates' witnesses and potentials, the strategy sandwich of
+``spectral.reconstruct`` and negative Newton's steps.  ``restrict_min``
+gives tau's one-player game as a Fraction TropMatrix, for cross-checks.
 """
 
 from __future__ import annotations
@@ -557,10 +555,14 @@ class ParametricOracle:
 # ---------------------------------------------------------------------------
 
 
-def min_graph(Am, vals, sigma) -> tuple:
-    """(weights, mask) of Min's graph against sigma on the Min nodes: an arc
-    j -> sigma(i) of weight vals[i, j] for each finite a_ij (Am[i, j]), the
-    largest where rows share sigma(i), by a segment max of the rows."""
+def min_graph(arrays, sigma) -> tuple:
+    """(weights, mask) of Min's graph against sigma's choices on the Min
+    nodes, with its weights negated: an arc j -> sigma(i) of weight
+    a_ij - b_i,sigma(i) for each finite a_ij, the largest where rows share
+    sigma(i), by a segment max of the rows."""
+    Am, _Bm, Aw, Bw = arrays
+    sigma = np.asarray(sigma, dtype=np.intp)
+    vals = Aw - Bw[np.arange(len(sigma)), sigma][:, None]
     low = vals.min() - 1
     G = np.full((Am.shape[1],) * 2, low, dtype=vals.dtype)
     np.maximum.at(G, sigma, np.where(Am, vals, low))
@@ -568,9 +570,11 @@ def min_graph(Am, vals, sigma) -> tuple:
 
 
 def max_graph(arrays, tau) -> tuple:
-    """(weights, mask) of Max's graph against tau on the Min nodes: an arc
-    j -> l of weight b[tau(j)][l] - a[tau(j)][j] for each finite b[tau(j)][l]."""
+    """(weights, mask) of Max's graph against tau's choices on the Min
+    nodes: an arc j -> l of weight b[tau(j)][l] - a[tau(j)][j] for each
+    finite b[tau(j)][l]."""
     _Am, Bm, Aw, Bw = arrays
+    tau = np.asarray(tau, dtype=np.intp)
     return Bw[tau] - Aw[tau, np.arange(len(tau))][:, None], Bm[tau]
 
 
@@ -587,8 +591,10 @@ def least_solution_fixed(arrays, sigma: MaxStrategy, l: int) -> tuple:
     """
     Am, _Bm, Aw, Bw = arrays
     sig = np.array(sigma.choices, dtype=np.intp)
+    w, mask = min_graph(arrays, sig)
+    mask[:, l] = False  # the arcs into l, those of the rows sigma sends to l
+    x = longest_paths(w, mask, l)
     vals = Aw - Bw[np.arange(len(sig)), sig][:, None]
-    x = longest_paths(*min_graph(Am & (sig != l)[:, None], vals, sig), l)
     # Row i fails where a finite a_ij + x_j exceeds b_i,sigma(i) + x_sigma(i),
     # or exists while x_sigma(i) is -inf.
     fin = np.array([v is not None for v in x])

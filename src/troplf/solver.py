@@ -4,7 +4,7 @@ All three algorithms locate the minimal zero lambda* of the spectral function
 phi on the integer-scaled homogeneous instance, then attach a feasible witness
 and a validated strategy certificate.  Prechecks classify the degenerate
 objectives, run the global support test for unboundedness, and bracket
-lambda* between the initial bounds.
+lambda*.  Negative Newton reads phi_tau's sign from ``trop_core.means_at_most``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .game_engine import (
     MinStrategy,
     OracleStats,
     feasibility_witness,
+    max_graph,
 )
 from .spectral import (
     HomogeneousInstance,
@@ -31,9 +32,8 @@ from .spectral import (
     homogenize,
     initial_bounds,
     phi_nonneg,
-    phi_tau,
 )
-from .trop_core import NEG_INF, ExtendedNumber
+from .trop_core import NEG_INF, ExtendedNumber, means_at_most
 
 
 class IterationCapExceeded(Exception):
@@ -361,22 +361,26 @@ def _min_zero_phi_tau(
     first to reach 0 does so at lambda = -w.  An integer dichotomy, as in
     bisection_solve, keeps phi_tau(lo) < 0 and ends with hi the zero; lam_hi
     is probed only when every point below it is negative.  Returns None
-    when phi_tau stays negative up to lam_hi.
+    when phi_tau stays negative up to lam_hi.  At an integer lambda the
+    means have denominators at most n+1, so phi_tau < 0 there exactly when
+    ``trop_core.means_at_most`` bounds them by -1/(n+2).
     """
+
+    def at_most(lam: int, p: int, q: int) -> bool:
+        graph = max_graph(game_arrays(H, lam)[0], tau.choices)
+        return means_at_most(*graph, H.n, p, q) is not None
+
     lo, hi = int(lam_k), int(lam_hi)
-    v_hi = None  # phi_tau(hi), once probed
+    hi_probed = False  # phi_tau(hi) >= 0 is known
     while hi - lo > 1:
         mid = -((-(hi + lo)) // 2)
-        v = phi_tau(H, tau, mid)
-        if v >= 0:
-            hi, v_hi = mid, v
-        else:
+        if at_most(mid, -1, H.n + 2):
             lo = mid
-    if v_hi is None:
-        v_hi = phi_tau(H, tau, hi)
-        if v_hi < 0:
-            return None
-    if v_hi != 0:
+        else:
+            hi, hi_probed = mid, True
+    if not hi_probed and at_most(hi, -1, H.n + 2):
+        return None
+    if not at_most(hi, 0, 1):
         raise AssertionError("phi_tau has no zero at the integer it crosses 0")
     return Fraction(hi)
 

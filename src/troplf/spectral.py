@@ -29,8 +29,8 @@ function phi_tau, are rationals with denominator <= min(m,n)+1;
 ``grid_point_between`` is the one place that bound is read.  ``reconstruct``
 finds the pieces by a dichotomy on [-R, R]: an interval is final when no such
 rational lies inside it, or when the optimal strategies at its ends prove
-phi affine there (the strategy sandwich phi_sigma <= phi <= phi_tau).  Its
-oracle runs grow with the number of pieces, not with the entries.
+phi affine there (phi_sigma <= phi <= phi_tau, decided on their graphs by
+``trop_core.means_at_most``).  Its oracle runs grow with the pieces, not the entries.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
+import numpy as np
+
 from .game_engine import (
     AssumptionViolated,
     GameValueReport,
@@ -48,9 +50,12 @@ from .game_engine import (
     MeanPayoffGame,
     MinStrategy,
     ParametricOracle,
+    _policy_iteration,
     integer_grids,
+    max_graph,
+    min_graph,
 )
-from .trop_core import NEG_INF, POS_INF, ExtendedNumber, WeightedDigraph, cycle_times, ext
+from .trop_core import NEG_INF, POS_INF, ExtendedNumber, ext, means_at_most
 
 Rational = Union[int, Fraction]
 
@@ -233,58 +238,29 @@ def phi_nonneg(H: HomogeneousInstance, lam: Rational):
     return H.n in rep.winning, rep.sigma, rep.tau
 
 
-def _value_at_last_node(game: MeanPayoffGame, arcs: dict, mode: str) -> Fraction:
-    """Cycle time at node n+1 of the one-player graph ``arcs`` on game's grids,
-    divided by its denominator."""
-    D = WeightedDigraph(game.n, tuple((j, l, w) for (j, l), w in arcs.items()))
-    chi = cycle_times(D, mode)[game.n - 1]
-    if chi is None:
-        raise AssertionError("one-player cycle time must be finite under the assumptions")
-    return chi / game.d
-
-
-def sigma_arcs(game: MeanPayoffGame, sigma: MaxStrategy) -> dict:
-    """Min's one-player graph against sigma on the game's integer grids.
-
-    Maps (j, l) to the least b[i][l] - a[i][j] over the rows i with
-    sigma(i) = l and a finite a[i][j].  Raises ValueError on a malformed sigma.
-    """
-    sigma.check(game)
-    arcs = {}
-    for i, l in enumerate(sigma.choices):
-        bil = game.b[i][l]
-        for j, aij in enumerate(game.a[i]):
-            if aij is not None and ((j, l) not in arcs or bil - aij < arcs[j, l]):
-                arcs[j, l] = bil - aij
-    return arcs
-
-
-def tau_arcs(game: MeanPayoffGame, tau: MinStrategy) -> dict:
-    """Max's one-player graph against tau on the game's integer grids.
-
-    Maps (j, l) to b[tau(j)][l] - a[tau(j)][j] for every finite b[tau(j)][l].
-    Raises ValueError on a malformed tau.
-    """
-    tau.check(game)
-    arcs = {}
-    for j, i in enumerate(tau.choices):
-        aij = game.a[i][j]
-        for l, bil in enumerate(game.b[i]):
-            if bil is not None:
-                arcs[j, l] = bil - aij
-    return arcs
+def _frozen_value(H: HomogeneousInstance, lam: Rational, strategy) -> Fraction:
+    """phi_sigma or phi_tau: node n+1's value in the game at lam with the
+    strategy's player held to its moves, by policy iteration on H's oracle
+    arrays.  The strategy is checked on game_at(H, 0), whose support is all."""
+    strategy.check(game_at(H, 0))
+    d, f, shift = _factors(Fraction(lam), 1)
+    (Am, Bm, Aw, Bw), W = H.oracle.arrays(f, shift)
+    moves = np.array(strategy.choices, dtype=np.intp)
+    if isinstance(strategy, MaxStrategy):
+        Bm = moves[:, None] == np.arange(Bm.shape[1])  # row i: sigma(i) alone
+    else:
+        Am = np.arange(Am.shape[0])[:, None] == moves  # column j: tau(j) alone
+    return _policy_iteration((Am, Bm, Aw, Bw), W)[0][H.n] / d
 
 
 def phi_sigma(H: HomogeneousInstance, sigma: MaxStrategy, lam: Rational) -> Fraction:
     """Partial spectral function with Max frozen: concave, <= phi."""
-    g = game_at(H, lam)
-    return _value_at_last_node(g, sigma_arcs(g, sigma), "min")
+    return _frozen_value(H, lam, sigma)
 
 
 def phi_tau(H: HomogeneousInstance, tau: MinStrategy, lam: Rational) -> Fraction:
     """Partial spectral function with Min frozen: convex, >= phi."""
-    g = game_at(H, lam)
-    return _value_at_last_node(g, tau_arcs(g, tau), "max")
+    return _frozen_value(H, lam, tau)
 
 
 def initial_bounds(H: HomogeneousInstance):
@@ -326,9 +302,12 @@ def reconstruct(H: HomogeneousInstance) -> list:
     grid_point_between finds no point inside it, or when sigma optimal at a
     and tau optimal at b give phi_sigma(b) = phi(b) and phi_tau(a) = phi(a):
     then chord <= phi_sigma <= phi <= phi_tau <= chord on [a, b], since
-    phi_sigma is concave and phi_tau convex.  Any other interval is split at
-    grid_point_between's point.  Adjacent final intervals of equal slope make
-    one piece, so the pieces' slopes are exact.
+    phi_sigma is concave and phi_tau convex.  phi_tau(a) = phi(a) holds
+    exactly when tau's graph at a has no cycle mean above phi(a), and
+    phi_sigma(b) = phi(b) when sigma's negated Min graph at b has none above
+    -phi(b) (``trop_core.means_at_most``); a strategy optimal at both ends
+    needs no graph.  Other intervals split at grid_point_between's point.
+    Adjacent final intervals of equal slope make one piece: slopes are exact.
     """
     k1 = H.k_bound + 1
     # With M = 0 the breakpoints still spread over [-4(k1)^2, 4(k1)^2].
@@ -336,6 +315,14 @@ def reconstruct(H: HomogeneousInstance) -> list:
 
     def probe(lam):
         return Fraction(lam), game_report(H, lam)
+
+    def bounded(graph, strategy, lam, c: Fraction) -> bool:
+        """No cycle mean above c (in phi's units) reachable from node n+1 in
+        graph(arrays, strategy) of the game at lam."""
+        arrays, d = game_arrays(H, lam)
+        c *= d
+        w, mask = graph(arrays, strategy.choices)
+        return means_at_most(w, mask, H.n, c.numerator, c.denominator) is not None
 
     # Left to right: the right ends still to reach wait on a stack, and grid
     # and values collect the ends of the final intervals in order.
@@ -345,8 +332,8 @@ def reconstruct(H: HomogeneousInstance) -> list:
         b, rep_b = pending[-1]
         mid = grid_point_between(H, a, b)
         if mid is None or (
-            phi_sigma(H, rep_a.sigma, b) == rep_b.chi[H.n]
-            and phi_tau(H, rep_b.tau, a) == rep_a.chi[H.n]
+            (rep_a.sigma == rep_b.sigma or bounded(min_graph, rep_a.sigma, b, -rep_b.chi[H.n]))
+            and (rep_b.tau == rep_a.tau or bounded(max_graph, rep_b.tau, a, rep_a.chi[H.n]))
         ):
             a, rep_a = pending.pop()
             grid.append(a)

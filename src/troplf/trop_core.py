@@ -3,11 +3,14 @@
 Everything here is pure and immutable: extended numbers wrap exact rationals
 with infinity flags, matrices are dense grids of extended numbers carrying a
 semiring tag, and the digraph helpers (Tarjan decomposition, Karp cycle means,
-cycle-time vectors) are the building blocks for the game and solver layers.
+cycle-time vectors) serve the tests' cross-checks.
 ``longest_paths`` is the one integer longest-path kernel: Bellman-Ford sweeps
 on a dense numpy weight matrix, on int64 while its sentinels fit and on
 Python ints past that.  The Newton step's least solution, the certificates'
 witnesses and potentials, and ``kleene_least_solution`` all run on it.
+``means_at_most`` asks it the one question every strategy graph of a solve,
+a reconstruction or a check poses: are the cycle means reachable from a
+node at most p/q?
 """
 
 from __future__ import annotations
@@ -342,30 +345,6 @@ def digraph_of_matrix(E: TropMatrix) -> WeightedDigraph:
     return WeightedDigraph(E.rows, tuple(arcs))
 
 
-def cycle_times(D: WeightedDigraph, mode: str = "max") -> tuple:
-    """Per node, the max (resp. min) cycle mean over the SCCs it accesses.
-
-    Entries are Fractions, or None for nodes that access no cycle.
-    """
-    decomp, means = cycle_means(D, mode)
-    ncomp = len(decomp.components)
-    # Condensation successors: components are in reverse topological order, so
-    # arcs go from higher comp index to lower or within a component.
-    comp_succ = [set() for _ in range(ncomp)]
-    for (s, t, _w) in D.arcs:
-        cs, ct = decomp.comp_of[s], decomp.comp_of[t]
-        if cs != ct:
-            comp_succ[cs].add(ct)
-    best = [means[c] for c in range(ncomp)]  # best mean over reachable comps
-    pick = max if mode == "max" else min
-    for c in range(ncomp):  # successors have smaller index: already final
-        for d in comp_succ[c]:
-            if best[d] is None:
-                continue
-            best[c] = best[d] if best[c] is None else pick(best[c], best[d])
-    return tuple(best[decomp.comp_of[i]] for i in range(D.n))
-
-
 def cycle_time_vector(E: TropMatrix, mode: str = "max") -> tuple:
     """chi_i = max (resp. min) of per-SCC cycle means over SCCs accessible from i.
 
@@ -373,11 +352,20 @@ def cycle_time_vector(E: TropMatrix, mode: str = "max") -> tuple:
     """
     if E.rows != E.cols:
         raise ValueError("cycle_time_vector requires a square matrix")
+    D = digraph_of_matrix(E)
+    decomp, means = cycle_means(D, mode)
+    comp_succ = [set() for _ in means]
+    for (s, t, _w) in D.arcs:
+        comp_succ[decomp.comp_of[s]].add(decomp.comp_of[t])
+    best = list(means)  # the best mean over the components each reaches
+    pick = max if mode == "max" else min
+    # Components are in reverse topological order: successors come first.
+    for c, succ in enumerate(comp_succ):
+        for d in succ:
+            if best[d] is not None:
+                best[c] = best[d] if best[c] is None else pick(best[c], best[d])
     empty = NEG_INF if mode == "max" else POS_INF
-    return tuple(
-        empty if c is None else ExtendedNumber.finite(c)
-        for c in cycle_times(digraph_of_matrix(E), mode)
-    )
+    return tuple(empty if best[c] is None else ExtendedNumber.finite(best[c]) for c in decomp.comp_of)
 
 
 def longest_paths(w: np.ndarray, mask: np.ndarray, source: int) -> list:
@@ -412,6 +400,25 @@ def longest_paths(w: np.ndarray, mask: np.ndarray, source: int) -> list:
             return [None if v < -reach else v for v in z.tolist()]
         z = np.maximum(z, cand)
     raise PositiveCycleDiverges("a strictly positive cycle is reachable from the source")
+
+
+def means_at_most(w: np.ndarray, mask: np.ndarray, source: int, p: int, q: int):
+    """The longest paths from ``source`` of the graph reweighted to q*w - p,
+    q > 0, as a tuple, or None when they diverge: they exist exactly when
+    every cycle that ``source`` reaches has mean at most p/q.
+
+    The oracle's int64 arrays of N nodes have (2N+1)W + 2 < 2**62 and
+    |w| < 2W, and the means asked about have q <= N + 1 and |p| <= 2NW, so
+    |q*w - p| < 2**63; past that the weights are reweighted in Python ints.
+    """
+    if (p, q) != (0, 1):
+        if w.dtype != object and q * int(np.abs(w).max()) + abs(p) >= 2**63:
+            w = w.astype(object)
+        w = q * w - p
+    try:
+        return tuple(longest_paths(w, mask, source))
+    except PositiveCycleDiverges:
+        return None
 
 
 def kleene_least_solution(E: TropMatrix, h: Sequence[ExtendedNumber]) -> tuple:

@@ -23,6 +23,9 @@ generators in ``test_acceptance``:
 * ``criterion-10``: the 20 instances of criterion 10, by Newton;
 * ``solve-rational-bigint-30``: the 60 instances of the benchmark's
   ``rational-bigint-30`` workload at seed 1, by Newton;
+* ``solve-sparse-mixed-small``: the first 256 documents of the benchmark's
+  ``sparse-mixed-small`` workload at seed 1, all methods (negative Newton
+  and the degenerate prechecks on sparse instances with -inf entries);
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances;
 * ``reconstruct-spectral-small``: the pieces of the 320 instances of the
@@ -83,6 +86,9 @@ def _families():
     pool = run.RationalBigint30()
     solves += [("solve-rational-bigint-30", i, parse_instance(pool.instance(1, i)).instance, ("newton",))
                for i in range(pool.setup_count)]
+    pool = run.SparseMixedSmall()
+    solves += [("solve-sparse-mixed-small", i, parse_instance(pool.instance(1, i)).instance, METHODS)
+               for i in range(256)]
     rebuilds = [("reconstruct-examples", k, inst) for k, inst in enumerate(examples, 1)]
     rebuilds += [("reconstruct-criterion-7", i, inst)
                  for i, inst in enumerate(criterion_7_instances())]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -25,7 +27,7 @@ from troplf import (
     phi_tau,
     reconstruct,
 )
-from troplf import certify, game_engine, solver, spectral
+from troplf import certify, game_engine, solver, spectral, trop_core
 from troplf.game_engine import (
     AssumptionViolated,
     MaxStrategy,
@@ -210,6 +212,49 @@ def query_sequences(draw):
     return inst, lams
 
 
+@st.composite
+def frozen_strategies(draw):
+    """An instance up to 3 x 3 with -inf and rational entries, some of them
+    past 2**63 in half the draws, a lambda, and a strategy of each player in
+    its parametric game there."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bigs = draw(st.sampled_from(((1,), (1, 2**64))))
+
+    def finite():
+        mult = draw(st.sampled_from(bigs))
+        return mult * draw(st.integers(-6, 6)) + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+    H = homogenize(_draw_instance(draw, m, n, finite))
+    lam = Fraction(bigs[-1] * draw(st.integers(-6, 6)) + draw(st.integers(-9, 9)),
+                   draw(st.integers(1, min(m, n) + 2)))
+    g = game_at(H, lam)
+    sigma = MaxStrategy(tuple(draw(st.sampled_from(g.max_moves(i))) for i in range(g.m)))
+    tau = MinStrategy(tuple(draw(st.sampled_from(g.min_moves(j))) for j in range(g.n)))
+    return H, lam, g, sigma, tau
+
+
+@given(frozen_strategies())
+def test_frozen_values_are_the_cycle_times(case):
+    """phi_tau and phi_sigma, by policy iteration with one player held to
+    the strategy, are the cycle times at node n+1 of tau's max-plus and
+    sigma's min-plus one-player games, by Karp (restrict_min and
+    restrict_max put the payments over g.d already).  Malformed strategies
+    raise ValueError."""
+    H, lam, g, sigma, tau = case
+    assert phi_tau(H, tau, lam) == cycle_time_vector(restrict_min(g, tau), "max")[H.n].value
+    assert phi_sigma(H, sigma, lam) == cycle_time_vector(restrict_max(g, sigma), "min")[H.n].value
+    forbidden_tau = [tau.choices[:j] + (i,) + tau.choices[j + 1:]
+                     for j in range(g.n) for i in range(g.m) if g.a[i][j] is None]
+    for bad in [tau.choices[:-1], tau.choices[:-1] + (g.m,)] + forbidden_tau[:1]:
+        with pytest.raises(ValueError):
+            phi_tau(H, MinStrategy(bad), lam)
+    forbidden_sigma = [sigma.choices[:i] + (j,) + sigma.choices[i + 1:]
+                       for i in range(g.m) for j in range(g.n) if g.b[i][j] is None]
+    for bad in [sigma.choices + (0,), sigma.choices[:-1] + (-1,)] + forbidden_sigma[:1]:
+        with pytest.raises(ValueError):
+            phi_sigma(H, MaxStrategy(bad), lam)
+
+
 @given(query_sequences())
 def test_warm_started_reports_match_cold_runs(case):
     """Each game_report of a query sequence, warm started from the last run,
@@ -264,6 +309,8 @@ def test_game_at_without_denominator_row():
                 game_report(H, lam, k)
         with pytest.raises(AssumptionViolated):
             phi_tau(H, MinStrategy((0, 0, 0)), lam)
+        with pytest.raises(AssumptionViolated):
+            phi_sigma(H, MaxStrategy((0, 0)), lam)
 
 
 def test_game_memo_is_bounded_and_reused(example2):
@@ -291,6 +338,38 @@ def test_newton_solve_builds_no_scaled_copy(example2, monkeypatch):
     out = solver.solve(example2, method="newton")
     assert out.status == "Optimal" and out.lam == 0
     assert calls == []
+
+
+def test_solve_reconstruct_and_checks_reach_no_karp(example1, example2, example3, monkeypatch):
+    """No solve (any method), reconstruction or certificate check asks for
+    Karp's cycle means: with trop_core.cycle_means raising, examples 1-3 and
+    criterion 6's first 20 instances still solve, reconstruct and check,
+    also with the certificates' potentials left for the check to find."""
+    from test_acceptance import criterion_6_instances
+
+    def karp(*args, **kwargs):
+        raise AssertionError("Karp's cycle means were asked for")
+
+    for module in (trop_core, game_engine, spectral, solver, certify):
+        if hasattr(module, "cycle_means"):
+            monkeypatch.setattr(module, "cycle_means", karp)
+    checked = 0
+    for inst in [example1, example2, example3] + list(islice(criterion_6_instances(), 20)):
+        H = homogenize(inst)
+        for method in ("newton", "bisection", "negative-newton"):
+            cert = solver.solve(inst, method=method).certificate
+            if cert is None:
+                continue
+            if isinstance(cert, certify.OptimalityCertificate):
+                check, keys = certify.check_optimality, certify.OPTIMALITY_POTENTIALS
+            else:
+                check, keys = certify.check_unboundedness, certify.UNBOUNDEDNESS_POTENTIALS
+            assert check(H, cert)
+            assert check(H, replace(cert, **dict.fromkeys(keys)))
+            checked += 1
+        if any(x is not None for x in H.V[-1]):
+            assert reconstruct(H)
+    assert checked >= 30
 
 
 # --- game_at ---------------------------------------------------------------

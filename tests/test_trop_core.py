@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from troplf import (
     MIN_PLUS,
@@ -20,7 +22,8 @@ from troplf import (
     cycle_time_vector,
     kleene_least_solution,
 )
-from troplf.trop_core import WeightedDigraph, longest_paths, scc_and_access
+from troplf.game_engine import ParametricOracle, max_graph
+from troplf.trop_core import WeightedDigraph, longest_paths, means_at_most, scc_and_access
 
 from conftest import e, rows
 from maxplus import kleene_star_int, trop_matvec
@@ -140,6 +143,86 @@ def test_longest_paths_match_the_reference():
         elif any(_reference_paths(w, mask, u) is None for u in range(n)):
             seen["cycle off the source"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+# --- means_at_most ---------------------------------------------------------
+
+
+def _karp_at_most(w, mask, source, c):
+    """Whether every cycle mean that source reaches is at most c, by Karp's
+    per-component means (cycle_means) over the components that source
+    accesses (scc_and_access): the reference for means_at_most."""
+    n = len(w)
+    arcs = [(u, v, int(w[u, v])) for u in range(n) for v in range(n) if mask[u, v]]
+    D = WeightedDigraph.from_arcs(n, arcs)
+    access = scc_and_access(D, source).access
+    decomp, means = cycle_means(D, "max")
+    return all(mu is None or mu <= c or not access.intersection(comp)
+               for comp, mu in zip(decomp.components, means))
+
+
+def _assert_means_at_most(w, mask, source, p, q):
+    """means_at_most agrees with Karp, and its paths are the Python-int
+    longest paths of q*w - p."""
+    got = means_at_most(w, mask, source, p, q)
+    assert (got is not None) == _karp_at_most(w, mask, source, Fraction(p, q))
+    if got is not None:
+        assert list(got) == _reference_paths(q * w.astype(object) - p, mask, source)
+    return got
+
+
+@st.composite
+def mean_questions(draw):
+    """A graph of up to 7 nodes with a third of its arcs missing, a source,
+    and a bound p/q with q <= N + 1 within the range of the weights.  In
+    half the draws with N > 1 no arc crosses from the nodes below a cut to
+    the others, the source lies below it, and the last node carries a
+    positive self-loop that the source does not reach."""
+    n = draw(st.integers(1, 7))
+    top = draw(st.sampled_from((5, 2**40)))
+    cut = draw(st.integers(1, n - 1)) if n > 1 and draw(st.booleans()) else n
+    mask = np.array([[draw(st.integers(0, 2)) > 0 and not u < cut <= v for v in range(n)]
+                     for u in range(n)])
+    w = np.array([[draw(st.integers(-top, top)) if mask[u, v] else 0 for v in range(n)]
+                  for u in range(n)], dtype=np.int64)
+    if cut < n:
+        mask[n - 1, n - 1], w[n - 1, n - 1] = True, top
+    q = draw(st.integers(1, n + 1))
+    p = draw(st.integers(-q * top, q * top))
+    return w.astype(draw(st.sampled_from((np.int64, object)))), mask, draw(st.integers(0, cut - 1)), p, q
+
+
+@given(mean_questions())
+def test_means_at_most_matches_karp(case):
+    _assert_means_at_most(*case)
+
+
+def test_means_at_most_at_and_past_the_int64_limit():
+    """Max's graph against tau on the oracle's arrays of a game whose
+    payments sit at the largest bound that keeps them on int64, and one past
+    it (object arrays), with bounds p/q of q <= N + 1 and |p| <= 2NW; then
+    int64 weights whose reweighted values pass 2**63.  means_at_most answers
+    as Karp does, with the Python-int longest paths, every time."""
+    N = 2
+    limit = (2**62 - 3) // (2 * N + 1)  # the largest W with (2N+1)W + 2 < 2**62
+    for W, dtype in ((limit, np.int64), (limit + 1, object)):
+        P = W - 1  # the largest |payment|
+        arrays, bound = ParametricOracle(((-P, P), (P, -P)), ((P, -P), (-P, P - 1))).arrays(1, 0)
+        assert (bound, arrays[2].dtype) == (W, dtype)
+        # self-loops of 2P at node 0 and 2P - 1 at node 1, the source
+        w, mask = max_graph(arrays, (0, 1))
+        bounds = [(p, q) for q in range(1, N + 1) for p in (2 * P * q, 2 * P * q - 1, -2 * N * W)]
+        answers = []
+        for p, q in bounds + [(0, 1), (-1, N + 1)]:
+            assert q * int(np.abs(w).max()) + abs(p) < 2**63
+            answers.append(_assert_means_at_most(w, mask, N - 1, p, q) is not None)
+        assert answers == [True, False, False] * N + [False, False]
+    # int64 weights whose reweighted values leave int64
+    big = 2**62 - 1
+    w = np.array([[big, 0], [0, -big]], dtype=np.int64)
+    for p, fits in ((4 * big, True), (4 * big - 1, False)):
+        assert max(abs(4 * x - p) for x in (big, 0, -big)) >= 2**63
+        assert (_assert_means_at_most(w, np.ones((2, 2), dtype=bool), 0, p, 4) is not None) == fits
 
 
 def test_kleene_least_solution_properties():
