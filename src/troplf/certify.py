@@ -6,7 +6,8 @@ tau-restricted game digraph accessible from node n+1 has nonpositive weight,
 strictly negative once the objective row m+1 is deleted, and phi(lambda*) is
 confirmed nonnegative.  An unboundedness certificate is a Max strategy sigma
 whose restricted digraph at lambda = 0 shows only nonnegative cycles
-accessible from node n+1, none through row m+1.
+accessible from node n+1, none through row m+1: the oracle's sigma at
+``spectral.deep_lambda``.
 
 Each of these four cycle conditions reads the integer grids of
 ``spectral.game_at`` (at lambda* for optimality, at 0 for unboundedness) and
@@ -43,7 +44,9 @@ from typing import Optional
 import numpy as np
 
 from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed, max_graph, min_graph
-from .spectral import HomogeneousInstance, game_arrays, game_at, game_report, phi_nonneg
+from .spectral import (
+    HomogeneousInstance, deep_lambda, game_arrays, game_at, game_report, phi_nonneg,
+)
 from .trop_core import NEG_INF, ExtendedNumber, means_at_most
 
 
@@ -305,52 +308,15 @@ def _validated(result: CheckResult, cert):
 def make_unboundedness_certificate(H: HomogeneousInstance) -> UnboundednessCertificate:
     """Build and validate a Max strategy certifying unboundedness.
 
-    Two constructions are tried.  When the objective constant is -inf and a
-    feasible homogeneous vector exists that is -inf on the support of u (and
-    finite at n+1), sigma picks for each row the column attaining the
-    right-hand side; the telescoping inequality makes every accessible cycle
-    nonnegative, and supp(u) screening keeps row m+1 inaccessible.  Otherwise
-    sigma is taken from the winning oracle at a lambda so negative that any
-    cycle through row m+1 has negative weight: a strategy winning there can
-    only rely on lambda-free cycles, which certify at lambda = 0.  The
-    potentials come from longest paths on sigma's graph at lambda = 0.
+    sigma is the oracle's at deep_lambda, where every cycle through row m+1
+    has negative weight: node n+1 wins there only on lambda-free cycles,
+    which certify at lambda = 0.  The prechecks solved that game already.
+    The potentials come from longest paths on sigma's graph at lambda = 0.
     """
-    sigma = _support_condition_sigma(H)
-    if sigma is None:
-        sigma = _deep_lambda_sigma(H)
-    if sigma is None:
-        raise CertificateSynthesisFailed("no certifying Max strategy was found")
-    graphs = _unboundedness_graphs(game_arrays(H, 0)[0], sigma.choices, H.m)
-    z = [means_at_most(w, mask, H.n, p, q) for w, mask, p, q in graphs]
-    cert = UnboundednessCertificate(sigma, *z)
-    return _validated(check_unboundedness(H, cert), cert)
-
-
-def _support_condition_sigma(H: HomogeneousInstance):
-    from .solver import homogeneous_solution_with_zeros
-
-    n = H.n
-    supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
-    if n in supp_u:
-        return None
-    ybar = homogeneous_solution_with_zeros(H.U[:-1], H.V[:-1], supp_u, n)
-    if ybar is None:
-        return None
-    choices = []
-    for row in H.V:  # the rows of game_at(H, 0).b
-        moves = [l for l, x in enumerate(row) if x is not None]
-        best_l, best_v = moves[0], None
-        for l in moves:
-            if ybar[l] is not None and (best_v is None or row[l] + ybar[l] > best_v):
-                best_v, best_l = row[l] + ybar[l], l
-        choices.append(best_l)
-    return MaxStrategy(tuple(choices))
-
-
-def _deep_lambda_sigma(H: HomogeneousInstance):
-    # M bounds every payment of the game at lambda = 0.
-    lam_low = -(2 * (H.k_bound + 2) * H.M + 1)
-    rep = game_report(H, lam_low)
+    rep = game_report(H, deep_lambda(H))
     if H.n not in rep.winning:
-        return None
-    return rep.sigma
+        raise CertificateSynthesisFailed("no certifying Max strategy was found")
+    graphs = _unboundedness_graphs(game_arrays(H, 0)[0], rep.sigma.choices, H.m)
+    z = [means_at_most(w, mask, H.n, p, q) for w, mask, p, q in graphs]
+    cert = UnboundednessCertificate(rep.sigma, *z)
+    return _validated(check_unboundedness(H, cert), cert)

@@ -2,9 +2,10 @@
 
 All three algorithms locate the minimal zero lambda* of the spectral function
 phi on the integer-scaled homogeneous instance, then attach a feasible witness
-and a validated strategy certificate.  Prechecks classify the degenerate
-objectives, run the global support test for unboundedness, and bracket
-lambda*.  Negative Newton reads phi_tau's sign from ``trop_core.means_at_most``.
+and a validated strategy certificate.  The prechecks settle a denominator row
+v identically -inf by a support test; every other instance is classified by
+the parametric game alone, which also brackets lambda*.  Negative Newton reads
+phi_tau's sign from ``trop_core.means_at_most``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .game_engine import (
 from .spectral import (
     HomogeneousInstance,
     LfpInstance,
+    deep_lambda,
     game_arrays,
     game_at,  # noqa: F401  (the benchmark's tracer test reads solver.game_at)
     game_report,
@@ -195,8 +197,13 @@ def _row_max(row, y) -> Optional[int]:
 
 
 def precheck(H: HomogeneousInstance):
-    """Classify the instance before iterating: degenerate objectives, the
-    global support test for unboundedness, and the initial phi brackets."""
+    """Classify the instance before iterating.
+
+    With v identically -inf the parametric game is undefined, and the
+    support test (homogeneous_solution_with_zeros) decides.  Otherwise phi
+    alone does: infeasible when phi(lam_hi) < 0, unbounded when phi >= 0 at
+    deep_lambda, optimal at lam_lo when phi(lam_lo) >= 0 only, else Proceed.
+    """
     n = H.n
     C, D = H.U[:-1], H.V[:-1]
     supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
@@ -214,23 +221,13 @@ def precheck(H: HomogeneousInstance):
             if supp_u
             else "no feasible point"
         )
-    if not supp_u:
-        # Numerator identically -inf: the objective is -inf wherever feasible.
-        y = homogeneous_solution_with_zeros(C, D, frozenset(), n)
-        if y is not None:
-            return PrecheckUnbounded()
-        return PrecheckInfeasible("no feasible point")
-    if n not in supp_u:
-        y = homogeneous_solution_with_zeros(C, D, supp_u, n)
-        if y is not None:
-            return PrecheckUnbounded()
     lam_lo, lam_hi = initial_bounds(H)
     ok_hi, _, _ = phi_nonneg(H, lam_hi)
     if not ok_hi:
         return PrecheckInfeasible("phi is negative at the upper bound")
     ok_lo, _, _ = phi_nonneg(H, lam_lo)
     if ok_lo:
-        ok_below, _, _ = phi_nonneg(H, lam_lo - 1)
+        ok_below, _, _ = phi_nonneg(H, deep_lambda(H))
         if ok_below:
             return PrecheckUnbounded()
         return OptimalAtLowerBound(Fraction(lam_lo))

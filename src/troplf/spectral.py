@@ -86,9 +86,9 @@ class LfpInstance:
 
     Construction checks the shape and the game assumptions on the homogenized
     constraint block: every row of [B|d] and every column of [[A],[p]] and
-    [[c],[r]] needs a finite entry.  The degenerate objective rows (u or v
-    without finite entries) are allowed here and classified by the solver's
-    prechecks.
+    [[c],[r]] needs a finite entry.  The objective rows u and v may be all
+    -inf: the solver's prechecks classify v = -inf by a support test, and
+    the parametric game every other instance.
     """
 
     __slots__ = ("U", "V", "scale", "m", "n")
@@ -267,6 +267,14 @@ def initial_bounds(H: HomogeneousInstance):
     """(-2M(min(m,n)+1), +2M(min(m,n)+1)): finite minimal zeros live inside."""
     bound = 2 * H.M * (H.k_bound + 1)
     return -bound, bound
+
+
+def deep_lambda(H: HomogeneousInstance) -> Fraction:
+    """-(2M(min(m,n)+2) + 1), below initial_bounds: every cycle through row
+    m+1 weighs at most lambda + 2M(min(m,n)+1) < 0 there, so a Max strategy
+    optimal there with node n+1 winning wins at every lambda, and
+    phi(deep_lambda) >= 0 exactly when phi never falls below 0."""
+    return -(2 * (H.k_bound + 2) * H.M + 1)
 
 
 @dataclass(frozen=True)

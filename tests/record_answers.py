@@ -38,8 +38,9 @@ The benchmark's documents are generated by ``bench/run.py``, loaded as
 pieces differ (an error: it exits 1), those whose only difference is a
 certificate's potential vectors (present on one side only, or with other
 values), those that differ elsewhere (witness, strategy or trace, where
-another optimal strategy came back), the certificates either record's
-checker rejected, and the Newton step totals.  pytest does not collect this
+another optimal strategy came back), counted by status and by the fields
+that differ, the certificates either record's checker rejected, and the
+Newton step totals.  pytest does not collect this
 file.
 """
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import islice
 from pathlib import Path
 
@@ -155,7 +156,7 @@ def compare(path_a: str, path_b: str) -> int:
     total = defaultdict(int)
     answer = defaultdict(list)
     potentials = defaultdict(list)
-    other = defaultdict(list)
+    other = defaultdict(Counter)  # (status, differing fields) -> records
     rejected = defaultdict(list)
     steps = defaultdict(lambda: [0, 0])
     for key in a:
@@ -167,7 +168,9 @@ def compare(path_a: str, path_b: str) -> int:
         ):
             answer[family].append(key)
         elif _without_potentials(ra) != _without_potentials(rb):
-            other[family].append(key)
+            pa, pb = _without_potentials(ra), _without_potentials(rb)
+            fields = ", ".join(k for k in pa if pa[k] != pb[k])
+            other[family][ra["status"], fields] += 1
         elif ra != rb:
             potentials[family].append(key)
         if False in (ra.get("accepted"), rb.get("accepted")):
@@ -178,11 +181,13 @@ def compare(path_a: str, path_b: str) -> int:
     for family in total:
         line = (f"{family}: {total[family]} records, {len(answer[family])} with another "
                 f"status, lambda* or pieces, {len(potentials[family])} differing only in "
-                f"potentials, {len(other[family])} differing elsewhere, "
+                f"potentials, {sum(other[family].values())} differing elsewhere, "
                 f"{len(rejected[family])} rejected certificates")
         if family in steps:
             line += f"; Newton steps {steps[family][0]} -> {steps[family][1]}"
         print(line)
+        for (status, fields), count in sorted(other[family].items()):
+            print(f"  elsewhere: {count} {status} records differing in {fields}")
         for key in answer[family] + rejected[family]:
             print(f"  {key}")
     return 1 if any(answer.values()) or any(rejected.values()) else 0

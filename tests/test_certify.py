@@ -48,7 +48,7 @@ from troplf.cli_io import (
     serialize_certificate,
 )
 from troplf.game_engine import restrict_min
-from troplf.spectral import game_report
+from troplf.spectral import deep_lambda, game_report
 from troplf.trop_core import (
     PositiveCycleDiverges,
     WeightedDigraph,
@@ -201,15 +201,19 @@ def test_unboundedness_rejects_route_through_objective_row():
     assert not res and "passes through row m+1" in res.reason
 
 
-def test_support_condition_sigma_takes_the_first_best_column():
-    """Each row of sigma picks the column attaining the right-hand side at
-    the feasible point; on a tie the first such column, as before."""
+def test_unboundedness_certificate_takes_sigma_at_the_deep_lambda():
+    """An r = -inf instance with a feasible point that is -inf on supp(u):
+    its certificate's sigma is the oracle's at deep_lambda, and it passes
+    the check with its potentials and without them."""
     inst = make_instance(
         A=[[NI, 1], [0, 1], [1, 0]], B=[[0, 1], [NI, NI], [1, NI]],
         c=[0, NI, NI], d=[0, 0, 1], p=[NI, 0], q=[0, 0], r=NI, s=0,
     )
-    cert = make_unboundedness_certificate(homogenize(inst))
-    assert cert.sigma.choices == (0, 2, 0, 0)
+    H = homogenize(inst)
+    cert = make_unboundedness_certificate(H)
+    assert cert.sigma == game_report(H, deep_lambda(H)).sigma
+    assert check_unboundedness(H, cert)
+    assert check_unboundedness(H, replace(cert, **dict.fromkeys(UNBOUNDEDNESS_POTENTIALS)))
 
 
 def test_special_case_equivalence_c_leq_d():

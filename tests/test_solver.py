@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from troplf import (
     NEG_INF,
     ExtendedNumber,
+    LfpInstance,
     MaxStrategy,
     NoneLeftWinning,
     Proceed,
@@ -29,6 +33,7 @@ from troplf import (
     precheck,
     solve,
 )
+from troplf import certify, solver
 from troplf.game_engine import _game_arrays, least_solution_fixed
 from troplf.solver import (
     _min_zero_phi_tau,
@@ -39,6 +44,7 @@ from troplf.solver import (
     positive_newton_cap,
     positive_newton_solve,
 )
+from troplf.spectral import deep_lambda
 
 from conftest import e, make_instance, random_instance
 from maxplus import payment_matrices, trop_matvec
@@ -101,6 +107,121 @@ def test_homogeneous_solution_with_zeros_basic(example2):
                    default=(0, 0))
 
     assert all(side(ci) <= side(di) for ci, di in zip(C, D))
+
+
+# --- instances with a -inf numerator constant: the game route alone -------
+
+METHODS = ("newton", "bisection", "negative-newton")
+
+
+def neg_inf_numerator_instance(rng: random.Random, u_neg_inf: bool) -> LfpInstance:
+    """A sparse instance, up to 4 x 4 with entries in [-5, 5], whose r is
+    -inf (and all of u when u_neg_inf) and whose v has a finite entry.  When
+    a row or column that the game assumptions need finite came out all -inf,
+    one of its entries is drawn again as a finite one."""
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+
+    def entry():
+        return rng.randint(-5, 5) if rng.random() < 0.5 else None
+
+    U = [[entry() for _ in range(n + 1)] for _ in range(m + 1)]
+    V = [[entry() for _ in range(n + 1)] for _ in range(m + 1)]
+    U[m] = [None] * (n + 1) if u_neg_inf else U[m][:n] + [None]
+
+    def patch(cells):
+        if all(G[i][j] is None for G, i, j in cells):
+            G, i, j = rng.choice(cells)
+            G[i][j] = rng.randint(-5, 5)
+
+    for i in range(m):
+        patch([(V, i, j) for j in range(n + 1)])
+    for j in range(n + 1):
+        patch([(U, i, j) for i in range(m + (j < n and not u_neg_inf))])
+    patch([(V, m, j) for j in range(n + 1)])
+    return LfpInstance(
+        [row[:n] for row in U[:m]], [row[:n] for row in V[:m]],
+        [row[n] for row in U[:m]], [row[n] for row in V[:m]],
+        U[m][:n], V[m][:n], U[m][n], V[m][n],
+    )
+
+
+def _checked(H, cert) -> bool:
+    """cert passes its check both with its potentials and without them."""
+    if isinstance(cert, certify.OptimalityCertificate):
+        check, keys = certify.check_optimality, certify.OPTIMALITY_POTENTIALS
+    else:
+        check, keys = certify.check_unboundedness, certify.UNBOUNDEDNESS_POTENTIALS
+    return bool(check(H, cert)) and bool(check(H, replace(cert, **dict.fromkeys(keys))))
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_the_game_route_agrees_with_the_support_test(rng, u_neg_inf):
+    """With r = -inf, a point that is -inf on supp(u) and finite at n+1 makes
+    the objective -inf, so each method returns Unbounded when the support
+    test finds one; when u is identically -inf the objective is -inf at
+    every feasible point, so it returns Unbounded exactly then.  phi's sign
+    at lam_lo - 1 and at deep_lambda agree, and every unboundedness
+    certificate passes its check."""
+    inst = neg_inf_numerator_instance(rng, u_neg_inf)
+    H = homogenize(inst)
+    supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
+    point = homogeneous_solution_with_zeros(H.U[:-1], H.V[:-1], supp_u, H.n) is not None
+    lam_lo, _ = initial_bounds(H)
+    assert phi_nonneg(H, lam_lo - 1)[0] == phi_nonneg(H, deep_lambda(H))[0]
+    for method in METHODS:
+        out = solve(inst, method=method)
+        if point:
+            assert out.status == "Unbounded"
+        elif u_neg_inf:
+            assert out.status == "Infeasible"
+        if out.status == "Unbounded":
+            assert _checked(H, out.certificate)
+
+
+def test_unbounded_where_the_support_test_finds_no_point():
+    """min x1 - x2 subject to x1 >= 0: r = -inf and every feasible x1 is
+    finite, so the support test finds no point, but x2 grows without bound."""
+    inst = make_instance(
+        A=[[NI, NI], [NI, 0]], B=[[0, NI], [NI, 0]], c=[0, NI], d=[NI, NI],
+        p=[0, NI], q=[NI, 0], r=NI, s=NI,
+    )
+    H = homogenize(inst)
+    assert homogeneous_solution_with_zeros(H.U[:-1], H.V[:-1], frozenset({0}), H.n) is None
+    for method in METHODS:
+        out = solve(inst, method=method)
+        assert out.status == "Unbounded" and _checked(H, out.certificate)
+
+
+def test_support_test_runs_only_without_a_denominator(example1, example2, example3, monkeypatch):
+    """With homogeneous_solution_with_zeros raising, every instance whose v
+    has a finite entry still solves by all three methods, each certificate
+    checked: examples 1-3, criterion 6's such instances, and 40 instances
+    with r = -inf, half of them with u identically -inf.  An instance with v
+    identically -inf still asks for the support test."""
+    from test_acceptance import criterion_6_instances
+
+    def support_test(*args):
+        raise AssertionError("the support test ran")
+
+    monkeypatch.setattr(solver, "homogeneous_solution_with_zeros", support_test)
+    rng = random.Random(14)
+    instances = [example1, example2, example3]
+    instances += [inst for inst in criterion_6_instances() if any(x is not None for x in inst.V[-1])]
+    instances += [neg_inf_numerator_instance(rng, k % 2 == 0) for k in range(40)]
+    statuses = Counter()
+    for inst in instances:
+        H = homogenize(inst)
+        for method in METHODS:
+            out = solve(inst, method=method)
+            statuses[out.status] += 1
+            assert (out.certificate is None) == (out.status == "Infeasible")
+            assert out.certificate is None or _checked(H, out.certificate)
+    assert min(statuses.values()) >= 30 and len(statuses) == 3
+    degenerate = make_instance(
+        A=[[0, -1]], B=[[NI, 0]], c=[0], d=[0], p=[1, NI], q=[NI, NI], r=NI, s=NI
+    )
+    with pytest.raises(AssertionError, match="the support test ran"):
+        solve(degenerate)
 
 
 # --- newton_step goldens ---------------------------------------------------
