@@ -204,10 +204,10 @@ def _broken_arc(key: str, u: int, v: int, w: int) -> str:
 
 def _cycle_condition(z, bundles: list, graph, n: int, key: str, diverged: str) -> str:
     """Why the condition fails ("" when it holds), checked on the potentials
-    z, or on the longest paths from node n on graph() = (weights, mask, p, q)
+    z, or on the longest paths from node n on graph = (weights, mask, p, q)
     when z is None; ``diverged`` when those do not exist."""
     if z is None:
-        w, mask, p, q = graph()
+        w, mask, p, q = graph
         z = means_at_most(w, mask, n, p, q)
         if z is None:
             return diverged
@@ -228,12 +228,13 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     g = game_at(H, lam_s)
     cert.tau.check(g)
     tau, m, n = cert.tau.choices, H.m, H.n
-    graphs = lambda: _optimality_graphs(game_arrays(H, lam_s)[0], tau, m)  # noqa: E731
+    missing = None in (cert.potentials, cert.strict_potentials)
+    graphs = _optimality_graphs(game_arrays(H, lam_s)[0], tau, m) if missing else (None, None)
     reason = _cycle_condition(
-        cert.potentials, _optimality_bundles(g, tau, m, False), lambda: graphs()[0], n,
+        cert.potentials, _optimality_bundles(g, tau, m, False), graphs[0], n,
         "potentials", POSITIVE,
     ) or _cycle_condition(
-        cert.strict_potentials, _optimality_bundles(g, tau, m, True), lambda: graphs()[1], n,
+        cert.strict_potentials, _optimality_bundles(g, tau, m, True), graphs[1], n,
         "strict_potentials", NOT_NEGATIVE,
     )
     if reason:
@@ -259,12 +260,13 @@ def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) 
     g = game_at(H, 0)
     cert.sigma.check(g)
     sigma, m, n = cert.sigma.choices, H.m, H.n
-    graphs = lambda: _unboundedness_graphs(game_arrays(H, 0)[0], sigma, m)  # noqa: E731
+    missing = None in (cert.through_potentials, cert.negated_potentials)
+    graphs = _unboundedness_graphs(game_arrays(H, 0)[0], sigma, m) if missing else (None, None)
     reason = _cycle_condition(
-        cert.through_potentials, _unboundedness_bundles(g, sigma, m, True), lambda: graphs()[0],
+        cert.through_potentials, _unboundedness_bundles(g, sigma, m, True), graphs[0],
         n, "through_potentials", THROUGH_ROW,
     ) or _cycle_condition(
-        cert.negated_potentials, _unboundedness_bundles(g, sigma, m, False), lambda: graphs()[1],
+        cert.negated_potentials, _unboundedness_bundles(g, sigma, m, False), graphs[1],
         n, "negated_potentials", NEGATIVE,
     )
     return CheckResult(not reason, reason)

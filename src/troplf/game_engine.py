@@ -29,8 +29,9 @@ each evaluation: once int64 could no longer hold its keys, it moves the
 weights to Python ints (object arrays) for the rest of the run, so every
 number it computes is exact in either dtype.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
-grids (``integer_oracle``, ``value_report``, ``feasibility_witness``).  The
-solver's games are the parametric game of one instance at many (lambda, k):
+grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
+the API and the tests: no solve runs a lone game.  The solver's games are
+the parametric game of one instance at many (lambda, k):
 each instance has one ``ParametricOracle`` (``spectral.game_report`` asks
 it), which builds the masks and weights once and starts each run from the
 strategies of the last, so its sigma and tau are an optimal pair, not

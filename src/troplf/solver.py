@@ -2,9 +2,9 @@
 
 All three algorithms locate the minimal zero lambda* of the spectral function
 phi on the integer-scaled homogeneous instance, then attach a feasible witness
-and a validated strategy certificate.  The prechecks settle a denominator row
-v identically -inf by a support test; every other instance is classified by
-the parametric game alone, which also brackets lambda*.  Negative Newton reads
+and a validated strategy certificate.  The prechecks classify every instance
+by a parametric game: its own, which also brackets lambda*, or that of the
+program whose v is e_{n+1} when v is identically -inf.  Negative Newton reads
 phi_tau's sign from ``trop_core.means_at_most``.
 """
 
@@ -13,15 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from .game_engine import (
     InternalCertificateMismatch,
     MaxStrategy,
-    MeanPayoffGame,
     MinStrategy,
     OracleStats,
-    feasibility_witness,
     max_graph,
 )
 from .spectral import (
@@ -96,8 +94,8 @@ class PrecheckInfeasible:
 
 @dataclass(frozen=True)
 class PrecheckUnbounded:
-    # True when the denominator row v is identically -inf: the parametric game
-    # is undefined there, so no strategy certificate can accompany the outcome.
+    # True when v is identically -inf: the game of v = e_{n+1} decides, and no
+    # strategy certificate can read the instance's own game, undefined there.
     degenerate: bool = False
 
 
@@ -106,91 +104,35 @@ class OptimalAtLowerBound:
     lam: Fraction
 
 
-# --- homogeneous feasibility with forced -inf coordinates ------------------
+# --- a denominator row identically -inf -----------------------------------
 
 
-def homogeneous_solution_with_zeros(C, D, neg_cols, pin: int) -> Optional[tuple]:
-    """A solution y of C y <= D y with y_j = -inf on neg_cols and y_pin = 0.
+def homogeneous_solution_with_zeros(H: HomogeneousInstance) -> Optional[tuple]:
+    """For v identically -inf: a y with C y <= D y, y_{n+1} = 0 and u y =
+    -inf, as ints (None for -inf), or None when there is none.
 
-    C and D are integer grids (None for -inf) and so is y.  Returns None when
-    no such solution exists.  The raw reduced system may break the game
-    assumptions, so a fixpoint preprocessing runs first:
-
-    * a row whose right-hand side is identically -inf over the remaining
-      columns forces every remaining column in its left-hand support to -inf
-      and is removed (infeasible if that hits the pinned column);
-    * a column with no finite left-hand coefficient in the remaining rows can
-      be pushed up to discharge every remaining row where it has a finite
-      right-hand coefficient; the column and those rows are removed.
-
-    The surviving core satisfies both game assumptions and is solved through
-    the winning oracle; push-up values are back-substituted in reverse
-    elimination order, which is triangular by construction.
+    Such a y exists exactly when the program with v = e_{n+1} (q = -inf,
+    s = 0, objective u y) is unbounded: its feasible set is a finitely
+    generated tropical cone, so an infimum of -inf is attained at a
+    generator.  Its game decides that at deep_lambda, whose optimal sigma
+    wins at every lambda, so the least solution against sigma, which does
+    not depend on lambda, has u y <= lambda for all lambda.  H's stats book
+    the oracle run.
     """
-    m, n = len(C), len(C[0])
-    if pin in neg_cols:
-        raise ValueError("the pinned column cannot be forced to -inf")
-    alive_rows = set(range(m))
-    alive_cols = set(range(n)) - set(neg_cols)
-    pushups: List[Tuple[int, list]] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(alive_rows):
-            if any(D[i][j] is not None for j in alive_cols):
-                continue
-            for j in sorted(alive_cols):
-                if C[i][j] is not None:
-                    if j == pin:
-                        return None
-                    alive_cols.discard(j)
-            alive_rows.discard(i)
-            changed = True
-        for j in sorted(alive_cols):
-            if any(C[i][j] is not None for i in alive_rows):
-                continue
-            discharged = sorted(i for i in alive_rows if D[i][j] is not None)
-            pushups.append((j, discharged))
-            alive_rows -= set(discharged)
-            alive_cols.discard(j)
-            changed = True
+    from .game_engine import least_solution_fixed
 
-    y: List[Optional[int]] = [None] * n
-    rows = sorted(alive_rows)
-    cols = sorted(alive_cols)
-    if pin in alive_cols:
-        if rows:
-            core = MeanPayoffGame(
-                tuple(tuple(C[i][j] for j in cols) for i in rows),
-                tuple(tuple(D[i][j] for j in cols) for i in rows),
-            )
-            witness = feasibility_witness(core, cols.index(pin))
-            if witness is None:
-                return None
-            for j, e in zip(cols, witness):
-                y[j] = int(e.value) if e.is_finite else None
-        else:
-            y[pin] = 0
-    # Otherwise pin was discharged by a push-up; the core is satisfied by -inf.
-    for j, discharged in reversed(pushups):
-        bound = 0
-        for i in discharged:
-            lhs = _row_max(C[i], y)  # y_j is still -inf here
-            if lhs is not None:
-                bound = max(bound, lhs - D[i][j])
-        y[j] = bound
-    shift = y[pin]
-    y = tuple(None if x is None else x - shift for x in y)
-    for ci, di in zip(C, D):
-        lhs, rhs = _row_max(ci, y), _row_max(di, y)
-        if lhs is not None and (rhs is None or lhs > rhs):
-            raise InternalCertificateMismatch("assembled solution fails C y <= D y")
+    m, n = H.m, H.n
+    e = tuple(0 if j == n else None for j in range(n + 1))
+    Hv = HomogeneousInstance(H.U, H.V[:-1] + (e,), H.M, H.scale)
+    Hv.oracle.stats = H.oracle.stats
+    rep = game_report(Hv, deep_lambda(Hv))
+    if n not in rep.winning:
+        return None
+    arrays = tuple(x[:m] for x in game_arrays(Hv, 0)[0])
+    y = least_solution_fixed(arrays, MaxStrategy(rep.sigma.choices[:m]), n)
+    if any(u is not None and yj is not None for u, yj in zip(H.U[m], y)):
+        raise InternalCertificateMismatch("the point of an unbounded program has u y > -inf")
     return y
-
-
-def _row_max(row, y) -> Optional[int]:
-    """max_j row_j + y_j over the finite terms, or None (-inf)."""
-    return max((r + x for r, x in zip(row, y) if r is not None and x is not None), default=None)
 
 
 # --- prechecks -------------------------------------------------------------
@@ -199,28 +141,16 @@ def _row_max(row, y) -> Optional[int]:
 def precheck(H: HomogeneousInstance):
     """Classify the instance before iterating.
 
-    With v identically -inf the parametric game is undefined, and the
-    support test (homogeneous_solution_with_zeros) decides.  Otherwise phi
-    alone does: infeasible when phi(lam_hi) < 0, unbounded when phi >= 0 at
-    deep_lambda, optimal at lam_lo when phi(lam_lo) >= 0 only, else Proceed.
+    With v identically -inf, homogeneous_solution_with_zeros decides by the
+    game of v = e_{n+1}: unbounded when it finds a point, else infeasible.
+    Otherwise phi alone does: infeasible when phi(lam_hi) < 0, unbounded
+    when phi >= 0 at deep_lambda, optimal at lam_lo when phi(lam_lo) >= 0
+    only, else Proceed.
     """
-    n = H.n
-    C, D = H.U[:-1], H.V[:-1]
-    supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
-    supp_v = frozenset(j for j, x in enumerate(H.V[-1]) if x is not None)
-    if not supp_v:
-        if supp_u and n in supp_u:
-            return PrecheckInfeasible(
-                "objective numerator is always finite while the denominator is -inf"
-            )
-        y = homogeneous_solution_with_zeros(C, D, supp_u, n)
-        if y is not None:
-            return PrecheckUnbounded(degenerate=True)
-        return PrecheckInfeasible(
-            "denominator is identically -inf and no feasible point avoids a finite numerator"
-            if supp_u
-            else "no feasible point"
-        )
+    if all(x is None for x in H.V[-1]):
+        if homogeneous_solution_with_zeros(H) is None:
+            return PrecheckInfeasible("no feasible point makes the numerator -inf")
+        return PrecheckUnbounded(degenerate=True)
     lam_lo, lam_hi = initial_bounds(H)
     ok_hi, _, _ = phi_nonneg(H, lam_hi)
     if not ok_hi:

@@ -87,8 +87,8 @@ class LfpInstance:
     Construction checks the shape and the game assumptions on the homogenized
     constraint block: every row of [B|d] and every column of [[A],[p]] and
     [[c],[r]] needs a finite entry.  The objective rows u and v may be all
-    -inf: the solver's prechecks classify v = -inf by a support test, and
-    the parametric game every other instance.
+    -inf: the solver's prechecks classify v = -inf by the parametric game of
+    the program whose v is e_{n+1}, and every other instance by its own.
     """
 
     __slots__ = ("U", "V", "scale", "m", "n")

@@ -26,6 +26,9 @@ generators in ``test_acceptance``:
 * ``solve-sparse-mixed-small``: the first 256 documents of the benchmark's
   ``sparse-mixed-small`` workload at seed 1, all methods (negative Newton
   and the degenerate prechecks on sparse instances with -inf entries);
+* ``degenerate-denominator``: 200 seeded sparse instances up to 6 x 6 whose
+  denominator row v is identically -inf, u drawn in each of
+  ``test_solver.U_MODES`` in turn, all methods;
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances;
 * ``reconstruct-spectral-small``: the pieces of the 320 instances of the
@@ -47,6 +50,7 @@ file.
 from __future__ import annotations
 
 import json
+import random
 import sys
 from collections import Counter, defaultdict
 from itertools import islice
@@ -72,6 +76,7 @@ def _families():
         criterion_10_instances,
     )
     from test_bench_run import _load_run
+    from test_solver import U_MODES, sparse_instance
 
     examples = []
     for k in (1, 2, 3):
@@ -90,6 +95,10 @@ def _families():
     pool = run.SparseMixedSmall()
     solves += [("solve-sparse-mixed-small", i, parse_instance(pool.instance(1, i)).instance, METHODS)
                for i in range(256)]
+    rng = random.Random(15)
+    solves += [("degenerate-denominator", i,
+                sparse_instance(rng, U_MODES[i % len(U_MODES)], v_neg_inf=True, size=6), METHODS)
+               for i in range(200)]
     rebuilds = [("reconstruct-examples", k, inst) for k, inst in enumerate(examples, 1)]
     rebuilds += [("reconstruct-criterion-7", i, inst)
                  for i, inst in enumerate(criterion_7_instances())]

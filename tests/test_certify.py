@@ -383,7 +383,7 @@ def test_corrupted_potentials_are_rejected_at_the_arc_they_break():
 
 def test_certificates_without_potentials_are_still_checked(example2):
     """A certificate without potentials, or without one of its vectors, gets
-    them from the Kleene iteration; a vector of the wrong length is refused."""
+    them from longest paths; a vector of the wrong length is refused."""
     H = homogenize(example2)
     cert = make_optimality_certificate(H, Fraction(0))
     assert cert.potentials is not None and cert.strict_potentials is not None
@@ -391,6 +391,35 @@ def test_certificates_without_potentials_are_still_checked(example2):
     assert check_optimality(H, replace(cert, potentials=None))
     short = check_optimality(H, replace(cert, potentials=cert.potentials[:-1]))
     assert not short and short.reason == "potentials has the wrong length"
+
+
+def test_a_check_without_potentials_builds_its_graphs_once(example2, monkeypatch):
+    """With both potential vectors missing, each check reads the oracle's
+    arrays once for both of its graphs."""
+    from troplf import certify
+
+    calls = []
+    original = certify.game_arrays
+
+    def counted(H, lam):
+        calls.append(lam)
+        return original(H, lam)
+
+    monkeypatch.setattr(certify, "game_arrays", counted)
+    H = homogenize(example2)
+    cert = make_optimality_certificate(H, Fraction(0))
+    calls.clear()
+    assert check_optimality(H, replace(cert, **dict.fromkeys(OPTIMALITY_POTENTIALS)))
+    assert len(calls) == 1
+    inst = make_instance(
+        A=[[NI, 1], [0, 1], [1, 0]], B=[[0, 1], [NI, NI], [1, NI]],
+        c=[0, NI, NI], d=[0, 0, 1], p=[NI, 0], q=[0, 0], r=NI, s=0,
+    )
+    H = homogenize(inst)
+    cert = make_unboundedness_certificate(H)
+    calls.clear()
+    assert check_unboundedness(H, replace(cert, **dict.fromkeys(UNBOUNDEDNESS_POTENTIALS)))
+    assert len(calls) == 1
 
 
 def _acceptance_solves():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -39,7 +40,6 @@ from troplf.solver import (
     _min_zero_phi_tau,
     bisection_cap,
     bisection_solve,
-    homogeneous_solution_with_zeros,
     negative_newton_solve,
     positive_newton_cap,
     positive_newton_solve,
@@ -48,6 +48,7 @@ from troplf.spectral import deep_lambda
 
 from conftest import e, make_instance, random_instance
 from maxplus import payment_matrices, trop_matvec
+from support_reference import homogeneous_solution_with_zeros, row_max
 
 NI = "-inf"
 
@@ -93,7 +94,7 @@ def test_precheck_degenerate_unbounded_flag():
     assert isinstance(pre, PrecheckUnbounded) and pre.degenerate
 
 
-# --- homogeneous feasibility helper ----------------------------------------
+# --- the support reference (tests/support_reference.py) -------------------
 
 
 def test_homogeneous_solution_with_zeros_basic(example2):
@@ -114,19 +115,32 @@ def test_homogeneous_solution_with_zeros_basic(example2):
 METHODS = ("newton", "bisection", "negative-newton")
 
 
-def neg_inf_numerator_instance(rng: random.Random, u_neg_inf: bool) -> LfpInstance:
-    """A sparse instance, up to 4 x 4 with entries in [-5, 5], whose r is
-    -inf (and all of u when u_neg_inf) and whose v has a finite entry.  When
-    a row or column that the game assumptions need finite came out all -inf,
-    one of its entries is drawn again as a finite one."""
-    m, n = rng.randint(1, 4), rng.randint(1, 4)
+# Which entries of u = [p, r] sparse_instance may draw finite: all, p only
+# (r = -inf), none (u identically -inf), or all with r finite.
+U_MODES = ("any", "p", "none", "r")
+
+
+def sparse_instance(
+    rng: random.Random, u_mode: str, v_neg_inf: bool = False, size: int = 4
+) -> LfpInstance:
+    """A sparse instance, up to size x size with entries in [-5, 5], whose u
+    follows u_mode (U_MODES) and whose v is identically -inf when v_neg_inf,
+    else has a finite entry.  When a row or column that the game assumptions
+    need finite came out all -inf, one of its entries is drawn again as a
+    finite one."""
+    m, n = rng.randint(1, size), rng.randint(1, size)
 
     def entry():
         return rng.randint(-5, 5) if rng.random() < 0.5 else None
 
     U = [[entry() for _ in range(n + 1)] for _ in range(m + 1)]
     V = [[entry() for _ in range(n + 1)] for _ in range(m + 1)]
-    U[m] = [None] * (n + 1) if u_neg_inf else U[m][:n] + [None]
+    free = {"any": n + 1, "p": n, "none": 0, "r": n + 1}[u_mode]  # u's columns that may be finite
+    U[m] = U[m][:free] + [None] * (n + 1 - free)
+    if u_mode == "r":
+        U[m][n] = rng.randint(-5, 5)
+    if v_neg_inf:
+        V[m] = [None] * (n + 1)
 
     def patch(cells):
         if all(G[i][j] is None for G, i, j in cells):
@@ -136,8 +150,9 @@ def neg_inf_numerator_instance(rng: random.Random, u_neg_inf: bool) -> LfpInstan
     for i in range(m):
         patch([(V, i, j) for j in range(n + 1)])
     for j in range(n + 1):
-        patch([(U, i, j) for i in range(m + (j < n and not u_neg_inf))])
-    patch([(V, m, j) for j in range(n + 1)])
+        patch([(U, i, j) for i in range(m + (j < free))])
+    if not v_neg_inf:
+        patch([(V, m, j) for j in range(n + 1)])
     return LfpInstance(
         [row[:n] for row in U[:m]], [row[:n] for row in V[:m]],
         [row[n] for row in U[:m]], [row[n] for row in V[:m]],
@@ -162,7 +177,7 @@ def test_the_game_route_agrees_with_the_support_test(rng, u_neg_inf):
     every feasible point, so it returns Unbounded exactly then.  phi's sign
     at lam_lo - 1 and at deep_lambda agree, and every unboundedness
     certificate passes its check."""
-    inst = neg_inf_numerator_instance(rng, u_neg_inf)
+    inst = sparse_instance(rng, "none" if u_neg_inf else "p")
     H = homogenize(inst)
     supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
     point = homogeneous_solution_with_zeros(H.U[:-1], H.V[:-1], supp_u, H.n) is not None
@@ -207,7 +222,7 @@ def test_support_test_runs_only_without_a_denominator(example1, example2, exampl
     rng = random.Random(14)
     instances = [example1, example2, example3]
     instances += [inst for inst in criterion_6_instances() if any(x is not None for x in inst.V[-1])]
-    instances += [neg_inf_numerator_instance(rng, k % 2 == 0) for k in range(40)]
+    instances += [sparse_instance(rng, "none" if k % 2 == 0 else "p") for k in range(40)]
     statuses = Counter()
     for inst in instances:
         H = homogenize(inst)
@@ -222,6 +237,69 @@ def test_support_test_runs_only_without_a_denominator(example1, example2, exampl
     )
     with pytest.raises(AssertionError, match="the support test ran"):
         solve(degenerate)
+
+
+# --- a denominator row identically -inf: the game of v = e_{n+1} ------------
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(U_MODES))
+def test_the_degenerate_precheck_agrees_with_the_support_reference(rng, u_mode):
+    """With v identically -inf, solver.homogeneous_solution_with_zeros finds
+    a point exactly when the support reference does (none when n+1 is in
+    supp(u)); the point satisfies C y <= D y, is 0 at n+1 and -inf on
+    supp(u); and every method returns Unbounded exactly then, else
+    Infeasible."""
+    inst = sparse_instance(rng, u_mode, v_neg_inf=True)
+    H = homogenize(inst)
+    C, D, n = H.U[:-1], H.V[:-1], H.n
+    supp_u = frozenset(j for j, x in enumerate(H.U[-1]) if x is not None)
+    expected = None if n in supp_u else homogeneous_solution_with_zeros(C, D, supp_u, n)
+    y = solver.homogeneous_solution_with_zeros(H)
+    assert (y is None) == (expected is None)
+    if y is not None:
+        assert y[n] == 0 and all(y[j] is None for j in supp_u)
+        for ci, di in zip(C, D):
+            lhs, rhs = row_max(ci, y), row_max(di, y)
+            assert lhs is None or (rhs is not None and lhs <= rhs)
+    status = "Infeasible" if y is None else "Unbounded"
+    assert all(solve(inst, method=method).status == status for method in METHODS)
+
+
+def test_a_degenerate_solve_books_its_one_oracle_run():
+    """The game that decides a v identically -inf instance is one oracle
+    run in the solve's stats, Unbounded or Infeasible."""
+    unbounded = make_instance(
+        A=[[0, -1]], B=[[NI, 0]], c=[0], d=[0], p=[1, NI], q=[NI, NI], r=NI, s=NI
+    )
+    infeasible = make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[1], q=[NI], r=0, s=NI)
+    for inst, status in ((unbounded, "Unbounded"), (infeasible, "Infeasible")):
+        for method in METHODS:
+            out = solve(inst, method=method)
+            assert out.status == status and out.stats.runs == 1
+
+
+def test_no_solve_runs_a_lone_game(example1, example2, example3, monkeypatch):
+    """With feasibility_witness, _oracle_core and _game_arrays raising in
+    every troplf module, examples 1-3, criterion 6's instances and 40 sparse
+    instances with v identically -inf solve by all three methods: every
+    game of a solve is a parametric game."""
+    from test_acceptance import criterion_6_instances
+
+    def lone_game(*args):
+        raise AssertionError("a lone game ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "troplf":
+            for attr in ("feasibility_witness", "_oracle_core", "_game_arrays"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, lone_game)
+    for inst in [example1, example2, example3, *criterion_6_instances()]:
+        for method in METHODS:
+            solve(inst, method=method)
+    rng = random.Random(15)
+    degenerate = [sparse_instance(rng, U_MODES[k % len(U_MODES)], v_neg_inf=True) for k in range(40)]
+    statuses = Counter(solve(inst, method=method).status for inst in degenerate for method in METHODS)
+    assert statuses["Unbounded"] > 0 and statuses["Infeasible"] > 0
 
 
 # --- newton_step goldens ---------------------------------------------------
