@@ -37,7 +37,6 @@ from .solver import (
     InfeasibleStart,
     IterationCapExceeded,
     NoneLeftWinning,
-    OptimalAtLowerBound,
     Proceed,
     PrecheckInfeasible,
     PrecheckUnbounded,

@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         "when maximizing), (phi <0) when it is not.",
     )
     p.add_argument("instance")
-    p.add_argument("--method", choices=["newton", "bisection", "negative-newton"], default="newton")
+    p.add_argument("--method", choices=solver.METHODS, default="newton")
     p.add_argument("--lambda0", type=_rational, default=None)
     p.add_argument("--cert-out", default=None)
     p.set_defaults(func=cmd_solve)

@@ -564,7 +564,7 @@ def min_graph(arrays, sigma) -> tuple:
     Am, _Bm, Aw, Bw = arrays
     sigma = np.asarray(sigma, dtype=np.intp)
     vals = Aw - Bw[np.arange(len(sigma)), sigma][:, None]
-    low = vals.min() - 1
+    low = vals.min(initial=0) - 1  # initial: a program may have no constraint rows
     G = np.full((Am.shape[1],) * 2, low, dtype=vals.dtype)
     np.maximum.at(G, sigma, np.where(Am, vals, low))
     return G.T, (G > low).T

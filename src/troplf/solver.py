@@ -59,6 +59,8 @@ class _NoneLeftWinningType:
 
 NoneLeftWinning = _NoneLeftWinningType()
 
+METHODS = ("newton", "bisection", "negative-newton")
+
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -99,11 +101,6 @@ class PrecheckUnbounded:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class OptimalAtLowerBound:
-    lam: Fraction
-
-
 # --- a denominator row identically -inf -----------------------------------
 
 
@@ -139,28 +136,23 @@ def homogeneous_solution_with_zeros(H: HomogeneousInstance) -> Optional[tuple]:
 
 
 def precheck(H: HomogeneousInstance):
-    """Classify the instance before iterating.
+    """Classify the instance before iterating, with at most two games.
 
     With v identically -inf, homogeneous_solution_with_zeros decides by the
     game of v = e_{n+1}: unbounded when it finds a point, else infeasible.
     Otherwise phi alone does: infeasible when phi(lam_hi) < 0, unbounded
-    when phi >= 0 at deep_lambda, optimal at lam_lo when phi(lam_lo) >= 0
-    only, else Proceed.
+    when phi >= 0 at deep_lambda, else Proceed.  Proceed leaves lambda*
+    finite, hence in [lam_lo, lam_hi], so phi(lam_lo - 1) < 0 as well.
     """
     if all(x is None for x in H.V[-1]):
         if homogeneous_solution_with_zeros(H) is None:
             return PrecheckInfeasible("no feasible point makes the numerator -inf")
         return PrecheckUnbounded(degenerate=True)
-    lam_lo, lam_hi = initial_bounds(H)
-    ok_hi, _, _ = phi_nonneg(H, lam_hi)
-    if not ok_hi:
+    _, lam_hi = initial_bounds(H)
+    if not phi_nonneg(H, lam_hi)[0]:
         return PrecheckInfeasible("phi is negative at the upper bound")
-    ok_lo, _, _ = phi_nonneg(H, lam_lo)
-    if ok_lo:
-        ok_below, _, _ = phi_nonneg(H, deep_lambda(H))
-        if ok_below:
-            return PrecheckUnbounded()
-        return OptimalAtLowerBound(Fraction(lam_lo))
+    if phi_nonneg(H, deep_lambda(H))[0]:
+        return PrecheckUnbounded()
     return Proceed(Fraction(lam_hi))
 
 
@@ -219,9 +211,23 @@ def positive_newton_cap(H: HomogeneousInstance) -> int:
 
 
 def bisection_cap(H: HomogeneousInstance) -> int:
-    """Oracle-call bound for bisection: ceil(log2(4M(min(m,n)+1)))+1."""
-    width = int(4 * H.M * (H.k_bound + 1))
+    """Oracle-call bound for bisection: ceil(log2(4M(min(m,n)+1)+1))+1."""
+    width = int(4 * H.M * (H.k_bound + 1)) + 1
     return math.ceil(math.log2(width)) + 1 if width > 1 else 1
+
+
+def _least_integer(holds, lo: int, hi: int, hi_holds: bool = False) -> Optional[int]:
+    """The least integer in (lo, hi], lo < hi, where the nondecreasing
+    predicate ``holds`` is true, given that it is false at lo; None when it
+    is false at hi too.  A dichotomy that asks about hi only when hi_holds
+    does not already say it is true and no smaller integer is."""
+    while hi - lo > 1:
+        mid = -((-(hi + lo)) // 2)
+        if holds(mid):
+            hi, hi_holds = mid, True
+        else:
+            lo = mid
+    return hi if hi_holds or holds(hi) else None
 
 
 def positive_newton_solve(
@@ -249,21 +255,18 @@ def positive_newton_solve(
 
 
 def bisection_solve(H: HomogeneousInstance) -> SolveOutcome:
-    """Integer dichotomy on the sign of phi between the initial bounds."""
+    """Integer dichotomy on the sign of phi over (lam_lo - 1, lam_hi], where
+    phi(lam_lo - 1) < 0 <= phi(lam_hi) after Proceed."""
     lam_lo, lam_hi = initial_bounds(H)
-    lo, hi = int(lam_lo), int(lam_hi)  # phi(lo) < 0 <= phi(hi) after Proceed
     trace = []
-    k = 0
-    while hi - lo > 1:
-        mid = -((-(hi + lo)) // 2)
-        ok, _, _ = phi_nonneg(H, mid)
-        trace.append((k, Fraction(mid), ">=0" if ok else "<0"))
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-        k += 1
-    return _finish_optimal(H, Fraction(hi), trace)
+
+    def nonneg(lam: int) -> bool:
+        ok = phi_nonneg(H, lam)[0]
+        trace.append((len(trace), Fraction(lam), ">=0" if ok else "<0"))
+        return ok
+
+    lam = _least_integer(nonneg, int(lam_lo) - 1, int(lam_hi), hi_holds=True)
+    return _finish_optimal(H, Fraction(lam), trace)
 
 
 def _min_strategy_count(H: HomogeneousInstance) -> int:
@@ -285,37 +288,35 @@ def _min_zero_phi_tau(
     c > 1 times splits there into c cycles whose mean it averages, so the
     largest mean is attained by a cycle through row m+1 at most once: each
     piece of phi_tau is w/L or (w + lambda)/L with w an integer, and the
-    first to reach 0 does so at lambda = -w.  An integer dichotomy, as in
-    bisection_solve, keeps phi_tau(lo) < 0 and ends with hi the zero; lam_hi
-    is probed only when every point below it is negative.  Returns None
-    when phi_tau stays negative up to lam_hi.  At an integer lambda the
-    means have denominators at most n+1, so phi_tau < 0 there exactly when
-    ``trop_core.means_at_most`` bounds them by -1/(n+2).
+    first to reach 0 does so at lambda = -w, the least integer where
+    phi_tau >= 0 (``_least_integer``; lam_hi is probed only when every point
+    below it is negative).  Returns None when phi_tau stays negative up to
+    lam_hi.  At an integer lambda the means have denominators at most n+1,
+    so phi_tau < 0 there exactly when ``trop_core.means_at_most`` bounds
+    them by -1/(n+2).
     """
 
     def at_most(lam: int, p: int, q: int) -> bool:
         graph = max_graph(game_arrays(H, lam)[0], tau.choices)
         return means_at_most(*graph, H.n, p, q) is not None
 
-    lo, hi = int(lam_k), int(lam_hi)
-    hi_probed = False  # phi_tau(hi) >= 0 is known
-    while hi - lo > 1:
-        mid = -((-(hi + lo)) // 2)
-        if at_most(mid, -1, H.n + 2):
-            lo = mid
-        else:
-            hi, hi_probed = mid, True
-    if not hi_probed and at_most(hi, -1, H.n + 2):
+    zero = _least_integer(lambda lam: not at_most(lam, -1, H.n + 2), int(lam_k), int(lam_hi))
+    if zero is None:
         return None
-    if not at_most(hi, 0, 1):
+    if not at_most(zero, 0, 1):
         raise AssertionError("phi_tau has no zero at the integer it crosses 0")
-    return Fraction(hi)
+    return Fraction(zero)
 
 
 def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:
-    """Newton iteration from below: strictly increasing infeasible lambda_k."""
-    lam_lo, lam_hi = initial_bounds(H)
-    lam = Fraction(lam_lo)
+    """Newton iteration from below: strictly increasing infeasible lambda_k
+    from deep_lambda, whose game the prechecks solved.  Each step retires a
+    Min strategy (its phi_tau stays >= 0), and the iterates are integers of
+    [deep_lambda, lam_hi], fewer than the cap's numeric term when
+    min(m,n) > 0; else Min has one strategy (m = 0), or each phi_tau is a
+    loop at node n+1 and one step reaches lambda* (n = 0)."""
+    _, lam_hi = initial_bounds(H)
+    lam = Fraction(deep_lambda(H))
     k1 = H.k_bound + 1
     cap = min(_min_strategy_count(H), int(4 * H.M * k1) * k1 * k1 + k1 + 4)
     trace = []
@@ -355,29 +356,25 @@ def _finish_unbounded(
 
 def solve(inst: LfpInstance, method: str = "newton", lam0: Optional[Fraction] = None) -> SolveOutcome:
     """Homogenize, precheck, run the chosen method, and unscale the result,
-    with the oracle's stats."""
+    with the oracle's stats.  The arguments are checked first: lam0 is a
+    start for Newton alone."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if lam0 is not None and method != "newton":
+        raise ValueError(f"lam0 is a start for newton, not for {method}")
     H = homogenize(inst)
-    return replace(_solve(H, method, lam0), stats=replace(H.oracle.stats))
-
-
-def _solve(H: HomogeneousInstance, method: str, lam0: Optional[Fraction]) -> SolveOutcome:
     pre = precheck(H)
     if isinstance(pre, PrecheckInfeasible):
-        return SolveOutcome("Infeasible", None, None, None, [])
-    if isinstance(pre, PrecheckUnbounded):
-        return _finish_unbounded(H, [], pre.degenerate)
-    if isinstance(pre, OptimalAtLowerBound):
-        return _finish_optimal(H, pre.lam, [(0, pre.lam, ">=0")])
-    if method == "newton":
-        start = None
-        if lam0 is not None:
-            start = Fraction(lam0) * H.scale
-            ok, _, _ = phi_nonneg(H, start)
-            if not ok:
-                raise InfeasibleStart("lam0 is not feasible: phi(lam0) < 0")
-        return positive_newton_solve(H, start)
-    if method == "bisection":
-        return bisection_solve(H)
-    if method == "negative-newton":
-        return negative_newton_solve(H)
-    raise ValueError(f"unknown method {method!r}")
+        out = SolveOutcome("Infeasible", None, None, None, [])
+    elif isinstance(pre, PrecheckUnbounded):
+        out = _finish_unbounded(H, [], pre.degenerate)
+    elif method == "bisection":
+        out = bisection_solve(H)
+    elif method == "negative-newton":
+        out = negative_newton_solve(H)
+    else:
+        start = None if lam0 is None else Fraction(lam0) * H.scale
+        if start is not None and not phi_nonneg(H, start)[0]:
+            raise InfeasibleStart("lam0 is not feasible: phi(lam0) < 0")
+        out = positive_newton_solve(H, start)
+    return replace(out, stats=replace(H.oracle.stats))

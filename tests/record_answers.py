@@ -13,9 +13,10 @@ from this file's own tests, so both records cover the same instances.  It
 writes one JSON line per record.  A solve record has the family, the
 instance index, the method, the status, lambda*, the witness, the
 serialized certificate, whether ``troplf check`` accepts that certificate,
-and the trace.  A ``reconstruct`` record has the spectral function's
-pieces.  The random families come from the acceptance criteria's own
-generators in ``test_acceptance``:
+and the trace; a solve that raises has the exception as its status.  A
+``reconstruct`` record has the spectral function's pieces.  The random
+families come from the acceptance criteria's own generators in
+``test_acceptance``:
 
 * ``examples``: data/example{1,2,3}.json by all three methods;
 * ``criterion-6``: the 200 instances of acceptance criterion 6, all methods;
@@ -29,6 +30,10 @@ generators in ``test_acceptance``:
 * ``degenerate-denominator``: 200 seeded sparse instances up to 6 x 6 whose
   denominator row v is identically -inf, u drawn in each of
   ``test_solver.U_MODES`` in turn, all methods;
+* ``zero-entries``: ``test_solver.zero_entries_instances()``, 200 seeded
+  programs up to 3 x 3 with entries in {0, -inf} (M = 0, so an Optimal
+  lambda* is the lower bound 0), then the program with no constraint rows
+  (``test_cli_io.NO_ROWS_DOC``), all methods;
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances;
 * ``reconstruct-spectral-small``: the pieces of the 320 instances of the
@@ -41,10 +46,10 @@ The benchmark's documents are generated by ``bench/run.py``, loaded as
 pieces differ (an error: it exits 1), those whose only difference is a
 certificate's potential vectors (present on one side only, or with other
 values), those that differ elsewhere (witness, strategy or trace, where
-another optimal strategy came back), counted by status and by the fields
-that differ, the certificates either record's checker rejected, and the
-Newton step totals.  pytest does not collect this
-file.
+another optimal strategy came back), counted by method, status and the
+fields that differ, the certificates either record's checker rejected, and
+the total trace length of each method (for Newton, its steps).  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -76,7 +81,8 @@ def _families():
         criterion_10_instances,
     )
     from test_bench_run import _load_run
-    from test_solver import U_MODES, sparse_instance
+    from test_cli_io import NO_ROWS_DOC
+    from test_solver import U_MODES, sparse_instance, zero_entries_instances
 
     examples = []
     for k in (1, 2, 3):
@@ -99,6 +105,8 @@ def _families():
     solves += [("degenerate-denominator", i,
                 sparse_instance(rng, U_MODES[i % len(U_MODES)], v_neg_inf=True, size=6), METHODS)
                for i in range(200)]
+    zeros = zero_entries_instances() + [parse_instance(NO_ROWS_DOC).instance]
+    solves += [("zero-entries", i, inst, METHODS) for i, inst in enumerate(zeros)]
     rebuilds = [("reconstruct-examples", k, inst) for k, inst in enumerate(examples, 1)]
     rebuilds += [("reconstruct-criterion-7", i, inst)
                  for i, inst in enumerate(criterion_7_instances())]
@@ -116,7 +124,14 @@ def record(path: str) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for family, index, inst, methods in solves:
             for method in methods:
-                res = solve(inst, method=method)
+                try:
+                    res = solve(inst, method=method)
+                except Exception as exc:  # recorded as the status, so compare shows it
+                    out.write(json.dumps({
+                        "family": family, "index": index, "method": method,
+                        "status": f"raised {type(exc).__name__}: {exc}", "trace": [],
+                    }) + "\n")
+                    continue
                 cert, accepted = None, None
                 if res.certificate is not None:
                     cert = serialize_certificate(res.certificate)
@@ -165,9 +180,9 @@ def compare(path_a: str, path_b: str) -> int:
     total = defaultdict(int)
     answer = defaultdict(list)
     potentials = defaultdict(list)
-    other = defaultdict(Counter)  # (status, differing fields) -> records
+    other = defaultdict(Counter)  # (method, status, differing fields) -> records
     rejected = defaultdict(list)
-    steps = defaultdict(lambda: [0, 0])
+    traces = defaultdict(dict)  # family -> method -> [trace length a, b]
     for key in a:
         ra, rb = a[key], b[key]
         family = key[0]
@@ -179,24 +194,26 @@ def compare(path_a: str, path_b: str) -> int:
         elif _without_potentials(ra) != _without_potentials(rb):
             pa, pb = _without_potentials(ra), _without_potentials(rb)
             fields = ", ".join(k for k in pa if pa[k] != pb[k])
-            other[family][ra["status"], fields] += 1
+            other[family][key[2], ra["status"], fields] += 1
         elif ra != rb:
             potentials[family].append(key)
         if False in (ra.get("accepted"), rb.get("accepted")):
             rejected[family].append(key)
-        if key[2] == "newton":
-            steps[family][0] += len(ra["trace"])
-            steps[family][1] += len(rb["trace"])
+        if key[2] is not None:
+            lengths = traces[family].setdefault(key[2], [0, 0])
+            lengths[0] += len(ra["trace"])
+            lengths[1] += len(rb["trace"])
     for family in total:
         line = (f"{family}: {total[family]} records, {len(answer[family])} with another "
                 f"status, lambda* or pieces, {len(potentials[family])} differing only in "
                 f"potentials, {sum(other[family].values())} differing elsewhere, "
                 f"{len(rejected[family])} rejected certificates")
-        if family in steps:
-            line += f"; Newton steps {steps[family][0]} -> {steps[family][1]}"
+        if family in traces:
+            line += "; trace lengths " + ", ".join(
+                f"{method} {a} -> {b}" for method, (a, b) in traces[family].items())
         print(line)
-        for (status, fields), count in sorted(other[family].items()):
-            print(f"  elsewhere: {count} {status} records differing in {fields}")
+        for (method, status, fields), count in sorted(other[family].items()):
+            print(f"  elsewhere: {count} {method} {status} records differing in {fields}")
         for key in answer[family] + rejected[family]:
             print(f"  {key}")
     return 1 if any(answer.values()) or any(rejected.values()) else 0

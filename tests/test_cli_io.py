@@ -10,7 +10,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from troplf import AssumptionViolated, ExtendedNumber, LfpInstance, NEG_INF, homogenize
+from troplf import (
+    AssumptionViolated,
+    ExtendedNumber,
+    LfpInstance,
+    NEG_INF,
+    check_optimality,
+    homogenize,
+    solve,
+)
 from troplf.cli_io import (
     DocumentError,
     format_entry,
@@ -324,6 +332,27 @@ def test_solve_unbounded_exit_code(capsys, tmp_path):
     }))
     code, out, _ = run(capsys, "solve", str(path))
     assert code == 3 and "unbounded" in out
+
+
+NO_ROWS_DOC = {"A": [], "B": [], "c": [], "d": [], "p": [], "q": [], "r": 3, "s": 1}
+
+
+def test_a_program_without_constraint_rows(capsys, tmp_path):
+    """minimize 3 - 1 over no variables: every method returns Optimal 2 with
+    a certificate that the API and ``troplf check`` accept."""
+    inst = parse_instance(NO_ROWS_DOC).instance
+    for method in ("newton", "bisection", "negative-newton"):
+        out = solve(inst, method=method)
+        assert (out.status, out.lam) == ("Optimal", 2)
+        assert check_optimality(homogenize(inst), out.certificate)
+    path, cert_path = tmp_path / "no_rows.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(NO_ROWS_DOC))
+    for method in ("newton", "bisection", "negative-newton"):
+        code, out, _ = run(capsys, "solve", str(path), "--method", method,
+                           "--cert-out", str(cert_path))
+        assert code == 0 and "optimal 2" in out.splitlines()
+        code, out, _ = run(capsys, "check", str(path), str(cert_path))
+        assert code == 0 and "accept" in out
 
 
 def test_solve_usage_errors(capsys):

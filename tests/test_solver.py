@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from troplf import (
@@ -406,6 +406,17 @@ def test_negative_newton_golden(example2):
     assert out.status == "Optimal" and out.lam == 0
 
 
+def test_negative_newton_starts_at_deep_lambda(example2):
+    """Negative Newton starts where the prechecks left phi negative, and
+    climbs through infeasible integers to lambda*."""
+    H = homogenize(example2)
+    out = negative_newton_solve(H)
+    lams = [lam for (_k, lam, _s) in out.trace]
+    assert lams[0] == deep_lambda(H) and lams[-1] == 0
+    assert all(a < b for a, b in zip(lams, lams[1:]))
+    assert [sign for (_k, _lam, sign) in out.trace] == ["<0"] * (len(lams) - 1) + [">=0"]
+
+
 def test_negative_newton_steps_land_on_the_minimal_zero_of_phi_tau():
     """Each negative-Newton step returns an integer z with phi_tau(z) = 0
     and phi_tau < 0 at z - eps.  Breakpoints have denominators <=
@@ -438,6 +449,51 @@ def test_solve_rejects_infeasible_lambda0(example2):
         solve(example2, method="newton", lam0=-1)
 
 
+def test_solve_checks_its_arguments_before_the_prechecks(example2, monkeypatch):
+    """An unknown method, or a lam0 for a method other than newton, raises
+    before the instance is homogenized: on an infeasible instance too, and
+    with a start that bisection and negative Newton would otherwise ignore."""
+    infeasible = make_instance(A=[[0]], B=[[-1]], c=[NI], d=[NI], p=[0], q=[0], r=0, s=NI)
+    assert solve(infeasible).status == "Infeasible"
+
+    def unreachable(inst):
+        raise AssertionError("homogenized before the arguments were checked")
+
+    monkeypatch.setattr(solver, "homogenize", unreachable)
+    for inst in (infeasible, example2):
+        with pytest.raises(ValueError, match="unknown method"):
+            solve(inst, method="bogus")
+        for method in ("bisection", "negative-newton"):
+            with pytest.raises(ValueError, match="start for newton"):
+                solve(inst, method=method, lam0=-10**9)
+
+
+@given(st.integers(-50, 50), st.integers(1, 70), st.integers(1, 72), st.booleans())
+@example(0, 5, 1, False)  # the answer at lo + 1
+@example(0, 5, 6, False)  # no integer of (lo, hi] holds: None
+@example(-3, 9, 4, True)  # hi is known to hold, and is not asked
+def test_least_integer_agrees_with_a_linear_scan(lo, width, offset, hi_holds):
+    """solver._least_integer on the threshold predicate x >= lo + offset, which
+    every nondecreasing predicate false at lo is, against a linear scan of
+    (lo, hi].  It asks only inside (lo, hi], never hi when hi_holds says
+    hi holds, and at most ceil(log2(width)) + 1 times."""
+    hi, threshold = lo + width, lo + offset
+    hi_holds = hi_holds and threshold <= hi
+    asked = []
+
+    def holds(x):
+        asked.append(x)
+        return x >= threshold
+
+    expected = next((x for x in range(lo + 1, hi + 1) if holds(x)), None)
+    asked.clear()
+    assert solver._least_integer(holds, lo, hi, hi_holds) == expected
+    assert all(lo < x <= hi for x in asked)
+    assert len(asked) <= (width - 1).bit_length() + 1
+    if hi_holds:
+        assert hi not in asked
+
+
 # --- solver invariants -----------------------------------------------------
 
 
@@ -464,6 +520,49 @@ def test_solve_reports_the_oracle_work(example2):
     assert (out.stats.runs, out.stats.memo_hits) == (2 + len(out.trace) + 1, 1)
     assert out.stats.rounds >= out.stats.runs
     assert out == replace(out, stats=None)
+
+
+def test_the_prechecks_solve_one_game_or_two():
+    """An instance that phi(lam_hi) < 0 makes infeasible costs one game.  An
+    unbounded one whose v has a finite entry costs two, phi at lam_hi and
+    at deep_lambda, and its certificate reads the second from the memo."""
+    infeasible = make_instance(A=[[0]], B=[[-1]], c=[NI], d=[NI], p=[0], q=[0], r=0, s=NI)
+    out = solve(infeasible)
+    assert out.status == "Infeasible" and (out.stats.runs, out.stats.memo_hits) == (1, 0)
+    unbounded = make_instance(
+        A=[[0, NI], [NI, 0]], B=[[0, NI], [NI, 0]], c=[0, -1], d=[0, 0],
+        p=[NI, NI], q=[0, 0], r=NI, s=0,
+    )
+    out = solve(unbounded)
+    assert out.status == "Unbounded" and out.certificate is not None
+    assert (out.stats.runs, out.stats.memo_hits) == (2, 1)
+
+
+def zero_entries_instances(count: int = 200, seed: int = 16) -> list:
+    """count seeded programs up to 3 x 3 whose entries are 0 or -inf.  Their
+    M is 0, so lam_lo = lam_hi = 0: every Optimal one has lambda* = 0, the
+    lower end of the bracket."""
+    rng = random.Random(seed)
+    return [random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 0.5)
+            for _ in range(count)]
+
+
+def test_programs_whose_entries_are_zero_or_neg_inf():
+    """On 0/-inf programs the three methods agree on the status, every
+    Optimal lambda* is 0, the lower end of the bracket, and every
+    certificate passes its check."""
+    statuses = Counter()
+    for inst in zero_entries_instances():
+        H = homogenize(inst)
+        outs = [solve(inst, method=m) for m in ("newton", "bisection", "negative-newton")]
+        assert len({out.status for out in outs}) == 1
+        statuses[outs[0].status] += 1
+        for out in outs:
+            if out.status == "Optimal":
+                assert out.lam == 0 and check_optimality(H, out.certificate)
+            elif out.certificate is not None:
+                assert check_unboundedness(H, out.certificate)
+    assert min(statuses[s] for s in ("Optimal", "Unbounded", "Infeasible")) > 0
 
 
 def test_optimal_outcome_witness_and_certificate(example2):
