@@ -44,9 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed, max_graph, min_graph
-from .spectral import (
-    HomogeneousInstance, deep_lambda, game_arrays, game_at, game_report, phi_nonneg,
-)
+from .spectral import HomogeneousInstance, deep_lambda, game_at, phi_nonneg
 from .trop_core import NEG_INF, ExtendedNumber, means_at_most
 
 
@@ -229,7 +227,7 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     cert.tau.check(g)
     tau, m, n = cert.tau.choices, H.m, H.n
     missing = None in (cert.potentials, cert.strict_potentials)
-    graphs = _optimality_graphs(game_arrays(H, lam_s)[0], tau, m) if missing else (None, None)
+    graphs = _optimality_graphs(H.oracle.arrays(lam_s)[0], tau, m) if missing else (None, None)
     reason = _cycle_condition(
         cert.potentials, _optimality_bundles(g, tau, m, False), graphs[0], n,
         "potentials", POSITIVE,
@@ -261,7 +259,7 @@ def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) 
     cert.sigma.check(g)
     sigma, m, n = cert.sigma.choices, H.m, H.n
     missing = None in (cert.through_potentials, cert.negated_potentials)
-    graphs = _unboundedness_graphs(game_arrays(H, 0)[0], sigma, m) if missing else (None, None)
+    graphs = _unboundedness_graphs(H.oracle.arrays(0)[0], sigma, m) if missing else (None, None)
     reason = _cycle_condition(
         cert.through_potentials, _unboundedness_bundles(g, sigma, m, True), graphs[0],
         n, "through_potentials", THROUGH_ROW,
@@ -282,15 +280,15 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
     """
     lam_scaled = Fraction(lam_scaled)
     k2 = H.k_bound + 2
-    rep = game_report(H, lam_scaled - Fraction(1, k2), k2)
+    rep = H.oracle.report(lam_scaled - Fraction(1, k2), k2)
     if H.n in rep.winning:
         raise CertificateSynthesisFailed(
             "node n+1 still wins below lambda*: the value is not the minimal zero"
         )
-    at_opt = game_report(H, lam_scaled)
+    at_opt = H.oracle.report(lam_scaled)
     if H.n not in at_opt.winning:
         raise CertificateSynthesisFailed("no feasible witness at lambda*")
-    arrays, d = game_arrays(H, lam_scaled)
+    arrays, _W, d = H.oracle.arrays(lam_scaled)
     y = least_solution_fixed(arrays, at_opt.sigma, H.n)
     den = d * H.scale
     witness = tuple(NEG_INF if v is None else ExtendedNumber(0, Fraction(v, den)) for v in y)
@@ -315,10 +313,10 @@ def make_unboundedness_certificate(H: HomogeneousInstance) -> UnboundednessCerti
     which certify at lambda = 0.  The prechecks solved that game already.
     The potentials come from longest paths on sigma's graph at lambda = 0.
     """
-    rep = game_report(H, deep_lambda(H))
+    rep = H.oracle.report(deep_lambda(H))
     if H.n not in rep.winning:
         raise CertificateSynthesisFailed("no certifying Max strategy was found")
-    graphs = _unboundedness_graphs(game_arrays(H, 0)[0], rep.sigma.choices, H.m)
+    graphs = _unboundedness_graphs(H.oracle.arrays(0)[0], rep.sigma.choices, H.m)
     z = [means_at_most(w, mask, H.n, p, q) for w, mask, p, q in graphs]
     cert = UnboundednessCertificate(rep.sigma, *z)
     return _validated(check_unboundedness(H, cert), cert)

@@ -31,7 +31,6 @@ from .game_engine import AssumptionViolated, MaxStrategy, MinStrategy
 from .spectral import (
     HomogeneousInstance,
     LfpInstance,
-    game_report,
     homogenize,
     phi,
     reconstruct,
@@ -148,13 +147,13 @@ def parse_instance(doc: dict) -> ParsedInstance:
         D = _parse_matrix(doc, "D")
         u = _parse_vector(doc, "u")
         v = _parse_vector(doc, "v")
-        if not C or len(C[0]) < 1:
-            raise DocumentError("C must have at least one column")
-        n = len(C[0]) - 1
-        if len(u) != n + 1 or len(v) != n + 1:
-            raise DocumentError("u and v must have one entry per column of C")
+        n = len(u) - 1  # from u, since C may have no rows
+        if n < 0:
+            raise DocumentError("u must have at least one entry")
+        if len(v) != n + 1:
+            raise DocumentError("u and v must have one entry per column")
         if any(len(row) != n + 1 for row in C + D):
-            raise DocumentError("every row of C and D must have one entry per column of C")
+            raise DocumentError("every row of C and D must have one entry per entry of u")
         A = [row[:n] for row in C]
         c = [row[n] for row in C]
         B = [row[:n] for row in D]
@@ -247,6 +246,17 @@ def _parse_potentials(doc: dict, keys: tuple, n: int) -> list:
     return found
 
 
+def _successors(doc: dict, key: str, count: int, top: int, what: str) -> tuple:
+    """doc[key], count 1-based successors in 1..top, as 0-based choices."""
+    nodes = doc[key]
+    if not isinstance(nodes, list) or len(nodes) != count:
+        raise DocumentError(f"{key} must list {count} successors")
+    for j, i in enumerate(nodes):
+        if isinstance(i, bool) or not isinstance(i, int) or not (1 <= i <= top):
+            raise DocumentError(f"{key}[{j}] must be a {what} index in 1..{top}")
+    return tuple(i - 1 for i in nodes)
+
+
 def parse_certificate(doc: dict, m: int, n: int):
     """Certificate objects from a document, checked against homogenized m, n."""
     if not isinstance(doc, dict) or "type" not in doc:
@@ -258,36 +268,22 @@ def parse_certificate(doc: dict, m: int, n: int):
         lam = parse_entry(doc["lambda"], "lambda")
         if not lam.is_finite:
             raise DocumentError("lambda must be finite")
-        tau = doc["tau"]
-        if not isinstance(tau, list) or len(tau) != n + 1:
-            raise DocumentError(f"tau must list {n + 1} successors")
-        choices = []
-        for j, i in enumerate(tau):
-            if isinstance(i, bool) or not isinstance(i, int) or not (1 <= i <= m + 1):
-                raise DocumentError(f"tau[{j}] must be a row index in 1..{m + 1}")
-            choices.append(i - 1)
+        choices = _successors(doc, "tau", n + 1, m + 1, "row")
         witness = None
         if "witness" in doc:
             witness = tuple(_parse_vector(doc, "witness", parse_entry))
             if len(witness) != n + 1:
                 raise DocumentError(f"witness must have {n + 1} coordinates")
         return certify.OptimalityCertificate(
-            lam.value, MinStrategy(tuple(choices)), witness,
+            lam.value, MinStrategy(choices), witness,
             *_parse_potentials(doc, certify.OPTIMALITY_POTENTIALS, n),
         )
     if kind == "unboundedness":
         if "sigma" not in doc:
             raise DocumentError("unboundedness certificate needs 'sigma'")
-        sigma = doc["sigma"]
-        if not isinstance(sigma, list) or len(sigma) != m + 1:
-            raise DocumentError(f"sigma must list {m + 1} successors")
-        choices = []
-        for i, l in enumerate(sigma):
-            if isinstance(l, bool) or not isinstance(l, int) or not (1 <= l <= n + 1):
-                raise DocumentError(f"sigma[{i}] must be a column index in 1..{n + 1}")
-            choices.append(l - 1)
+        choices = _successors(doc, "sigma", m + 1, n + 1, "column")
         return certify.UnboundednessCertificate(
-            MaxStrategy(tuple(choices)),
+            MaxStrategy(choices),
             *_parse_potentials(doc, certify.UNBOUNDEDNESS_POTENTIALS, n),
         )
     raise DocumentError(f"unknown certificate type {kind!r}")
@@ -318,21 +314,19 @@ def cmd_solve(args, out: TextIO) -> int:
     for (k, lam, sign) in outcome.trace:  # each lambda_k in document units
         lam = parsed.objective_value(lam / parsed.instance.scale)
         print(f"iteration {k}: lambda = {format_rational(lam)} (phi {sign})", file=out)
+    if args.cert_out and outcome.certificate is not None:
+        _write_json(args.cert_out, serialize_certificate(outcome.certificate))
     if outcome.status == "Infeasible":
         print("infeasible", file=out)
         return 2
     if outcome.status == "Unbounded":
         print("unbounded", file=out)
-        if args.cert_out and outcome.certificate is not None:
-            _write_json(args.cert_out, serialize_certificate(outcome.certificate))
         return 3
     print(f"optimal {format_rational(parsed.objective_value(outcome.lam))}", file=out)
     print(f"lambda* = {format_rational(outcome.lam)}", file=out)
     if outcome.witness is not None:
         coords = " ".join(format_entry(e) for e in outcome.witness)
         print(f"witness x = ({coords})", file=out)
-    if args.cert_out and outcome.certificate is not None:
-        _write_json(args.cert_out, serialize_certificate(outcome.certificate))
     return 0
 
 
@@ -424,7 +418,7 @@ def cmd_game_value(args, out: TextIO) -> int:
     if not (1 <= node <= H.n + 1):
         print(f"error: node must be in 1..{H.n + 1}", file=sys.stderr)
         return 1
-    chi = game_report(H, Fraction(args.lam) * H.scale).chi[node - 1]
+    chi = H.oracle.report(Fraction(args.lam) * H.scale).chi[node - 1]
     print(format_rational(chi / H.scale), file=out)
     return 0
 

@@ -31,12 +31,13 @@ number it computes is exact in either dtype.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
-the parametric game of one instance at many (lambda, k):
-each instance has one ``ParametricOracle`` (``spectral.game_report`` asks
-it), which builds the masks and weights once and starts each run from the
-strategies of the last, so its sigma and tau are an optimal pair, not
-necessarily the pair a cold run returns; ``ParametricOracle.arrays`` gives
-the same masks and weights to the rest of a solve.  On them, ``min_graph``
+the parametric game of one instance at many (lambda, k), and each instance
+has one ``ParametricOracle`` that owns them: ``report(lam, k)`` answers from
+its memo or by a run started from the strategies of the last, so its sigma
+and tau are an optimal pair, not necessarily the pair a cold run returns,
+and ``arrays(lam, k)`` gives the same masks and weights, built once, to the
+rest of a solve (``_factors_at`` turns (lambda, k) into the grids' factors,
+for the oracle and for ``spectral.game_at``).  On those arrays, ``min_graph``
 and ``max_graph`` build the one-player graphs against sigma and tau whose
 longest paths (``trop_core``) give ``least_solution_fixed``, the
 certificates' witnesses and potentials, the strategy sandwich of
@@ -46,6 +47,7 @@ gives tau's one-player game as a Fraction TropMatrix, for cross-checks.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -477,37 +479,55 @@ class OracleStats:
     """The work of one instance's parametric oracle."""
 
     runs: int = 0  # policy-iteration runs
-    memo_hits: int = 0  # queries answered by the instance's memo of solved games
+    memo_hits: int = 0  # queries answered by the oracle's memo of solved games
     rounds: int = 0  # improvement rounds over all runs
     bigint_runs: int = 0  # runs that ended on Python ints (object arrays)
+
+
+# Solved games kept in a ParametricOracle's memo.
+GAME_MEMO_SIZE = 8
+
+
+def _factors_at(lam: Fraction, mult: int) -> tuple:
+    """(d, f, shift) of the parametric game at (lam, mult): d the
+    denominator of mult*lam, f = d*mult and shift = f*lam, an integer.  Its
+    grids are U and V(0) times f, with the last row of V shifted by shift,
+    over the denominator d."""
+    d = lam.denominator // gcd(lam.denominator, mult)
+    f = mult * d
+    return d, f, f * lam.numerator // lam.denominator
 
 
 class ParametricOracle:
     """Policy iteration on the games of one parametric family.
 
-    The family is the games with grids f*U and f*V, whose last row is shifted
-    by an integer s on its finite entries, over a denominator d: f*U and
-    f*V(s/f) in the units of ``spectral.game_at``.  Its members share the
-    support and the moves, so the support is validated, and the masks and
-    the weights of U and of V's other rows built, once, when the first game
-    is solved.  Each run builds the shifted last row in Python ints and
-    takes the game's exact payment bound from it and from the largest
-    |entry| of U and of V's other rows, so it starts on the dtype a cold run
-    on the same game would, and hands the bound to ``_policy_iteration`` for
-    its per-round check.
+    The family is the games mult*U and mult*V(lam), where V(lam) is V with
+    lam added to the finite entries of its last row: ``spectral.game_at``'s
+    games, asked by (lam, mult) and formed by ``_factors_at`` as integer
+    grids f*U and f*V shifted by an integer on the last row, over a
+    denominator d.  Its members share the support and the moves, so the
+    support is validated, and the masks and the weights of U and of V's
+    other rows built, once, when the first game is asked for.  Each query
+    builds the shifted last row in Python ints and takes the game's exact
+    payment bound from it and from the largest |entry| of U and of V's other
+    rows, so a run starts on the dtype a cold run on the same game would,
+    and hands the bound to ``_policy_iteration`` for its per-round check.
 
-    Each run starts from the strategies the last run returned; the first run
-    starts from the greedy pair, as a cold run does.  A report's sigma and tau
-    are therefore an optimal pair of the game, not necessarily the pair a cold
-    run returns.  ``stats`` counts the runs, their rounds, the runs that
-    ended on Python ints, and the memo hits that ``spectral.game_report``
-    books.
+    ``report`` keeps the last GAME_MEMO_SIZE answers, since a solve asks
+    about the same game more than once (the perturbed game at the optimum
+    is probed by the Newton iteration and again by the certificate).  Each
+    run starts from the strategies the last run returned; the first run
+    starts from the greedy pair, as a cold run does.  A report's sigma and
+    tau are therefore an optimal pair of the game, not necessarily the pair
+    a cold run returns.  ``stats`` counts the runs, their rounds, the runs
+    that ended on Python ints, and the memo hits.
     """
 
     def __init__(self, U: tuple, V: tuple):
         self.U, self.V = U, V
         self.stats = OracleStats()
         self.last = None  # (sigma, tau) of the last run
+        self.memo = OrderedDict()  # (Fraction lam, mult) -> GameValueReport
         self._masks = None
         self._weights = {}  # dtype -> weights of U and of V's other rows
 
@@ -519,11 +539,12 @@ class ParametricOracle:
         self._rest = max((abs(x) for row in U + V[:-1] for x in row if x is not None), default=0)
         self._masks = _mask(U), _mask(V)
 
-    def arrays(self, f: int, s: int) -> tuple:
+    def arrays(self, lam, mult: int = 1) -> tuple:
         """((masks of U and V, weights of f*U and f*V with V's last row
-        shifted by s on its finite entries), W): the family's game at (f, s)
-        as _policy_iteration and least_solution_fixed read it, W bounding
-        every |payment| + 1."""
+        shifted), W, d): the game at (lam, mult) as _policy_iteration and
+        least_solution_fixed read it, W bounding every |payment| + 1 of the
+        grids and d their denominator."""
+        d, f, s = _factors_at(Fraction(lam), mult)
         if self._masks is None:
             self._setup()
         Um, Vm = self._masks
@@ -538,17 +559,33 @@ class ParametricOracle:
         Vw = np.empty(Vm.shape, dtype=dt)
         np.multiply(Vr, f, out=Vw[:-1])
         Vw[-1] = last
-        return (Um, Vm, Uw * f if f != 1 else Uw, Vw), W
+        return (Um, Vm, Uw * f if f != 1 else Uw, Vw), W, d
 
-    def report(self, f: int, s: int, d: int) -> GameValueReport:
-        """The exact values, over d, and an optimal strategy pair of the game
-        with grids f*U and f*V, V's last row shifted by s."""
-        chi, sigma, tau, rounds, bigint = _policy_iteration(*self.arrays(f, s), self.last)
+    def constraints(self) -> tuple:
+        """The arrays of the constraint rows U[:-1] and V[:-1], as the game
+        at 0 holds them."""
+        return tuple(x[:-1] for x in self.arrays(0)[0])
+
+    def report(self, lam, mult: int = 1) -> GameValueReport:
+        """The exact values and an optimal strategy pair of the game at
+        (lam, mult), from the memo when it holds them.  Raises
+        AssumptionViolated when a row of V or a column of U is all -inf."""
+        key = (Fraction(lam), mult)
+        hit = self.memo.get(key)
+        if hit is not None:
+            self.memo.move_to_end(key)
+            self.stats.memo_hits += 1
+            return hit
+        arrays, W, d = self.arrays(*key)
+        chi, sigma, tau, rounds, bigint = _policy_iteration(arrays, W, self.last)
         self.last = sigma, tau
         self.stats.runs += 1
         self.stats.rounds += rounds
         self.stats.bigint_runs += bigint
-        return _report(chi, d, sigma, tau)
+        hit = self.memo[key] = _report(chi, d, sigma, tau)
+        if len(self.memo) > GAME_MEMO_SIZE:
+            self.memo.popitem(last=False)
+        return hit
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,14 @@ from .game_engine import (
     MaxStrategy,
     MinStrategy,
     OracleStats,
+    ParametricOracle,
     max_graph,
 )
 from .spectral import (
     HomogeneousInstance,
     LfpInstance,
     deep_lambda,
-    game_arrays,
     game_at,  # noqa: F401  (the benchmark's tracer test reads solver.game_at)
-    game_report,
     homogenize,
     initial_bounds,
     phi_nonneg,
@@ -113,20 +112,20 @@ def homogeneous_solution_with_zeros(H: HomogeneousInstance) -> Optional[tuple]:
     generated tropical cone, so an infimum of -inf is attained at a
     generator.  Its game decides that at deep_lambda, whose optimal sigma
     wins at every lambda, so the least solution against sigma, which does
-    not depend on lambda, has u y <= lambda for all lambda.  H's stats book
-    the oracle run.
+    not depend on lambda, has u y <= lambda for all lambda.  That program has
+    H's U, M, m and n, so its oracle asks at deep_lambda(H), and H's stats
+    book the run.
     """
     from .game_engine import least_solution_fixed
 
     m, n = H.m, H.n
     e = tuple(0 if j == n else None for j in range(n + 1))
-    Hv = HomogeneousInstance(H.U, H.V[:-1] + (e,), H.M, H.scale)
-    Hv.oracle.stats = H.oracle.stats
-    rep = game_report(Hv, deep_lambda(Hv))
+    oracle = ParametricOracle(H.U, H.V[:-1] + (e,))
+    oracle.stats = H.oracle.stats
+    rep = oracle.report(deep_lambda(H))
     if n not in rep.winning:
         return None
-    arrays = tuple(x[:m] for x in game_arrays(Hv, 0)[0])
-    y = least_solution_fixed(arrays, MaxStrategy(rep.sigma.choices[:m]), n)
+    y = least_solution_fixed(oracle.constraints(), MaxStrategy(rep.sigma.choices[:m]), n)
     if any(u is not None and yj is not None for u, yj in zip(H.U[m], y)):
         raise InternalCertificateMismatch("the point of an unbounded program has u y > -inf")
     return y
@@ -175,8 +174,7 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     vl = H.V[H.m][l]
     if vl is None:
         raise ValueError("sigma routes the objective row to a -inf column")
-    arrays = tuple(x[: H.m] for x in game_arrays(H, 0)[0])
-    y = least_solution_fixed(arrays, MaxStrategy(sigma.choices[: H.m]), l)
+    y = least_solution_fixed(H.oracle.constraints(), MaxStrategy(sigma.choices[: H.m]), l)
     uy = max(
         (u + yj for u, yj in zip(H.U[H.m], y) if u is not None and yj is not None), default=None
     )
@@ -196,7 +194,7 @@ def left_optimal_max_strategy(
     minimal zero of phi.
     """
     k2 = H.k_bound + 2
-    rep = game_report(H, Fraction(lam) - Fraction(1, k2), k2)
+    rep = H.oracle.report(Fraction(lam) - Fraction(1, k2), k2)
     if H.n not in rep.winning:
         return NoneLeftWinning
     # The oracle's sigma guarantees exactly the perturbed value at node n+1,
@@ -297,7 +295,7 @@ def _min_zero_phi_tau(
     """
 
     def at_most(lam: int, p: int, q: int) -> bool:
-        graph = max_graph(game_arrays(H, lam)[0], tau.choices)
+        graph = max_graph(H.oracle.arrays(lam)[0], tau.choices)
         return means_at_most(*graph, H.n, p, q) is not None
 
     zero = _least_integer(lambda lam: not at_most(lam, -1, H.n + 2), int(lam_k), int(lam_hi))

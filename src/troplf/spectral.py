@@ -11,18 +11,15 @@ Every game the algorithms, the certificate checks and the command line ask
 about is this one game at some lambda, often with its payments multiplied by
 an integer k.  An ``LfpInstance`` therefore holds nothing but U and V(0),
 scaled to integer grids (None for -inf) when it is built; ``homogenize``
-adds their bound M, a memo and an oracle, and ``game_at`` forms the game at
-(lambda, k) from them: a MeanPayoffGame whose grids are both grids times
-d*k, where d is the denominator of k*lambda, with the objective row shifted
-by d*k*lambda.
-``game_report`` solves the game at (lambda, k) by the instance's one
-``ParametricOracle``: policy iteration on the grids U and V(0) times f with
-the objective row shifted, set up once per instance and started from the
-strategies of the instance's last run, so a report's sigma and tau are an
-optimal pair, not necessarily the pair a cold ``value_report`` returns.  A
-small per-instance memo keeps the last few (lambda, k), since a solve asks
-about the same game more than once (the perturbed game at the optimum is
-probed by the Newton iteration and again by the certificate).
+adds their bound M and the instance's one ``ParametricOracle``, and
+``game_at`` forms the game at (lambda, k) from them: a MeanPayoffGame whose
+grids are both grids times d*k, where d is the denominator of k*lambda,
+with the objective row shifted by d*k*lambda (``game_engine._factors_at``).
+``H.oracle.report(lambda, k)`` solves that game without building it, from
+the oracle's memo or by policy iteration warm started from the instance's
+last run, so a report's sigma and tau are an optimal pair, not necessarily
+the pair a cold ``value_report`` returns; ``H.oracle.arrays(lambda, k)``
+gives its masks and weights to the strategy graphs.
 
 phi is piecewise affine, and its breakpoints, like those of each partial
 function phi_tau, are rationals with denominator <= min(m,n)+1;
@@ -35,21 +32,19 @@ phi affine there (phi_sigma <= phi <= phi_tau, decided on their graphs by
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
 import numpy as np
 
 from .game_engine import (
     AssumptionViolated,
-    GameValueReport,
     MaxStrategy,
     MeanPayoffGame,
     MinStrategy,
     ParametricOracle,
+    _factors_at,
     _policy_iteration,
     integer_grids,
     max_graph,
@@ -98,8 +93,8 @@ class LfpInstance:
         if any(len(row) != len(M[0]) for M in (A, B) for row in M):
             raise ValueError("ragged entry grid")
         A, B = ([_entries(row, "max_plus matrix cannot store +inf") for row in M] for M in (A, B))
-        m, n = len(A), len(A[0]) if A else 0
-        if (len(B), len(B[0]) if B else 0) != (m, n):
+        m, n = len(A), len(A[0]) if A else len(p)  # with no rows, p gives n
+        if (len(B), len(B[0]) if B else n) != (m, n):
             raise ValueError("A and B must share a shape")
         if len(c) != m or len(d) != m:
             raise ValueError("c and d must have one entry per constraint row")
@@ -123,10 +118,6 @@ class LfpInstance:
         self.U, self.V, self.scale, self.m, self.n = U, V, scale, m, n
 
 
-# Entries kept in a HomogeneousInstance's memo of solved games.
-GAME_MEMO_SIZE = 8
-
-
 @dataclass(frozen=True)
 class HomogeneousInstance:
     """Scaled homogeneous form: U = [[C],[u]] and V = [[D],[v]] with C=[A,c],
@@ -136,16 +127,16 @@ class HomogeneousInstance:
     the original denominators); M bounds their absolute values.  The minimal
     zero of the scaled spectral function is ``scale`` times the original one.
     U and V are integer grids with None for -inf, so C, D, u and v are
-    ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``games`` is the memo
-    that ``game_report`` fills, and ``oracle`` the parametric oracle that
-    solves its games; its masks and weights are built on the first query.
+    ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``oracle`` is the
+    parametric oracle that owns the instance's games: it answers by (lambda,
+    k), keeps the memo of solved games, and builds its masks and weights on
+    the first query.
     """
 
     U: tuple
     V: tuple
     M: Fraction
     scale: int
-    games: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
     oracle: ParametricOracle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -166,17 +157,9 @@ class HomogeneousInstance:
 
 
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
-    """The instance's grids U and V(0) with their bound M and a fresh game memo."""
+    """The instance's grids U and V(0) with their bound M and a fresh oracle."""
     M = max((abs(x) for g in (inst.U, inst.V) for row in g for x in row if x is not None), default=0)
     return HomogeneousInstance(inst.U, inst.V, Fraction(M), inst.scale)
-
-
-def _factors(lam: Fraction, mult: int) -> tuple:
-    """(d, f, shift) of the game at (lam, mult): d the denominator of
-    mult*lam, f = d*mult and shift = f*lam, an integer."""
-    d = lam.denominator // gcd(lam.denominator, mult)
-    f = mult * d
-    return d, f, f * lam.numerator // lam.denominator
 
 
 def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffGame:
@@ -187,7 +170,7 @@ def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffG
     are mult times those of the game at lam; strategies and winning sets are
     the same.  Raises AssumptionViolated when v is all -inf.
     """
-    d, f, shift = _factors(Fraction(lam), mult)
+    d, f, shift = _factors_at(Fraction(lam), mult)
     last = tuple(None if x is None else f * x + shift for x in H.V[-1])
     if f == 1:
         return MeanPayoffGame(H.U, H.V[:-1] + (last,), d)
@@ -196,45 +179,14 @@ def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffG
     return MeanPayoffGame(a, b + (last,), d)
 
 
-def game_arrays(H: HomogeneousInstance, lam: Rational) -> tuple:
-    """(arrays, d): game_at(H, lam) from H's parametric oracle, as policy
-    iteration and ``least_solution_fixed`` read it, and its denominator d."""
-    d, f, shift = _factors(Fraction(lam), 1)
-    return H.oracle.arrays(f, shift)[0], d
-
-
-def game_report(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> GameValueReport:
-    """The values and an optimal strategy pair of game_at(H, lam, mult).
-
-    H's parametric oracle solves the game from the grids U and V(0), warm
-    started from the strategies of its last run, without building game_at's
-    grids: chi and the winning set are value_report(game_at(H, lam, mult))'s,
-    sigma and tau an optimal pair, equal to value_report's on the first query
-    of a fresh instance (a cold run).  The last GAME_MEMO_SIZE results are
-    kept in H.games.  Raises AssumptionViolated when v is all -inf.
-    """
-    key = (Fraction(lam), mult)
-    hit = H.games.get(key)
-    if hit is not None:
-        H.games.move_to_end(key)
-        H.oracle.stats.memo_hits += 1
-        return hit
-    d, f, shift = _factors(key[0], mult)
-    hit = H.oracle.report(f, shift, d)
-    H.games[key] = hit
-    if len(H.games) > GAME_MEMO_SIZE:
-        H.games.popitem(last=False)
-    return hit
-
-
 def phi(H: HomogeneousInstance, lam: Rational) -> Fraction:
     """The spectral function: value of the parametric game at Min node n+1."""
-    return game_report(H, lam).chi[H.n]
+    return H.oracle.report(lam).chi[H.n]
 
 
 def phi_nonneg(H: HomogeneousInstance, lam: Rational):
     """(phi(lam) >= 0, Max strategy on the winning side, Min strategy off it)."""
-    rep = game_report(H, lam)
+    rep = H.oracle.report(lam)
     return H.n in rep.winning, rep.sigma, rep.tau
 
 
@@ -243,8 +195,7 @@ def _frozen_value(H: HomogeneousInstance, lam: Rational, strategy) -> Fraction:
     strategy's player held to its moves, by policy iteration on H's oracle
     arrays.  The strategy is checked on game_at(H, 0), whose support is all."""
     strategy.check(game_at(H, 0))
-    d, f, shift = _factors(Fraction(lam), 1)
-    (Am, Bm, Aw, Bw), W = H.oracle.arrays(f, shift)
+    (Am, Bm, Aw, Bw), W, d = H.oracle.arrays(lam)
     moves = np.array(strategy.choices, dtype=np.intp)
     if isinstance(strategy, MaxStrategy):
         Bm = moves[:, None] == np.arange(Bm.shape[1])  # row i: sigma(i) alone
@@ -322,12 +273,12 @@ def reconstruct(H: HomogeneousInstance) -> list:
     radius = 4 * max(H.M, 1) * k1 * k1
 
     def probe(lam):
-        return Fraction(lam), game_report(H, lam)
+        return Fraction(lam), H.oracle.report(lam)
 
     def bounded(graph, strategy, lam, c: Fraction) -> bool:
         """No cycle mean above c (in phi's units) reachable from node n+1 in
         graph(arrays, strategy) of the game at lam."""
-        arrays, d = game_arrays(H, lam)
+        arrays, _W, d = H.oracle.arrays(lam)
         c *= d
         w, mask = graph(arrays, strategy.choices)
         return means_at_most(w, mask, H.n, c.numerator, c.denominator) is not None

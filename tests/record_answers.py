@@ -13,7 +13,9 @@ from this file's own tests, so both records cover the same instances.  It
 writes one JSON line per record.  A solve record has the family, the
 instance index, the method, the status, lambda*, the witness, the
 serialized certificate, whether ``troplf check`` accepts that certificate,
-and the trace; a solve that raises has the exception as its status.  A
+the trace and the oracle's work (``SolveOutcome.stats``: runs, memo hits,
+rounds and runs on Python ints); a solve that raises has the exception as
+its status.  A
 ``reconstruct`` record has the spectral function's pieces.  The random
 families come from the acceptance criteria's own generators in
 ``test_acceptance``:
@@ -48,8 +50,10 @@ certificate's potential vectors (present on one side only, or with other
 values), those that differ elsewhere (witness, strategy or trace, where
 another optimal strategy came back), counted by method, status and the
 fields that differ, the certificates either record's checker rejected, and
-the total trace length of each method (for Newton, its steps).  pytest
-does not collect this file.
+each method's total trace length (for Newton, its steps) and total oracle
+work.  The oracle's work is not part of the answer: it is left out of the
+differences and shown only in those totals.  pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ import json
 import random
 import sys
 from collections import Counter, defaultdict
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -146,6 +151,7 @@ def record(path: str) -> None:
                     "witness": None if res.witness is None else [format_entry(e) for e in res.witness],
                     "certificate": cert, "accepted": accepted,
                     "trace": [[k, str(lam), sign] for k, lam, sign in res.trace],
+                    "stats": asdict(res.stats),
                 }
                 out.write(json.dumps(rec) + "\n")
         for family, index, inst in rebuilds:
@@ -162,6 +168,11 @@ def _load(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         recs = [json.loads(line) for line in fh]
     return {(r["family"], r["index"], r.get("method")): r for r in recs}
+
+
+def _answer(rec: dict) -> dict:
+    """rec without its oracle stats, which are work, not answer."""
+    return {k: v for k, v in rec.items() if k != "stats"}
 
 
 def _without_potentials(rec: dict) -> dict:
@@ -183,8 +194,9 @@ def compare(path_a: str, path_b: str) -> int:
     other = defaultdict(Counter)  # (method, status, differing fields) -> records
     rejected = defaultdict(list)
     traces = defaultdict(dict)  # family -> method -> [trace length a, b]
+    work = defaultdict(dict)  # family -> method -> [summed stats a, b]
     for key in a:
-        ra, rb = a[key], b[key]
+        ra, rb = _answer(a[key]), _answer(b[key])
         family = key[0]
         total[family] += 1
         if (ra.get("status"), ra.get("lam"), ra.get("pieces")) != (
@@ -203,6 +215,9 @@ def compare(path_a: str, path_b: str) -> int:
             lengths = traces[family].setdefault(key[2], [0, 0])
             lengths[0] += len(ra["trace"])
             lengths[1] += len(rb["trace"])
+            sums = work[family].setdefault(key[2], [Counter(), Counter()])
+            sums[0].update(a[key].get("stats", {}))
+            sums[1].update(b[key].get("stats", {}))
     for family in total:
         line = (f"{family}: {total[family]} records, {len(answer[family])} with another "
                 f"status, lambda* or pieces, {len(potentials[family])} differing only in "
@@ -212,6 +227,9 @@ def compare(path_a: str, path_b: str) -> int:
             line += "; trace lengths " + ", ".join(
                 f"{method} {a} -> {b}" for method, (a, b) in traces[family].items())
         print(line)
+        for method, (sa, sb) in work[family].items():
+            print(f"  oracle work, {method}: " + ", ".join(
+                f"{name} {sa[name]} -> {sb[name]}" for name in sorted(sa.keys() | sb.keys())))
         for (method, status, fields), count in sorted(other[family].items()):
             print(f"  elsewhere: {count} {method} {status} records differing in {fields}")
         for key in answer[family] + rejected[family]:

@@ -47,8 +47,8 @@ from troplf.cli_io import (
     parse_instance,
     serialize_certificate,
 )
-from troplf.game_engine import restrict_min
-from troplf.spectral import deep_lambda, game_report
+from troplf.game_engine import ParametricOracle, restrict_min
+from troplf.spectral import deep_lambda
 from troplf.trop_core import (
     PositiveCycleDiverges,
     WeightedDigraph,
@@ -211,7 +211,7 @@ def test_unboundedness_certificate_takes_sigma_at_the_deep_lambda():
     )
     H = homogenize(inst)
     cert = make_unboundedness_certificate(H)
-    assert cert.sigma == game_report(H, deep_lambda(H)).sigma
+    assert cert.sigma == H.oracle.report(deep_lambda(H)).sigma
     assert check_unboundedness(H, cert)
     assert check_unboundedness(H, replace(cert, **dict.fromkeys(UNBOUNDEDNESS_POTENTIALS)))
 
@@ -396,16 +396,14 @@ def test_certificates_without_potentials_are_still_checked(example2):
 def test_a_check_without_potentials_builds_its_graphs_once(example2, monkeypatch):
     """With both potential vectors missing, each check reads the oracle's
     arrays once for both of its graphs."""
-    from troplf import certify
-
     calls = []
-    original = certify.game_arrays
+    original = ParametricOracle.arrays
 
-    def counted(H, lam):
+    def counted(oracle, lam, mult=1):
         calls.append(lam)
-        return original(H, lam)
+        return original(oracle, lam, mult)
 
-    monkeypatch.setattr(certify, "game_arrays", counted)
+    monkeypatch.setattr(ParametricOracle, "arrays", counted)
     H = homogenize(example2)
     cert = make_optimality_certificate(H, Fraction(0))
     calls.clear()
@@ -578,7 +576,7 @@ def _optimality_mutants(H, cert):
                 yield OptimalityCertificate(cert.lam, MinStrategy(flipped), w)
     # tau of the game at lambda* itself, not of the game just below it, may
     # close a cycle of weight zero that avoids row m+1.
-    rep = game_report(H, Fraction(cert.lam) * H.scale)
+    rep = H.oracle.report(Fraction(cert.lam) * H.scale)
     yield OptimalityCertificate(cert.lam, rep.tau, w)
     yield OptimalityCertificate(cert.lam, rep.tau, None)
     yield OptimalityCertificate(cert.lam, cert.tau, w[:-1])

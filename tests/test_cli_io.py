@@ -335,24 +335,34 @@ def test_solve_unbounded_exit_code(capsys, tmp_path):
 
 
 NO_ROWS_DOC = {"A": [], "B": [], "c": [], "d": [], "p": [], "q": [], "r": 3, "s": 1}
+# Programs with no constraint rows, in both forms, with their optima: the
+# number of variables comes from p or u.
+NO_ROWS_DOCS = (
+    (NO_ROWS_DOC, 2),
+    ({"C": [], "D": [], "u": [3], "v": [1]}, 2),
+    ({"A": [], "B": [], "c": [], "d": [], "p": [1], "q": [0], "r": 3, "s": 1}, 1),
+    ({"C": [], "D": [], "u": [1, 3], "v": [0, 1]}, 1),
+)
 
 
 def test_a_program_without_constraint_rows(capsys, tmp_path):
-    """minimize 3 - 1 over no variables: every method returns Optimal 2 with
-    a certificate that the API and ``troplf check`` accept."""
-    inst = parse_instance(NO_ROWS_DOC).instance
-    for method in ("newton", "bisection", "negative-newton"):
-        out = solve(inst, method=method)
-        assert (out.status, out.lam) == ("Optimal", 2)
-        assert check_optimality(homogenize(inst), out.certificate)
+    """minimize 3 - 1 over no variables, and min max(x + 1, 3) - max(x, 1)
+    over one: every method returns the optimum with a certificate that the
+    API and ``troplf check`` accept."""
     path, cert_path = tmp_path / "no_rows.json", tmp_path / "cert.json"
-    path.write_text(json.dumps(NO_ROWS_DOC))
-    for method in ("newton", "bisection", "negative-newton"):
-        code, out, _ = run(capsys, "solve", str(path), "--method", method,
-                           "--cert-out", str(cert_path))
-        assert code == 0 and "optimal 2" in out.splitlines()
-        code, out, _ = run(capsys, "check", str(path), str(cert_path))
-        assert code == 0 and "accept" in out
+    for doc, optimum in NO_ROWS_DOCS:
+        inst = parse_instance(doc).instance
+        for method in ("newton", "bisection", "negative-newton"):
+            out = solve(inst, method=method)
+            assert (out.status, out.lam) == ("Optimal", optimum)
+            assert check_optimality(homogenize(inst), out.certificate)
+        path.write_text(json.dumps(doc))
+        for method in ("newton", "bisection", "negative-newton"):
+            code, out, _ = run(capsys, "solve", str(path), "--method", method,
+                               "--cert-out", str(cert_path))
+            assert code == 0 and f"optimal {optimum}" in out.splitlines()
+            code, out, _ = run(capsys, "check", str(path), str(cert_path))
+            assert code == 0 and "accept" in out
 
 
 def test_solve_usage_errors(capsys):

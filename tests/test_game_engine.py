@@ -248,7 +248,7 @@ def test_policy_iteration_moves_to_python_ints_during_a_run():
         b = tuple(tuple(nxt[i][1] if j == nxt[i][0] else None for j in range(6)) for i in range(6))
         assert ge._game_arrays(a, b)[0][2].dtype == np.int64
         oracle = ge.ParametricOracle(a, b)
-        rep = oracle.report(1, 0, 1)
+        rep = oracle.report(0)
         assert (oracle.stats.runs, oracle.stats.bigint_runs) == (1, bigint)
         assert rep.chi == (Fraction(6 * E - 1, 3),) * 6
         assert rep == value_report(ge.MeanPayoffGame(a, b))
@@ -262,7 +262,7 @@ def test_int64_run_on_large_payments_matches_python_ints():
     grid = [[rng.randint(-10**14, 10**14) for _ in range(31)] for _ in range(62)]
     a, b = tuple(map(tuple, grid[:31])), tuple(map(tuple, grid[31:]))
     oracle = ge.ParametricOracle(a, b)
-    rep = oracle.report(1, 0, 1)
+    rep = oracle.report(0)
     assert (oracle.stats.runs, oracle.stats.bigint_runs) == (1, 0)
     (Am, Bm, Aw, Bw), W = ge._game_arrays(a, b)
     chi, sigma, tau, _rounds, bigint = ge._policy_iteration(

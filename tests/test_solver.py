@@ -44,7 +44,7 @@ from troplf.solver import (
     positive_newton_cap,
     positive_newton_solve,
 )
-from troplf.spectral import deep_lambda
+from troplf.spectral import HomogeneousInstance, deep_lambda
 
 from conftest import e, make_instance, random_instance
 from maxplus import payment_matrices, trop_matvec
@@ -276,6 +276,28 @@ def test_a_degenerate_solve_books_its_one_oracle_run():
         for method in METHODS:
             out = solve(inst, method=method)
             assert out.status == status and out.stats.runs == 1
+
+
+def test_one_homogeneous_instance_per_solve(example2, monkeypatch):
+    """A solve builds one HomogeneousInstance, by every method, on the
+    degenerate-denominator family (v identically -inf, decided by the game
+    of a nearby program) and on example 2."""
+    built = []
+    original = HomogeneousInstance.__post_init__
+
+    def counted(H):
+        built.append(H)
+        original(H)
+
+    monkeypatch.setattr(HomogeneousInstance, "__post_init__", counted)
+    rng = random.Random(15)
+    degenerate = [sparse_instance(rng, U_MODES[i % len(U_MODES)], v_neg_inf=True, size=6)
+                  for i in range(200)]
+    for inst in degenerate + [example2]:
+        for method in METHODS:
+            built.clear()
+            solve(inst, method=method)
+            assert len(built) == 1
 
 
 def test_no_solve_runs_a_lone_game(example1, example2, example3, monkeypatch):

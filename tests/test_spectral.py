@@ -29,13 +29,13 @@ from troplf import (
 )
 from troplf import certify, game_engine, solver, spectral, trop_core
 from troplf.game_engine import (
+    GAME_MEMO_SIZE,
     AssumptionViolated,
     MaxStrategy,
     restrict_min,
     scaled_copy,
     value_report,
 )
-from troplf.spectral import GAME_MEMO_SIZE, game_report
 
 from conftest import RawInstance, e, make_game, make_instance, random_instance
 from grid_reference import reconstruct as grid_reconstruct, spectral_grid
@@ -117,7 +117,7 @@ def _reference_game(inst: RawInstance, scale: int, lam) -> MeanPayoffGame:
 
 
 def assert_warm_report(g: MeanPayoffGame, warm, cold) -> None:
-    """warm, a game_report of g, has cold's values and winning set, and an
+    """warm, an oracle report of g, has cold's values and winning set, and an
     optimal strategy pair: each one-player game it leaves has the values."""
     assert (warm.chi, warm.winning) == (cold.chi, cold.winning)
     chi = tuple(fin(c) for c in cold.chi)
@@ -128,7 +128,7 @@ def assert_warm_report(g: MeanPayoffGame, warm, cold) -> None:
 @pytest.mark.parametrize("big", [1, 2**70])
 def test_game_at_matches_the_fraction_reference(big):
     """game_at(H, lam, k) has the integer payments of the Fraction game at lam
-    times k, and the same values and strategies.  game_report's first query
+    times k, and the same values and strategies.  The oracle's first query
     on an instance is a cold run; later ones are warm started and give the
     same values with an optimal strategy pair."""
     rng = random.Random(17)
@@ -153,10 +153,10 @@ def test_game_at_matches_the_fraction_reference(big):
                 rep = value_report(g)
                 assert rep == value_report(scaled)
                 if first:
-                    assert rep == game_report(H, lam, k)
+                    assert rep == H.oracle.report(lam, k)
                     first = False
                 else:
-                    assert_warm_report(g, game_report(H, lam, k), rep)
+                    assert_warm_report(g, H.oracle.report(lam, k), rep)
                 assert rep.chi == tuple(k * c for c in value_report(ref).chi)
         checked += 1
         bigint += H.oracle.stats.bigint_runs
@@ -257,13 +257,13 @@ def test_frozen_values_are_the_cycle_times(case):
 
 @given(query_sequences())
 def test_warm_started_reports_match_cold_runs(case):
-    """Each game_report of a query sequence, warm started from the last run,
+    """Each oracle report of a query sequence, warm started from the last run,
     has a cold value_report's values and an optimal strategy pair."""
     inst, queries = case
     H = homogenize(inst)
     for lam, k in queries:
         g = game_at(H, lam, k)
-        assert_warm_report(g, game_report(H, lam, k), value_report(g))
+        assert_warm_report(g, H.oracle.report(lam, k), value_report(g))
     assert H.oracle.stats.runs == len(set(queries))
 
 
@@ -273,7 +273,7 @@ def test_game_report_with_a_factor_past_int64():
     H = homogenize(make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[0], q=[0], r=0, s=0))
     for lam in (Fraction(0), Fraction(1, 10**30), Fraction(-3, 10**30 + 1)):
         g = game_at(H, lam, 3)
-        assert_warm_report(g, game_report(H, lam, 3), value_report(g))
+        assert_warm_report(g, H.oracle.report(lam, 3), value_report(g))
 
 
 def test_objective_row_past_int64_with_small_other_entries():
@@ -286,10 +286,10 @@ def test_objective_row_past_int64_with_small_other_entries():
     H = homogenize(inst)
     lam = out.lam * H.scale
     g = game_at(H, lam)
-    assert game_report(H, lam) == value_report(g)
+    assert H.oracle.report(lam) == value_report(g)
     for other in (Fraction(0), Fraction(-(2**70) + 1, 3), lam - 1):
         h = game_at(H, other, 2)
-        assert_warm_report(h, game_report(H, other, 2), value_report(h))
+        assert_warm_report(h, H.oracle.report(other, 2), value_report(h))
 
 
 def test_game_at_without_denominator_row():
@@ -306,7 +306,7 @@ def test_game_at_without_denominator_row():
                 game_at(H, lam, k)
             assert str(built.value) == str(reference.value)
             with pytest.raises(AssumptionViolated):
-                game_report(H, lam, k)
+                H.oracle.report(lam, k)
         with pytest.raises(AssumptionViolated):
             phi_tau(H, MinStrategy((0, 0, 0)), lam)
         with pytest.raises(AssumptionViolated):
@@ -316,7 +316,7 @@ def test_game_at_without_denominator_row():
 def test_game_memo_is_bounded_and_reused(example2):
     H = homogenize(example2)
     reconstruct(H)
-    assert 0 < len(H.games) <= GAME_MEMO_SIZE
+    assert 0 < len(H.oracle.memo) <= GAME_MEMO_SIZE
     runs, hits = H.oracle.stats.runs, H.oracle.stats.memo_hits
     assert phi(H, Fraction(7, 3)) == phi(H, Fraction(7, 3))
     assert phi_nonneg(H, Fraction(7, 3))[0]

@@ -207,7 +207,7 @@ def test_means_at_most_at_and_past_the_int64_limit():
     limit = (2**62 - 3) // (2 * N + 1)  # the largest W with (2N+1)W + 2 < 2**62
     for W, dtype in ((limit, np.int64), (limit + 1, object)):
         P = W - 1  # the largest |payment|
-        arrays, bound = ParametricOracle(((-P, P), (P, -P)), ((P, -P), (-P, P - 1))).arrays(1, 0)
+        arrays, bound, _d = ParametricOracle(((-P, P), (P, -P)), ((P, -P), (-P, P - 1))).arrays(0)
         assert (bound, arrays[2].dtype) == (W, dtype)
         # self-loops of 2P at node 0 and 2P - 1 at node 1, the source
         w, mask = max_graph(arrays, (0, 1))
