@@ -20,6 +20,7 @@ Exit codes: 0 optimal / certificate accepted, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -311,6 +312,8 @@ def cmd_solve(args, out: TextIO) -> int:
         outcome = solver.solve(parsed.instance, method=args.method, lam0=lam0)
     except solver.InfeasibleStart as exc:
         raise DocumentError(str(exc))
+    if args.stats:
+        print(json.dumps(dataclasses.asdict(outcome.stats)), file=sys.stderr)
     for (k, lam, sign) in outcome.trace:  # each lambda_k in document units
         lam = parsed.objective_value(lam / parsed.instance.scale)
         print(f"iteration {k}: lambda = {format_rational(lam)} (phi {sign})", file=out)
@@ -460,6 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=solver.METHODS, default="newton")
     p.add_argument("--lambda0", type=_rational, default=None)
     p.add_argument("--cert-out", default=None)
+    p.add_argument(
+        "--stats", action="store_true",
+        help="print the parametric oracle's work (runs, memo_hits, rounds, bigint_runs) "
+        "as one JSON line on stderr",
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(

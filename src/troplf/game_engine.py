@@ -514,19 +514,25 @@ class ParametricOracle:
     and hands the bound to ``_policy_iteration`` for its per-round check.
 
     ``report`` keeps the last GAME_MEMO_SIZE answers, since a solve asks
-    about the same game more than once (the perturbed game at the optimum
-    is probed by the Newton iteration and again by the certificate).  Each
-    run starts from the strategies the last run returned; the first run
-    starts from the greedy pair, as a cold run does.  A report's sigma and
-    tau are therefore an optimal pair of the game, not necessarily the pair
-    a cold run returns.  ``stats`` counts the runs, their rounds, the runs
-    that ended on Python ints, and the memo hits.
+    about the same game more than once (the perturbed game at the optimum is
+    probed by the Newton iteration and again by the certificate).  Each run
+    starts from the strategies of the last query answered, so the runs
+    follow the caller's sequence of games; the first run starts from the
+    greedy pair, as a cold run does.  A memo hit counts as the last query
+    only where the value of the last Min node (phi, in ``spectral``'s terms)
+    is positive.  Such a lam lies right of every zero of phi, and so, as a
+    rule, do the games just left of it that a Newton iteration asks next.
+    At a zero, lam may be the least one, and the games just left of it lie
+    on the negative side, nearer the last run.  A report's sigma and tau are
+    therefore an optimal pair of the game, not necessarily the pair a cold
+    run returns.  ``stats`` counts the runs, their rounds, the runs that
+    ended on Python ints, and the memo hits.
     """
 
     def __init__(self, U: tuple, V: tuple):
         self.U, self.V = U, V
         self.stats = OracleStats()
-        self.last = None  # (sigma, tau) of the last run
+        self.last = None  # (sigma, tau) a run starts from
         self.memo = OrderedDict()  # (Fraction lam, mult) -> GameValueReport
         self._masks = None
         self._weights = {}  # dtype -> weights of U and of V's other rows
@@ -575,6 +581,8 @@ class ParametricOracle:
         if hit is not None:
             self.memo.move_to_end(key)
             self.stats.memo_hits += 1
+            if hit.chi[-1] > 0:
+                self.last = hit.sigma.choices, hit.tau.choices
             return hit
         arrays, W, d = self.arrays(*key)
         chi, sigma, tau, rounds, bigint = _policy_iteration(arrays, W, self.last)

@@ -40,7 +40,7 @@ class IterationCapExceeded(Exception):
 
 
 class InfeasibleStart(ValueError):
-    """The lam0 given to solve lies below the optimum: phi(lam0) < 0."""
+    """Positive Newton's start lies below the optimum: phi(lam0) < 0."""
 
 
 class _NoneLeftWinningType:
@@ -231,9 +231,15 @@ def _least_integer(holds, lo: int, hi: int, hi_holds: bool = False) -> Optional[
 def positive_newton_solve(
     H: HomogeneousInstance, lam0: Optional[Fraction] = None
 ) -> SolveOutcome:
-    """Newton iteration from above: strictly decreasing feasible lambda_k."""
+    """Newton iteration from above: strictly decreasing feasible lambda_k,
+    from lam0 or lam_hi.  phi is asked at the start first, and
+    InfeasibleStart raised when it is negative there.  After the prechecks
+    lam_hi is a memo hit, so where phi > 0 there the first run starts from
+    its strategies, not from deep_lambda's."""
     _, lam_hi = initial_bounds(H)
     lam = Fraction(lam_hi if lam0 is None else lam0)
+    if not phi_nonneg(H, lam)[0]:
+        raise InfeasibleStart("lam0 is not feasible: phi(lam0) < 0")
     cap = positive_newton_cap(H)
     trace = []
     for k in range(cap + 1):
@@ -371,8 +377,5 @@ def solve(inst: LfpInstance, method: str = "newton", lam0: Optional[Fraction] = 
     elif method == "negative-newton":
         out = negative_newton_solve(H)
     else:
-        start = None if lam0 is None else Fraction(lam0) * H.scale
-        if start is not None and not phi_nonneg(H, start)[0]:
-            raise InfeasibleStart("lam0 is not feasible: phi(lam0) < 0")
-        out = positive_newton_solve(H, start)
+        out = positive_newton_solve(H, None if lam0 is None else Fraction(lam0) * H.scale)
     return replace(out, stats=replace(H.oracle.stats))

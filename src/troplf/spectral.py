@@ -16,10 +16,11 @@ adds their bound M and the instance's one ``ParametricOracle``, and
 grids are both grids times d*k, where d is the denominator of k*lambda,
 with the objective row shifted by d*k*lambda (``game_engine._factors_at``).
 ``H.oracle.report(lambda, k)`` solves that game without building it, from
-the oracle's memo or by policy iteration warm started from the instance's
-last run, so a report's sigma and tau are an optimal pair, not necessarily
-the pair a cold ``value_report`` returns; ``H.oracle.arrays(lambda, k)``
-gives its masks and weights to the strategy graphs.
+the oracle's memo or by policy iteration warm started from the strategies
+of the instance's last query (a memo hit counts where phi > 0), so a
+report's sigma and tau are an optimal pair, not necessarily the pair a cold
+``value_report`` returns; ``H.oracle.arrays(lambda, k)`` gives its masks
+and weights to the strategy graphs.
 
 phi is piecewise affine, and its breakpoints, like those of each partial
 function phi_tau, are rationals with denominator <= min(m,n)+1;

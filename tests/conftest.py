@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from troplf import ExtendedNumber, LfpInstance, MeanPayoffGame, NEG_INF, TropMatrix, ext
+from troplf import game_engine
 from troplf.game_engine import integer_grids
 
 NI = "-inf"
@@ -159,3 +160,19 @@ def random_game(rng: random.Random, m: int, n: int, M: int, density: float) -> M
 def frac(x) -> Fraction:
     assert x.is_finite
     return Fraction(x.value)
+
+
+def recorded_runs(monkeypatch) -> list:
+    """The (start, sigma, tau) of every policy-iteration run that a
+    ParametricOracle makes from now on, in order: pytest's monkeypatch wraps
+    ``game_engine._policy_iteration``."""
+    runs = []
+    original = game_engine._policy_iteration
+
+    def recorded(arrays, W, start=None):
+        result = original(arrays, W, start)
+        runs.append((start, result[1], result[2]))
+        return result
+
+    monkeypatch.setattr(game_engine, "_policy_iteration", recorded)
+    return runs

@@ -15,10 +15,10 @@ instance index, the method, the status, lambda*, the witness, the
 serialized certificate, whether ``troplf check`` accepts that certificate,
 the trace and the oracle's work (``SolveOutcome.stats``: runs, memo hits,
 rounds and runs on Python ints); a solve that raises has the exception as
-its status.  A
-``reconstruct`` record has the spectral function's pieces.  The random
-families come from the acceptance criteria's own generators in
-``test_acceptance``:
+its status, and so does a document the checkout refuses to parse.  A
+``reconstruct`` record has the spectral function's pieces and the oracle's
+work.  The random families come from the acceptance criteria's own
+generators in ``test_acceptance``:
 
 * ``examples``: data/example{1,2,3}.json by all three methods;
 * ``criterion-6``: the 200 instances of acceptance criterion 6, all methods;
@@ -34,8 +34,8 @@ families come from the acceptance criteria's own generators in
   ``test_solver.U_MODES`` in turn, all methods;
 * ``zero-entries``: ``test_solver.zero_entries_instances()``, 200 seeded
   programs up to 3 x 3 with entries in {0, -inf} (M = 0, so an Optimal
-  lambda* is the lower bound 0), then the program with no constraint rows
-  (``test_cli_io.NO_ROWS_DOC``), all methods;
+  lambda* is the lower bound 0), then the programs with no constraint rows
+  (``test_cli_io.NO_ROWS_DOCS``), all methods;
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances;
 * ``reconstruct-spectral-small``: the pieces of the 320 instances of the
@@ -51,9 +51,9 @@ values), those that differ elsewhere (witness, strategy or trace, where
 another optimal strategy came back), counted by method, status and the
 fields that differ, the certificates either record's checker rejected, and
 each method's total trace length (for Newton, its steps) and total oracle
-work.  The oracle's work is not part of the answer: it is left out of the
-differences and shown only in those totals.  pytest does not collect this
-file.
+work, reconstruct's included.  The oracle's work is not part of the
+answer: it is left out of the differences and shown only in those totals.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ POTENTIAL_KEYS = ("potentials", "strict_potentials", "through_potentials", "nega
 
 
 def _families():
-    """(family, index, LfpInstance, methods) for every solve record, and
-    (family, index, LfpInstance) for every reconstruct record, in order.
-    The acceptance criteria's own generators give the random families."""
-    from troplf.cli_io import parse_instance
+    """(family, index, source, methods) for every solve record, and
+    (family, index, source) for every reconstruct record, in order.  A
+    source is an LfpInstance or a document for ``_instance`` to parse.  The
+    acceptance criteria's own generators give the random families."""
 
     from test_acceptance import (
         criterion_6_instances,
@@ -86,14 +86,14 @@ def _families():
         criterion_10_instances,
     )
     from test_bench_run import _load_run
-    from test_cli_io import NO_ROWS_DOC
+    from test_cli_io import NO_ROWS_DOCS
     from test_solver import U_MODES, sparse_instance, zero_entries_instances
 
     examples = []
     for k in (1, 2, 3):
         with open(ROOT / "data" / f"example{k}.json", encoding="utf-8") as fh:
-            examples.append(parse_instance(json.load(fh)).instance)
-    solves = [("examples", k, inst, METHODS) for k, inst in enumerate(examples, 1)]
+            examples.append(json.load(fh))
+    solves = [("examples", k, doc, METHODS) for k, doc in enumerate(examples, 1)]
     solves += [("criterion-6", i, inst, METHODS) for i, inst in enumerate(criterion_6_instances())]
     solves += [("criterion-9", i, inst, METHODS)
                for i, inst in enumerate(islice(criterion_9_draws(), 120))]
@@ -101,24 +101,31 @@ def _families():
                for i, inst in enumerate(criterion_10_instances())]
     run = _load_run()
     pool = run.RationalBigint30()
-    solves += [("solve-rational-bigint-30", i, parse_instance(pool.instance(1, i)).instance, ("newton",))
+    solves += [("solve-rational-bigint-30", i, pool.instance(1, i), ("newton",))
                for i in range(pool.setup_count)]
     pool = run.SparseMixedSmall()
-    solves += [("solve-sparse-mixed-small", i, parse_instance(pool.instance(1, i)).instance, METHODS)
+    solves += [("solve-sparse-mixed-small", i, pool.instance(1, i), METHODS)
                for i in range(256)]
     rng = random.Random(15)
     solves += [("degenerate-denominator", i,
                 sparse_instance(rng, U_MODES[i % len(U_MODES)], v_neg_inf=True, size=6), METHODS)
                for i in range(200)]
-    zeros = zero_entries_instances() + [parse_instance(NO_ROWS_DOC).instance]
+    zeros = zero_entries_instances() + [doc for doc, _optimum in NO_ROWS_DOCS]
     solves += [("zero-entries", i, inst, METHODS) for i, inst in enumerate(zeros)]
-    rebuilds = [("reconstruct-examples", k, inst) for k, inst in enumerate(examples, 1)]
+    rebuilds = [("reconstruct-examples", k, doc) for k, doc in enumerate(examples, 1)]
     rebuilds += [("reconstruct-criterion-7", i, inst)
                  for i, inst in enumerate(criterion_7_instances())]
     pool = run.SpectralSmall()
-    rebuilds += [("reconstruct-spectral-small", i, parse_instance(pool.instance(1, i)).instance)
+    rebuilds += [("reconstruct-spectral-small", i, pool.instance(1, i))
                  for i in range(pool.setup_count)]
     return solves, rebuilds
+
+
+def _instance(source):
+    """source as an LfpInstance, parsed by the checkout when a document."""
+    from troplf.cli_io import parse_instance
+
+    return parse_instance(source).instance if isinstance(source, dict) else source
 
 
 def record(path: str) -> None:
@@ -127,9 +134,10 @@ def record(path: str) -> None:
 
     solves, rebuilds = _families()
     with open(path, "w", encoding="utf-8") as out:
-        for family, index, inst, methods in solves:
+        for family, index, source, methods in solves:
             for method in methods:
                 try:
+                    inst = _instance(source)
                     res = solve(inst, method=method)
                 except Exception as exc:  # recorded as the status, so compare shows it
                     out.write(json.dumps({
@@ -154,14 +162,16 @@ def record(path: str) -> None:
                     "stats": asdict(res.stats),
                 }
                 out.write(json.dumps(rec) + "\n")
-        for family, index, inst in rebuilds:
+        for family, index, source in rebuilds:
+            H = homogenize(_instance(source))
             pieces = [
                 [format_entry(p.lo) if p.lo.kind != 1 else "+inf",
                  format_entry(p.hi) if p.hi.kind != 1 else "+inf",
                  str(p.alpha), p.beta, p.k]
-                for p in reconstruct(homogenize(inst))
+                for p in reconstruct(H)
             ]
-            out.write(json.dumps({"family": family, "index": index, "pieces": pieces}) + "\n")
+            out.write(json.dumps({"family": family, "index": index, "pieces": pieces,
+                                  "stats": asdict(H.oracle.stats)}) + "\n")
 
 
 def _load(path: str) -> dict:
@@ -215,9 +225,9 @@ def compare(path_a: str, path_b: str) -> int:
             lengths = traces[family].setdefault(key[2], [0, 0])
             lengths[0] += len(ra["trace"])
             lengths[1] += len(rb["trace"])
-            sums = work[family].setdefault(key[2], [Counter(), Counter()])
-            sums[0].update(a[key].get("stats", {}))
-            sums[1].update(b[key].get("stats", {}))
+        sums = work[family].setdefault(key[2] or "reconstruct", [Counter(), Counter()])
+        sums[0].update(a[key].get("stats", {}))
+        sums[1].update(b[key].get("stats", {}))
     for family in total:
         line = (f"{family}: {total[family]} records, {len(answer[family])} with another "
                 f"status, lambda* or pieces, {len(potentials[family])} differing only in "

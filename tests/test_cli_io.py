@@ -365,6 +365,23 @@ def test_a_program_without_constraint_rows(capsys, tmp_path):
             assert code == 0 and "accept" in out
 
 
+def test_solve_stats_prints_the_oracle_work_on_stderr(capsys):
+    """--stats adds one JSON line on stderr with the solve's oracle work and
+    leaves stdout and the exit code as they are."""
+    code, plain, err = run(capsys, "solve", EX2)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "solve", EX2, "--stats")
+    assert (code, out) == (0, plain)
+    (line,) = err.splitlines()
+    with open(EX2, encoding="utf-8") as fh:
+        stats = solve(parse_instance(json.load(fh)).instance).stats
+    assert json.loads(line) == {
+        "runs": stats.runs, "memo_hits": stats.memo_hits,
+        "rounds": stats.rounds, "bigint_runs": stats.bigint_runs,
+    }
+    assert stats.runs > 0
+
+
 def test_solve_usage_errors(capsys):
     code, _, err = run(capsys, "solve", EX2, "--method", "sorcery")
     assert code == 1 and "error" in err

@@ -46,7 +46,7 @@ from troplf.solver import (
 )
 from troplf.spectral import HomogeneousInstance, deep_lambda
 
-from conftest import e, make_instance, random_instance
+from conftest import e, make_instance, random_instance, recorded_runs
 from maxplus import payment_matrices, trop_matvec
 from support_reference import homogeneous_solution_with_zeros, row_max
 
@@ -537,11 +537,24 @@ def test_bisection_cap(example2):
 
 def test_solve_reports_the_oracle_work(example2):
     """Newton on example 2 solves the two precheck games, one perturbed game
-    per step (the certificate reuses the last one) and the game at lambda*."""
+    per step (the certificate reuses the last one) and the game at lambda*.
+    Newton's start check at lam_hi and the certificate's perturbed game are
+    the memo's."""
     out = solve(example2)
-    assert (out.stats.runs, out.stats.memo_hits) == (2 + len(out.trace) + 1, 1)
+    assert (out.stats.runs, out.stats.memo_hits) == (2 + len(out.trace) + 1, 2)
     assert out.stats.rounds >= out.stats.runs
     assert out == replace(out, stats=None)
+
+
+def test_newton_starts_from_the_strategies_at_lam_hi(example2, monkeypatch):
+    """Newton's first run after the prechecks starts from the strategies of
+    phi's game at lam_hi, where it starts, not from those at deep_lambda,
+    which the prechecks solved last."""
+    runs = recorded_runs(monkeypatch)
+    out = solve(example2)
+    assert out.trace[0][1] == initial_bounds(homogenize(example2))[1]
+    (_, *at_hi), (_, *at_deep), (start, _, _) = runs[:3]
+    assert start == tuple(at_hi) != tuple(at_deep)
 
 
 def test_the_prechecks_solve_one_game_or_two():

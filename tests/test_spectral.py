@@ -37,7 +37,7 @@ from troplf.game_engine import (
     value_report,
 )
 
-from conftest import RawInstance, e, make_game, make_instance, random_instance
+from conftest import RawInstance, e, make_game, make_instance, random_instance, recorded_runs
 from grid_reference import reconstruct as grid_reconstruct, spectral_grid
 from maxplus import payment_matrices, restrict_max
 
@@ -193,7 +193,8 @@ def _draw_instance(draw, m, n, finite):
 def query_sequences(draw):
     """An instance up to 3 x 3 with -inf and rational entries, some of them
     past 2**63 in half the draws, and a few (lambda, k) queries on its
-    parametric game."""
+    parametric game, drawn from a pool of at most four, so that queries
+    repeat and the oracle's memo answers some of them."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     bigs = draw(st.sampled_from(((1,), (1, 2**64))))
     big = bigs[-1]
@@ -204,11 +205,12 @@ def query_sequences(draw):
 
     inst = _draw_instance(draw, m, n, finite)
     k2 = min(m, n) + 2
-    queries = draw(st.lists(
+    pool = draw(st.lists(
         st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(1, k2), st.sampled_from((1, k2))),
-        min_size=1, max_size=6,
+        min_size=1, max_size=4,
     ))
-    lams = [(Fraction(big * x + y, den), k) for x, y, den, k in queries]
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    lams = [(Fraction(big * x + y, den), k) for x, y, den, k in (pool[i] for i in order)]
     return inst, lams
 
 
@@ -257,8 +259,8 @@ def test_frozen_values_are_the_cycle_times(case):
 
 @given(query_sequences())
 def test_warm_started_reports_match_cold_runs(case):
-    """Each oracle report of a query sequence, warm started from the last run,
-    has a cold value_report's values and an optimal strategy pair."""
+    """Each oracle report of a query sequence, warm started from the last
+    query, has a cold value_report's values and an optimal strategy pair."""
     inst, queries = case
     H = homogenize(inst)
     for lam, k in queries:
@@ -322,6 +324,26 @@ def test_game_memo_is_bounded_and_reused(example2):
     assert phi_nonneg(H, Fraction(7, 3))[0]
     assert H.oracle.stats.runs - runs == 1
     assert H.oracle.stats.memo_hits - hits == 2
+
+
+def test_a_run_starts_from_the_last_query_answered(example2, monkeypatch):
+    """A run starts from the strategies of the last query answered.  A memo
+    hit counts where phi > 0 (at lam_hi), not where phi < 0 (at
+    deep_lambda), where the start stays the last run's."""
+    runs = recorded_runs(monkeypatch)
+    H = homogenize(example2)
+    a, b = initial_bounds(H)[1], spectral.deep_lambda(H)
+    ra, rb = H.oracle.report(a), H.oracle.report(b)
+    assert ra.chi[-1] > 0 > rb.chi[-1]
+    assert (ra.sigma, ra.tau) != (rb.sigma, rb.tau)
+    assert H.oracle.report(a) is ra  # a memo hit where phi > 0
+    rc = H.oracle.report(1)
+    assert runs[-1][0] == (ra.sigma.choices, ra.tau.choices)
+    assert (rc.sigma, rc.tau) != (rb.sigma, rb.tau)
+    assert H.oracle.report(b) is rb  # a memo hit where phi < 0
+    H.oracle.report(2)
+    assert runs[-1][0] == (rc.sigma.choices, rc.tau.choices)
+    assert len(runs) == H.oracle.stats.runs == 4
 
 
 def test_newton_solve_builds_no_scaled_copy(example2, monkeypatch):
