@@ -24,10 +24,11 @@ int and Fraction entries over their least common denominator.
 
 ``_policy_iteration`` is the one policy-iteration routine, and it runs on
 numpy arrays, from the greedy strategy pair or from a given one.  It starts
-on int64 whenever the payments allow it and checks the exact biases after
-each evaluation: once int64 could no longer hold its keys, it moves the
-weights to Python ints (object arrays) for the rest of the run, so every
-number it computes is exact in either dtype.
+on int64 whenever the payments allow it and moves the weights to Python
+ints (object arrays) once an evaluation's exact biases outgrow int64, so
+every number it computes is exact.  A round does only the numpy work its
+step needs: the evaluation ranks the cycle means, and the steps filter the
+moves by rank only when it found two or more.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
@@ -35,7 +36,7 @@ the parametric game of one instance at many (lambda, k), and each instance
 has one ``ParametricOracle`` that owns them: ``report(lam, k)`` answers from
 its memo or by a run started from the strategies of the last, so its sigma
 and tau are an optimal pair, not necessarily the pair a cold run returns,
-and ``arrays(lam, k)`` gives the same masks and weights, built once, to the
+and ``arrays(lam, k)`` gives the masks and weights of its last run to the
 rest of a solve (``_factors_at`` turns (lambda, k) into the grids' factors,
 for the oracle and for ``spectral.game_at``).  On those arrays, ``min_graph``
 and ``max_graph`` build the one-player graphs against sigma and tau whose
@@ -217,11 +218,9 @@ def restrict_min(game: MeanPayoffGame, tau: MinStrategy) -> TropMatrix:
 
 
 def _round_cap(m: int, n: int) -> int:
-    """Improvement rounds (Max and Min together) allowed per game.
-
-    Policy iteration needs a handful of rounds on every game seen so far; the
-    cap only turns a cycling bug into PolicyIterationStalled.
-    """
+    """Improvement rounds (Max and Min together) allowed per game: policy
+    iteration needs a handful on every game seen so far, and the cap only
+    turns a cycling bug into PolicyIterationStalled."""
     return 100 * (m + n + 1)
 
 
@@ -233,9 +232,9 @@ def _payment_dtype(n: int, W: int, vmax: int = 0):
     wrapping.  A run starts with vmax = 0 and asks again after each
     evaluation (``_policy_iteration``)."""
     # Max's key Q*b + V and Min's key best - Q*a, with Q <= n a cycle length
-    # and |a|, |b| < W, hold at most 2nW + vmax, and the -1/+1 sentinels of
-    # the masked argmax and argmin one more; the arc weights b - a stay below
-    # 2W.  (2n + 1)W + vmax + 2 bounds them all.
+    # and |a|, |b| < W, hold at most 2nW + vmax, the arc weights b - a stay
+    # below 2W, and the sentinels -B and +B of the masked argmax and argmin,
+    # B = (2n + 1)W + vmax + 1, lie beyond every key and inside this bound.
     return np.int64 if (2 * n + 1) * W + vmax + 2 < 2**62 else object
 
 
@@ -258,22 +257,27 @@ def _game_arrays(a, b) -> tuple:
 
 
 def _evaluate(nxt, w, ref):
-    """Cycle means and biases of the policy graph j -> nxt[j] with arc weights w.
+    """Cycle means, biases and mean ranks of the policy graph j -> nxt[j].
 
     For strategies tau and sigma, nxt[j] = sigma(tau(j)) and arc j weighs
-    w_j = b[tau(j)][nxt[j]] - a[tau(j)][j].  Returns lists (P, Q, V): from
-    node j the graph reaches a cycle of mean eta_j = P_j/Q_j (reduced,
-    Q_j > 0), and the bias v_j = V_j/Q_j obeys v_j = w_j - eta_j + v_next(j).
-    Each cycle's bias is pinned at its smallest node r, to ref's bias there
-    when ref (the previous values, or None) gives r the same mean, else to 0.
-    The pin depends only on the cycle, so a cycle that survives a strategy
-    change keeps its biases: that makes every improvement round a strict
-    lexicographic step.
+    w_j = b[tau(j)][nxt[j]] - a[tau(j)][j].  Returns lists (P, Q, V, rank,
+    means): from node j the graph reaches a cycle of mean eta_j = P_j/Q_j
+    (reduced, Q_j > 0), the (P, Q) at means[rank[j]], means holding the
+    distinct ones in increasing order; the bias v_j = V_j/Q_j obeys
+    v_j = w_j - eta_j + v_next(j).  A cycle's nodes take the index its mean
+    gets as it closes; the indices become ranks, by cross-multiplication,
+    only when there are two or more.  Each cycle's bias is pinned at its
+    smallest node r, to ref's bias there when ref (the previous values, or
+    None) gives r the same mean, else to 0.  The pin depends only on the
+    cycle, so a cycle that survives a strategy change keeps its biases:
+    that makes every improvement round a strict lexicographic step.
     """
     n = len(nxt)
     P = [0] * n
     Q = [0] * n
     V = [0] * n
+    rank = [0] * n
+    found = {}  # distinct (p, q) -> index, in the order the cycles close
     state = [0] * n  # 0 unseen, 1 on the current walk, 2 evaluated
     for s in range(n):
         walk = []
@@ -291,28 +295,26 @@ def _evaluate(nxt, w, ref):
             total = sum(w[c] for c in cyc)
             g = gcd(total, len(cyc))
             p, q = total // g, len(cyc) // g
+            k = found.setdefault((p, q), len(found))
             r = cyc[0]
             same = ref is not None and ref[0][r] == p and ref[1][r] == q
             V[r] = ref[2][r] if same else 0
             for c in cyc:
-                P[c], Q[c], state[c] = p, q, 2
+                P[c], Q[c], rank[c], state[c] = p, q, k, 2
             for c in reversed(cyc[1:]):
                 V[c] = q * w[c] - p + V[nxt[c]]
         for c in reversed(walk):
             t = nxt[c]
-            P[c], Q[c], state[c] = P[t], Q[t], 2
+            P[c], Q[c], rank[c], state[c] = P[t], Q[t], rank[t], 2
             V[c] = Q[t] * w[c] - P[t] + V[t]
-    return P, Q, V
+    means = sorted(found, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    if len(means) > 1:
+        sorted_at = {found[pq]: r for r, pq in enumerate(means)}
+        rank = [sorted_at[k] for k in rank]
+    return P, Q, V, rank, means
 
 
-def _ranks(P, Q) -> list:
-    """Dense ranks of the reduced rationals P_j/Q_j, by cross-multiplication."""
-    distinct = sorted(set(zip(P, Q)), key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
-    pos = {pq: k for k, pq in enumerate(distinct)}
-    return [pos[pq] for pq in zip(P, Q)]
-
-
-def _policy_iteration(arrays, W, start=None):
+def _policy_iteration(arrays, W, start=None, stats=None):
     """Exact values and optimal positional strategies of an integer game.
 
     ``arrays`` is the game as ``_game_arrays`` gives it: the masks of the
@@ -330,15 +332,19 @@ def _policy_iteration(arrays, W, start=None):
     are those of a run on object arrays throughout.
 
     Returns (chi, sigma, tau, rounds, bigint) with chi[j] the Fraction value
-    of Min node j, rounds the improvement rounds taken and bigint whether
-    the run ended on object arrays.  Values compare
-    lexicographically as (eta, v), i.e. as the germ eta*t + v for large t.
-    Max's step moves each row to the lex-largest (eta_l, b_il + v_l); Min's
-    step moves each column to the lex-smallest (top_i, best_i - a_ij) over
-    its rows, where (top_i, best_i) is row i's best Max reply.  Both switch
-    only on strict improvement.  At the end (eta, v) is a lexicographic fixed
-    point of the Shapley operator, of its restriction to sigma and of its
-    restriction to tau, so sigma and tau are optimal from every node.
+    of Min node j (one Fraction object per distinct mean), rounds the
+    improvement rounds taken and bigint whether the run ended on object
+    arrays; ``stats``, an OracleStats or None, books the run.  Values
+    compare lexicographically as (eta, v), i.e. as the germ eta*t + v for
+    large t.  Max's step moves each row to the lex-largest (eta_l,
+    b_il + v_l); Min's step moves each column to the lex-smallest (top_i,
+    best_i - a_ij) over its rows, where (top_i, best_i) is row i's best Max
+    reply.  Both switch only on strict improvement, to the first best index.
+    The moves a step may not take get the key -B or +B, B = (2n + 1)W +
+    max|V| + 1, beyond every other; moves are filtered by eta's rank only
+    when the evaluation found two means or more.  At the end (eta, v) is a
+    lexicographic fixed point of the Shapley operator and of its
+    restrictions to sigma and to tau, so both are optimal from every node.
     """
     Am, Bm, Aw, Bw = arrays
     m, n = Am.shape
@@ -347,38 +353,44 @@ def _policy_iteration(arrays, W, start=None):
     rows, cols = np.arange(m), np.arange(n)
     # Ranks lie in 0..n-1; these offsets push the ranks of -inf entries out
     # of reach of every row's best (every row of b and column of a has a
-    # finite entry), so no mask is applied per round.
+    # finite entry), so no mask is applied on a ranked round.
     Boff = np.where(Bm, 0, -n - 1)
     Aoff = np.where(Am, 0, n + 1)
 
-    def max_step(rk, Qv, Vv):
-        """Per row: best eta rank, the keys Q_l*b_il + V_l among the moves
-        of that rank (others below every key), best key, argmax."""
-        rank = rk[None, :] + Boff
-        top = rank.max(axis=1)
-        val = Qv[None, :] * Bw + Vv[None, :]
-        masked = np.where(rank == top[:, None], val, val.min() - 1)
+    def max_step(rk, Qv, Vv, B):
+        """Per row: best eta rank (None unranked), the keys Q_l*b_il + V_l
+        of the moves of that rank (else -B), best key, argmax."""
+        val = Qv * Bw + Vv
+        top, keep = None, Bm
+        if rk is not None:
+            rank = rk + Boff
+            top = rank.max(axis=1)
+            keep = rank == top[:, None]
+        masked = np.where(keep, val, -B)
         arg = masked.argmax(axis=1)
         return top, masked, masked[rows, arg], arg
 
-    def min_step(top, best, Qtop):
-        """Per column: least row rank, the keys among the rows of that rank
-        (others above every key), least key, argmin."""
+    def min_step(top, best, Qtop, B):
+        """Per column: the keys of the rows of least rank (else +B), least
+        key, argmin."""
         cand = best[:, None] - Qtop[:, None] * Aw
-        rank = top[:, None] + Aoff
-        mtop = rank.min(axis=0)
-        masked = np.where(rank == mtop[None, :], cand, cand.max() + 1)
+        keep = Am
+        if top is not None:
+            rank = top[:, None] + Aoff
+            keep = rank == rank.min(axis=0)
+        masked = np.where(keep, cand, B)
         arg = masked.argmin(axis=0)
         return masked, masked[arg, cols], arg
 
+    B = (2 * n + 1) * W + 1  # plus max|V| after each evaluation
     if start is None:
         unit = np.ones(n, dtype=dt)
-        top, _masked, best, sigma = max_step(np.zeros(n, dtype=np.int64), unit, unit - 1)
-        tau = min_step(top, best, unit[sigma])[2]
+        top, _masked, best, sigma = max_step(None, unit, unit - 1, B)
+        tau = min_step(top, best, unit[sigma], B)[2]
     else:
         sigma, tau = (np.array(s, dtype=np.intp) for s in start)
     ref = None
-    rounds = 0
+    rounds = ranked = 0
     while True:
         paid = Aw[tau, cols]
         while True:  # Howard: Max's best reply to tau
@@ -386,36 +398,48 @@ def _policy_iteration(arrays, W, start=None):
             if rounds > cap:
                 raise PolicyIterationStalled(f"no fixed point after {cap} rounds")
             nxt = sigma[tau]
-            P, Q, V = _evaluate(nxt.tolist(), (Bw[tau, nxt] - paid).tolist(), ref)
-            if dt != object and _payment_dtype(n, W, max(map(abs, V))) is object:
+            P, Q, V, rank, means = _evaluate(nxt.tolist(), (Bw[tau, nxt] - paid).tolist(), ref)
+            vmax = max(map(abs, V))
+            if dt != object and _payment_dtype(n, W, vmax) is object:
                 Aw, Bw, dt = Aw.astype(object), Bw.astype(object), np.dtype(object)
                 paid = Aw[tau, cols]
-            rk = np.array(_ranks(P, Q), dtype=np.int64)
+            rk = np.array(rank) if len(means) > 1 else None
+            ranked += rk is not None
             Qv = np.array(Q, dtype=dt)
-            top, masked, best, arg = max_step(rk, Qv, np.array(V, dtype=dt))
+            top, masked, best, arg = max_step(rk, Qv, np.array(V, dtype=dt), B + vmax)
             # sigma's key is below the best exactly when sigma's move is not
             # of the top rank or falls short of the best key among them.
             switch = best > masked[rows, sigma]
             sigma = np.where(switch, arg, sigma)
             if not switch[tau].any():
                 break
-        cmasked, cbest, carg = min_step(top, best, Qv[arg])
+        cmasked, cbest, carg = min_step(top, best, Qv[arg], B + vmax)
         switch = cbest < cmasked[tau, cols]
         if not switch.any():
             break
         tau = np.where(switch, carg, tau)
         ref = (P, Q, V)
-    chi = tuple(Fraction(p, q) for p, q in zip(P, Q))
+    values = [Fraction(p, q) for p, q in means]
+    chi = tuple([values[k] for k in rank])
+    if stats is not None:
+        stats.runs += 1
+        stats.rounds += rounds
+        stats.ranked_rounds += ranked
+        stats.bigint_runs += dt == object
     return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds, dt == object
 
 
 def _report(chi, d: int, sigma, tau) -> GameValueReport:
-    """The report of a game over denominator d from its grids' values chi."""
+    """The report of a game over denominator d from its grids' values chi.
+    A run's chi repeats one Fraction object per distinct mean, so each
+    object is divided by d and compared with 0 once."""
+    distinct = {id(c): c for c in chi}
     if d != 1:
-        chi = tuple(c / d for c in chi)
-    return GameValueReport(
-        chi, frozenset(j for j, c in enumerate(chi) if c >= 0), MaxStrategy(sigma), MinStrategy(tau)
-    )
+        distinct = {k: c / d for k, c in distinct.items()}
+        chi = tuple([distinct[id(c)] for c in chi])
+    nonneg = {id(c) for c in distinct.values() if c >= 0}
+    win = frozenset(j for j, c in enumerate(chi) if id(c) in nonneg)
+    return GameValueReport(chi, win, MaxStrategy(sigma), MinStrategy(tau))
 
 
 def _oracle_core(m, n, a, b):
@@ -423,9 +447,7 @@ def _oracle_core(m, n, a, b):
     game, by a cold run of policy iteration."""
     chi, sigma, tau = _policy_iteration(*_game_arrays(a, b))[:3]
     win_min = frozenset(j for j in range(n) if chi[j] >= 0)
-    win_max = frozenset(
-        i for i in range(m) if any(b[i][l] is not None for l in win_min)
-    )
+    win_max = frozenset(i for i in range(m) if any(b[i][l] is not None for l in win_min))
     return chi, win_min, win_max, sigma, tau
 
 
@@ -481,6 +503,7 @@ class OracleStats:
     runs: int = 0  # policy-iteration runs
     memo_hits: int = 0  # queries answered by the oracle's memo of solved games
     rounds: int = 0  # improvement rounds over all runs
+    ranked_rounds: int = 0  # rounds whose evaluation found more than one cycle mean
     bigint_runs: int = 0  # runs that ended on Python ints (object arrays)
 
 
@@ -505,28 +528,25 @@ class ParametricOracle:
     lam added to the finite entries of its last row: ``spectral.game_at``'s
     games, asked by (lam, mult) and formed by ``_factors_at`` as integer
     grids f*U and f*V shifted by an integer on the last row, over a
-    denominator d.  Its members share the support and the moves, so the
-    support is validated, and the masks and the weights of U and of V's
-    other rows built, once, when the first game is asked for.  Each query
-    builds the shifted last row in Python ints and takes the game's exact
-    payment bound from it and from the largest |entry| of U and of V's other
-    rows, so a run starts on the dtype a cold run on the same game would,
-    and hands the bound to ``_policy_iteration`` for its per-round check.
+    denominator d.  They share their support, so it is validated, and the
+    masks and the weights of U and of V's other rows built, once.  Each
+    query builds the shifted last row in Python ints and takes the game's
+    exact payment bound from it and the other rows, so a run starts on the
+    dtype a cold run would, and hands the bound to ``_policy_iteration``.
 
     ``report`` keeps the last GAME_MEMO_SIZE answers, since a solve asks
-    about the same game more than once (the perturbed game at the optimum is
-    probed by the Newton iteration and again by the certificate).  Each run
-    starts from the strategies of the last query answered, so the runs
-    follow the caller's sequence of games; the first run starts from the
-    greedy pair, as a cold run does.  A memo hit counts as the last query
-    only where the value of the last Min node (phi, in ``spectral``'s terms)
-    is positive.  Such a lam lies right of every zero of phi, and so, as a
-    rule, do the games just left of it that a Newton iteration asks next.
-    At a zero, lam may be the least one, and the games just left of it lie
-    on the negative side, nearer the last run.  A report's sigma and tau are
-    therefore an optimal pair of the game, not necessarily the pair a cold
-    run returns.  ``stats`` counts the runs, their rounds, the runs that
-    ended on Python ints, and the memo hits.
+    about the same game more than once (the perturbed game at the optimum
+    is probed by Newton and again by the certificate).  Each run starts
+    from the strategies of the last query answered (the first from the
+    greedy pair, as a cold run does), so the runs follow the caller's games.
+    A memo hit counts as that query only where the last Min node's value
+    (phi, in ``spectral``'s terms) is positive: such a lam lies right of
+    every zero of phi, as the games just left of it that Newton asks next
+    usually do, while at a zero the next games may lie on the negative
+    side, nearer the last run.  So a report's sigma and tau are an optimal
+    pair of the game, not necessarily a cold run's.  ``stats`` counts the
+    runs, their rounds and ranked rounds, the runs that ended on Python
+    ints, and the memo hits.
     """
 
     def __init__(self, U: tuple, V: tuple):
@@ -536,6 +556,8 @@ class ParametricOracle:
         self.memo = OrderedDict()  # (Fraction lam, mult) -> GameValueReport
         self._masks = None
         self._weights = {}  # dtype -> weights of U and of V's other rows
+        self._built = None  # (key, arrays) of the last game built
+        self._constraints = None
 
     def _setup(self) -> None:
         problems = validate_shape(self.U, self.V)
@@ -549,8 +571,16 @@ class ParametricOracle:
         """((masks of U and V, weights of f*U and f*V with V's last row
         shifted), W, d): the game at (lam, mult) as _policy_iteration and
         least_solution_fixed read it, W bounding every |payment| + 1 of the
-        grids and d their denominator."""
-        d, f, s = _factors_at(Fraction(lam), mult)
+        grids and d their denominator.  The last game built is kept, so right
+        after ``report``'s run on it this returns that run's arrays; callers
+        treat all arrays as read-only."""
+        key = (Fraction(lam), mult)
+        if self._built is None or self._built[0] != key:
+            self._built = key, self._build(*key)
+        return self._built[1]
+
+    def _build(self, lam: Fraction, mult: int) -> tuple:
+        d, f, s = _factors_at(lam, mult)
         if self._masks is None:
             self._setup()
         Um, Vm = self._masks
@@ -569,8 +599,10 @@ class ParametricOracle:
 
     def constraints(self) -> tuple:
         """The arrays of the constraint rows U[:-1] and V[:-1], as the game
-        at 0 holds them."""
-        return tuple(x[:-1] for x in self.arrays(0)[0])
+        at 0 holds them; built once, since they do not depend on lambda."""
+        if self._constraints is None:
+            self._constraints = tuple(x[:-1] for x in self.arrays(0)[0])
+        return self._constraints
 
     def report(self, lam, mult: int = 1) -> GameValueReport:
         """The exact values and an optimal strategy pair of the game at
@@ -585,11 +617,8 @@ class ParametricOracle:
                 self.last = hit.sigma.choices, hit.tau.choices
             return hit
         arrays, W, d = self.arrays(*key)
-        chi, sigma, tau, rounds, bigint = _policy_iteration(arrays, W, self.last)
+        chi, sigma, tau = _policy_iteration(arrays, W, self.last, self.stats)[:3]
         self.last = sigma, tau
-        self.stats.runs += 1
-        self.stats.rounds += rounds
-        self.stats.bigint_runs += bigint
         hit = self.memo[key] = _report(chi, d, sigma, tau)
         if len(self.memo) > GAME_MEMO_SIZE:
             self.memo.popitem(last=False)

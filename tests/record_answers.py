@@ -14,11 +14,11 @@ writes one JSON line per record.  A solve record has the family, the
 instance index, the method, the status, lambda*, the witness, the
 serialized certificate, whether ``troplf check`` accepts that certificate,
 the trace and the oracle's work (``SolveOutcome.stats``: runs, memo hits,
-rounds and runs on Python ints); a solve that raises has the exception as
-its status, and so does a document the checkout refuses to parse.  A
-``reconstruct`` record has the spectral function's pieces and the oracle's
-work.  The random families come from the acceptance criteria's own
-generators in ``test_acceptance``:
+rounds, ranked rounds and runs on Python ints); a solve that raises has
+the exception as its status, and so does a document the checkout refuses
+to parse.  A ``reconstruct`` record has the spectral function's pieces and
+the oracle's work.  The random families come from the acceptance
+criteria's own generators in ``test_acceptance``:
 
 * ``examples``: data/example{1,2,3}.json by all three methods;
 * ``criterion-6``: the 200 instances of acceptance criterion 6, all methods;

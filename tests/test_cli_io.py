@@ -377,7 +377,8 @@ def test_solve_stats_prints_the_oracle_work_on_stderr(capsys):
         stats = solve(parse_instance(json.load(fh)).instance).stats
     assert json.loads(line) == {
         "runs": stats.runs, "memo_hits": stats.memo_hits,
-        "rounds": stats.rounds, "bigint_runs": stats.bigint_runs,
+        "rounds": stats.rounds, "ranked_rounds": stats.ranked_rounds,
+        "bigint_runs": stats.bigint_runs,
     }
     assert stats.runs > 0
 

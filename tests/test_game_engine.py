@@ -30,6 +30,7 @@ from brute_force import brute_force_value, play_outcome
 from conftest import make_game, random_game
 from lifting import lifting_oracle
 from maxplus import payment_matrices, restrict_max, trop_matvec
+import policy_reference
 from test_acceptance import criterion_5_random_games
 
 
@@ -269,6 +270,38 @@ def test_int64_run_on_large_payments_matches_python_ints():
         (Am, Bm, Aw.astype(object), Bw.astype(object)), W
     )
     assert bigint and (rep.chi, rep.sigma.choices, rep.tau.choices) == (chi, sigma, tau)
+
+
+def test_policy_iteration_returns_what_the_reference_returns():
+    """On seeded random games with -inf entries, cold and from random legal
+    starts, the routine returns exactly the reference routine's (chi, sigma,
+    tau, rounds, bigint): the same strategies by the first-index tie-break
+    and the same round count, so a changed sentinel or tie-break shows.
+    Many evaluations find several cycle means, so the rank filters run, and
+    many find one.  The 6-node game of the test above moves to Python ints
+    after its first evaluation; at M = 10**19 runs are on Python ints from
+    the start."""
+    rng = random.Random(19)
+    stats = ge.OracleStats()
+    games = [random_game(rng, rng.randint(1, 8), rng.randint(1, 8), M, rng.choice((0.2, 0.5)))
+             for M in (1, 3, 50, 10**19) for _ in range(60)]
+    top = (2**62 - 3) // 13 - 1
+    a = tuple(tuple((top if i < 3 else -top) if i == j else None for j in range(6)) for i in range(6))
+    moves = {0: (1, -top), 1: (2, -top), 2: (3, -top), 3: (4, top), 4: (5, top), 5: (3, top - 1)}
+    b = tuple(tuple(moves[i][1] if j == moves[i][0] else None for j in range(6)) for i in range(6))
+    games.append(ge.MeanPayoffGame(a, b))
+    for g in games:
+        arrays, W = ge._game_arrays(g.a, g.b)
+        starts = [None] + [
+            (tuple(rng.choice(g.max_moves(i)) for i in range(g.m)),
+             tuple(rng.choice(g.min_moves(j)) for j in range(g.n)))
+            for _ in range(2)
+        ]
+        for start in starts:
+            got = ge._policy_iteration(arrays, W, start, stats)
+            assert got == policy_reference._policy_iteration(arrays, W, start)
+    assert stats.runs == 3 * len(games) and stats.bigint_runs == 3 * 60 + 3
+    assert 0.05 * stats.rounds < stats.ranked_rounds < 0.95 * stats.rounds
 
 
 def test_policy_iteration_from_any_legal_start():

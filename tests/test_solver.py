@@ -35,7 +35,7 @@ from troplf import (
     solve,
 )
 from troplf import certify, solver
-from troplf.game_engine import _game_arrays, least_solution_fixed
+from troplf.game_engine import ParametricOracle, _game_arrays, least_solution_fixed
 from troplf.solver import (
     _min_zero_phi_tau,
     bisection_cap,
@@ -544,6 +544,24 @@ def test_solve_reports_the_oracle_work(example2):
     assert (out.stats.runs, out.stats.memo_hits) == (2 + len(out.trace) + 1, 2)
     assert out.stats.rounds >= out.stats.runs
     assert out == replace(out, stats=None)
+
+
+def test_a_newton_solve_builds_each_game_once(example2, monkeypatch):
+    """The oracle builds the arrays of each game it runs, and one more set
+    for the constraint rows, which every Newton step reads; the certificate
+    asks for the arrays at lambda* right after their run and gets that
+    run's own."""
+    builds = []
+    build = ParametricOracle._build
+
+    def counted(self, lam, mult):
+        builds.append((lam, mult))
+        return build(self, lam, mult)
+
+    monkeypatch.setattr(ParametricOracle, "_build", counted)
+    out = solve(example2)
+    assert len(out.trace) > 1
+    assert len(builds) == out.stats.runs + 1
 
 
 def test_newton_starts_from_the_strategies_at_lam_hi(example2, monkeypatch):
