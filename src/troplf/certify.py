@@ -9,29 +9,33 @@ whose restricted digraph at lambda = 0 shows only nonnegative cycles
 accessible from node n+1, none through row m+1: the oracle's sigma at
 ``spectral.deep_lambda``.
 
-Each of these four cycle conditions reads the integer grids of
-``spectral.game_at`` (at lambda* for optimality, at 0 for unboundedness) and
-says that no cycle of positive weight is reachable from node n+1 in a
-one-player graph: Max's graph against tau; the same without the columns tau
-routes to row m+1, each arc reweighted to (n+2)w + 1 (a simple cycle has at
-most n+1 arcs, so it is positive under the new weights exactly when its old
-weight is nonnegative); and Min's graph against sigma, weighted 1 on the
-arcs row m+1 realizes and 0 elsewhere, or with its weights negated.
+Each of the four cycle conditions reads the game of ``spectral.game_at`` (at
+lambda* for optimality, at 0 for unboundedness) and says that no cycle of
+positive weight is reachable from node n+1 in a one-player graph: Max's
+graph against tau; the same without the columns tau routes to row m+1, each
+arc reweighted to (n+2)w + 1 (a simple cycle has at most n+1 arcs, so it is
+positive under the new weights exactly when its old weight is nonnegative);
+and Min's graph against sigma, weighted 1 on the arcs row m+1 realizes and
+0 elsewhere, or with its weights negated.  Its dual witness is a vector of
+integer potentials z, -inf off the nodes that node n+1 reaches, with
+z_{n+1} finite and z_v >= z_u + w on every arc that leaves a node of finite
+z: ``potentials`` and ``strict_potentials``, ``through_potentials`` and
+``negated_potentials``.  The potentials issued are the least ones, longest
+paths on the same graphs built from the oracle's arrays
+(``trop_core.means_at_most``), and a certificate without them gets them the
+same way; the witness is ``least_solution_fixed`` at lambda* on those arrays.
 
-Its dual witness is a vector of integer potentials z, -inf off the nodes
-that node n+1 reaches, with z_{n+1} finite and z_v >= z_u + w on every arc
-that leaves a node of finite z, and a certificate carries one vector per
-condition (``potentials`` and ``strict_potentials``, ``through_potentials``
-and ``negated_potentials``).  The check verifies them in one pass over the
-strategy's arcs, read from the grids, and trusts no solver code (McConnell,
-Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", 2011).  The
-potentials are the least ones, the longest paths from node n+1 on the
-same graphs built from the parametric oracle's arrays: the conditions are
-``trop_core.means_at_most`` at 0, and at -1/(n+2) for the reweighted one,
-whose paths exist exactly when the condition holds.  The
-certificates this module issues carry them, and a certificate without them
-gets them the same way.  The witness is the least solution at lambda*
-(``least_solution_fixed``) on those arrays, divided once by d*scale.
+The check trusts no solver code (McConnell, Mehlhorn, Naeher & Schweitzer,
+"Certifying algorithms", 2011).  It reads the instance's grids, or their
+read-only numpy image, converted from them entry for entry by
+``homogenize``, from which it forms the game at lambda* with its own code:
+trusting the image is trusting the instance.  An optimality check with both potential vectors
+runs on int64 arrays (one masked comparison per vector over tau's rows of
+V, two masked row maxima for the witness) when the game has at least
+ARRAY_CHECK_ENTRIES entries per grid, below which numpy's fixed cost is not
+repaid, and an exact bound on every value computed fits int64.  Every other
+check loops over the grids in Python, exact at any size.  Both paths give
+the same result, down to the first broken arc.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed, max_graph, min_graph
+from .game_engine import MaxStrategy, MinStrategy, _factors_at, least_solution_fixed
+from .game_engine import max_graph, min_graph
 from .spectral import HomogeneousInstance, deep_lambda, game_at, phi_nonneg
 from .trop_core import NEG_INF, ExtendedNumber, means_at_most
 
@@ -96,6 +101,14 @@ class CheckResult:
         return self.accepted
 
 
+def _witness_numerators(y: tuple, g: int) -> tuple:
+    """(den, z, top): den the lcm of y's finite denominators, z the ints
+    den*g*y (None off them), and top the +inf coordinates."""
+    den = lcm(*(e.value.denominator for e in y if e.kind == 0))
+    z = [g * e.value.numerator * (den // e.value.denominator) if e.kind == 0 else None for e in y]
+    return den, z, [j for j, e in enumerate(y) if e.kind == 1]
+
+
 def _witness_satisfies(y: tuple, g: int, a, b) -> bool:
     """U y <= V y on the integer grids a, b, with y in units that g scales to theirs.
 
@@ -103,9 +116,7 @@ def _witness_satisfies(y: tuple, g: int, a, b) -> bool:
     denominators of y, den*g*y is integral, and the grids are multiplied
     by den.
     """
-    den = lcm(*(e.value.denominator for e in y if e.kind == 0))
-    z = [g * e.value.numerator * (den // e.value.denominator) if e.kind == 0 else None for e in y]
-    top = [j for j, e in enumerate(y) if e.kind == 1]
+    den, z, top = _witness_numerators(y, g)
 
     def side(row):
         # (kind, value) keys order -inf < finite < +inf like ExtendedNumber.
@@ -218,10 +229,37 @@ THROUGH_ROW = "a cycle accessible from node n+1 passes through row m+1"
 NEGATIVE = "a cycle accessible from node n+1 has negative weight"
 
 
+ARRAY_CHECK_ENTRIES = 256  # the measured break-even of the two paths
+
+
 def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> CheckResult:
     """Accept iff tau's restricted digraph certifies lambda* per the three
     conditions: nonpositive accessible cycles, strictly negative ones without
-    row m+1, and a confirmed phi(lambda*) >= 0."""
+    row m+1, and a confirmed phi(lambda*) >= 0, by the array path or the
+    loops as the module docstring says."""
+    potentials = cert.potentials, cert.strict_potentials
+    if H.image[0].size >= ARRAY_CHECK_ENTRIES and None not in potentials:
+        if (result := _check_optimality_arrays(H, cert)) is not None:
+            return result
+    return _check_optimality_loops(H, cert)
+
+
+def _witness_reason(H: HomogeneousInstance, cert: OptimalityCertificate, lam_s, satisfied) -> str:
+    """Why the witness (phi(lambda*) >= 0 without one) fails; ``satisfied()``
+    tests U y <= V(lambda*) y on a well-formed witness."""
+    y = cert.witness
+    if y is None:
+        return "" if phi_nonneg(H, lam_s)[0] else "phi(lambda*) < 0"
+    if len(y) != H.n + 1:
+        return "witness has the wrong length"
+    if not y[H.n].is_finite:
+        return "witness coordinate n+1 is not finite"
+    return "" if satisfied() else "witness violates U y <= V(lambda*) y"
+
+
+def _check_optimality_loops(H: HomogeneousInstance, cert: OptimalityCertificate) -> CheckResult:
+    """check_optimality by loops over the grids of game_at(H, lambda*);
+    potentials it lacks come from longest paths on the oracle's arrays."""
     lam_s = Fraction(cert.lam) * H.scale
     g = game_at(H, lam_s)
     cert.tau.check(g)
@@ -234,22 +272,61 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     ) or _cycle_condition(
         cert.strict_potentials, _optimality_bundles(g, tau, m, True), graphs[1], n,
         "strict_potentials", NOT_NEGATIVE,
+    ) or _witness_reason(
+        H, cert, lam_s, lambda: _witness_satisfies(cert.witness, g.d * H.scale, g.a, g.b)
     )
-    if reason:
-        return CheckResult(False, reason)
+    return CheckResult(not reason, reason)
 
-    if cert.witness is not None:
-        if len(cert.witness) != H.n + 1:
-            return CheckResult(False, "witness has the wrong length")
-        if not cert.witness[H.n].is_finite:
-            return CheckResult(False, "witness coordinate n+1 is not finite")
-        if not _witness_satisfies(cert.witness, g.d * H.scale, g.a, g.b):
-            return CheckResult(False, "witness violates U y <= V(lambda*) y")
-    else:
-        ok, _, _ = phi_nonneg(H, lam_s)
-        if not ok:
-            return CheckResult(False, "phi(lambda*) < 0")
-    return CheckResult(True)
+
+def _check_optimality_arrays(H: HomogeneousInstance,
+                             cert: OptimalityCertificate) -> Optional[CheckResult]:
+    """check_optimality, for a certificate with both potential vectors, on
+    int64 arrays of the game at lambda* built from H.image as game_at builds
+    its grids; None when an exact bound on some value does not fit int64."""
+    lam_s = Fraction(cert.lam) * H.scale
+    cert.tau.check(game_at(H, 0))  # the game's support is the same at every lambda
+    d, f, shift = _factors_at(lam_s, 1)
+    n, k, y, zs = H.n, H.n + 2, cert.witness, (cert.potentials, cert.strict_potentials)
+    # |payments| <= G, so |weights| <= 2kG + 1, and the sums the checks form
+    # stay within Z + 2kG + 1 (potentials) and den*G + max|den*g*y| (witness).
+    G = f * int(H.M) + abs(shift)
+    bound = max(max(map(abs, filter(None, zs[0] + zs[1])), default=0) + 2 * k * G + 1, f)
+    if y is not None and len(y) == n + 1:
+        den, zw, _top = _witness_numerators(y, d * H.scale)
+        bound = max(bound, den, den * G + max(map(abs, filter(None, zw)), default=0))
+    if bound >= 2**62:
+        return None
+    Um, Vm, Uw, Vw = H.image
+    a = Uw * f
+    last = [[0 if x is None else f * x + shift for x in H.V[-1]]]
+    b = np.vstack((Vw[:-1] * f, np.array(last, dtype=np.int64)))
+    tau = np.array(cert.tau.choices, dtype=np.intp)
+    w, arcs = b[tau] - a[tau, np.arange(n + 1)][:, None], Vm[tau]
+    # Row-major order is the bundles' order: argmax finds the arc the loops name.
+    strict = arcs & (tau != H.m)[:, None]
+    for z, weights, arcs, key in ((zs[0], w, arcs, "potentials"),
+                                  (zs[1], k * w + 1, strict, "strict_potentials")):
+        reason = _broken_potentials(z, (), n, key)  # no bundles: z's own checks
+        if reason:
+            return CheckResult(False, reason)
+        fin = np.array([x is not None for x in z])
+        zv = np.array([0 if x is None else x for x in z], dtype=np.int64)
+        broken = arcs & fin[:, None] & (~fin | (zv < zv[:, None] + weights))
+        if broken.any():
+            j, l = divmod(int(broken.argmax()), n + 1)
+            return CheckResult(False, _broken_arc(key, j, l, int(weights[j, l])))
+
+    def satisfied() -> bool:
+        kinds = np.array([e.kind for e in y])
+        zv = np.array([0 if x is None else x for x in zw], dtype=np.int64)
+        low = -bound - 1  # below every finite side, as -inf; -low above, as +inf
+        sides = [np.where((mask & (kinds == 1)).any(axis=1), -low,
+                          np.where(mask & (kinds == 0), den * grid + zv, low).max(axis=1))
+                 for mask, grid in ((Um, a), (Vm, b))]
+        return bool((sides[0] <= sides[1]).all())
+
+    reason = _witness_reason(H, cert, lam_s, satisfied)
+    return CheckResult(not reason, reason)
 
 
 def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) -> CheckResult:

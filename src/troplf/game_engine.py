@@ -238,22 +238,33 @@ def _payment_dtype(n: int, W: int, vmax: int = 0):
     return np.int64 if (2 * n + 1) * W + vmax + 2 < 2**62 else object
 
 
-def _weights(grid, dt) -> np.ndarray:
-    """An integer grid as a dtype dt array, 0 at -inf."""
-    return np.array([[0 if x is None else x for x in row] for row in grid], dtype=dt)
+def grid_arrays(grid) -> tuple:
+    """(mask, weights) of an integer grid: its finite entries, and its entries
+    with 0 at -inf, int64 when every entry fits, else Python ints (object).
+    Both are read-only, since solver code and the certificate check share them."""
+    cells = np.array(grid, dtype=object)
+    mask = cells != None  # noqa: E711 -- elementwise
+    cells[~mask] = 0
+    try:
+        cells = cells.astype(np.int64)
+    except OverflowError:
+        pass
+    mask.flags.writeable = cells.flags.writeable = False
+    return mask, cells
 
 
-def _mask(grid) -> np.ndarray:
-    """The finite entries of an integer grid."""
-    return np.array([[x is not None for x in row] for row in grid], dtype=bool)
+def abs_max(w) -> int:
+    """max |w| as a Python int, 0 when w is empty (abs of int64 -2**63 wraps)."""
+    return max(int(w.max(initial=0)), -int(w.min(initial=0)))
 
 
 def _game_arrays(a, b) -> tuple:
     """((masks of a and b, weights of a and b), W): an integer game as
     _policy_iteration reads it, W bounding every |payment| + 1."""
-    W = 1 + max((abs(x) for row in a + b for x in row if x is not None), default=0)
+    (Am, Aw), (Bm, Bw) = grid_arrays(a), grid_arrays(b)
+    W = 1 + max(abs_max(Aw), abs_max(Bw))
     dt = _payment_dtype(len(a[0]), W)
-    return (_mask(a), _mask(b), _weights(a, dt), _weights(b, dt)), W
+    return (Am, Bm, Aw.astype(dt, copy=False), Bw.astype(dt, copy=False)), W
 
 
 def _evaluate(nxt, w, ref):
@@ -528,8 +539,9 @@ class ParametricOracle:
     lam added to the finite entries of its last row: ``spectral.game_at``'s
     games, asked by (lam, mult) and formed by ``_factors_at`` as integer
     grids f*U and f*V shifted by an integer on the last row, over a
-    denominator d.  They share their support, so it is validated, and the
-    masks and the weights of U and of V's other rows built, once.  Each
+    denominator d.  They share their support, so it is validated once, and
+    their masks and weights come from ``image``, those of U and V, in each
+    dtype a run asks for.  Each
     query builds the shifted last row in Python ints and takes the game's
     exact payment bound from it and the other rows, so a run starts on the
     dtype a cold run would, and hands the bound to ``_policy_iteration``.
@@ -549,23 +561,16 @@ class ParametricOracle:
     ints, and the memo hits.
     """
 
-    def __init__(self, U: tuple, V: tuple):
-        self.U, self.V = U, V
+    def __init__(self, U: tuple, V: tuple, image: tuple):
+        self.U, self.V, self.image = U, V, image
+        self._rest = max(abs_max(self.image[2]), abs_max(self.image[3][:-1]))
         self.stats = OracleStats()
         self.last = None  # (sigma, tau) a run starts from
         self.memo = OrderedDict()  # (Fraction lam, mult) -> GameValueReport
-        self._masks = None
+        self._problems = validate_shape(U, V)  # raised by the first query
         self._weights = {}  # dtype -> weights of U and of V's other rows
         self._built = None  # (key, arrays) of the last game built
         self._constraints = None
-
-    def _setup(self) -> None:
-        problems = validate_shape(self.U, self.V)
-        if problems:
-            raise AssumptionViolated("; ".join(problems))
-        U, V = self.U, self.V
-        self._rest = max((abs(x) for row in U + V[:-1] for x in row if x is not None), default=0)
-        self._masks = _mask(U), _mask(V)
 
     def arrays(self, lam, mult: int = 1) -> tuple:
         """((masks of U and V, weights of f*U and f*V with V's last row
@@ -581,16 +586,15 @@ class ParametricOracle:
 
     def _build(self, lam: Fraction, mult: int) -> tuple:
         d, f, s = _factors_at(lam, mult)
-        if self._masks is None:
-            self._setup()
-        Um, Vm = self._masks
+        if self._problems:
+            raise AssumptionViolated("; ".join(self._problems))
+        Um, Vm, Uw, Vw = self.image
         last = [0 if x is None else f * x + s for x in self.V[-1]]
         W = 1 + max(f * self._rest, max(abs(x) for x in last))
         # numpy multiplies int64 weights only by a factor that fits int64
         dt = _payment_dtype(Um.shape[1], W) if f < 2**62 else object
         if dt not in self._weights:
-            rest = _weights(self.V[:-1], dt).reshape(len(self.V) - 1, Vm.shape[1])
-            self._weights[dt] = _weights(self.U, dt), rest
+            self._weights[dt] = Uw.astype(dt, copy=False), Vw[:-1].astype(dt, copy=False)
         Uw, Vr = self._weights[dt]
         Vw = np.empty(Vm.shape, dtype=dt)
         np.multiply(Vr, f, out=Vw[:-1])

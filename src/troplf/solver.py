@@ -113,14 +113,17 @@ def homogeneous_solution_with_zeros(H: HomogeneousInstance) -> Optional[tuple]:
     generator.  Its game decides that at deep_lambda, whose optimal sigma
     wins at every lambda, so the least solution against sigma, which does
     not depend on lambda, has u y <= lambda for all lambda.  That program has
-    H's U, M, m and n, so its oracle asks at deep_lambda(H), and H's stats
-    book the run.
+    H's U, M, m and n, so its oracle asks at deep_lambda(H), works on H's
+    image with v's row replaced, and H's stats book the run.
     """
     from .game_engine import least_solution_fixed
 
     m, n = H.m, H.n
     e = tuple(0 if j == n else None for j in range(n + 1))
-    oracle = ParametricOracle(H.U, H.V[:-1] + (e,))
+    Um, Vm, Uw, Vw = H.image
+    Vm, Vw = Vm.copy(), Vw.copy()
+    Vm[-1], Vw[-1] = [j == n for j in range(n + 1)], 0  # e's mask and weights
+    oracle = ParametricOracle(H.U, H.V[:-1] + (e,), (Um, Vm, Uw, Vw))
     oracle.stats = H.oracle.stats
     rep = oracle.report(deep_lambda(H))
     if n not in rep.winning:

@@ -11,7 +11,8 @@ Every game the algorithms, the certificate checks and the command line ask
 about is this one game at some lambda, often with its payments multiplied by
 an integer k.  An ``LfpInstance`` therefore holds nothing but U and V(0),
 scaled to integer grids (None for -inf) when it is built; ``homogenize``
-adds their bound M and the instance's one ``ParametricOracle``, and
+converts them once to numpy, their image, with their bound M and the
+instance's one ``ParametricOracle`` on that image, and
 ``game_at`` forms the game at (lambda, k) from them: a MeanPayoffGame whose
 grids are both grids times d*k, where d is the denominator of k*lambda,
 with the objective row shifted by d*k*lambda (``game_engine._factors_at``).
@@ -47,6 +48,8 @@ from .game_engine import (
     ParametricOracle,
     _factors_at,
     _policy_iteration,
+    abs_max,
+    grid_arrays,
     integer_grids,
     max_graph,
     min_graph,
@@ -128,20 +131,20 @@ class HomogeneousInstance:
     the original denominators); M bounds their absolute values.  The minimal
     zero of the scaled spectral function is ``scale`` times the original one.
     U and V are integer grids with None for -inf, so C, D, u and v are
-    ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``oracle`` is the
-    parametric oracle that owns the instance's games: it answers by (lambda,
-    k), keeps the memo of solved games, and builds its masks and weights on
-    the first query.
+    ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``image`` is their masks
+    and weights (``game_engine.grid_arrays``), and ``oracle``, built on it,
+    owns the instance's games: it answers by (lambda, k) and keeps the memo.
     """
 
     U: tuple
     V: tuple
     M: Fraction
     scale: int
+    image: tuple = field(repr=False, compare=False)
     oracle: ParametricOracle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "oracle", ParametricOracle(self.U, self.V))
+        object.__setattr__(self, "oracle", ParametricOracle(self.U, self.V, self.image))
 
     @property
     def m(self) -> int:
@@ -158,9 +161,10 @@ class HomogeneousInstance:
 
 
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
-    """The instance's grids U and V(0) with their bound M and a fresh oracle."""
-    M = max((abs(x) for g in (inst.U, inst.V) for row in g for x in row if x is not None), default=0)
-    return HomogeneousInstance(inst.U, inst.V, Fraction(M), inst.scale)
+    """The instance's grids U and V(0), their image, bound M and oracle."""
+    (Um, Uw), (Vm, Vw) = grid_arrays(inst.U), grid_arrays(inst.V)
+    M = max(abs_max(Uw), abs_max(Vw))
+    return HomogeneousInstance(inst.U, inst.V, Fraction(M), inst.scale, (Um, Vm, Uw, Vw))
 
 
 def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffGame:

@@ -1,7 +1,8 @@
-"""Time two checkouts' ``solve`` side by side, in one process.
+"""Time two checkouts' ``solve``, or their certificate check, side by side,
+in one process.
 
     python3 tests/ab_solve.py PARENT_CHECKOUT [CHANGE_CHECKOUT] \\
-        --workload dense-newton-50 --seed 7 --count 20 --repeats 5
+        --workload dense-newton-50 --seed 7 --count 20 --repeats 5 [--mode check]
 
 Each checkout's ``troplf`` is imported from its ``src/`` and kept as its own
 set of ``sys.modules`` entries; before a side runs, its entries are swapped
@@ -15,10 +16,18 @@ every document once.  A round times one ``solve()`` per side for every
 alternates from one solve to the next and from round to round.  Both sides
 must return the same status and lambda*.
 
+With ``--mode check``, each side solves every (document, method) once, and
+a round times, per certificate, the benchmark's check path: serialize,
+JSON round trip, parse and check, as ``bench/run.py``'s ``Run.check`` times
+it, on an instance homogenized before the clock starts.  It also times the
+same path with ``homogenize`` inside the timed region, so that work moved
+from the check into ``homogenize`` shows.  Both sides must return the same
+verdict.
+
 Two runs of the benchmark are two processes, and on a small shared host
 their timings can differ by more than a few-percent effect; timed in one
-process, the two sides share its state.  The output gives each side's
-[q1, median, q3] of all its solve times, and the paired change: per
+process, the two sides share its state.  The output gives, for each figure, each
+side's [q1, median, q3] of all its times, and the paired change: per
 (document, method), the ratio of the sides' median times, with the median
 of those ratios and the number of pairs where the change is faster.
 pytest does not collect this file.
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import statistics
 import sys
 import time
@@ -83,6 +93,89 @@ def quartiles(xs) -> list:
     return [q1, q2, q3]
 
 
+def report(label: str, times: dict, pairs: list) -> None:
+    """Each side's quartiles of all its times, and the paired change."""
+    for name, per_pair in times.items():
+        q = quartiles([t for ts in per_pair.values() for t in ts])
+        print(f"  {name:6s} {label} s [q1, median, q3]: " + ", ".join(f"{x:.6f}" for x in q))
+    ratios = [statistics.median(times["change"][p]) / statistics.median(times["parent"][p])
+              for p in pairs]
+    faster = sum(x < 1 for x in ratios)
+    print(f"  {label} paired change: median {100 * (statistics.median(ratios) - 1):+.1f}%, "
+          f"faster on {faster} of {len(ratios)} pairs")
+
+
+def interleaved(sides: dict, pairs: list, repeats: int, timed) -> dict:
+    """{side: {pair: [seconds]}}: ``repeats`` rounds over the pairs, where
+    timed(name, entries, pair) returns (seconds, answer) for one side; the
+    side that runs first alternates, and the sides must answer alike."""
+    times = {name: {pair: [] for pair in pairs} for name in sides}
+    names = tuple(sides)
+    turn = 0
+    for _ in range(repeats):
+        for pair in pairs:
+            answers = []
+            for name in (names if turn % 2 == 0 else names[::-1]):
+                _activate(sides[name])
+                seconds, answer = timed(name, sides[name], pair)
+                times[name][pair].append(seconds)
+                answers.append(answer)
+            turn += 1
+            if answers[0] != answers[1]:
+                sys.exit(f"error: {pair}: the sides answer {answers}")
+        turn += 1
+    _activate({})
+    return times
+
+
+def solve_timer(parsed: dict):
+    def timed(name, entries, pair):
+        i, method = pair
+        t0 = time.perf_counter()
+        out = entries["troplf.solver"].solve(parsed[name][i], method=method)
+        return time.perf_counter() - t0, (out.status, out.lam)
+
+    return timed
+
+
+def check_timers(sides: dict, parsed: dict, pairs: list) -> tuple:
+    """(the pairs with a certificate, the timer of the check path on an
+    instance homogenized beforehand, the timer with homogenize inside)."""
+    made = {}
+    for name, entries in sides.items():
+        _activate(entries)
+        homogenize = entries["troplf.spectral"].homogenize
+        for i, method in pairs:
+            out = entries["troplf.solver"].solve(parsed[name][i], method=method)
+            if out.certificate is not None:
+                made[name, i, method] = out.certificate, homogenize(parsed[name][i])
+    _activate({})
+    kept = [p for p in pairs if all((name, *p) in made for name in sides)]
+
+    def check(entries, cert, H):
+        cli_io, certify = entries["troplf.cli_io"], entries["troplf.certify"]
+        doc = json.loads(json.dumps(cli_io.serialize_certificate(cert)))
+        parsed_cert = cli_io.parse_certificate(doc, H.m, H.n)
+        if doc["type"] == "optimality":
+            return certify.check_optimality(H, parsed_cert)
+        return certify.check_unboundedness(H, parsed_cert)
+
+    def outside(name, entries, pair):
+        cert, H = made[(name, *pair)]
+        t0 = time.perf_counter()
+        result = check(entries, cert, H)
+        return time.perf_counter() - t0, (result.accepted, result.reason)
+
+    def inside(name, entries, pair):
+        cert, _H = made[(name, *pair)]
+        t0 = time.perf_counter()
+        H = entries["troplf.spectral"].homogenize(parsed[name][pair[0]])
+        result = check(entries, cert, H)
+        return time.perf_counter() - t0, (result.accepted, result.reason)
+
+    return kept, outside, inside
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
@@ -91,6 +184,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--count", type=int, default=20, help="documents of the seed")
     ap.add_argument("--repeats", type=int, default=5, help="rounds over the documents")
+    ap.add_argument("--mode", choices=("solve", "check"), default="solve")
     args = ap.parse_args(argv)
 
     run = load_run()
@@ -103,36 +197,21 @@ def main(argv=None) -> int:
         _activate(entries)
         parse = entries["troplf.cli_io"].parse_instance
         parsed[name] = [parse(doc).instance for doc in docs]
-    pairs = [(i, method) for i in range(len(docs)) for method in workload.methods]
-    times = {name: {pair: [] for pair in pairs} for name in names}
-    turn = 0
-    for r in range(args.repeats):
-        for i, method in pairs:
-            answers = []
-            order = names if turn % 2 == 0 else names[::-1]
-            turn += 1
-            for name in order:
-                _activate(sides[name])
-                solve = sides[name]["troplf.solver"].solve
-                t0 = time.perf_counter()
-                out = solve(parsed[name][i], method=method)
-                times[name][(i, method)].append(time.perf_counter() - t0)
-                answers.append((out.status, out.lam))
-            if answers[0] != answers[1]:
-                sys.exit(f"error: document {i} by {method}: the sides answer {answers}")
-        turn += 1
     _activate({})
+    pairs = [(i, method) for i in range(len(docs)) for method in workload.methods]
+    if args.mode == "solve":
+        figures = [("solve", pairs, interleaved(sides, pairs, args.repeats, solve_timer(parsed)))]
+    else:
+        pairs, outside, inside = check_timers(sides, parsed, pairs)
+        figures = [
+            ("check", pairs, interleaved(sides, pairs, args.repeats, outside)),
+            ("homogenize+check", pairs, interleaved(sides, pairs, args.repeats, inside)),
+        ]
 
     print(f"{args.workload} seed {args.seed}: {len(docs)} documents, "
           f"{len(pairs)} (document, method) pairs, {args.repeats} rounds")
-    for name in names:
-        q = quartiles([t for ts in times[name].values() for t in ts])
-        print(f"  {name:6s} solve s [q1, median, q3]: " + ", ".join(f"{x:.6f}" for x in q))
-    ratios = [statistics.median(times["change"][p]) / statistics.median(times["parent"][p])
-              for p in pairs]
-    faster = sum(x < 1 for x in ratios)
-    print(f"  paired change: median {100 * (statistics.median(ratios) - 1):+.1f}%, "
-          f"faster on {faster} of {len(ratios)} pairs")
+    for label, kept, times in figures:
+        report(label, times, kept)
     return 0
 
 

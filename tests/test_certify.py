@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -714,3 +714,154 @@ def test_self_issued_certificates_pass_the_independent_check(doc):
         result = check(H, cert)
         assert result, result.reason
     assert len(answers) == 1
+
+
+# --- the array check and the loops ------------------------------------------
+
+
+def _dense_program(rng, n, entry):
+    """An all-finite n x n program with entries entry(rng) and d >= c, so
+    very negative x is feasible and it has an optimum, as in criterion 10."""
+    c = [entry(rng) for _ in range(n)]
+    d = [ci + abs(entry(rng)) for ci in c]
+
+    def grid():
+        return [[fin(entry(rng)) for _ in range(n)] for _ in range(n)]
+
+    return LfpInstance(grid(), grid(), [fin(x) for x in c], [fin(x) for x in d],
+                       [fin(entry(rng)) for _ in range(n)], [fin(entry(rng)) for _ in range(n)],
+                       fin(entry(rng)), fin(entry(rng)))
+
+
+def _rational_entry(rng):
+    k = rng.randint(1, 12)
+    return Fraction(rng.randint(-1000 * k, 1000 * k), k)
+
+
+def _past_int64_entry(rng):
+    return rng.randint(-50, 50) * 2**64 + rng.randint(-3, 3)
+
+
+def _optimal_certificates():
+    """(family, H, certificate) of self-issued optimality certificates:
+    tiny programs, two of criterion 10's 50 x 50 ones, 16 x 16 rational
+    ones, and 12 x 12 ones whose entries pass int64."""
+    from test_acceptance import criterion_10_instances
+
+    rng = random.Random(131)
+    families = {
+        "tiny": (random_instance(rng, rng.randint(1, 4), rng.randint(1, 4), 5, 0.4) for _ in range(40)),
+        "50x50": islice(criterion_10_instances(), 2),
+        "rational": (_dense_program(rng, 16, _rational_entry) for _ in range(2)),
+        "past-int64": (_dense_program(rng, 12, _past_int64_entry) for _ in range(2)),
+    }
+    for family, programs in families.items():
+        for inst in programs:
+            out = solve(inst)
+            if out.status == "Optimal":
+                yield family, homogenize(inst), out.certificate
+
+
+def _one_mutation_each(H, cert):
+    """cert, and copies with one change each: a potential raised far (every
+    arc out of it breaks) or erased (every arc into it), in both vectors;
+    one witness coordinate moved by 1/7, or set to +inf; one tau move; and
+    lambda* raised, which raises every arc out of the nodes tau sends to
+    row m+1, so that arcs of several rows and columns break at once."""
+    yield cert
+    for delta in (Fraction(1, 7), Fraction(1)):
+        yield replace(cert, lam=cert.lam + delta)
+    for key in OPTIMALITY_POTENTIALS:
+        z = getattr(cert, key)
+        finite = [v for v, x in enumerate(z[:-1]) if x is not None]
+        for v in finite[:1] + finite[-1:]:
+            yield replace(cert, **{key: z[:v] + (z[v] + 10**6,) + z[v + 1:]})
+            yield replace(cert, **{key: z[:v] + (None,) + z[v + 1:]})
+    y = cert.witness
+    for j in [j for j in range(H.n) if y[j].is_finite][:2]:
+        for moved in (fin(y[j].value + Fraction(1, 7)), fin(y[j].value - Fraction(1, 7)), POS_INF):
+            yield replace(cert, witness=y[:j] + (moved,) + y[j + 1:])
+    tau = cert.tau.choices
+    for j, i in enumerate(tau):
+        others = [k for k in range(H.m + 1) if k != i and H.U[k][j] is not None]
+        if others:
+            yield replace(cert, tau=MinStrategy(tau[:j] + (others[0],) + tau[j + 1:]))
+            break
+
+
+def test_the_array_check_returns_what_the_loops_return():
+    """Both check paths, called directly whatever the game's size, return
+    equal CheckResults on every self-issued certificate and on copies with
+    one mutation each: the same verdict, reason and first broken arc.  The
+    array path declines every certificate whose entries pass int64."""
+    from troplf.certify import _check_optimality_arrays, _check_optimality_loops
+
+    reasons, families = Counter(), Counter()
+    for family, H, cert in _optimal_certificates():
+        families[family] += 1
+        for mutant in _one_mutation_each(H, cert):
+            expected = _check_optimality_loops(H, mutant)
+            result = _check_optimality_arrays(H, mutant)
+            if family == "past-int64":  # past the int64 bound: the loops decide
+                assert result is None and check_optimality(H, mutant) == expected, mutant
+            else:
+                assert result == expected, (family, mutant)
+            reasons[expected.reason.split(": the arc")[0]] += 1
+    assert set(families) == {"tiny", "50x50", "rational", "past-int64"}, families
+    every = {"", "potentials", "strict_potentials", VIOLATES}
+    assert every <= set(reasons), every - set(reasons)
+
+
+def test_certificates_past_int64_take_the_loops(monkeypatch):
+    """A certificate whose payments, potentials or witness numerators pass
+    the int64 bound, and a mutated copy of each, get the loops' verdict and
+    reason: the array check declines them, or the game is too small for it."""
+    from troplf import certify
+    from test_acceptance import criterion_10_instances
+
+    declined = []
+    arrays = certify._check_optimality_arrays
+
+    def spy(H, cert):
+        result = arrays(H, cert)
+        declined.append(result is None)
+        return result
+
+    monkeypatch.setattr(certify, "_check_optimality_arrays", spy)
+
+    def same_as_loops(H, cert):
+        declined.clear()
+        result = check_optimality(H, cert)
+        assert result == certify._check_optimality_loops(H, cert)
+        assert all(declined)
+        return result, bool(declined)
+
+    inst = make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[0], q=[2**70], r=0, s="-inf")
+    H = homogenize(inst)
+    cert = solve(inst).certificate
+    assert same_as_loops(H, cert) == (CheckResult(True), False)
+    assert not same_as_loops(H, replace(cert, lam=Fraction(0)))[0]
+
+    inst = next(criterion_10_instances())
+    H, cert = homogenize(inst), solve(inst).certificate
+    shifted = tuple(None if x is None else x + 2**62 for x in cert.potentials)
+    assert same_as_loops(H, replace(cert, potentials=shifted)) == (CheckResult(True), True)
+    lowered = shifted[:-1] + (shifted[-1] - 1,)
+    result, asked = same_as_loops(H, replace(cert, potentials=lowered))
+    assert not result and result.reason.startswith("potentials: the arc ") and asked
+    y = cert.witness
+    j = next(j for j in range(H.n) if y[j].is_finite)
+    tiny = fin(y[j].value - Fraction(1, 2**62 + 1))
+    assert same_as_loops(H, replace(cert, witness=y[:j] + (tiny,) + y[j + 1:]))[1]
+
+    rng = random.Random(137)
+    for _ in range(5):
+        inst = _dense_program(rng, 16, _past_int64_entry)
+        out = solve(inst)
+        if out.status == "Optimal":
+            break
+    H, cert = homogenize(inst), out.certificate
+    assert same_as_loops(H, cert) == (CheckResult(True), True)
+    z = cert.strict_potentials
+    erased = z[:1] + (None,) + z[2:]
+    assert same_as_loops(H, replace(cert, strict_potentials=erased))[1]

@@ -34,7 +34,7 @@ from troplf import (
     precheck,
     solve,
 )
-from troplf import certify, solver
+from troplf import certify, game_engine, solver, spectral
 from troplf.game_engine import ParametricOracle, _game_arrays, least_solution_fixed
 from troplf.solver import (
     _min_zero_phi_tau,
@@ -281,23 +281,34 @@ def test_a_degenerate_solve_books_its_one_oracle_run():
 def test_one_homogeneous_instance_per_solve(example2, monkeypatch):
     """A solve builds one HomogeneousInstance, by every method, on the
     degenerate-denominator family (v identically -inf, decided by the game
-    of a nearby program) and on example 2."""
-    built = []
+    of a nearby program) and on example 2.  It converts U and V to numpy
+    once; the nearby program's oracle reuses those arrays."""
+    built, converted = [], []
     original = HomogeneousInstance.__post_init__
+    convert = game_engine.grid_arrays
 
     def counted(H):
         built.append(H)
         original(H)
 
+    def counted_conversion(grid):
+        converted.append(len(grid))
+        return convert(grid)
+
     monkeypatch.setattr(HomogeneousInstance, "__post_init__", counted)
+    for module in (game_engine, spectral):
+        monkeypatch.setattr(module, "grid_arrays", counted_conversion)
     rng = random.Random(15)
     degenerate = [sparse_instance(rng, U_MODES[i % len(U_MODES)], v_neg_inf=True, size=6)
                   for i in range(200)]
     for inst in degenerate + [example2]:
+        rows = len(inst.U)
         for method in METHODS:
             built.clear()
+            converted.clear()
             solve(inst, method=method)
             assert len(built) == 1
+            assert converted == [rows, rows]
 
 
 def test_no_solve_runs_a_lone_game(example1, example2, example3, monkeypatch):

@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,6 +83,35 @@ def test_homogenize_scales_rationals():
     assert H.U[0][0] == 3
     assert H.V[0][0] == 2
     assert all(type(x) is int for row in H.U[:-1] for x in row if x is not None)
+
+
+def _assert_image_of(image, U, V):
+    """image holds U and V entry for entry, each grid as int64 exactly when
+    every entry fits."""
+    for grid, mask, weights in zip((U, V), image[:2], image[2:]):
+        assert mask.tolist() == [[x is not None for x in row] for row in grid]
+        assert weights.tolist() == [[0 if x is None else x for x in row] for row in grid]
+        fits = all(-(2**63) <= x < 2**63 for row in grid for x in row if x is not None)
+        assert (weights.dtype == np.int64) == fits
+
+
+@pytest.mark.parametrize("big", [2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
+def test_homogenize_converts_each_grid_once_into_its_image(big):
+    """The image is U and V, int64 exactly where every entry fits, and M
+    its bound, whether the entry is in U or in v; also on a program with no
+    constraint rows."""
+    for where in ("U", "v"):
+        inst = make_instance(
+            A=[[big if where == "U" else 0, "-inf"]], B=[[0, 1]], c=[0], d=["-inf"],
+            p=[0, 1], q=[big if where == "v" else 1, 0], r=0, s="-inf",
+        )
+        H = homogenize(inst)
+        _assert_image_of(H.image, H.U, H.V)
+        assert H.M == abs(big)
+    H = homogenize(make_instance(A=[], B=[], c=[], d=[], p=[big], q=[0], r=3, s=1))
+    assert H.m == 0
+    _assert_image_of(H.image, H.U, H.V)
+    assert H.M == abs(big)
 
 
 # --- the integer parametric game ------------------------------------------
