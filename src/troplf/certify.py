@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .game_engine import MaxStrategy, MinStrategy, _factors_at, least_solution_fixed
+from .game_engine import MaxStrategy, MinStrategy, least_solution_fixed
 from .game_engine import max_graph, min_graph
 from .spectral import HomogeneousInstance, deep_lambda, game_at, phi_nonneg
 from .trop_core import NEG_INF, ExtendedNumber, means_at_most
@@ -285,21 +285,21 @@ def _check_optimality_arrays(H: HomogeneousInstance,
     its grids; None when an exact bound on some value does not fit int64."""
     lam_s = Fraction(cert.lam) * H.scale
     cert.tau.check(game_at(H, 0))  # the game's support is the same at every lambda
-    d, f, shift = _factors_at(lam_s, 1)
+    d, shift = lam_s.denominator, lam_s.numerator
     n, k, y, zs = H.n, H.n + 2, cert.witness, (cert.potentials, cert.strict_potentials)
     # |payments| <= G, so |weights| <= 2kG + 1, and the sums the checks form
     # stay within Z + 2kG + 1 (potentials) and den*G + max|den*g*y| (witness).
-    G = f * int(H.M) + abs(shift)
-    bound = max(max(map(abs, filter(None, zs[0] + zs[1])), default=0) + 2 * k * G + 1, f)
+    G = d * H.M + abs(shift)
+    bound = max(max(map(abs, filter(None, zs[0] + zs[1])), default=0) + 2 * k * G + 1, d)
     if y is not None and len(y) == n + 1:
         den, zw, _top = _witness_numerators(y, d * H.scale)
         bound = max(bound, den, den * G + max(map(abs, filter(None, zw)), default=0))
     if bound >= 2**62:
         return None
     Um, Vm, Uw, Vw = H.image
-    a = Uw * f
-    last = [[0 if x is None else f * x + shift for x in H.V[-1]]]
-    b = np.vstack((Vw[:-1] * f, np.array(last, dtype=np.int64)))
+    a = Uw * d
+    last = [[0 if x is None else d * x + shift for x in H.V[-1]]]
+    b = np.vstack((Vw[:-1] * d, np.array(last, dtype=np.int64)))
     tau = np.array(cert.tau.choices, dtype=np.intp)
     w, arcs = b[tau] - a[tau, np.arange(n + 1)][:, None], Vm[tau]
     # Row-major order is the bundles' order: argmax finds the arc the loops name.
@@ -350,14 +350,13 @@ def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) 
 def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) -> OptimalityCertificate:
     """Build and validate a certificate for the minimal zero lambda* (scaled).
 
-    tau comes from the oracle on the integer-scaled perturbed game at
-    lambda* - 1/(min(m,n)+2), where node n+1 loses; the witness from the
-    least solution on the integer game at lambda*, and the potentials from
+    tau comes from the oracle on the perturbed game at lambda* -
+    1/(min(m,n)+2), where node n+1 loses; the witness from the least
+    solution on the integer game at lambda*, and the potentials from
     longest paths on tau's graph at lambda*, both on the oracle's arrays.
     """
     lam_scaled = Fraction(lam_scaled)
-    k2 = H.k_bound + 2
-    rep = H.oracle.report(lam_scaled - Fraction(1, k2), k2)
+    rep = H.oracle.report(lam_scaled - Fraction(1, H.k_bound + 2))
     if H.n in rep.winning:
         raise CertificateSynthesisFailed(
             "node n+1 still wins below lambda*: the value is not the minimal zero"

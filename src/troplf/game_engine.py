@@ -32,18 +32,18 @@ moves by rank only when it found two or more.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
-the parametric game of one instance at many (lambda, k), and each instance
-has one ``ParametricOracle`` that owns them: ``report(lam, k)`` answers from
-its memo or by a run started from the strategies of the last, so its sigma
-and tau are an optimal pair, not necessarily the pair a cold run returns,
-and ``arrays(lam, k)`` gives the masks and weights of its last run to the
-rest of a solve (``_factors_at`` turns (lambda, k) into the grids' factors,
-for the oracle and for ``spectral.game_at``).  On those arrays, ``min_graph``
-and ``max_graph`` build the one-player graphs against sigma and tau whose
-longest paths (``trop_core``) give ``least_solution_fixed``, the
-certificates' witnesses and potentials, the strategy sandwich of
-``spectral.reconstruct`` and negative Newton's steps.  ``restrict_min``
-gives tau's one-player game as a Fraction TropMatrix, for cross-checks.
+the parametric game of one instance at many lambda, and each instance has
+one ``ParametricOracle`` that owns them: ``report(lam)`` answers from its
+memo or by a run started from the strategies of the last, so its sigma and
+tau are an optimal pair, not necessarily the pair a cold run returns, and
+``arrays(lam)`` gives the masks and weights of its last run to the rest of
+a solve: the grids times lambda's denominator, as ``spectral.game_at``
+forms them.  On those arrays, ``min_graph`` and ``max_graph`` build the
+one-player graphs against sigma and tau whose longest paths (``trop_core``)
+give ``least_solution_fixed``, the certificates' witnesses and potentials,
+the strategy sandwich of ``spectral.reconstruct`` and negative Newton's
+steps.  ``restrict_min`` gives tau's one-player game as a Fraction
+TropMatrix, for cross-checks.
 """
 
 from __future__ import annotations
@@ -522,29 +522,19 @@ class OracleStats:
 GAME_MEMO_SIZE = 8
 
 
-def _factors_at(lam: Fraction, mult: int) -> tuple:
-    """(d, f, shift) of the parametric game at (lam, mult): d the
-    denominator of mult*lam, f = d*mult and shift = f*lam, an integer.  Its
-    grids are U and V(0) times f, with the last row of V shifted by shift,
-    over the denominator d."""
-    d = lam.denominator // gcd(lam.denominator, mult)
-    f = mult * d
-    return d, f, f * lam.numerator // lam.denominator
-
-
 class ParametricOracle:
     """Policy iteration on the games of one parametric family.
 
-    The family is the games mult*U and mult*V(lam), where V(lam) is V with
-    lam added to the finite entries of its last row: ``spectral.game_at``'s
-    games, asked by (lam, mult) and formed by ``_factors_at`` as integer
-    grids f*U and f*V shifted by an integer on the last row, over a
+    The family is the games U and V(lam), where V(lam) is V with lam added
+    to the finite entries of its last row: ``spectral.game_at``'s games,
+    asked by lam and formed as integer grids d*U and d*V, d the denominator
+    of lam, with lam's numerator added to the last row, over the
     denominator d.  They share their support, so it is validated once, and
     their masks and weights come from ``image``, those of U and V, in each
-    dtype a run asks for.  Each
-    query builds the shifted last row in Python ints and takes the game's
-    exact payment bound from it and the other rows, so a run starts on the
-    dtype a cold run would, and hands the bound to ``_policy_iteration``.
+    dtype a run asks for.  Each query builds the shifted last row in Python
+    ints and takes the game's exact payment bound from it and the other
+    rows, so a run starts on the dtype a cold run would, and hands the
+    bound to ``_policy_iteration``.  ``M`` bounds every |entry| of U and V.
 
     ``report`` keeps the last GAME_MEMO_SIZE answers, since a solve asks
     about the same game more than once (the perturbed game at the optimum
@@ -563,43 +553,45 @@ class ParametricOracle:
 
     def __init__(self, U: tuple, V: tuple, image: tuple):
         self.U, self.V, self.image = U, V, image
-        self._rest = max(abs_max(self.image[2]), abs_max(self.image[3][:-1]))
+        Vw = image[3]
+        self._rest = max(abs_max(image[2]), abs_max(Vw[:-1]))  # all but V's last row
+        self.M = max(self._rest, abs_max(Vw[-1]))
         self.stats = OracleStats()
         self.last = None  # (sigma, tau) a run starts from
-        self.memo = OrderedDict()  # (Fraction lam, mult) -> GameValueReport
+        self.memo = OrderedDict()  # Fraction lam -> GameValueReport
         self._problems = validate_shape(U, V)  # raised by the first query
         self._weights = {}  # dtype -> weights of U and of V's other rows
-        self._built = None  # (key, arrays) of the last game built
+        self._built = None  # (lam, arrays) of the last game built
         self._constraints = None
 
-    def arrays(self, lam, mult: int = 1) -> tuple:
-        """((masks of U and V, weights of f*U and f*V with V's last row
-        shifted), W, d): the game at (lam, mult) as _policy_iteration and
+    def arrays(self, lam) -> tuple:
+        """((masks of U and V, weights of d*U and d*V with V's last row
+        shifted), W, d): the game at lam as _policy_iteration and
         least_solution_fixed read it, W bounding every |payment| + 1 of the
         grids and d their denominator.  The last game built is kept, so right
         after ``report``'s run on it this returns that run's arrays; callers
         treat all arrays as read-only."""
-        key = (Fraction(lam), mult)
-        if self._built is None or self._built[0] != key:
-            self._built = key, self._build(*key)
+        lam = Fraction(lam)
+        if self._built is None or self._built[0] != lam:
+            self._built = lam, self._build(lam)
         return self._built[1]
 
-    def _build(self, lam: Fraction, mult: int) -> tuple:
-        d, f, s = _factors_at(lam, mult)
+    def _build(self, lam: Fraction) -> tuple:
+        d = lam.denominator
         if self._problems:
             raise AssumptionViolated("; ".join(self._problems))
         Um, Vm, Uw, Vw = self.image
-        last = [0 if x is None else f * x + s for x in self.V[-1]]
-        W = 1 + max(f * self._rest, max(abs(x) for x in last))
+        last = [0 if x is None else d * x + lam.numerator for x in self.V[-1]]
+        W = 1 + max(d * self._rest, max(abs(x) for x in last))
         # numpy multiplies int64 weights only by a factor that fits int64
-        dt = _payment_dtype(Um.shape[1], W) if f < 2**62 else object
+        dt = _payment_dtype(Um.shape[1], W) if d < 2**62 else object
         if dt not in self._weights:
             self._weights[dt] = Uw.astype(dt, copy=False), Vw[:-1].astype(dt, copy=False)
         Uw, Vr = self._weights[dt]
         Vw = np.empty(Vm.shape, dtype=dt)
-        np.multiply(Vr, f, out=Vw[:-1])
+        np.multiply(Vr, d, out=Vw[:-1])
         Vw[-1] = last
-        return (Um, Vm, Uw * f if f != 1 else Uw, Vw), W, d
+        return (Um, Vm, Uw * d if d != 1 else Uw, Vw), W, d
 
     def constraints(self) -> tuple:
         """The arrays of the constraint rows U[:-1] and V[:-1], as the game
@@ -608,11 +600,11 @@ class ParametricOracle:
             self._constraints = tuple(x[:-1] for x in self.arrays(0)[0])
         return self._constraints
 
-    def report(self, lam, mult: int = 1) -> GameValueReport:
-        """The exact values and an optimal strategy pair of the game at
-        (lam, mult), from the memo when it holds them.  Raises
-        AssumptionViolated when a row of V or a column of U is all -inf."""
-        key = (Fraction(lam), mult)
+    def report(self, lam) -> GameValueReport:
+        """The exact values and an optimal strategy pair of the game at lam,
+        from the memo when it holds them.  Raises AssumptionViolated when a
+        row of V or a column of U is all -inf."""
+        key = Fraction(lam)
         hit = self.memo.get(key)
         if hit is not None:
             self.memo.move_to_end(key)
@@ -620,7 +612,7 @@ class ParametricOracle:
             if hit.chi[-1] > 0:
                 self.last = hit.sigma.choices, hit.tau.choices
             return hit
-        arrays, W, d = self.arrays(*key)
+        arrays, W, d = self.arrays(key)
         chi, sigma, tau = _policy_iteration(arrays, W, self.last, self.stats)[:3]
         self.last = sigma, tau
         hit = self.memo[key] = _report(chi, d, sigma, tau)

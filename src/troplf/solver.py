@@ -191,13 +191,12 @@ def left_optimal_max_strategy(
 ) -> Union[MaxStrategy, _NoneLeftWinningType]:
     """Max strategy winning at lambda_k - 1/(min(m,n)+2), or NoneLeftWinning.
 
-    Payments are multiplied by min(m,n)+2 to restore integrality before the
-    oracle runs.  A strategy that keeps node n+1 winning just left of
+    The game there has grids times lambda's denominator, min(m,n)+2 at an
+    integer lambda_k.  A strategy that keeps node n+1 winning just left of
     lambda_k is left optimal at lambda_k; when none exists, lambda_k is the
     minimal zero of phi.
     """
-    k2 = H.k_bound + 2
-    rep = H.oracle.report(Fraction(lam) - Fraction(1, k2), k2)
+    rep = H.oracle.report(Fraction(lam) - Fraction(1, H.k_bound + 2))
     if H.n not in rep.winning:
         return NoneLeftWinning
     # The oracle's sigma guarantees exactly the perturbed value at node n+1,
@@ -208,12 +207,12 @@ def left_optimal_max_strategy(
 
 def positive_newton_cap(H: HomogeneousInstance) -> int:
     """Iteration bound for the positive Newton method: 4M(min(m,n)+1)+1."""
-    return int(4 * H.M * (H.k_bound + 1)) + 1
+    return 4 * H.M * (H.k_bound + 1) + 1
 
 
 def bisection_cap(H: HomogeneousInstance) -> int:
     """Oracle-call bound for bisection: ceil(log2(4M(min(m,n)+1)+1))+1."""
-    width = int(4 * H.M * (H.k_bound + 1)) + 1
+    width = 4 * H.M * (H.k_bound + 1) + 1
     return math.ceil(math.log2(width)) + 1 if width > 1 else 1
 
 
@@ -236,17 +235,20 @@ def positive_newton_solve(
 ) -> SolveOutcome:
     """Newton iteration from above: strictly decreasing feasible lambda_k,
     from lam0 or lam_hi.  phi is asked at the start first, and
-    InfeasibleStart raised when it is negative there.  After the prechecks
-    lam_hi is a memo hit, so where phi > 0 there the first run starts from
-    its strategies, not from deep_lambda's."""
+    InfeasibleStart raised when it is negative there.  The trace opens with
+    lam0, and the iteration runs from ceil(lam0): lambda* is an integer and
+    phi nondecreasing, while a rational start just above lambda* has its
+    perturbed game left of lambda*.  After the prechecks lam_hi is a memo
+    hit, so where phi > 0 there the first run starts from its strategies,
+    not from deep_lambda's."""
     _, lam_hi = initial_bounds(H)
     lam = Fraction(lam_hi if lam0 is None else lam0)
     if not phi_nonneg(H, lam)[0]:
         raise InfeasibleStart("lam0 is not feasible: phi(lam0) < 0")
     cap = positive_newton_cap(H)
-    trace = []
-    for k in range(cap + 1):
-        trace.append((k, lam, ">=0"))
+    trace = [(0, lam, ">=0")]
+    lam = Fraction(math.ceil(lam))
+    for k in range(1, cap + 2):
         sigma = left_optimal_max_strategy(H, lam)
         if sigma is NoneLeftWinning:
             return _finish_optimal(H, lam, trace)
@@ -258,6 +260,7 @@ def positive_newton_solve(
         if nxt.value > lam:
             raise AssertionError("positive Newton step failed to decrease")
         lam = nxt.value
+        trace.append((k, lam, ">=0"))
     raise IterationCapExceeded(f"positive Newton exceeded {cap} iterations")
 
 
@@ -272,7 +275,7 @@ def bisection_solve(H: HomogeneousInstance) -> SolveOutcome:
         trace.append((len(trace), Fraction(lam), ">=0" if ok else "<0"))
         return ok
 
-    lam = _least_integer(nonneg, int(lam_lo) - 1, int(lam_hi), hi_holds=True)
+    lam = _least_integer(nonneg, lam_lo - 1, lam_hi, hi_holds=True)
     return _finish_optimal(H, Fraction(lam), trace)
 
 
@@ -284,7 +287,7 @@ def _min_strategy_count(H: HomogeneousInstance) -> int:
 
 
 def _min_zero_phi_tau(
-    H: HomogeneousInstance, tau: MinStrategy, lam_k: Fraction, lam_hi: Fraction
+    H: HomogeneousInstance, tau: MinStrategy, lam_k: Fraction, lam_hi: int
 ) -> Optional[Fraction]:
     """Minimal zero of the convex nondecreasing phi_tau in (lam_k, lam_hi],
     where phi_tau(lam_k) < 0 and both ends are integers.
@@ -307,7 +310,7 @@ def _min_zero_phi_tau(
         graph = max_graph(H.oracle.arrays(lam)[0], tau.choices)
         return means_at_most(*graph, H.n, p, q) is not None
 
-    zero = _least_integer(lambda lam: not at_most(lam, -1, H.n + 2), int(lam_k), int(lam_hi))
+    zero = _least_integer(lambda lam: not at_most(lam, -1, H.n + 2), int(lam_k), lam_hi)
     if zero is None:
         return None
     if not at_most(zero, 0, 1):
@@ -325,7 +328,7 @@ def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:
     _, lam_hi = initial_bounds(H)
     lam = Fraction(deep_lambda(H))
     k1 = H.k_bound + 1
-    cap = min(_min_strategy_count(H), int(4 * H.M * k1) * k1 * k1 + k1 + 4)
+    cap = min(_min_strategy_count(H), 4 * H.M * k1 * k1 * k1 + k1 + 4)
     trace = []
     for k in range(cap + 1):
         ok, _sigma, tau = phi_nonneg(H, lam)

@@ -8,20 +8,19 @@ mean payoff game with payment matrices U = [[C],[u]] and V(lambda) =
 [[D],[lambda + v]].
 
 Every game the algorithms, the certificate checks and the command line ask
-about is this one game at some lambda, often with its payments multiplied by
-an integer k.  An ``LfpInstance`` therefore holds nothing but U and V(0),
-scaled to integer grids (None for -inf) when it is built; ``homogenize``
-converts them once to numpy, their image, with their bound M and the
-instance's one ``ParametricOracle`` on that image, and
-``game_at`` forms the game at (lambda, k) from them: a MeanPayoffGame whose
-grids are both grids times d*k, where d is the denominator of k*lambda,
-with the objective row shifted by d*k*lambda (``game_engine._factors_at``).
-``H.oracle.report(lambda, k)`` solves that game without building it, from
-the oracle's memo or by policy iteration warm started from the strategies
-of the instance's last query (a memo hit counts where phi > 0), so a
-report's sigma and tau are an optimal pair, not necessarily the pair a cold
-``value_report`` returns; ``H.oracle.arrays(lambda, k)`` gives its masks
-and weights to the strategy graphs.
+about is this one game at some lambda.  An ``LfpInstance`` therefore holds
+nothing but U and V(0), scaled to integer grids (None for -inf) when it is
+built; ``homogenize`` converts them once to numpy, their image, with the
+instance's one ``ParametricOracle`` on that image and their bound M, and
+``game_at`` forms the game at lambda from them: a MeanPayoffGame whose
+grids are U and V(0) times d, the denominator of lambda, with lambda's
+numerator added to the objective row, over the denominator d.
+``H.oracle.report(lambda)`` solves that game without building it, from the
+oracle's memo or by policy iteration warm started from the strategies of
+the instance's last query (a memo hit counts where phi > 0), so a report's
+sigma and tau are an optimal pair, not necessarily the pair a cold
+``value_report`` returns; ``H.oracle.arrays(lambda)`` gives its masks and
+weights to the strategy graphs.
 
 phi is piecewise affine, and its breakpoints, like those of each partial
 function phi_tau, are rationals with denominator <= min(m,n)+1;
@@ -46,9 +45,7 @@ from .game_engine import (
     MeanPayoffGame,
     MinStrategy,
     ParametricOracle,
-    _factors_at,
     _policy_iteration,
-    abs_max,
     grid_arrays,
     integer_grids,
     max_graph,
@@ -128,23 +125,25 @@ class HomogeneousInstance:
     D=[B,d], u=[p,r], v=[q,s].
 
     All finite entries are integers after multiplying by ``scale`` (the lcm of
-    the original denominators); M bounds their absolute values.  The minimal
-    zero of the scaled spectral function is ``scale`` times the original one.
-    U and V are integer grids with None for -inf, so C, D, u and v are
-    ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``image`` is their masks
-    and weights (``game_engine.grid_arrays``), and ``oracle``, built on it,
-    owns the instance's games: it answers by (lambda, k) and keeps the memo.
+    the original denominators); M, an int, bounds their absolute values.  The
+    minimal zero of the scaled spectral function is ``scale`` times the
+    original one.  U and V are integer grids with None for -inf, so C, D, u
+    and v are ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``image`` is
+    their masks and weights (``game_engine.grid_arrays``), and ``oracle``,
+    built on it, owns the instance's games: it answers by lambda, keeps the
+    memo and gives M.
     """
 
     U: tuple
     V: tuple
-    M: Fraction
     scale: int
     image: tuple = field(repr=False, compare=False)
+    M: int = field(init=False)
     oracle: ParametricOracle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "oracle", ParametricOracle(self.U, self.V, self.image))
+        object.__setattr__(self, "M", self.oracle.M)
 
     @property
     def m(self) -> int:
@@ -161,26 +160,25 @@ class HomogeneousInstance:
 
 
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
-    """The instance's grids U and V(0), their image, bound M and oracle."""
+    """The instance's grids U and V(0), their image, oracle and bound M."""
     (Um, Uw), (Vm, Vw) = grid_arrays(inst.U), grid_arrays(inst.V)
-    M = max(abs_max(Uw), abs_max(Vw))
-    return HomogeneousInstance(inst.U, inst.V, Fraction(M), inst.scale, (Um, Vm, Uw, Vw))
+    return HomogeneousInstance(inst.U, inst.V, inst.scale, (Um, Vm, Uw, Vw))
 
 
-def game_at(H: HomogeneousInstance, lam: Rational, mult: int = 1) -> MeanPayoffGame:
-    """The game with payments mult*U and mult*V(lam), V(lam) = [[D],[lam+v]].
+def game_at(H: HomogeneousInstance, lam: Rational) -> MeanPayoffGame:
+    """The game with payments U and V(lam), V(lam) = [[D],[lam+v]].
 
-    Its grids are U and V(0) times f = d*mult, d the denominator of mult*lam,
-    with the objective row shifted by f*lam; its denominator is d.  Values
-    are mult times those of the game at lam; strategies and winning sets are
-    the same.  Raises AssumptionViolated when v is all -inf.
+    Its grids are U and V(0) times d, the denominator of lam, with lam's
+    numerator added to the finite entries of the objective row; its
+    denominator is d.  Raises AssumptionViolated when v is all -inf.
     """
-    d, f, shift = _factors_at(Fraction(lam), mult)
-    last = tuple(None if x is None else f * x + shift for x in H.V[-1])
-    if f == 1:
+    lam = Fraction(lam)
+    d = lam.denominator
+    last = tuple(None if x is None else d * x + lam.numerator for x in H.V[-1])
+    if d == 1:
         return MeanPayoffGame(H.U, H.V[:-1] + (last,), d)
-    a = tuple(tuple(None if x is None else f * x for x in row) for row in H.U)
-    b = tuple(tuple(None if x is None else f * x for x in row) for row in H.V[:-1])
+    a = tuple(tuple(None if x is None else d * x for x in row) for row in H.U)
+    b = tuple(tuple(None if x is None else d * x for x in row) for row in H.V[:-1])
     return MeanPayoffGame(a, b + (last,), d)
 
 

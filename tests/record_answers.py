@@ -36,6 +36,13 @@ criteria's own generators in ``test_acceptance``:
   programs up to 3 x 3 with entries in {0, -inf} (M = 0, so an Optimal
   lambda* is the lower bound 0), then the programs with no constraint rows
   (``test_cli_io.NO_ROWS_DOCS``), all methods;
+* ``newton-lam0``: examples 1-3 (indices ``example1`` to ``example3``) and
+  the criterion-6 instances plain Newton solves as Optimal (indices
+  ``criterion-6/i``), by Newton from two rational starts above plain
+  Newton's lambda*, in the scaled units the solver iterates in: lambda* +
+  1/(min(m,n)+3), closer than the 1/(min(m,n)+2) of the left-optimal
+  strategy's perturbed game, and lambda* + 1/2; the record's method names
+  its start;
 * ``reconstruct-examples`` and ``reconstruct-criterion-7``: the pieces of
   the spectral function of examples 1-3 and of criterion 7's 50 instances;
 * ``reconstruct-spectral-small``: the pieces of the 320 instances of the
@@ -63,12 +70,19 @@ import random
 import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 METHODS = ("newton", "bisection", "negative-newton")
+# newton-lam0's starts, by method name: each start's offset from lambda*
+# (scaled), given min(m,n).
+LAM0_OFFSETS = {
+    "newton from lambda*+1/(min(m,n)+3)": lambda k: Fraction(1, k + 3),
+    "newton from lambda*+1/2": lambda k: Fraction(1, 2),
+}
 # The optional potential vectors of the certificate documents.
 POTENTIAL_KEYS = ("potentials", "strict_potentials", "through_potentials", "negated_potentials")
 
@@ -112,6 +126,10 @@ def _families():
                for i in range(200)]
     zeros = zero_entries_instances() + [doc for doc, _optimum in NO_ROWS_DOCS]
     solves += [("zero-entries", i, inst, METHODS) for i, inst in enumerate(zeros)]
+    solves += [("newton-lam0", f"example{k}", doc, tuple(LAM0_OFFSETS))
+               for k, doc in enumerate(examples, 1)]
+    solves += [("newton-lam0", f"criterion-6/{i}", inst, tuple(LAM0_OFFSETS))
+               for i, inst in enumerate(criterion_6_instances())]
     rebuilds = [("reconstruct-examples", k, doc) for k, doc in enumerate(examples, 1)]
     rebuilds += [("reconstruct-criterion-7", i, inst)
                  for i, inst in enumerate(criterion_7_instances())]
@@ -138,7 +156,15 @@ def record(path: str) -> None:
             for method in methods:
                 try:
                     inst = _instance(source)
-                    res = solve(inst, method=method)
+                    if method in LAM0_OFFSETS:
+                        plain = solve(inst, method="newton")
+                        if plain.status != "Optimal":
+                            continue  # newton-lam0 starts above an optimum only
+                        k = min(inst.m, inst.n)
+                        lam0 = plain.lam + LAM0_OFFSETS[method](k) / inst.scale
+                        res = solve(inst, method="newton", lam0=lam0)
+                    else:
+                        res = solve(inst, method=method)
                 except Exception as exc:  # recorded as the status, so compare shows it
                     out.write(json.dumps({
                         "family": family, "index": index, "method": method,

@@ -399,9 +399,9 @@ def test_a_check_without_potentials_builds_its_graphs_once(example2, monkeypatch
     calls = []
     original = ParametricOracle.arrays
 
-    def counted(oracle, lam, mult=1):
+    def counted(oracle, lam):
         calls.append(lam)
-        return original(oracle, lam, mult)
+        return original(oracle, lam)
 
     monkeypatch.setattr(ParametricOracle, "arrays", counted)
     H = homogenize(example2)

@@ -290,6 +290,10 @@ def test_solve_takes_a_negative_rational_lambda0(capsys):
     code, out, _ = run(capsys, "solve", EX1, "--lambda0", "-7/2")
     assert code == 0 and "optimal 5" in out
     assert out.splitlines()[0] == "iteration 0: lambda = -7/2 (phi >=0)"
+    # 1/5 from the optimum, closer than the 1/4 of the left-optimal strategy's game
+    code, out, _ = run(capsys, "solve", EX1, "--lambda0", "24/5")
+    assert code == 0 and "optimal 5" in out
+    assert out.splitlines()[0] == "iteration 0: lambda = 24/5 (phi >=0)"
 
 
 def test_lambda0_only_with_newton(capsys):

@@ -210,9 +210,11 @@ def test_value_report_consistency():
 
 @pytest.mark.parametrize("shift", [20, 57, 58, 70])
 def test_scaled_payments_scale_values_exactly(shift):
-    """Values scale with the payments, past the int64 range and without drift.
-    At shift 57 two games start on int64 and one of them moves to Python
-    ints during its run; the others, and all at 58 and 70, start on them."""
+    """Values scale with the payments, past the int64 range and without drift,
+    and policy iteration takes the same rounds to the same strategies on
+    both games.  At shift 57 two games start on int64 and one of them moves
+    to Python ints during its run; the others, and all at 58 and 70, start
+    on them."""
     rng = random.Random(3)
     factor = 2**shift
     for _ in range(30):
@@ -221,6 +223,8 @@ def test_scaled_payments_scale_values_exactly(shift):
         big = ge.scaled_copy(g, factor)
         rep = value_report(big)
         assert rep.chi == tuple(factor * c for c in base)
+        small, large = (ge._policy_iteration(*ge._game_arrays(x.a, x.b))[1:4] for x in (g, big))
+        assert small == large  # sigma, tau and rounds
         chi_sigma = cycle_time_vector(restrict_max(big, rep.sigma), "min")
         chi_tau = cycle_time_vector(restrict_min(big, rep.tau), "max")
         assert chi_sigma == chi_tau == tuple(fin(c) for c in rep.chi)

@@ -37,6 +37,7 @@ from troplf import (
 from troplf import certify, game_engine, solver, spectral
 from troplf.game_engine import ParametricOracle, _game_arrays, least_solution_fixed
 from troplf.solver import (
+    InfeasibleStart,
     _min_zero_phi_tau,
     bisection_cap,
     bisection_solve,
@@ -482,6 +483,23 @@ def test_solve_rejects_infeasible_lambda0(example2):
         solve(example2, method="newton", lam0=-1)
 
 
+def test_newton_from_a_rational_start_just_above_the_optimum(example1, example2, example3):
+    """Newton reaches lambda* from lam0 = lambda* + 1/5, + 1/8 and + 1/2,
+    with a certificate the check accepts, though the game just left of
+    lam0, at lam0 - 1/(min(m,n)+2) (1/4 on examples 1 and 2, 1/5 on example
+    3), lies left of lambda* for + 1/8 and, on examples 1 and 2, for + 1/5.
+    lambda* - 1/5 raises InfeasibleStart."""
+    for inst in (example1, example2, example3):
+        lam = solve(inst).lam
+        H = homogenize(inst)
+        for offset in (Fraction(1, 5), Fraction(1, 8), Fraction(1, 2)):
+            out = solve(inst, lam0=lam + offset)
+            assert (out.status, out.lam, out.trace[0][1]) == ("Optimal", lam, lam + offset)
+            assert check_optimality(H, out.certificate)
+        with pytest.raises(InfeasibleStart):
+            solve(inst, lam0=lam - Fraction(1, 5))
+
+
 def test_solve_checks_its_arguments_before_the_prechecks(example2, monkeypatch):
     """An unknown method, or a lam0 for a method other than newton, raises
     before the instance is homogenized: on an infeasible instance too, and
@@ -565,9 +583,9 @@ def test_a_newton_solve_builds_each_game_once(example2, monkeypatch):
     builds = []
     build = ParametricOracle._build
 
-    def counted(self, lam, mult):
-        builds.append((lam, mult))
-        return build(self, lam, mult)
+    def counted(self, lam):
+        builds.append(lam)
+        return build(self, lam)
 
     monkeypatch.setattr(ParametricOracle, "_build", counted)
     out = solve(example2)

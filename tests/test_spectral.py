@@ -157,8 +157,10 @@ def assert_warm_report(g: MeanPayoffGame, warm, cold) -> None:
 
 @pytest.mark.parametrize("big", [1, 2**70])
 def test_game_at_matches_the_fraction_reference(big):
-    """game_at(H, lam, k) has the integer payments of the Fraction game at lam
-    times k, and the same values and strategies.  The oracle's first query
+    """game_at(H, lam) has the integer payments of the Fraction game at lam,
+    at lam and just left of it, at lam - 1/(min(m,n)+2).  At an integer lam
+    the grids there are those of that game's payments times min(m,n)+2, and
+    so are its values, with the same strategies.  The oracle's first query
     on an instance is a cold run; later ones are warm started and give the
     same values with an optimal strategy pair."""
     rng = random.Random(17)
@@ -174,20 +176,23 @@ def test_game_at_matches_the_fraction_reference(big):
         lams = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-30, 30), rng.randint(2, k2)))
         first = True
         for lam in lams:
-            ref = _reference_game(inst, H.scale, lam)
-            for k in (1, k2):
-                scaled = scaled_copy(ref, k)
-                g = game_at(H, lam, k)
-                assert (g.a, g.b, g.d) == (scaled.a, scaled.b, scaled.d)
+            for mu in (lam, lam - Fraction(1, k2)):
+                ref = _reference_game(inst, H.scale, mu)
+                g = game_at(H, mu)
+                assert (g.a, g.b, g.d) == (ref.a, ref.b, ref.d)
                 widest = max([widest] + [abs(x) for row in g.a + g.b for x in row if x is not None])
                 rep = value_report(g)
-                assert rep == value_report(scaled)
                 if first:
-                    assert rep == H.oracle.report(lam, k)
+                    assert rep == H.oracle.report(mu)
                     first = False
                 else:
-                    assert_warm_report(g, H.oracle.report(lam, k), rep)
-                assert rep.chi == tuple(k * c for c in value_report(ref).chi)
+                    assert_warm_report(g, H.oracle.report(mu), rep)
+                if mu != lam and lam.denominator == 1:
+                    scaled = scaled_copy(ref, k2)
+                    assert (scaled.a, scaled.b, scaled.d) == (g.a, g.b, 1)
+                    times = value_report(scaled)
+                    assert (times.sigma, times.tau, times.winning) == (rep.sigma, rep.tau, rep.winning)
+                    assert times.chi == tuple(k2 * c for c in rep.chi)
         checked += 1
         bigint += H.oracle.stats.bigint_runs
     assert rational >= 10
@@ -222,9 +227,10 @@ def _draw_instance(draw, m, n, finite):
 @st.composite
 def query_sequences(draw):
     """An instance up to 3 x 3 with -inf and rational entries, some of them
-    past 2**63 in half the draws, and a few (lambda, k) queries on its
+    past 2**63 in half the draws, and a few lambda queries on its
     parametric game, drawn from a pool of at most four, so that queries
-    repeat and the oracle's memo answers some of them."""
+    repeat and the oracle's memo answers some of them: an integer or a
+    rational lambda, or an integer minus 1/(min(m,n)+2), as Newton asks."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     bigs = draw(st.sampled_from(((1,), (1, 2**64))))
     big = bigs[-1]
@@ -236,11 +242,12 @@ def query_sequences(draw):
     inst = _draw_instance(draw, m, n, finite)
     k2 = min(m, n) + 2
     pool = draw(st.lists(
-        st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(1, k2), st.sampled_from((1, k2))),
+        st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(1, k2), st.booleans()),
         min_size=1, max_size=4,
     ))
     order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
-    lams = [(Fraction(big * x + y, den), k) for x, y, den, k in (pool[i] for i in order)]
+    lams = [Fraction(big * x + y) - Fraction(1, k2) if left else Fraction(big * x + y, den)
+            for x, y, den, left in (pool[i] for i in order)]
     return inst, lams
 
 
@@ -293,9 +300,9 @@ def test_warm_started_reports_match_cold_runs(case):
     query, has a cold value_report's values and an optimal strategy pair."""
     inst, queries = case
     H = homogenize(inst)
-    for lam, k in queries:
-        g = game_at(H, lam, k)
-        assert_warm_report(g, H.oracle.report(lam, k), value_report(g))
+    for lam in queries:
+        g = game_at(H, lam)
+        assert_warm_report(g, H.oracle.report(lam), value_report(g))
     assert H.oracle.stats.runs == len(set(queries))
 
 
@@ -304,8 +311,8 @@ def test_game_report_with_a_factor_past_int64():
     int64, although the payments themselves stay small."""
     H = homogenize(make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[0], q=[0], r=0, s=0))
     for lam in (Fraction(0), Fraction(1, 10**30), Fraction(-3, 10**30 + 1)):
-        g = game_at(H, lam, 3)
-        assert_warm_report(g, H.oracle.report(lam, 3), value_report(g))
+        g = game_at(H, lam)
+        assert_warm_report(g, H.oracle.report(lam), value_report(g))
 
 
 def test_objective_row_past_int64_with_small_other_entries():
@@ -319,9 +326,9 @@ def test_objective_row_past_int64_with_small_other_entries():
     lam = out.lam * H.scale
     g = game_at(H, lam)
     assert H.oracle.report(lam) == value_report(g)
-    for other in (Fraction(0), Fraction(-(2**70) + 1, 3), lam - 1):
-        h = game_at(H, other, 2)
-        assert_warm_report(h, H.oracle.report(other, 2), value_report(h))
+    for other in (Fraction(0), Fraction(-(2**70) + 1, 3), lam - 1, lam - Fraction(1, 3)):
+        h = game_at(H, other)
+        assert_warm_report(h, H.oracle.report(other), value_report(h))
 
 
 def test_game_at_without_denominator_row():
@@ -333,12 +340,12 @@ def test_game_at_without_denominator_row():
     for lam in (Fraction(5, 3), Fraction(4)):
         with pytest.raises(AssumptionViolated, match="row 1 of B") as reference:
             _reference_game(inst, H.scale, lam)
-        for k in (1, H.k_bound + 2):
+        for mu in (lam, lam - Fraction(1, H.k_bound + 2)):
             with pytest.raises(AssumptionViolated) as built:
-                game_at(H, lam, k)
+                game_at(H, mu)
             assert str(built.value) == str(reference.value)
             with pytest.raises(AssumptionViolated):
-                H.oracle.report(lam, k)
+                H.oracle.report(mu)
         with pytest.raises(AssumptionViolated):
             phi_tau(H, MinStrategy((0, 0, 0)), lam)
         with pytest.raises(AssumptionViolated):
