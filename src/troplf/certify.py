@@ -21,9 +21,11 @@ integer potentials z, -inf off the nodes that node n+1 reaches, with
 z_{n+1} finite and z_v >= z_u + w on every arc that leaves a node of finite
 z: ``potentials`` and ``strict_potentials``, ``through_potentials`` and
 ``negated_potentials``.  The potentials issued are the least ones, longest
-paths on the same graphs built from the oracle's arrays
+paths on the same graphs built from the instance's arrays
 (``trop_core.means_at_most``), and a certificate without them gets them the
 same way; the witness is ``least_solution_fixed`` at lambda* on those arrays.
+What a certificate without them or without a witness needs, a check builds
+and solves on a spare instance, so the instance's state stays as it was.
 
 The check trusts no solver code (McConnell, Mehlhorn, Naeher & Schweitzer,
 "Certifying algorithms", 2011).  It reads the instance's grids, or their
@@ -160,7 +162,7 @@ def _unboundedness_bundles(g, sigma: tuple, m: int, through: bool) -> list:
 
 def _optimality_graphs(arrays, tau: tuple, m: int) -> tuple:
     """The graphs of _optimality_bundles as (weights, mask, p, q) of the
-    oracle's arrays, their cycle means to be at most p/q: Max's against tau,
+    instance's arrays, their cycle means to be at most p/q: Max's against tau,
     at most 0, and without the columns tau routes to row m, at most
     -1/(N+1) for N Min nodes (reweighted to (N+1)w + 1, as the bundles
     read them)."""
@@ -244,12 +246,17 @@ def check_optimality(H: HomogeneousInstance, cert: OptimalityCertificate) -> Che
     return _check_optimality_loops(H, cert)
 
 
+def _spare(H: HomogeneousInstance) -> HomogeneousInstance:
+    """A new instance on H's grids and image, which converts nothing."""
+    return HomogeneousInstance(H.U, H.V, H.scale, H.image)
+
+
 def _witness_reason(H: HomogeneousInstance, cert: OptimalityCertificate, lam_s, satisfied) -> str:
     """Why the witness (phi(lambda*) >= 0 without one) fails; ``satisfied()``
     tests U y <= V(lambda*) y on a well-formed witness."""
     y = cert.witness
     if y is None:
-        return "" if phi_nonneg(H, lam_s)[0] else "phi(lambda*) < 0"
+        return "" if phi_nonneg(_spare(H), lam_s)[0] else "phi(lambda*) < 0"
     if len(y) != H.n + 1:
         return "witness has the wrong length"
     if not y[H.n].is_finite:
@@ -259,13 +266,13 @@ def _witness_reason(H: HomogeneousInstance, cert: OptimalityCertificate, lam_s, 
 
 def _check_optimality_loops(H: HomogeneousInstance, cert: OptimalityCertificate) -> CheckResult:
     """check_optimality by loops over the grids of game_at(H, lambda*);
-    potentials it lacks come from longest paths on the oracle's arrays."""
+    potentials it lacks come from longest paths on a spare's arrays."""
     lam_s = Fraction(cert.lam) * H.scale
     g = game_at(H, lam_s)
     cert.tau.check(g)
     tau, m, n = cert.tau.choices, H.m, H.n
     missing = None in (cert.potentials, cert.strict_potentials)
-    graphs = _optimality_graphs(H.oracle.arrays(lam_s)[0], tau, m) if missing else (None, None)
+    graphs = _optimality_graphs(_spare(H).arrays(lam_s)[0], tau, m) if missing else (None, None)
     reason = _cycle_condition(
         cert.potentials, _optimality_bundles(g, tau, m, False), graphs[0], n,
         "potentials", POSITIVE,
@@ -336,7 +343,7 @@ def check_unboundedness(H: HomogeneousInstance, cert: UnboundednessCertificate) 
     cert.sigma.check(g)
     sigma, m, n = cert.sigma.choices, H.m, H.n
     missing = None in (cert.through_potentials, cert.negated_potentials)
-    graphs = _unboundedness_graphs(H.oracle.arrays(0)[0], sigma, m) if missing else (None, None)
+    graphs = _unboundedness_graphs(_spare(H).arrays(0)[0], sigma, m) if missing else (None, None)
     reason = _cycle_condition(
         cert.through_potentials, _unboundedness_bundles(g, sigma, m, True), graphs[0],
         n, "through_potentials", THROUGH_ROW,
@@ -353,18 +360,18 @@ def make_optimality_certificate(H: HomogeneousInstance, lam_scaled: Fraction) ->
     tau comes from the oracle on the perturbed game at lambda* -
     1/(min(m,n)+2), where node n+1 loses; the witness from the least
     solution on the integer game at lambda*, and the potentials from
-    longest paths on tau's graph at lambda*, both on the oracle's arrays.
+    longest paths on tau's graph at lambda*, both on the instance's arrays.
     """
     lam_scaled = Fraction(lam_scaled)
-    rep = H.oracle.report(lam_scaled - Fraction(1, H.k_bound + 2))
+    rep = H.report(lam_scaled - Fraction(1, H.k_bound + 2))
     if H.n in rep.winning:
         raise CertificateSynthesisFailed(
             "node n+1 still wins below lambda*: the value is not the minimal zero"
         )
-    at_opt = H.oracle.report(lam_scaled)
+    at_opt = H.report(lam_scaled)
     if H.n not in at_opt.winning:
         raise CertificateSynthesisFailed("no feasible witness at lambda*")
-    arrays, _W, d = H.oracle.arrays(lam_scaled)
+    arrays, _W, d = H.arrays(lam_scaled)
     y = least_solution_fixed(arrays, at_opt.sigma, H.n)
     den = d * H.scale
     witness = tuple(NEG_INF if v is None else ExtendedNumber(0, Fraction(v, den)) for v in y)
@@ -389,10 +396,10 @@ def make_unboundedness_certificate(H: HomogeneousInstance) -> UnboundednessCerti
     which certify at lambda = 0.  The prechecks solved that game already.
     The potentials come from longest paths on sigma's graph at lambda = 0.
     """
-    rep = H.oracle.report(deep_lambda(H))
+    rep = H.report(deep_lambda(H))
     if H.n not in rep.winning:
         raise CertificateSynthesisFailed("no certifying Max strategy was found")
-    graphs = _unboundedness_graphs(H.oracle.arrays(0)[0], rep.sigma.choices, H.m)
+    graphs = _unboundedness_graphs(H.arrays(0)[0], rep.sigma.choices, H.m)
     z = [means_at_most(w, mask, H.n, p, q) for w, mask, p, q in graphs]
     cert = UnboundednessCertificate(rep.sigma, *z)
     return _validated(check_unboundedness(H, cert), cert)

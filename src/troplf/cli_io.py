@@ -421,7 +421,7 @@ def cmd_game_value(args, out: TextIO) -> int:
     if not (1 <= node <= H.n + 1):
         print(f"error: node must be in 1..{H.n + 1}", file=sys.stderr)
         return 1
-    chi = H.oracle.report(Fraction(args.lam) * H.scale).chi[node - 1]
+    chi = H.report(Fraction(args.lam) * H.scale).chi[node - 1]
     print(format_rational(chi / H.scale), file=out)
     return 0
 
@@ -465,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-out", default=None)
     p.add_argument(
         "--stats", action="store_true",
-        help="print the parametric oracle's work (runs, memo_hits, rounds, bigint_runs) "
-        "as one JSON line on stderr",
+        help="print the parametric game's work (runs, memo_hits, rounds, ranked_rounds, "
+        "bigint_runs) as one JSON line on stderr",
     )
     p.set_defaults(func=cmd_solve)
 

@@ -32,10 +32,10 @@ moves by rank only when it found two or more.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
-the parametric game of one instance at many lambda, and each instance has
-one ``ParametricOracle`` that owns them: ``report(lam)`` answers from its
-memo or by a run started from the strategies of the last, so its sigma and
-tau are an optimal pair, not necessarily the pair a cold run returns, and
+the parametric game of one ``HomogeneousInstance`` at many lambda, and the
+instance owns them: ``report(lam)`` answers from its memo or by a run
+started from the strategies of the last, so its sigma and tau are an
+optimal pair, not necessarily the pair a cold run returns, and
 ``arrays(lam)`` gives the masks and weights of its last run to the rest of
 a solve: the grids times lambda's denominator, as ``spectral.game_at``
 forms them.  On those arrays, ``min_graph`` and ``max_graph`` build the
@@ -509,32 +509,42 @@ def game_value(game: MeanPayoffGame, j: int) -> Fraction:
 
 @dataclass
 class OracleStats:
-    """The work of one instance's parametric oracle."""
+    """The policy-iteration work of one instance's parametric game."""
 
     runs: int = 0  # policy-iteration runs
-    memo_hits: int = 0  # queries answered by the oracle's memo of solved games
+    memo_hits: int = 0  # queries answered by the instance's memo of solved games
     rounds: int = 0  # improvement rounds over all runs
     ranked_rounds: int = 0  # rounds whose evaluation found more than one cycle mean
     bigint_runs: int = 0  # runs that ended on Python ints (object arrays)
 
 
-# Solved games kept in a ParametricOracle's memo.
+# Solved games kept in an instance's memo.
 GAME_MEMO_SIZE = 8
 
 
-class ParametricOracle:
-    """Policy iteration on the games of one parametric family.
+class HomogeneousInstance:
+    """A program's scaled homogeneous form, and policy iteration on its
+    parametric game.
 
-    The family is the games U and V(lam), where V(lam) is V with lam added
+    U = [[C],[u]] and V = [[D],[v]] with C=[A,c], D=[B,d], u=[p,r], v=[q,s]
+    are integer grids with None for -inf, so C, D, u and v are ``U[:-1]``,
+    ``V[:-1]``, ``U[-1]`` and ``V[-1]``, of m + 1 rows and n + 1 columns.
+    All finite entries are integers after multiplying by ``scale`` (the lcm
+    of the original denominators), and the minimal zero of the scaled
+    spectral function is ``scale`` times the original one.  ``image`` is
+    their masks and weights (``grid_arrays``), and ``M``, an int, bounds
+    every |entry|.
+
+    The parametric game is U and V(lam), where V(lam) is V with lam added
     to the finite entries of its last row: ``spectral.game_at``'s games,
     asked by lam and formed as integer grids d*U and d*V, d the denominator
     of lam, with lam's numerator added to the last row, over the
     denominator d.  They share their support, so it is validated once, and
-    their masks and weights come from ``image``, those of U and V, in each
-    dtype a run asks for.  Each query builds the shifted last row in Python
-    ints and takes the game's exact payment bound from it and the other
-    rows, so a run starts on the dtype a cold run would, and hands the
-    bound to ``_policy_iteration``.  ``M`` bounds every |entry| of U and V.
+    their masks and weights come from ``image`` in each dtype a run asks
+    for.  Each query builds the shifted last row in Python ints and takes
+    the game's exact payment bound from it and the other rows, so a run
+    starts on the dtype a cold run would, and hands the bound to
+    ``_policy_iteration``.
 
     ``report`` keeps the last GAME_MEMO_SIZE answers, since a solve asks
     about the same game more than once (the perturbed game at the optimum
@@ -551,8 +561,10 @@ class ParametricOracle:
     ints, and the memo hits.
     """
 
-    def __init__(self, U: tuple, V: tuple, image: tuple):
-        self.U, self.V, self.image = U, V, image
+    def __init__(self, U: tuple, V: tuple, scale: int, image: tuple):
+        self.U, self.V, self.scale, self.image = U, V, scale, image
+        self.m, self.n = len(U) - 1, len(U[0]) - 1
+        self.k_bound = min(self.m, self.n)  # the turn-count bound in denominators and caps
         Vw = image[3]
         self._rest = max(abs_max(image[2]), abs_max(Vw[:-1]))  # all but V's last row
         self.M = max(self._rest, abs_max(Vw[-1]))

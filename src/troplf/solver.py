@@ -20,7 +20,6 @@ from .game_engine import (
     MaxStrategy,
     MinStrategy,
     OracleStats,
-    ParametricOracle,
     max_graph,
 )
 from .spectral import (
@@ -67,9 +66,9 @@ class SolveOutcome:
 
     The trace lists (iteration, lambda_k, phi sign) triples in the scaled
     units the algorithms iterate in.  ``solve`` adds ``stats``, the work of
-    the instance's parametric oracle (runs, memo hits, policy-iteration
-    rounds, runs that ended on Python ints); it is not part of the answer,
-    so outcomes compare without it.
+    the instance's parametric game (runs, memo hits, policy-iteration
+    rounds and ranked rounds, runs that ended on Python ints); it is not
+    part of the answer, so outcomes compare without it.
     """
 
     status: str  # "Optimal" | "Unbounded" | "Infeasible"
@@ -113,8 +112,8 @@ def homogeneous_solution_with_zeros(H: HomogeneousInstance) -> Optional[tuple]:
     generator.  Its game decides that at deep_lambda, whose optimal sigma
     wins at every lambda, so the least solution against sigma, which does
     not depend on lambda, has u y <= lambda for all lambda.  That program has
-    H's U, M, m and n, so its oracle asks at deep_lambda(H), works on H's
-    image with v's row replaced, and H's stats book the run.
+    H's U, M, m and n, so its instance is asked at deep_lambda(H), is built
+    on H's image with v's row replaced, and H's stats book the run.
     """
     from .game_engine import least_solution_fixed
 
@@ -123,12 +122,12 @@ def homogeneous_solution_with_zeros(H: HomogeneousInstance) -> Optional[tuple]:
     Um, Vm, Uw, Vw = H.image
     Vm, Vw = Vm.copy(), Vw.copy()
     Vm[-1], Vw[-1] = [j == n for j in range(n + 1)], 0  # e's mask and weights
-    oracle = ParametricOracle(H.U, H.V[:-1] + (e,), (Um, Vm, Uw, Vw))
-    oracle.stats = H.oracle.stats
-    rep = oracle.report(deep_lambda(H))
+    He = HomogeneousInstance(H.U, H.V[:-1] + (e,), H.scale, (Um, Vm, Uw, Vw))
+    He.stats = H.stats
+    rep = He.report(deep_lambda(H))
     if n not in rep.winning:
         return None
-    y = least_solution_fixed(oracle.constraints(), MaxStrategy(rep.sigma.choices[:m]), n)
+    y = least_solution_fixed(He.constraints(), MaxStrategy(rep.sigma.choices[:m]), n)
     if any(u is not None and yj is not None for u, yj in zip(H.U[m], y)):
         raise InternalCertificateMismatch("the point of an unbounded program has u y > -inf")
     return y
@@ -166,7 +165,7 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
 
     With l = sigma(m+1) and y_l pinned to 0, the least solution y of
     C y <= D^sigma y (longest paths on Min's graph against sigma, the rows
-    sigma sends to l verified afterwards, on the oracle's arrays of C and D)
+    sigma sends to l verified afterwards, on the instance's arrays of C and D)
     gives lambda_next = (u y) - v_l, or -inf when u y is -inf.
     """
     from .game_engine import least_solution_fixed
@@ -177,7 +176,7 @@ def newton_step(H: HomogeneousInstance, sigma: MaxStrategy) -> ExtendedNumber:
     vl = H.V[H.m][l]
     if vl is None:
         raise ValueError("sigma routes the objective row to a -inf column")
-    y = least_solution_fixed(H.oracle.constraints(), MaxStrategy(sigma.choices[: H.m]), l)
+    y = least_solution_fixed(H.constraints(), MaxStrategy(sigma.choices[: H.m]), l)
     uy = max(
         (u + yj for u, yj in zip(H.U[H.m], y) if u is not None and yj is not None), default=None
     )
@@ -196,7 +195,7 @@ def left_optimal_max_strategy(
     lambda_k is left optimal at lambda_k; when none exists, lambda_k is the
     minimal zero of phi.
     """
-    rep = H.oracle.report(Fraction(lam) - Fraction(1, H.k_bound + 2))
+    rep = H.report(Fraction(lam) - Fraction(1, H.k_bound + 2))
     if H.n not in rep.winning:
         return NoneLeftWinning
     # The oracle's sigma guarantees exactly the perturbed value at node n+1,
@@ -253,12 +252,10 @@ def positive_newton_solve(
         if sigma is NoneLeftWinning:
             return _finish_optimal(H, lam, trace)
         nxt = newton_step(H, sigma)
-        if not nxt.is_finite:
+        # sigma wins left of lam, so the minimal zero of phi^sigma lies below
+        # lam, unless sigma wins without row m+1 and so at every lambda.
+        if not nxt.is_finite or nxt.value >= lam:
             return _finish_unbounded(H, trace)
-        if nxt.value == lam:
-            return _finish_optimal(H, lam, trace)
-        if nxt.value > lam:
-            raise AssertionError("positive Newton step failed to decrease")
         lam = nxt.value
         trace.append((k, lam, ">=0"))
     raise IterationCapExceeded(f"positive Newton exceeded {cap} iterations")
@@ -266,7 +263,9 @@ def positive_newton_solve(
 
 def bisection_solve(H: HomogeneousInstance) -> SolveOutcome:
     """Integer dichotomy on the sign of phi over (lam_lo - 1, lam_hi], where
-    phi(lam_lo - 1) < 0 <= phi(lam_hi) after Proceed."""
+    phi(lam_lo - 1) < 0 <= phi(lam_hi) after Proceed.  The dichotomy takes
+    both for granted, so an end it lands on is asked after, off the trace:
+    Infeasible when phi(lam_hi) < 0, Unbounded when phi(lam_lo - 1) >= 0."""
     lam_lo, lam_hi = initial_bounds(H)
     trace = []
 
@@ -276,6 +275,10 @@ def bisection_solve(H: HomogeneousInstance) -> SolveOutcome:
         return ok
 
     lam = _least_integer(nonneg, lam_lo - 1, lam_hi, hi_holds=True)
+    if lam == lam_hi and not phi_nonneg(H, lam)[0]:
+        return SolveOutcome("Infeasible", None, None, None, trace)
+    if lam == lam_lo and phi_nonneg(H, lam - 1)[0]:
+        return _finish_unbounded(H, trace)
     return _finish_optimal(H, Fraction(lam), trace)
 
 
@@ -307,7 +310,7 @@ def _min_zero_phi_tau(
     """
 
     def at_most(lam: int, p: int, q: int) -> bool:
-        graph = max_graph(H.oracle.arrays(lam)[0], tau.choices)
+        graph = max_graph(H.arrays(lam)[0], tau.choices)
         return means_at_most(*graph, H.n, p, q) is not None
 
     zero = _least_integer(lambda lam: not at_most(lam, -1, H.n + 2), int(lam_k), lam_hi)
@@ -320,11 +323,11 @@ def _min_zero_phi_tau(
 
 def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:
     """Newton iteration from below: strictly increasing infeasible lambda_k
-    from deep_lambda, whose game the prechecks solved.  Each step retires a
-    Min strategy (its phi_tau stays >= 0), and the iterates are integers of
-    [deep_lambda, lam_hi], fewer than the cap's numeric term when
-    min(m,n) > 0; else Min has one strategy (m = 0), or each phi_tau is a
-    loop at node n+1 and one step reaches lambda* (n = 0)."""
+    from deep_lambda, whose game the prechecks solved (Unbounded when phi
+    >= 0 there).  Each step retires a Min strategy (its phi_tau stays >= 0),
+    and the iterates are integers of [deep_lambda, lam_hi], fewer than the
+    cap's numeric term when min(m,n) > 0; else Min has one strategy (m = 0),
+    or each phi_tau is a loop at node n+1 and one step reaches lambda* (n = 0)."""
     _, lam_hi = initial_bounds(H)
     lam = Fraction(deep_lambda(H))
     k1 = H.k_bound + 1
@@ -334,6 +337,8 @@ def negative_newton_solve(H: HomogeneousInstance) -> SolveOutcome:
         ok, _sigma, tau = phi_nonneg(H, lam)
         trace.append((k, lam, ">=0" if ok else "<0"))
         if ok:
+            if k == 0:
+                return _finish_unbounded(H, trace)
             return _finish_optimal(H, lam, trace)
         nxt = _min_zero_phi_tau(H, tau, lam, lam_hi)
         if nxt is None:
@@ -366,7 +371,7 @@ def _finish_unbounded(
 
 def solve(inst: LfpInstance, method: str = "newton", lam0: Optional[Fraction] = None) -> SolveOutcome:
     """Homogenize, precheck, run the chosen method, and unscale the result,
-    with the oracle's stats.  The arguments are checked first: lam0 is a
+    with the instance's stats.  The arguments are checked first: lam0 is a
     start for Newton alone."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -384,4 +389,4 @@ def solve(inst: LfpInstance, method: str = "newton", lam0: Optional[Fraction] = 
         out = negative_newton_solve(H)
     else:
         out = positive_newton_solve(H, None if lam0 is None else Fraction(lam0) * H.scale)
-    return replace(out, stats=replace(H.oracle.stats))
+    return replace(out, stats=replace(H.stats))

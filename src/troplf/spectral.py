@@ -10,17 +10,18 @@ mean payoff game with payment matrices U = [[C],[u]] and V(lambda) =
 Every game the algorithms, the certificate checks and the command line ask
 about is this one game at some lambda.  An ``LfpInstance`` therefore holds
 nothing but U and V(0), scaled to integer grids (None for -inf) when it is
-built; ``homogenize`` converts them once to numpy, their image, with the
-instance's one ``ParametricOracle`` on that image and their bound M, and
+built; ``homogenize`` converts them once to numpy, their image, and
+returns the ``HomogeneousInstance`` (``game_engine``) that holds the grids,
+the image and their bound M and owns their parametric game, and
 ``game_at`` forms the game at lambda from them: a MeanPayoffGame whose
 grids are U and V(0) times d, the denominator of lambda, with lambda's
 numerator added to the objective row, over the denominator d.
-``H.oracle.report(lambda)`` solves that game without building it, from the
-oracle's memo or by policy iteration warm started from the strategies of
-the instance's last query (a memo hit counts where phi > 0), so a report's
-sigma and tau are an optimal pair, not necessarily the pair a cold
-``value_report`` returns; ``H.oracle.arrays(lambda)`` gives its masks and
-weights to the strategy graphs.
+``H.report(lambda)`` solves that game without building it, from the
+instance's memo or by policy iteration warm started from the strategies of
+its last query (a memo hit counts where phi > 0), so a report's sigma and
+tau are an optimal pair, not necessarily the pair a cold ``value_report``
+returns; ``H.arrays(lambda)`` gives its masks and weights to the strategy
+graphs.
 
 phi is piecewise affine, and its breakpoints, like those of each partial
 function phi_tau, are rationals with denominator <= min(m,n)+1;
@@ -33,7 +34,7 @@ phi affine there (phi_sigma <= phi <= phi_tau, decided on their graphs by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -41,10 +42,10 @@ import numpy as np
 
 from .game_engine import (
     AssumptionViolated,
+    HomogeneousInstance,
     MaxStrategy,
     MeanPayoffGame,
     MinStrategy,
-    ParametricOracle,
     _policy_iteration,
     grid_arrays,
     integer_grids,
@@ -119,48 +120,9 @@ class LfpInstance:
         self.U, self.V, self.scale, self.m, self.n = U, V, scale, m, n
 
 
-@dataclass(frozen=True)
-class HomogeneousInstance:
-    """Scaled homogeneous form: U = [[C],[u]] and V = [[D],[v]] with C=[A,c],
-    D=[B,d], u=[p,r], v=[q,s].
-
-    All finite entries are integers after multiplying by ``scale`` (the lcm of
-    the original denominators); M, an int, bounds their absolute values.  The
-    minimal zero of the scaled spectral function is ``scale`` times the
-    original one.  U and V are integer grids with None for -inf, so C, D, u
-    and v are ``U[:-1]``, ``V[:-1]``, ``U[-1]`` and ``V[-1]``.  ``image`` is
-    their masks and weights (``game_engine.grid_arrays``), and ``oracle``,
-    built on it, owns the instance's games: it answers by lambda, keeps the
-    memo and gives M.
-    """
-
-    U: tuple
-    V: tuple
-    scale: int
-    image: tuple = field(repr=False, compare=False)
-    M: int = field(init=False)
-    oracle: ParametricOracle = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "oracle", ParametricOracle(self.U, self.V, self.image))
-        object.__setattr__(self, "M", self.oracle.M)
-
-    @property
-    def m(self) -> int:
-        return len(self.U) - 1
-
-    @property
-    def n(self) -> int:
-        return len(self.U[0]) - 1
-
-    @property
-    def k_bound(self) -> int:
-        """min(m, n): the turn-count bound entering denominators and caps."""
-        return min(self.m, self.n)
-
-
 def homogenize(inst: LfpInstance) -> HomogeneousInstance:
-    """The instance's grids U and V(0), their image, oracle and bound M."""
+    """The instance's grids U and V(0) and their image, as the instance
+    that owns their parametric game."""
     (Um, Uw), (Vm, Vw) = grid_arrays(inst.U), grid_arrays(inst.V)
     return HomogeneousInstance(inst.U, inst.V, inst.scale, (Um, Vm, Uw, Vw))
 
@@ -184,21 +146,21 @@ def game_at(H: HomogeneousInstance, lam: Rational) -> MeanPayoffGame:
 
 def phi(H: HomogeneousInstance, lam: Rational) -> Fraction:
     """The spectral function: value of the parametric game at Min node n+1."""
-    return H.oracle.report(lam).chi[H.n]
+    return H.report(lam).chi[H.n]
 
 
 def phi_nonneg(H: HomogeneousInstance, lam: Rational):
     """(phi(lam) >= 0, Max strategy on the winning side, Min strategy off it)."""
-    rep = H.oracle.report(lam)
+    rep = H.report(lam)
     return H.n in rep.winning, rep.sigma, rep.tau
 
 
 def _frozen_value(H: HomogeneousInstance, lam: Rational, strategy) -> Fraction:
     """phi_sigma or phi_tau: node n+1's value in the game at lam with the
-    strategy's player held to its moves, by policy iteration on H's oracle
+    strategy's player held to its moves, by policy iteration on H's
     arrays.  The strategy is checked on game_at(H, 0), whose support is all."""
     strategy.check(game_at(H, 0))
-    (Am, Bm, Aw, Bw), W, d = H.oracle.arrays(lam)
+    (Am, Bm, Aw, Bw), W, d = H.arrays(lam)
     moves = np.array(strategy.choices, dtype=np.intp)
     if isinstance(strategy, MaxStrategy):
         Bm = moves[:, None] == np.arange(Bm.shape[1])  # row i: sigma(i) alone
@@ -276,12 +238,12 @@ def reconstruct(H: HomogeneousInstance) -> list:
     radius = 4 * max(H.M, 1) * k1 * k1
 
     def probe(lam):
-        return Fraction(lam), H.oracle.report(lam)
+        return Fraction(lam), H.report(lam)
 
     def bounded(graph, strategy, lam, c: Fraction) -> bool:
         """No cycle mean above c (in phi's units) reachable from node n+1 in
         graph(arrays, strategy) of the game at lam."""
-        arrays, _W, d = H.oracle.arrays(lam)
+        arrays, _W, d = H.arrays(lam)
         c *= d
         w, mask = graph(arrays, strategy.choices)
         return means_at_most(w, mask, H.n, c.numerator, c.denominator) is not None

@@ -1,8 +1,8 @@
 """Time two checkouts' ``solve``, or their certificate check, side by side,
-in one process.
+in one process, or their set-up in fresh interpreters.
 
     python3 tests/ab_solve.py PARENT_CHECKOUT [CHANGE_CHECKOUT] \\
-        --workload dense-newton-50 --seed 7 --count 20 --repeats 5 [--mode check]
+        --workload dense-newton-50 --seed 7 --count 20 --repeats 5 [--mode check|setup]
 
 Each checkout's ``troplf`` is imported from its ``src/`` and kept as its own
 set of ``sys.modules`` entries; before a side runs, its entries are swapped
@@ -24,6 +24,16 @@ same path with ``homogenize`` inside the timed region, so that work moved
 from the check into ``homogenize`` shows.  Both sides must return the same
 verdict.
 
+With ``--mode setup``, a round runs ``bench/run.py``'s ``SETUP_SCRIPT``,
+read from the loaded module, once per side, each in a fresh interpreter
+that imports the side's ``troplf`` and parses the workload's set-up
+documents (its first ``setup_count`` of the seed, then examples 1-3), as
+the benchmark's ``setup_s`` measures it; ``--count`` is not read.  Which
+side runs first alternates from round to round, and a round is a pair.
+Each fresh interpreter compiles the sources again when Python writes no
+bytecode cache (``PYTHONDONTWRITEBYTECODE``), so the environment is part
+of the measurement.
+
 Two runs of the benchmark are two processes, and on a small shared host
 their timings can differ by more than a few-percent effect; timed in one
 process, the two sides share its state.  The output gives, for each figure, each
@@ -39,7 +49,9 @@ import argparse
 import importlib.util
 import json
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -176,6 +188,27 @@ def check_timers(sides: dict, parsed: dict, pairs: list) -> tuple:
     return kept, outside, inside
 
 
+def setup_times(run, workload, seed: int, checkouts: dict, repeats: int) -> dict:
+    """{side: {round: [seconds]}}: the wall time of one fresh interpreter
+    per side and round running run.SETUP_SCRIPT on the workload's set-up
+    documents; the side that runs first alternates from round to round."""
+    examples = run.example_docs()
+    docs = [workload.instance(seed, i) for i in range(workload.setup_count)]
+    docs += [examples[k] for k in sorted(examples)]
+    names = tuple(checkouts)
+    times = {name: {} for name in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "setup-docs.json"
+        path.write_text(json.dumps(docs), encoding="utf-8")
+        for r in range(repeats):
+            for name in (names if r % 2 == 0 else names[::-1]):
+                argv = [sys.executable, "-c", run.SETUP_SCRIPT, str(checkouts[name] / "src"), str(path)]
+                t0 = time.perf_counter()
+                subprocess.run(argv, check=True, timeout=120)
+                times[name][r] = [time.perf_counter() - t0]
+    return times
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
@@ -184,11 +217,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--count", type=int, default=20, help="documents of the seed")
     ap.add_argument("--repeats", type=int, default=5, help="rounds over the documents")
-    ap.add_argument("--mode", choices=("solve", "check"), default="solve")
+    ap.add_argument("--mode", choices=("solve", "check", "setup"), default="solve")
     args = ap.parse_args(argv)
 
     run = load_run()
     workload = run.WORKLOADS[args.workload]()
+    if args.mode == "setup":
+        checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+        times = setup_times(run, workload, args.seed, checkouts, args.repeats)
+        print(f"{args.workload} seed {args.seed}: set-up of {workload.setup_count} documents "
+              f"and examples 1-3, {args.repeats} rounds")
+        report("setup", times, list(range(args.repeats)))
+        return 0
     docs = [workload.instance(args.seed, i) for i in range(args.count)]
     names = ("parent", "change")
     sides = {name: load_side(path.resolve()) for name, path in zip(names, (args.parent, args.change))}

@@ -164,7 +164,7 @@ def frac(x) -> Fraction:
 
 def recorded_runs(monkeypatch) -> list:
     """The (start, sigma, tau) of every policy-iteration run that a
-    ParametricOracle makes from now on, in order: pytest's monkeypatch wraps
+    HomogeneousInstance makes from now on, in order: pytest's monkeypatch wraps
     ``game_engine._policy_iteration``."""
     runs = []
     original = game_engine._policy_iteration

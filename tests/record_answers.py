@@ -196,8 +196,11 @@ def record(path: str) -> None:
                  str(p.alpha), p.beta, p.k]
                 for p in reconstruct(H)
             ]
+            # A checkout whose instance keeps its games in a separate object
+            # has the stats on that object, its ``oracle`` attribute.
+            stats = getattr(H, "oracle", H).stats
             out.write(json.dumps({"family": family, "index": index, "pieces": pieces,
-                                  "stats": asdict(H.oracle.stats)}) + "\n")
+                                  "stats": asdict(stats)}) + "\n")
 
 
 def _load(path: str) -> dict:

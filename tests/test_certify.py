@@ -47,8 +47,8 @@ from troplf.cli_io import (
     parse_instance,
     serialize_certificate,
 )
-from troplf.game_engine import ParametricOracle, restrict_min
-from troplf.spectral import deep_lambda
+from troplf.game_engine import restrict_min
+from troplf.spectral import HomogeneousInstance, deep_lambda
 from troplf.trop_core import (
     PositiveCycleDiverges,
     WeightedDigraph,
@@ -211,7 +211,7 @@ def test_unboundedness_certificate_takes_sigma_at_the_deep_lambda():
     )
     H = homogenize(inst)
     cert = make_unboundedness_certificate(H)
-    assert cert.sigma == H.oracle.report(deep_lambda(H)).sigma
+    assert cert.sigma == H.report(deep_lambda(H)).sigma
     assert check_unboundedness(H, cert)
     assert check_unboundedness(H, replace(cert, **dict.fromkeys(UNBOUNDEDNESS_POTENTIALS)))
 
@@ -394,16 +394,16 @@ def test_certificates_without_potentials_are_still_checked(example2):
 
 
 def test_a_check_without_potentials_builds_its_graphs_once(example2, monkeypatch):
-    """With both potential vectors missing, each check reads the oracle's
+    """With both potential vectors missing, each check reads the game's
     arrays once for both of its graphs."""
     calls = []
-    original = ParametricOracle.arrays
+    original = HomogeneousInstance.arrays
 
-    def counted(oracle, lam):
+    def counted(instance, lam):
         calls.append(lam)
-        return original(oracle, lam)
+        return original(instance, lam)
 
-    monkeypatch.setattr(ParametricOracle, "arrays", counted)
+    monkeypatch.setattr(HomogeneousInstance, "arrays", counted)
     H = homogenize(example2)
     cert = make_optimality_certificate(H, Fraction(0))
     calls.clear()
@@ -418,6 +418,47 @@ def test_a_check_without_potentials_builds_its_graphs_once(example2, monkeypatch
     calls.clear()
     assert check_unboundedness(H, replace(cert, **dict.fromkeys(UNBOUNDEDNESS_POTENTIALS)))
     assert len(calls) == 1
+
+
+def test_a_check_leaves_the_instance_unchanged(example1, example2, example3):
+    """What a certificate without potentials or a witness needs, a check
+    builds and solves on a spare instance.  After the synthesis of the
+    certificates of examples 1-3 and of an unbounded program, the checks of
+    all their mutants, stripped of their potentials, leave the instance's
+    stats, memo, last strategies and last arrays as the synthesis left
+    them, and each verdict and reason is the Karp reference's, acceptance
+    criterion 4's "phi(lambda*) < 0" among them."""
+    unbounded = make_instance(
+        A=[[NI, 1], [0, 1], [1, 0]], B=[[0, 1], [NI, NI], [1, NI]],
+        c=[0, NI, NI], d=[0, 0, 1], p=[NI, 0], q=[0, 0], r=NI, s=0,
+    )
+    reasons = Counter()
+    for inst in (example1, example2, example3, unbounded):
+        out = solve(inst)
+        H, reference = homogenize(inst), homogenize(inst)
+        if out.status == "Optimal":
+            make_optimality_certificate(H, out.lam * H.scale)
+            check, karp, keys = check_optimality, _karp_optimality, OPTIMALITY_POTENTIALS
+            mutants = _optimality_mutants(reference, out.certificate)
+        else:
+            make_unboundedness_certificate(H)
+            check, karp, keys = check_unboundedness, _karp_unboundedness, UNBOUNDEDNESS_POTENTIALS
+            mutants = _unboundedness_mutants(reference, out.certificate)
+        state = replace(H.stats), list(H.memo.items()), H.last
+        built = H._built
+        for cert in [replace(c, **dict.fromkeys(keys)) for c in mutants]:
+            try:
+                expected = karp(reference, cert)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    check(H, cert)
+            else:
+                got = check(H, cert)
+                assert (got.accepted, got.reason) == (expected.accepted, expected.reason)
+                reasons[got.reason] += 1
+            assert (replace(H.stats), list(H.memo.items()), H.last) == state
+            assert H._built is built
+    assert reasons[""] and reasons[PHI_NEGATIVE] and reasons[THROUGH_ROW]
 
 
 def _acceptance_solves():
@@ -576,7 +617,7 @@ def _optimality_mutants(H, cert):
                 yield OptimalityCertificate(cert.lam, MinStrategy(flipped), w)
     # tau of the game at lambda* itself, not of the game just below it, may
     # close a cycle of weight zero that avoids row m+1.
-    rep = H.oracle.report(Fraction(cert.lam) * H.scale)
+    rep = H.report(Fraction(cert.lam) * H.scale)
     yield OptimalityCertificate(cert.lam, rep.tau, w)
     yield OptimalityCertificate(cert.lam, rep.tau, None)
     yield OptimalityCertificate(cert.lam, cert.tau, w[:-1])

@@ -252,9 +252,9 @@ def test_policy_iteration_moves_to_python_ints_during_a_run():
         nxt = {0: (1, -E), 1: (2, -E), 2: (3, -E), 3: (4, E), 4: (5, E), 5: (3, E - 1)}
         b = tuple(tuple(nxt[i][1] if j == nxt[i][0] else None for j in range(6)) for i in range(6))
         assert ge._game_arrays(a, b)[0][2].dtype == np.int64
-        oracle = ge.ParametricOracle(a, b, ge._game_arrays(a, b)[0])
-        rep = oracle.report(0)
-        assert (oracle.stats.runs, oracle.stats.bigint_runs) == (1, bigint)
+        H = ge.HomogeneousInstance(a, b, 1, ge._game_arrays(a, b)[0])
+        rep = H.report(0)
+        assert (H.stats.runs, H.stats.bigint_runs) == (1, bigint)
         assert rep.chi == (Fraction(6 * E - 1, 3),) * 6
         assert rep == value_report(ge.MeanPayoffGame(a, b))
 
@@ -266,9 +266,9 @@ def test_int64_run_on_large_payments_matches_python_ints():
     rng = random.Random(5)
     grid = [[rng.randint(-10**14, 10**14) for _ in range(31)] for _ in range(62)]
     a, b = tuple(map(tuple, grid[:31])), tuple(map(tuple, grid[31:]))
-    oracle = ge.ParametricOracle(a, b, ge._game_arrays(a, b)[0])
-    rep = oracle.report(0)
-    assert (oracle.stats.runs, oracle.stats.bigint_runs) == (1, 0)
+    H = ge.HomogeneousInstance(a, b, 1, ge._game_arrays(a, b)[0])
+    rep = H.report(0)
+    assert (H.stats.runs, H.stats.bigint_runs) == (1, 0)
     (Am, Bm, Aw, Bw), W = ge._game_arrays(a, b)
     chi, sigma, tau, _rounds, bigint = ge._policy_iteration(
         (Am, Bm, Aw.astype(object), Bw.astype(object)), W

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from troplf import (
     NEG_INF,
+    AssumptionViolated,
     ExtendedNumber,
     LfpInstance,
     MaxStrategy,
@@ -35,7 +36,7 @@ from troplf import (
     solve,
 )
 from troplf import certify, game_engine, solver, spectral
-from troplf.game_engine import ParametricOracle, _game_arrays, least_solution_fixed
+from troplf.game_engine import _game_arrays, least_solution_fixed
 from troplf.solver import (
     InfeasibleStart,
     _min_zero_phi_tau,
@@ -280,23 +281,24 @@ def test_a_degenerate_solve_books_its_one_oracle_run():
 
 
 def test_one_homogeneous_instance_per_solve(example2, monkeypatch):
-    """A solve builds one HomogeneousInstance, by every method, on the
-    degenerate-denominator family (v identically -inf, decided by the game
-    of a nearby program) and on example 2.  It converts U and V to numpy
-    once; the nearby program's oracle reuses those arrays."""
+    """A solve builds one HomogeneousInstance, by every method, on example 2,
+    and two on the degenerate-denominator family (v identically -inf,
+    decided by the game of a nearby program): the program's and the nearby
+    program's.  It converts U and V to numpy once; the nearby program's
+    instance reuses those arrays."""
     built, converted = [], []
-    original = HomogeneousInstance.__post_init__
+    original = HomogeneousInstance.__init__
     convert = game_engine.grid_arrays
 
-    def counted(H):
+    def counted(H, *args):
         built.append(H)
-        original(H)
+        original(H, *args)
 
     def counted_conversion(grid):
         converted.append(len(grid))
         return convert(grid)
 
-    monkeypatch.setattr(HomogeneousInstance, "__post_init__", counted)
+    monkeypatch.setattr(HomogeneousInstance, "__init__", counted)
     for module in (game_engine, spectral):
         monkeypatch.setattr(module, "grid_arrays", counted_conversion)
     rng = random.Random(15)
@@ -308,7 +310,7 @@ def test_one_homogeneous_instance_per_solve(example2, monkeypatch):
             built.clear()
             converted.clear()
             solve(inst, method=method)
-            assert len(built) == 1
+            assert len(built) == (2 if all(x is None for x in inst.V[-1]) else 1)
             assert converted == [rows, rows]
 
 
@@ -581,13 +583,13 @@ def test_a_newton_solve_builds_each_game_once(example2, monkeypatch):
     asks for the arrays at lambda* right after their run and gets that
     run's own."""
     builds = []
-    build = ParametricOracle._build
+    build = HomogeneousInstance._build
 
     def counted(self, lam):
         builds.append(lam)
         return build(self, lam)
 
-    monkeypatch.setattr(ParametricOracle, "_build", counted)
+    monkeypatch.setattr(HomogeneousInstance, "_build", counted)
     out = solve(example2)
     assert len(out.trace) > 1
     assert len(builds) == out.stats.runs + 1
@@ -604,20 +606,63 @@ def test_newton_starts_from_the_strategies_at_lam_hi(example2, monkeypatch):
     assert start == tuple(at_hi) != tuple(at_deep)
 
 
-def test_the_prechecks_solve_one_game_or_two():
-    """An instance that phi(lam_hi) < 0 makes infeasible costs one game.  An
-    unbounded one whose v has a finite entry costs two, phi at lam_hi and
-    at deep_lambda, and its certificate reads the second from the memo."""
+def precheck_programs() -> tuple:
+    """(infeasible, unbounded): an instance that phi(lam_hi) < 0 makes
+    infeasible, and an unbounded one whose v has a finite entry."""
     infeasible = make_instance(A=[[0]], B=[[-1]], c=[NI], d=[NI], p=[0], q=[0], r=0, s=NI)
-    out = solve(infeasible)
-    assert out.status == "Infeasible" and (out.stats.runs, out.stats.memo_hits) == (1, 0)
     unbounded = make_instance(
         A=[[0, NI], [NI, 0]], B=[[0, NI], [NI, 0]], c=[0, -1], d=[0, 0],
         p=[NI, NI], q=[0, 0], r=NI, s=0,
     )
+    return infeasible, unbounded
+
+
+def test_the_prechecks_solve_one_game_or_two():
+    """An instance that phi(lam_hi) < 0 makes infeasible costs one game.  An
+    unbounded one whose v has a finite entry costs two, phi at lam_hi and
+    at deep_lambda, and its certificate reads the second from the memo."""
+    infeasible, unbounded = precheck_programs()
+    out = solve(infeasible)
+    assert out.status == "Infeasible" and (out.stats.runs, out.stats.memo_hits) == (1, 0)
     out = solve(unbounded)
     assert out.status == "Unbounded" and out.certificate is not None
     assert (out.stats.runs, out.stats.memo_hits) == (2, 1)
+
+
+def test_the_method_functions_answer_as_solve(example1, example2, example3):
+    """positive_newton_solve, bisection_solve and negative_newton_solve,
+    called on homogenize(inst) without the prechecks, return solve()'s
+    status and lambda*, with a certificate that passes its check exactly
+    when the status is not Infeasible, on precheck_programs(), examples 1-3
+    and criterion 6's instances.  Positive Newton raises InfeasibleStart on
+    an infeasible program, and all three raise AssumptionViolated when v is
+    identically -inf: phi is not defined there, and solve's prechecks decide
+    such a program by the game of another."""
+    from test_acceptance import criterion_6_instances
+
+    methods = {"newton": positive_newton_solve, "bisection": bisection_solve,
+               "negative-newton": negative_newton_solve}
+    seen = Counter()
+    for inst in [*precheck_programs(), example1, example2, example3, *criterion_6_instances()]:
+        expected = solve(inst)
+        for method, run in methods.items():
+            H = homogenize(inst)
+            if all(x is None for x in H.V[-1]):
+                with pytest.raises(AssumptionViolated):
+                    run(H)
+            elif method == "newton" and expected.status == "Infeasible":
+                with pytest.raises(InfeasibleStart):
+                    run(H)
+            else:
+                out = run(H)
+                assert (out.status, out.lam) == (expected.status, expected.lam)
+                assert (out.certificate is None) == (out.status == "Infeasible")
+                if out.status != "Infeasible":
+                    check = check_optimality if out.status == "Optimal" else check_unboundedness
+                    assert check(homogenize(inst), out.certificate)
+                seen[method, out.status] += 1
+    assert all(seen[method, status] for method in methods for status in ("Optimal", "Unbounded"))
+    assert seen["bisection", "Infeasible"] and seen["negative-newton", "Infeasible"]
 
 
 def zero_entries_instances(count: int = 200, seed: int = 16) -> list:

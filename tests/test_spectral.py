@@ -183,10 +183,10 @@ def test_game_at_matches_the_fraction_reference(big):
                 widest = max([widest] + [abs(x) for row in g.a + g.b for x in row if x is not None])
                 rep = value_report(g)
                 if first:
-                    assert rep == H.oracle.report(mu)
+                    assert rep == H.report(mu)
                     first = False
                 else:
-                    assert_warm_report(g, H.oracle.report(mu), rep)
+                    assert_warm_report(g, H.report(mu), rep)
                 if mu != lam and lam.denominator == 1:
                     scaled = scaled_copy(ref, k2)
                     assert (scaled.a, scaled.b, scaled.d) == (g.a, g.b, 1)
@@ -194,7 +194,7 @@ def test_game_at_matches_the_fraction_reference(big):
                     assert (times.sigma, times.tau, times.winning) == (rep.sigma, rep.tau, rep.winning)
                     assert times.chi == tuple(k2 * c for c in rep.chi)
         checked += 1
-        bigint += H.oracle.stats.bigint_runs
+        bigint += H.stats.bigint_runs
     assert rational >= 10
     assert (widest > 2**63) == (big > 1) == (bigint > 0)
 
@@ -302,8 +302,8 @@ def test_warm_started_reports_match_cold_runs(case):
     H = homogenize(inst)
     for lam in queries:
         g = game_at(H, lam)
-        assert_warm_report(g, H.oracle.report(lam), value_report(g))
-    assert H.oracle.stats.runs == len(set(queries))
+        assert_warm_report(g, H.report(lam), value_report(g))
+    assert H.stats.runs == len(set(queries))
 
 
 def test_game_report_with_a_factor_past_int64():
@@ -312,7 +312,7 @@ def test_game_report_with_a_factor_past_int64():
     H = homogenize(make_instance(A=[[0]], B=[[0]], c=[0], d=[0], p=[0], q=[0], r=0, s=0))
     for lam in (Fraction(0), Fraction(1, 10**30), Fraction(-3, 10**30 + 1)):
         g = game_at(H, lam)
-        assert_warm_report(g, H.oracle.report(lam), value_report(g))
+        assert_warm_report(g, H.report(lam), value_report(g))
 
 
 def test_objective_row_past_int64_with_small_other_entries():
@@ -325,10 +325,10 @@ def test_objective_row_past_int64_with_small_other_entries():
     H = homogenize(inst)
     lam = out.lam * H.scale
     g = game_at(H, lam)
-    assert H.oracle.report(lam) == value_report(g)
+    assert H.report(lam) == value_report(g)
     for other in (Fraction(0), Fraction(-(2**70) + 1, 3), lam - 1, lam - Fraction(1, 3)):
         h = game_at(H, other)
-        assert_warm_report(h, H.oracle.report(other), value_report(h))
+        assert_warm_report(h, H.report(other), value_report(h))
 
 
 def test_game_at_without_denominator_row():
@@ -345,7 +345,7 @@ def test_game_at_without_denominator_row():
                 game_at(H, mu)
             assert str(built.value) == str(reference.value)
             with pytest.raises(AssumptionViolated):
-                H.oracle.report(mu)
+                H.report(mu)
         with pytest.raises(AssumptionViolated):
             phi_tau(H, MinStrategy((0, 0, 0)), lam)
         with pytest.raises(AssumptionViolated):
@@ -355,12 +355,12 @@ def test_game_at_without_denominator_row():
 def test_game_memo_is_bounded_and_reused(example2):
     H = homogenize(example2)
     reconstruct(H)
-    assert 0 < len(H.oracle.memo) <= GAME_MEMO_SIZE
-    runs, hits = H.oracle.stats.runs, H.oracle.stats.memo_hits
+    assert 0 < len(H.memo) <= GAME_MEMO_SIZE
+    runs, hits = H.stats.runs, H.stats.memo_hits
     assert phi(H, Fraction(7, 3)) == phi(H, Fraction(7, 3))
     assert phi_nonneg(H, Fraction(7, 3))[0]
-    assert H.oracle.stats.runs - runs == 1
-    assert H.oracle.stats.memo_hits - hits == 2
+    assert H.stats.runs - runs == 1
+    assert H.stats.memo_hits - hits == 2
 
 
 def test_a_run_starts_from_the_last_query_answered(example2, monkeypatch):
@@ -370,17 +370,17 @@ def test_a_run_starts_from_the_last_query_answered(example2, monkeypatch):
     runs = recorded_runs(monkeypatch)
     H = homogenize(example2)
     a, b = initial_bounds(H)[1], spectral.deep_lambda(H)
-    ra, rb = H.oracle.report(a), H.oracle.report(b)
+    ra, rb = H.report(a), H.report(b)
     assert ra.chi[-1] > 0 > rb.chi[-1]
     assert (ra.sigma, ra.tau) != (rb.sigma, rb.tau)
-    assert H.oracle.report(a) is ra  # a memo hit where phi > 0
-    rc = H.oracle.report(1)
+    assert H.report(a) is ra  # a memo hit where phi > 0
+    rc = H.report(1)
     assert runs[-1][0] == (ra.sigma.choices, ra.tau.choices)
     assert (rc.sigma, rc.tau) != (rb.sigma, rb.tau)
-    assert H.oracle.report(b) is rb  # a memo hit where phi < 0
-    H.oracle.report(2)
+    assert H.report(b) is rb  # a memo hit where phi < 0
+    H.report(2)
     assert runs[-1][0] == (rc.sigma.choices, rc.tau.choices)
-    assert len(runs) == H.oracle.stats.runs == 4
+    assert len(runs) == H.stats.runs == 4
 
 
 def test_newton_solve_builds_no_scaled_copy(example2, monkeypatch):

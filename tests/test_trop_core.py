@@ -22,7 +22,7 @@ from troplf import (
     cycle_time_vector,
     kleene_least_solution,
 )
-from troplf.game_engine import ParametricOracle, _game_arrays, max_graph
+from troplf.game_engine import HomogeneousInstance, _game_arrays, max_graph
 from troplf.trop_core import WeightedDigraph, longest_paths, means_at_most, scc_and_access
 
 from conftest import e, rows
@@ -208,7 +208,7 @@ def test_means_at_most_at_and_past_the_int64_limit():
     for W, dtype in ((limit, np.int64), (limit + 1, object)):
         P = W - 1  # the largest |payment|
         a, b = ((-P, P), (P, -P)), ((P, -P), (-P, P - 1))
-        arrays, bound, _d = ParametricOracle(a, b, _game_arrays(a, b)[0]).arrays(0)
+        arrays, bound, _d = HomogeneousInstance(a, b, 1, _game_arrays(a, b)[0]).arrays(0)
         assert (bound, arrays[2].dtype) == (W, dtype)
         # self-loops of 2P at node 0 and 2P - 1 at node 1, the source
         w, mask = max_graph(arrays, (0, 1))
