@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats", action="store_true",
         help="print the parametric game's work (runs, memo_hits, rounds, ranked_rounds, "
-        "bigint_runs) as one JSON line on stderr",
+        "bigint_runs, seeded_runs, value_steps) as one JSON line on stderr",
     )
     p.set_defaults(func=cmd_solve)
 

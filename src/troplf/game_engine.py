@@ -28,13 +28,16 @@ on int64 whenever the payments allow it and moves the weights to Python
 ints (object arrays) once an evaluation's exact biases outgrow int64, so
 every number it computes is exact.  A round does only the numpy work its
 step needs: the evaluation ranks the cycle means, and the steps filter the
-moves by rank only when it found two or more.
+moves by rank only when it found two or more.  ``_value_start`` gives the
+pair of a few value-iteration steps, the start of an instance's first run
+on games of at least ``VALUE_STEP_ENTRIES`` entries per grid.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
 the parametric game of one ``HomogeneousInstance`` at many lambda, and the
 instance owns them: ``report(lam)`` answers from its memo or by a run
-started from the strategies of the last, so its sigma and tau are an
+started from the strategies of the last (the first from value steps on a
+large game, else from the greedy pair), so its sigma and tau are an
 optimal pair, not necessarily the pair a cold run returns, and
 ``arrays(lam)`` gives the masks and weights of its last run to the rest of
 a solve: the grids times lambda's denominator, as ``spectral.game_at``
@@ -516,10 +519,59 @@ class OracleStats:
     rounds: int = 0  # improvement rounds over all runs
     ranked_rounds: int = 0  # rounds whose evaluation found more than one cycle mean
     bigint_runs: int = 0  # runs that ended on Python ints (object arrays)
+    seeded_runs: int = 0  # runs started from value-iteration steps (``_value_start``)
+    value_steps: int = 0  # Shapley-operator steps taken for those starts
 
 
 # Solved games kept in an instance's memo.
 GAME_MEMO_SIZE = 8
+# An instance's first run starts from up to VALUE_STEPS Shapley-operator
+# steps on games of at least VALUE_STEP_ENTRIES entries per grid (the
+# benchmark's 31 x 31 and 51 x 51 games), and from the greedy pair, which is
+# one step, below: on games of up to 81 entries the numpy steps cost more
+# than the one or two rounds they save.  On the larger games 10 to 30 steps
+# solve about equally fast, and 5 or fewer leave rounds unsaved.
+VALUE_STEP_ENTRIES = 256
+VALUE_STEPS = 15
+
+
+def _value_start(arrays, W: int, steps: int):
+    """(sigma, tau, steps taken) from value iteration on an integer game, or
+    None when its numbers may leave int64.
+
+    Applies up to ``steps`` steps of the Shapley operator
+    x_j <- min_i (-a_ij + max_l (b_il + x_l)) from x = 0 (Zwick & Paterson,
+    TCS 1996), subtracting max x after each, and stops once the pair of
+    first-index best replies repeats; it returns the pair attaining the last
+    step, a legal start for ``_policy_iteration`` (as in Puterman & Shin's
+    modified policy iteration, 1978).  One step from x = 0 gives exactly the
+    greedy pair.  Each step lowers min x by less than 4W (max x is 0, and
+    every b - a lies within 2W of 0), so |x| < 4W*steps, and the keys b + x
+    and t - a stay within ``_payment_dtype``'s bound with that as vmax;
+    games whose arrays are object, or which that bound pushes past int64,
+    get None."""
+    Am, Bm, Aw, Bw = arrays
+    m, n = Am.shape
+    X = 4 * steps * W
+    if Aw.dtype == object or _payment_dtype(n, W, X) is object:
+        return None
+    # Moves a step may not take get b = -S or -a = +S, beyond every key.
+    S = 3 * W + X + 1
+    Bk, Ak = np.where(Bm, Bw, -S), np.where(Am, -Aw, S)
+    rows, cols = np.arange(m), np.arange(n)
+    x = np.zeros(n, dtype=np.int64)
+    pair = None
+    for k in range(1, steps + 1):
+        t = Bk + x
+        sigma = t.argmax(axis=1)
+        c = t[rows, sigma][:, None] + Ak
+        tau = c.argmin(axis=0)
+        if pair is not None and (sigma == pair[0]).all() and (tau == pair[1]).all():
+            break
+        pair = sigma, tau
+        y = c[tau, cols]
+        x = y - y.max()
+    return tuple(pair[0].tolist()), tuple(pair[1].tolist()), k
 
 
 class HomogeneousInstance:
@@ -549,8 +601,11 @@ class HomogeneousInstance:
     ``report`` keeps the last GAME_MEMO_SIZE answers, since a solve asks
     about the same game more than once (the perturbed game at the optimum
     is probed by Newton and again by the certificate).  Each run starts
-    from the strategies of the last query answered (the first from the
-    greedy pair, as a cold run does), so the runs follow the caller's games.
+    from the strategies of the last query answered, so the runs follow the
+    caller's games.  The first starts from the pair of ``VALUE_STEPS``
+    Shapley-operator steps (``_value_start``) on a game of at least
+    ``VALUE_STEP_ENTRIES`` entries per grid whose steps stay on int64, and
+    from the greedy pair, as a cold run does, on any other game.
     A memo hit counts as that query only where the last Min node's value
     (phi, in ``spectral``'s terms) is positive: such a lam lies right of
     every zero of phi, as the games just left of it that Newton asks next
@@ -558,7 +613,7 @@ class HomogeneousInstance:
     side, nearer the last run.  So a report's sigma and tau are an optimal
     pair of the game, not necessarily a cold run's.  ``stats`` counts the
     runs, their rounds and ranked rounds, the runs that ended on Python
-    ints, and the memo hits.
+    ints, the memo hits, and the seeded runs with their value steps.
     """
 
     def __init__(self, U: tuple, V: tuple, scale: int, image: tuple):
@@ -625,7 +680,14 @@ class HomogeneousInstance:
                 self.last = hit.sigma.choices, hit.tau.choices
             return hit
         arrays, W, d = self.arrays(key)
-        chi, sigma, tau = _policy_iteration(arrays, W, self.last, self.stats)[:3]
+        start = self.last
+        if start is None and arrays[0].size >= VALUE_STEP_ENTRIES:
+            seed = _value_start(arrays, W, VALUE_STEPS)
+            if seed is not None:
+                start = seed[:2]
+                self.stats.seeded_runs += 1
+                self.stats.value_steps += seed[2]
+        chi, sigma, tau = _policy_iteration(arrays, W, start, self.stats)[:3]
         self.last = sigma, tau
         hit = self.memo[key] = _report(chi, d, sigma, tau)
         if len(self.memo) > GAME_MEMO_SIZE:

@@ -382,7 +382,8 @@ def test_solve_stats_prints_the_oracle_work_on_stderr(capsys):
     assert json.loads(line) == {
         "runs": stats.runs, "memo_hits": stats.memo_hits,
         "rounds": stats.rounds, "ranked_rounds": stats.ranked_rounds,
-        "bigint_runs": stats.bigint_runs,
+        "bigint_runs": stats.bigint_runs, "seeded_runs": stats.seeded_runs,
+        "value_steps": stats.value_steps,
     }
     assert stats.runs > 0
 

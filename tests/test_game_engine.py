@@ -20,6 +20,7 @@ from troplf import (
     game_at,
     game_value,
     homogenize,
+    initial_bounds,
     integer_oracle,
     value_report,
 )
@@ -27,11 +28,12 @@ import troplf.game_engine as ge
 from troplf.game_engine import restrict_min
 
 from brute_force import brute_force_value, play_outcome
-from conftest import make_game, random_game
+from conftest import make_game, random_game, random_instance
 from lifting import lifting_oracle
 from maxplus import payment_matrices, restrict_max, trop_matvec
 import policy_reference
-from test_acceptance import criterion_5_random_games
+from test_acceptance import criterion_5_random_games, criterion_10_instances
+from test_spectral import assert_warm_report
 
 
 def fin(x):
@@ -317,6 +319,147 @@ def test_policy_iteration_from_any_legal_start():
         tau = tuple(rng.choice(g.min_moves(j)) for j in range(g.n))
         chi = ge._policy_iteration(*ge._game_arrays(g.a, g.b), (sigma, tau))[0]
         assert tuple(c / g.d for c in chi) == tuple(brute_force_value(g, j) for j in range(g.n))
+
+
+def _value_start_reference(g, steps):
+    """Value iteration on g's grids in Python ints, as ``_value_start``
+    states it: (sigma, tau, steps taken), first index on ties."""
+    x, pair = [0] * g.n, None
+    for k in range(1, steps + 1):
+        sigma, t = [], []
+        for row in g.b:
+            best = max((b + x[l], -l) for l, b in enumerate(row) if b is not None)
+            sigma.append(-best[1])
+            t.append(best[0])
+        y, tau = [], []
+        for j in range(g.n):
+            best = min((t[i] - g.a[i][j], i) for i in range(g.m) if g.a[i][j] is not None)
+            y.append(best[0])
+            tau.append(best[1])
+        if pair == (tuple(sigma), tuple(tau)):
+            break
+        pair = tuple(sigma), tuple(tau)
+        x = [v - max(y) for v in y]
+    return (*pair, k)
+
+
+def _seeded_games(rng):
+    """Seeded games with -inf entries, from 1 x 1 to 20 x 20 and from
+    M = 1 to 10**6, all on int64."""
+    return [random_game(rng, rng.randint(1, size), rng.randint(1, size), M, rng.choice((0.0, 0.3, 0.6)))
+            for size in (3, 8, 20) for M in (1, 10, 10**6) for _ in range(15)]
+
+
+def test_one_value_step_is_the_greedy_pair():
+    """One Shapley step from x = 0 gives the greedy pair, the best replies
+    when every value and bias is 0, and a run from it is the cold run:
+    the same values, strategies, rounds and bigint flag."""
+    rng = random.Random(25)
+    games = _seeded_games(rng)
+    assert len(games) >= 100
+    for g in games:
+        arrays, W = ge._game_arrays(g.a, g.b)
+        sigma, tau, taken = ge._value_start(arrays, W, 1)
+        greedy_sigma = tuple(-max((b, -l) for l, b in enumerate(row) if b is not None)[1]
+                             for row in g.b)
+        top = [g.b[i][greedy_sigma[i]] for i in range(g.m)]
+        greedy_tau = tuple(min((top[i] - g.a[i][j], i) for i in range(g.m) if g.a[i][j] is not None)[1]
+                           for j in range(g.n))
+        assert (sigma, tau, taken) == (greedy_sigma, greedy_tau, 1)
+        assert ge._policy_iteration(arrays, W, (sigma, tau)) == ge._policy_iteration(arrays, W)
+
+
+def test_value_start_is_a_legal_pair_from_exact_value_steps():
+    """The start is the pair of value iteration in Python ints, steps taken
+    included, so its sentinels never win a move: it picks finite entries
+    only, and a run from it returns the cold run's values."""
+    rng = random.Random(26)
+    for g in _seeded_games(rng):
+        arrays, W = ge._game_arrays(g.a, g.b)
+        cold = ge._policy_iteration(arrays, W)[0]
+        for steps in (2, 15, 40):
+            sigma, tau, taken = got = ge._value_start(arrays, W, steps)
+            assert got == _value_start_reference(g, steps)
+            assert taken <= steps
+            MaxStrategy(sigma).check(g)
+            MinStrategy(tau).check(g)
+            assert ge._policy_iteration(arrays, W, (sigma, tau))[0] == cold
+
+
+def test_value_start_declines_where_its_bound_passes_int64():
+    """The iterate's bound |x| < 4W*steps enters the int64 rule: a 16 x 16
+    game (at least the seeding threshold) with payments up to
+    E = 2**62/(33 + 4*VALUE_STEPS) runs on int64, but the steps could leave
+    it, so its first report is the cold run.  At a tenth of E it is seeded,
+    on int64, and returns what a run on Python ints returns.  Object games
+    are not seeded."""
+    assert 16 * 16 >= ge.VALUE_STEP_ENTRIES
+    top = 2**62 // (33 + 4 * ge.VALUE_STEPS)
+    rng = random.Random(27)
+    for E, seeded in ((top, 0), (top // 10, 1), (2**64, 0)):
+        grid = [[rng.randint(-E, E) for _ in range(16)] for _ in range(32)]
+        grid[0][0] = E
+        a, b = tuple(map(tuple, grid[:16])), tuple(map(tuple, grid[16:]))
+        (Am, Bm, Aw, Bw), W = ge._game_arrays(a, b)
+        assert (Aw.dtype == object) == (E == 2**64)
+        assert (ge._value_start((Am, Bm, Aw, Bw), W, ge.VALUE_STEPS) is None) == (not seeded)
+        H = ge.HomogeneousInstance(a, b, 1, (Am, Bm, Aw, Bw))
+        rep = H.report(0)
+        assert (H.stats.seeded_runs, H.stats.value_steps > 0) == (seeded, bool(seeded))
+        ref = ge._policy_iteration((Am, Bm, Aw.astype(object), Bw.astype(object)), W)
+        g = ge.MeanPayoffGame(a, b)
+        if seeded:
+            assert rep.chi == ref[0]
+            assert_warm_report(g, rep, value_report(g))
+        else:
+            assert rep == value_report(g)
+            assert (rep.sigma.choices, rep.tau.choices, H.stats.rounds) == ref[1:4]
+
+
+def test_seeded_first_reports_return_the_cold_values():
+    """On games at and above the threshold (criterion 10's 50 x 50 instances
+    at lam_hi, as a solve asks first, and seeded 16 x 16 to 24 x 24 games
+    with -inf entries), the first report of an instance starts from value
+    steps, and returns the cold run's values with an optimal pair."""
+    cases = []
+    for inst in islice(criterion_10_instances(), 4):
+        H = homogenize(inst)
+        cases.append((H, initial_bounds(H)[1]))
+    rng = random.Random(28)
+    while len(cases) < 16:
+        size = rng.randint(15, 23)
+        inst = random_instance(rng, size, size, rng.choice((5, 500)), rng.choice((0.0, 0.5)))
+        H = homogenize(inst)
+        if not ge.validate_shape(H.U, H.V):
+            cases.append((H, Fraction(rng.randint(-20, 20), rng.randint(1, 3))))
+    for H, lam in cases:
+        assert (H.m + 1) * (H.n + 1) >= ge.VALUE_STEP_ENTRIES
+        g = game_at(H, lam)
+        assert_warm_report(g, H.report(lam), value_report(g))
+        assert H.stats.seeded_runs == H.stats.runs == 1
+        assert 1 <= H.stats.value_steps <= ge.VALUE_STEPS
+
+
+@pytest.mark.parametrize("sizes", [(8, 10, 0.4), (2, 2, 0.3)])
+def test_first_reports_below_the_threshold_are_cold_runs(sizes):
+    """On games the size of sparse-mixed-small's (up to 8 x 8, M = 10, 40%
+    -inf) and spectral-small's (up to 2 x 2), no report is seeded, and an
+    instance's first report is exactly a cold value_report, with the cold
+    run's rounds."""
+    top, M, density = sizes
+    assert (top + 1) ** 2 < ge.VALUE_STEP_ENTRIES <= 31 * 31
+    rng = random.Random(29)
+    checked = 0
+    while checked < 60:
+        H = homogenize(random_instance(rng, rng.randint(1, top), rng.randint(1, top), M, density))
+        if ge.validate_shape(H.U, H.V):
+            continue  # no parametric game
+        lam = Fraction(rng.randint(-3 * M, 3 * M), rng.randint(1, 3))
+        g = game_at(H, lam)
+        assert H.report(lam) == value_report(g)
+        assert H.stats.rounds == ge._policy_iteration(*ge._game_arrays(g.a, g.b))[3]
+        assert H.stats.seeded_runs == H.stats.value_steps == 0
+        checked += 1
 
 
 def test_rational_payments_prescaled():

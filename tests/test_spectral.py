@@ -41,6 +41,7 @@ from troplf.game_engine import (
 from conftest import RawInstance, e, make_game, make_instance, random_instance, recorded_runs
 from grid_reference import reconstruct as grid_reconstruct, spectral_grid
 from maxplus import payment_matrices, restrict_max
+from test_acceptance import criterion_10_instances
 
 
 def fin(x):
@@ -160,9 +161,11 @@ def test_game_at_matches_the_fraction_reference(big):
     """game_at(H, lam) has the integer payments of the Fraction game at lam,
     at lam and just left of it, at lam - 1/(min(m,n)+2).  At an integer lam
     the grids there are those of that game's payments times min(m,n)+2, and
-    so are its values, with the same strategies.  The oracle's first query
-    on an instance is a cold run; later ones are warm started and give the
-    same values with an optimal strategy pair."""
+    so are its values, with the same strategies.  These games, of at most
+    4 x 4 nodes, lie below ``VALUE_STEP_ENTRIES``, so the oracle's first
+    query on an instance is exactly a cold run, from the greedy pair; later
+    ones are warm started and give the same values with an optimal
+    strategy pair."""
     rng = random.Random(17)
     checked = rational = widest = bigint = 0
     while checked < 25:
@@ -304,6 +307,27 @@ def test_warm_started_reports_match_cold_runs(case):
         g = game_at(H, lam)
         assert_warm_report(g, H.report(lam), value_report(g))
     assert H.stats.runs == len(set(queries))
+
+
+def test_warm_started_reports_match_cold_runs_on_a_50x50_instance():
+    """A query sequence on criterion 10's first 50 x 50 instance, as a
+    Newton solve makes it and then some: lam_hi, whose run is seeded by
+    value steps, deep_lambda, the optimum, other integers and the games
+    just left of them, in a random order with repeats.  Every report has a
+    cold value_report's values and an optimal strategy pair."""
+    inst = next(criterion_10_instances())
+    H = homogenize(inst)
+    lo, hi = initial_bounds(H)
+    k2 = H.k_bound + 2
+    rng = random.Random(31)
+    pool = [solver.solve(inst).lam * H.scale] + [Fraction(rng.randint(lo, hi)) for _ in range(2)]
+    pool += [lam - Fraction(1, k2) for lam in pool] + [spectral.deep_lambda(H)]
+    queries = [hi] + [rng.choice(pool) for _ in range(10)]
+    for lam in queries:
+        g = game_at(H, lam)
+        assert_warm_report(g, H.report(lam), value_report(g))
+    assert H.stats.runs == len(set(queries))
+    assert H.stats.seeded_runs == 1
 
 
 def test_game_report_with_a_factor_past_int64():
