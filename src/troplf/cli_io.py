@@ -298,6 +298,10 @@ def _load_json(path: str) -> dict:
         raise DocumentError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply")
 
 
 # --- commands --------------------------------------------------------------
@@ -318,7 +322,8 @@ def cmd_solve(args, out: TextIO) -> int:
         lam = parsed.objective_value(lam / parsed.instance.scale)
         print(f"iteration {k}: lambda = {format_rational(lam)} (phi {sign})", file=out)
     if args.cert_out and outcome.certificate is not None:
-        _write_json(args.cert_out, serialize_certificate(outcome.certificate))
+        cert = serialize_certificate(outcome.certificate)
+        _write_text(args.cert_out, json.dumps(cert, indent=2) + "\n")
     if outcome.status == "Infeasible":
         print("infeasible", file=out)
         return 2
@@ -333,10 +338,12 @@ def cmd_solve(args, out: TextIO) -> int:
     return 0
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}")
 
 
 NO_PARAMETRIC_GAME = (
@@ -388,8 +395,7 @@ def cmd_spectral(args, out: TextIO) -> int:
         lines.append(f"sample,{unscaled(lam)},{unscaled(phi(H, lam))}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         out.write(text)
     return 0

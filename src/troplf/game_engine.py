@@ -23,21 +23,20 @@ optimal, so values are divided by d once at the end.  ``integer_grids`` puts
 int and Fraction entries over their least common denominator.
 
 ``_policy_iteration`` is the one policy-iteration routine, and it runs on
-numpy arrays, from the greedy strategy pair or from a given one.  It starts
+numpy arrays, from a given strategy pair or from up to ``steps`` value
+steps from 0 by its own best replies (one: the greedy pair).  It starts
 on int64 whenever the payments allow it and moves the weights to Python
 ints (object arrays) once an evaluation's exact biases outgrow int64, so
 every number it computes is exact.  A round does only the numpy work its
 step needs: the evaluation ranks the cycle means, and the steps filter the
-moves by rank only when it found two or more.  ``_value_start`` gives the
-pair of a few value-iteration steps, the start of an instance's first run
-on games of at least ``VALUE_STEP_ENTRIES`` entries per grid.
+moves by rank only when it found two or more.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
 the parametric game of one ``HomogeneousInstance`` at many lambda, and the
 instance owns them: ``report(lam)`` answers from its memo or by a run
-started from the strategies of the last (the first from value steps on a
-large game, else from the greedy pair), so its sigma and tau are an
+started from the strategies of the last (the first from ``VALUE_STEPS``
+value steps on a large game, else from one), so its sigma and tau are an
 optimal pair, not necessarily the pair a cold run returns, and
 ``arrays(lam)`` gives the masks and weights of its last run to the rest of
 a solve: the grids times lambda's denominator, as ``spectral.game_at``
@@ -328,16 +327,21 @@ def _evaluate(nxt, w, ref):
     return P, Q, V, rank, means
 
 
-def _policy_iteration(arrays, W, start=None, stats=None):
+def _policy_iteration(arrays, W, start=None, stats=None, steps=1):
     """Exact values and optimal positional strategies of an integer game.
 
     ``arrays`` is the game as ``_game_arrays`` gives it: the masks of the
     finite entries of a and b, and their weights (0 at -inf) in one numpy
     dtype, int64 or object as ``_payment_dtype(n, W)`` picks it, W bounding
     every |payment| + 1.  ``start`` is a legal strategy pair (sigma, tau) to
-    start from; None starts from the greedy pair, the best replies when every
-    value and bias is 0.  Policy iteration converges from any start, to
-    values that do not depend on it.
+    start from; None starts from the pair of up to ``steps`` steps of the
+    Shapley operator x_j <- min_i (-a_ij + max_l (b_il + x_l)) from x = 0
+    (Zwick & Paterson, TCS 1996; Puterman & Shin's modified policy iteration,
+    1978): the rounds' best replies with Q = 1 and V = x, max x subtracted
+    after each, until the pair repeats.  One step is the greedy pair.  A step
+    lowers min x by less than 4W, so |x| < 4W*steps enters ``_payment_dtype``
+    as vmax; on object arrays, or where that passes int64, the run takes one
+    step.  Policy iteration converges from any start, to the same values.
 
     ``_evaluate`` gives the biases V as Python ints.  After each evaluation
     the run asks ``_payment_dtype`` again with max|V|; once int64 could no
@@ -348,17 +352,18 @@ def _policy_iteration(arrays, W, start=None, stats=None):
     Returns (chi, sigma, tau, rounds, bigint) with chi[j] the Fraction value
     of Min node j (one Fraction object per distinct mean), rounds the
     improvement rounds taken and bigint whether the run ended on object
-    arrays; ``stats``, an OracleStats or None, books the run.  Values
-    compare lexicographically as (eta, v), i.e. as the germ eta*t + v for
-    large t.  Max's step moves each row to the lex-largest (eta_l,
-    b_il + v_l); Min's step moves each column to the lex-smallest (top_i,
-    best_i - a_ij) over its rows, where (top_i, best_i) is row i's best Max
-    reply.  Both switch only on strict improvement, to the first best index.
-    The moves a step may not take get the key -B or +B, B = (2n + 1)W +
-    max|V| + 1, beyond every other; moves are filtered by eta's rank only
-    when the evaluation found two means or more.  At the end (eta, v) is a
-    lexicographic fixed point of the Shapley operator and of its
-    restrictions to sigma and to tau, so both are optimal from every node.
+    arrays; ``stats``, an OracleStats or None, books the run and the value
+    steps of a start of more than one.  Values compare lexicographically as
+    (eta, v), i.e. as the germ eta*t + v for large t.  Max's step moves each
+    row to the lex-largest (eta_l, b_il + v_l); Min's step moves each column
+    to the lex-smallest (top_i, best_i - a_ij) over its rows, where (top_i,
+    best_i) is row i's best Max reply.  Both switch only on strict
+    improvement, to the first best index.  The moves a step may not take get
+    the key -B or +B, B = (2n + 1)W + max|V| + 1, beyond every other; moves
+    are filtered by eta's rank only when the evaluation found two means or
+    more.  At the end (eta, v) is a lexicographic fixed point of the Shapley
+    operator and of its restrictions to sigma and to tau, so both are
+    optimal from every node.
     """
     Am, Bm, Aw, Bw = arrays
     m, n = Am.shape
@@ -373,36 +378,50 @@ def _policy_iteration(arrays, W, start=None, stats=None):
 
     def max_step(rk, Qv, Vv, B):
         """Per row: best eta rank (None unranked), the keys Q_l*b_il + V_l
-        of the moves of that rank (else -B), best key, argmax."""
-        val = Qv * Bw + Vv
+        of the moves of that rank (else -B), best key, argmax; a value step
+        (Qv None) reads its keys b_il + V_l off Bk."""
+        val = Bk + Vv if Qv is None else Qv * Bw + Vv
         top, keep = None, Bm
         if rk is not None:
             rank = rk + Boff
             top = rank.max(axis=1)
             keep = rank == top[:, None]
-        masked = np.where(keep, val, -B)
+        masked = val if Qv is None else np.where(keep, val, -B)
         arg = masked.argmax(axis=1)
         return top, masked, masked[rows, arg], arg
 
     def min_step(top, best, Qtop, B):
         """Per column: the keys of the rows of least rank (else +B), least
-        key, argmin."""
-        cand = best[:, None] - Qtop[:, None] * Aw
+        key, argmin; a value step (Qtop None) reads a off Ak."""
+        cand = best[:, None] - (Ak if Qtop is None else Qtop[:, None] * Aw)
         keep = Am
         if top is not None:
             rank = top[:, None] + Aoff
             keep = rank == rank.min(axis=0)
-        masked = np.where(keep, cand, B)
+        masked = cand if Qtop is None else np.where(keep, cand, B)
         arg = masked.argmin(axis=0)
         return masked, masked[arg, cols], arg
 
     B = (2 * n + 1) * W + 1  # plus max|V| after each evaluation
     if start is None:
-        unit = np.ones(n, dtype=dt)
-        top, _masked, best, sigma = max_step(None, unit, unit - 1, B)
-        tau = min_step(top, best, unit[sigma], B)[2]
-    else:
-        sigma, tau = (np.array(s, dtype=np.intp) for s in start)
+        X = 4 * steps * W  # bounds |x|
+        if steps == 1 or dt == object or _payment_dtype(n, W, X) is object:
+            steps, X = 1, 0
+        # As -X < x <= 0, b = a = -(B + X) puts a move beyond every key.
+        Bk, Ak = np.where(Bm, Bw, -B - X), np.where(Am, Aw, -B - X)
+        x = np.zeros(n, dtype=dt)
+        for k in range(1, steps + 1):
+            best, sigma = max_step(None, None, x, None)[2:]
+            _masked, y, tau = min_step(None, best, None, None)
+            if start is not None and (sigma == start[0]).all() and (tau == start[1]).all():
+                break
+            start = sigma, tau
+            if k < steps:
+                x = y - y.max()
+        if steps > 1 and stats is not None:
+            stats.seeded_runs += 1
+            stats.value_steps += k
+    sigma, tau = (np.asarray(s, dtype=np.intp) for s in start)
     ref = None
     rounds = ranked = 0
     while True:
@@ -519,59 +538,20 @@ class OracleStats:
     rounds: int = 0  # improvement rounds over all runs
     ranked_rounds: int = 0  # rounds whose evaluation found more than one cycle mean
     bigint_runs: int = 0  # runs that ended on Python ints (object arrays)
-    seeded_runs: int = 0  # runs started from value-iteration steps (``_value_start``)
-    value_steps: int = 0  # Shapley-operator steps taken for those starts
+    seeded_runs: int = 0  # runs started from more than one value step
+    value_steps: int = 0  # value steps taken for those starts
 
 
 # Solved games kept in an instance's memo.
 GAME_MEMO_SIZE = 8
-# An instance's first run starts from up to VALUE_STEPS Shapley-operator
-# steps on games of at least VALUE_STEP_ENTRIES entries per grid (the
-# benchmark's 31 x 31 and 51 x 51 games), and from the greedy pair, which is
-# one step, below: on games of up to 81 entries the numpy steps cost more
-# than the one or two rounds they save.  On the larger games 10 to 30 steps
-# solve about equally fast, and 5 or fewer leave rounds unsaved.
+# An instance's first run starts from up to VALUE_STEPS value steps on games
+# of at least VALUE_STEP_ENTRIES entries per grid (the benchmark's 31 x 31
+# and 51 x 51 games), and from one, the greedy pair, below: on games of up
+# to 81 entries the numpy steps cost more than the one or two rounds they
+# save.  On the larger games 10 to 30 steps solve about equally fast, and 5
+# or fewer leave rounds unsaved.
 VALUE_STEP_ENTRIES = 256
 VALUE_STEPS = 15
-
-
-def _value_start(arrays, W: int, steps: int):
-    """(sigma, tau, steps taken) from value iteration on an integer game, or
-    None when its numbers may leave int64.
-
-    Applies up to ``steps`` steps of the Shapley operator
-    x_j <- min_i (-a_ij + max_l (b_il + x_l)) from x = 0 (Zwick & Paterson,
-    TCS 1996), subtracting max x after each, and stops once the pair of
-    first-index best replies repeats; it returns the pair attaining the last
-    step, a legal start for ``_policy_iteration`` (as in Puterman & Shin's
-    modified policy iteration, 1978).  One step from x = 0 gives exactly the
-    greedy pair.  Each step lowers min x by less than 4W (max x is 0, and
-    every b - a lies within 2W of 0), so |x| < 4W*steps, and the keys b + x
-    and t - a stay within ``_payment_dtype``'s bound with that as vmax;
-    games whose arrays are object, or which that bound pushes past int64,
-    get None."""
-    Am, Bm, Aw, Bw = arrays
-    m, n = Am.shape
-    X = 4 * steps * W
-    if Aw.dtype == object or _payment_dtype(n, W, X) is object:
-        return None
-    # Moves a step may not take get b = -S or -a = +S, beyond every key.
-    S = 3 * W + X + 1
-    Bk, Ak = np.where(Bm, Bw, -S), np.where(Am, -Aw, S)
-    rows, cols = np.arange(m), np.arange(n)
-    x = np.zeros(n, dtype=np.int64)
-    pair = None
-    for k in range(1, steps + 1):
-        t = Bk + x
-        sigma = t.argmax(axis=1)
-        c = t[rows, sigma][:, None] + Ak
-        tau = c.argmin(axis=0)
-        if pair is not None and (sigma == pair[0]).all() and (tau == pair[1]).all():
-            break
-        pair = sigma, tau
-        y = c[tau, cols]
-        x = y - y.max()
-    return tuple(pair[0].tolist()), tuple(pair[1].tolist()), k
 
 
 class HomogeneousInstance:
@@ -602,10 +582,9 @@ class HomogeneousInstance:
     about the same game more than once (the perturbed game at the optimum
     is probed by Newton and again by the certificate).  Each run starts
     from the strategies of the last query answered, so the runs follow the
-    caller's games.  The first starts from the pair of ``VALUE_STEPS``
-    Shapley-operator steps (``_value_start``) on a game of at least
-    ``VALUE_STEP_ENTRIES`` entries per grid whose steps stay on int64, and
-    from the greedy pair, as a cold run does, on any other game.
+    caller's games.  The first starts from ``_policy_iteration``'s value
+    steps: up to ``VALUE_STEPS`` on a game of at least
+    ``VALUE_STEP_ENTRIES`` entries per grid, else one, as a cold run does.
     A memo hit counts as that query only where the last Min node's value
     (phi, in ``spectral``'s terms) is positive: such a lam lies right of
     every zero of phi, as the games just left of it that Newton asks next
@@ -613,7 +592,8 @@ class HomogeneousInstance:
     side, nearer the last run.  So a report's sigma and tau are an optimal
     pair of the game, not necessarily a cold run's.  ``stats`` counts the
     runs, their rounds and ranked rounds, the runs that ended on Python
-    ints, the memo hits, and the seeded runs with their value steps.
+    ints, the memo hits, and the runs started from more than one value
+    step with their steps.
     """
 
     def __init__(self, U: tuple, V: tuple, scale: int, image: tuple):
@@ -680,14 +660,8 @@ class HomogeneousInstance:
                 self.last = hit.sigma.choices, hit.tau.choices
             return hit
         arrays, W, d = self.arrays(key)
-        start = self.last
-        if start is None and arrays[0].size >= VALUE_STEP_ENTRIES:
-            seed = _value_start(arrays, W, VALUE_STEPS)
-            if seed is not None:
-                start = seed[:2]
-                self.stats.seeded_runs += 1
-                self.stats.value_steps += seed[2]
-        chi, sigma, tau = _policy_iteration(arrays, W, start, self.stats)[:3]
+        steps = VALUE_STEPS if arrays[0].size >= VALUE_STEP_ENTRIES else 1
+        chi, sigma, tau = _policy_iteration(arrays, W, self.last, self.stats, steps)[:3]
         self.last = sigma, tau
         hit = self.memo[key] = _report(chi, d, sigma, tau)
         if len(self.memo) > GAME_MEMO_SIZE:

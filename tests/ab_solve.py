@@ -32,7 +32,10 @@ the benchmark's ``setup_s`` measures it; ``--count`` is not read.  Which
 side runs first alternates from round to round, and a round is a pair.
 Each fresh interpreter compiles the sources again when Python writes no
 bytecode cache (``PYTHONDONTWRITEBYTECODE``), so the environment is part
-of the measurement.
+of the measurement.  The clock stops when a blocking ``Popen.wait()``
+returns; a wait with a timeout would poll, with sleeps of up to 50 ms, and
+round every reading up to its next poll, so the time limit is a timer
+thread that kills the interpreter instead.
 
 Two runs of the benchmark are two processes, and on a small shared host
 their timings can differ by more than a few-percent effect; timed in one
@@ -52,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -204,8 +208,16 @@ def setup_times(run, workload, seed: int, checkouts: dict, repeats: int) -> dict
             for name in (names if r % 2 == 0 else names[::-1]):
                 argv = [sys.executable, "-c", run.SETUP_SCRIPT, str(checkouts[name] / "src"), str(path)]
                 t0 = time.perf_counter()
-                subprocess.run(argv, check=True, timeout=120)
-                times[name][r] = [time.perf_counter() - t0]
+                with subprocess.Popen(argv) as proc:
+                    timer = threading.Timer(120, proc.kill)  # the time limit, in s
+                    timer.start()
+                    try:
+                        code = proc.wait()
+                        times[name][r] = [time.perf_counter() - t0]
+                    finally:
+                        timer.cancel()
+                if code != 0:
+                    sys.exit(f"error: {name}'s set-up interpreter exited with {code}")
     return times
 
 

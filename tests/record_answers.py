@@ -14,7 +14,8 @@ writes one JSON line per record.  A solve record has the family, the
 instance index, the method, the status, lambda*, the witness, the
 serialized certificate, whether ``troplf check`` accepts that certificate,
 the trace and the oracle's work (``SolveOutcome.stats``: runs, memo hits,
-rounds, ranked rounds and runs on Python ints); a solve that raises has
+rounds, ranked rounds, runs on Python ints, and the runs started from
+value steps with those steps); a solve that raises has
 the exception as its status, and so does a document the checkout refuses
 to parse.  A ``reconstruct`` record has the spectral function's pieces and
 the oracle's work.  The random families come from the acceptance
@@ -26,6 +27,11 @@ criteria's own generators in ``test_acceptance``:
 * ``criterion-10``: the 20 instances of criterion 10, by Newton;
 * ``solve-rational-bigint-30``: the 60 instances of the benchmark's
   ``rational-bigint-30`` workload at seed 1, by Newton;
+* ``big-payments``: the first 6 documents of the benchmark's
+  ``dense-newton-50`` workload at seed 1 with every finite entry times
+  2^40 (indices ``2^40/i``) and times 2^70 (``2^70/i``), by Newton: runs
+  that start on int64 and move to Python ints, and runs on Python ints
+  throughout;
 * ``solve-sparse-mixed-small``: the first 256 documents of the benchmark's
   ``sparse-mixed-small`` workload at seed 1, all methods (negative Newton
   and the degenerate prechecks on sparse instances with -inf entries);
@@ -117,6 +123,9 @@ def _families():
     pool = run.RationalBigint30()
     solves += [("solve-rational-bigint-30", i, pool.instance(1, i), ("newton",))
                for i in range(pool.setup_count)]
+    pool = run.DenseNewton50()
+    solves += [("big-payments", f"2^{e}/{i}", _scaled(pool.instance(1, i), 2**e), ("newton",))
+               for e in (40, 70) for i in range(6)]
     pool = run.SparseMixedSmall()
     solves += [("solve-sparse-mixed-small", i, pool.instance(1, i), METHODS)
                for i in range(256)]
@@ -137,6 +146,18 @@ def _families():
     rebuilds += [("reconstruct-spectral-small", i, pool.instance(1, i))
                  for i in range(pool.setup_count)]
     return solves, rebuilds
+
+
+def _scaled(doc: dict, factor: int) -> dict:
+    """doc with every finite entry times factor; the entries of the
+    benchmark's dense documents are ints."""
+
+    def scaled(v):
+        if isinstance(v, list):
+            return [scaled(x) for x in v]
+        return v * factor if isinstance(v, int) else v
+
+    return {k: scaled(v) for k, v in doc.items()}
 
 
 def _instance(source):

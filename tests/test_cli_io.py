@@ -200,6 +200,32 @@ def test_documents_breaking_the_game_assumptions_are_document_errors(capsys, tmp
         assert code == 1 and out == "" and err.startswith("error: column [[c],[r]]")
 
 
+def test_unreadable_documents_are_document_errors(capsys, tmp_path):
+    """A document that is not UTF-8 (here UTF-16 with its byte-order mark)
+    or whose JSON nests past the parser's recursion limit gives an error
+    line and exit 1, as an instance, a certificate or a game, not a
+    traceback."""
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes("{}".encode("utf-16"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path, message in ((utf16, "not UTF-8 text"), (deep, "JSON nested too deeply")):
+        for argv in (["solve", str(path)], ["check", EX2, str(path)], ["spectral", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith(f"error: {path}: {message}")
+
+
+def test_unwritable_outputs_are_document_errors(capsys, tmp_path):
+    """solve --cert-out and spectral --out into a missing directory give an
+    error line and exit 1, not a traceback."""
+    missing = tmp_path / "missing"
+    for command, flag, target in (("solve", "--cert-out", missing / "cert.json"),
+                                  ("spectral", "--out", missing / "spec.csv")):
+        code, _out, err = run(capsys, command, EX2, flag, str(target))
+        assert code == 1 and err.startswith(f"error: cannot write {target}")
+    assert not missing.exists()
+
+
 # --- certificate documents -------------------------------------------------
 
 

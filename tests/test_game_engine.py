@@ -322,8 +322,8 @@ def test_policy_iteration_from_any_legal_start():
 
 
 def _value_start_reference(g, steps):
-    """Value iteration on g's grids in Python ints, as ``_value_start``
-    states it: (sigma, tau, steps taken), first index on ties."""
+    """Value iteration on g's grids in Python ints, as ``_policy_iteration``
+    states its start: (sigma, tau, steps taken), first index on ties."""
     x, pair = [0] * g.n, None
     for k in range(1, steps + 1):
         sigma, t = [], []
@@ -351,39 +351,47 @@ def _seeded_games(rng):
 
 
 def test_one_value_step_is_the_greedy_pair():
-    """One Shapley step from x = 0 gives the greedy pair, the best replies
-    when every value and bias is 0, and a run from it is the cold run:
-    the same values, strategies, rounds and bigint flag."""
+    """A run from one Shapley step from x = 0 is a run from the greedy pair,
+    the best replies when every value and bias is 0, and is the cold run:
+    the same values, strategies, rounds and bigint flag, with no seeded
+    run booked."""
     rng = random.Random(25)
     games = _seeded_games(rng)
     assert len(games) >= 100
+    stats = ge.OracleStats()
     for g in games:
         arrays, W = ge._game_arrays(g.a, g.b)
-        sigma, tau, taken = ge._value_start(arrays, W, 1)
+        got = ge._policy_iteration(arrays, W, None, stats, 1)
         greedy_sigma = tuple(-max((b, -l) for l, b in enumerate(row) if b is not None)[1]
                              for row in g.b)
         top = [g.b[i][greedy_sigma[i]] for i in range(g.m)]
         greedy_tau = tuple(min((top[i] - g.a[i][j], i) for i in range(g.m) if g.a[i][j] is not None)[1]
                            for j in range(g.n))
-        assert (sigma, tau, taken) == (greedy_sigma, greedy_tau, 1)
-        assert ge._policy_iteration(arrays, W, (sigma, tau)) == ge._policy_iteration(arrays, W)
+        assert _value_start_reference(g, 1) == (greedy_sigma, greedy_tau, 1)
+        assert got == ge._policy_iteration(arrays, W, (greedy_sigma, greedy_tau))
+        assert got == ge._policy_iteration(arrays, W)
+    assert stats.runs == len(games) and stats.seeded_runs == stats.value_steps == 0
 
 
 def test_value_start_is_a_legal_pair_from_exact_value_steps():
-    """The start is the pair of value iteration in Python ints, steps taken
-    included, so its sentinels never win a move: it picks finite entries
-    only, and a run from it returns the cold run's values."""
+    """A run of K value steps is the run from the pair of value iteration in
+    Python ints, and books one seeded run with that iteration's steps
+    taken; so its sentinels never win a move: the pair picks finite entries
+    only, and the run returns the cold run's values."""
     rng = random.Random(26)
     for g in _seeded_games(rng):
         arrays, W = ge._game_arrays(g.a, g.b)
         cold = ge._policy_iteration(arrays, W)[0]
         for steps in (2, 15, 40):
-            sigma, tau, taken = got = ge._value_start(arrays, W, steps)
-            assert got == _value_start_reference(g, steps)
+            stats = ge.OracleStats()
+            got = ge._policy_iteration(arrays, W, None, stats, steps)
+            sigma, tau, taken = _value_start_reference(g, steps)
             assert taken <= steps
             MaxStrategy(sigma).check(g)
             MinStrategy(tau).check(g)
-            assert ge._policy_iteration(arrays, W, (sigma, tau))[0] == cold
+            assert got == ge._policy_iteration(arrays, W, (sigma, tau))
+            assert (stats.runs, stats.seeded_runs, stats.value_steps) == (1, 1, taken)
+            assert got[0] == cold
 
 
 def test_value_start_declines_where_its_bound_passes_int64():
@@ -402,7 +410,9 @@ def test_value_start_declines_where_its_bound_passes_int64():
         a, b = tuple(map(tuple, grid[:16])), tuple(map(tuple, grid[16:]))
         (Am, Bm, Aw, Bw), W = ge._game_arrays(a, b)
         assert (Aw.dtype == object) == (E == 2**64)
-        assert (ge._value_start((Am, Bm, Aw, Bw), W, ge.VALUE_STEPS) is None) == (not seeded)
+        stats = ge.OracleStats()
+        ge._policy_iteration((Am, Bm, Aw, Bw), W, None, stats, ge.VALUE_STEPS)
+        assert stats.seeded_runs == seeded
         H = ge.HomogeneousInstance(a, b, 1, (Am, Bm, Aw, Bw))
         rep = H.report(0)
         assert (H.stats.seeded_runs, H.stats.value_steps > 0) == (seeded, bool(seeded))
