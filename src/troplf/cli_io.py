@@ -316,14 +316,16 @@ def cmd_solve(args, out: TextIO) -> int:
         outcome = solver.solve(parsed.instance, method=args.method, lam0=lam0)
     except solver.InfeasibleStart as exc:
         raise DocumentError(str(exc))
+    # The certificate is written first, so a path that cannot be written
+    # fails before anything is printed.
+    if args.cert_out and outcome.certificate is not None:
+        cert = serialize_certificate(outcome.certificate)
+        _write_text(args.cert_out, json.dumps(cert, indent=2) + "\n")
     if args.stats:
         print(json.dumps(dataclasses.asdict(outcome.stats)), file=sys.stderr)
     for (k, lam, sign) in outcome.trace:  # each lambda_k in document units
         lam = parsed.objective_value(lam / parsed.instance.scale)
         print(f"iteration {k}: lambda = {format_rational(lam)} (phi {sign})", file=out)
-    if args.cert_out and outcome.certificate is not None:
-        cert = serialize_certificate(outcome.certificate)
-        _write_text(args.cert_out, json.dumps(cert, indent=2) + "\n")
     if outcome.status == "Infeasible":
         print("infeasible", file=out)
         return 2

@@ -24,7 +24,9 @@ int and Fraction entries over their least common denominator.
 
 ``_policy_iteration`` is the one policy-iteration routine, and it runs on
 numpy arrays, from a given strategy pair or from up to ``steps`` value
-steps from 0 by its own best replies (one: the greedy pair).  It starts
+steps by its own best replies, from 0 or from a given start vector (one
+step from 0: the greedy pair).  It returns its last evaluation's biases,
+as V/Q, with the values and strategies.  It starts
 on int64 whenever the payments allow it and moves the weights to Python
 ints (object arrays) once an evaluation's exact biases outgrow int64, so
 every number it computes is exact.  A round does only the numpy work its
@@ -35,9 +37,10 @@ grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
 the parametric game of one ``HomogeneousInstance`` at many lambda, and the
 instance owns them: ``report(lam)`` answers from its memo or by a run
-started from the strategies of the last (the first from ``VALUE_STEPS``
-value steps on a large game, else from one), so its sigma and tau are an
-optimal pair, not necessarily the pair a cold run returns, and
+started from the last query's strategies, or, on a large game, from
+``VALUE_STEPS`` value steps from the last query's biases (from 0 for the
+first), so its sigma and tau are an optimal pair, not necessarily the pair
+a cold run returns, and
 ``arrays(lam)`` gives the masks and weights of its last run to the rest of
 a solve: the grids times lambda's denominator, as ``spectral.game_at``
 forms them.  On those arrays, ``min_graph`` and ``max_graph`` build the
@@ -327,21 +330,25 @@ def _evaluate(nxt, w, ref):
     return P, Q, V, rank, means
 
 
-def _policy_iteration(arrays, W, start=None, stats=None, steps=1):
+def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
     """Exact values and optimal positional strategies of an integer game.
 
     ``arrays`` is the game as ``_game_arrays`` gives it: the masks of the
     finite entries of a and b, and their weights (0 at -inf) in one numpy
     dtype, int64 or object as ``_payment_dtype(n, W)`` picks it, W bounding
     every |payment| + 1.  ``start`` is a legal strategy pair (sigma, tau) to
-    start from; None starts from the pair of up to ``steps`` steps of the
-    Shapley operator x_j <- min_i (-a_ij + max_l (b_il + x_l)) from x = 0
-    (Zwick & Paterson, TCS 1996; Puterman & Shin's modified policy iteration,
-    1978): the rounds' best replies with Q = 1 and V = x, max x subtracted
-    after each, until the pair repeats.  One step is the greedy pair.  A step
-    lowers min x by less than 4W, so |x| < 4W*steps enters ``_payment_dtype``
-    as vmax; on object arrays, or where that passes int64, the run takes one
-    step.  Policy iteration converges from any start, to the same values.
+    start from.  With ``x0``, a start vector of Python ints (a run's
+    biases), or without a start, the run starts instead from the pair of up
+    to ``steps`` steps of the Shapley operator
+    x_j <- min_i (-a_ij + max_l (b_il + x_l)) from x0 - max x0, or from
+    x = 0 (Zwick & Paterson, TCS 1996; Puterman & Shin's modified policy
+    iteration, 1978): the rounds' best replies with Q = 1 and V = x, max x
+    subtracted after each, until the pair repeats.  One step from 0 is the
+    greedy pair.  A step lowers min x by less than 4W, so
+    |x| < (max x0 - min x0) + 4W*steps enters ``_payment_dtype`` as vmax.
+    On object arrays, where that passes int64, or with one step, the run
+    declines x0 and starts from ``start``, or without one takes one step
+    from 0.  Policy iteration converges from any start, to the same values.
 
     ``_evaluate`` gives the biases V as Python ints.  After each evaluation
     the run asks ``_payment_dtype`` again with max|V|; once int64 could no
@@ -349,11 +356,13 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1):
     no number is ever computed in a dtype that could wrap, and the results
     are those of a run on object arrays throughout.
 
-    Returns (chi, sigma, tau, rounds, bigint) with chi[j] the Fraction value
-    of Min node j (one Fraction object per distinct mean), rounds the
-    improvement rounds taken and bigint whether the run ended on object
-    arrays; ``stats``, an OracleStats or None, books the run and the value
-    steps of a start of more than one.  Values compare lexicographically as
+    Returns (chi, sigma, tau, rounds, bigint, (Q, V)) with chi[j] the
+    Fraction value of Min node j (one Fraction object per distinct mean),
+    rounds the improvement rounds taken, bigint whether the run ended on
+    object arrays, and Q and V the lists of the last evaluation, the
+    returned pair's, whose biases are V_j/Q_j; ``stats``, an OracleStats
+    or None, books the run and the value steps of a start of more than
+    one.  Values compare lexicographically as
     (eta, v), i.e. as the germ eta*t + v for large t.  Max's step moves each
     row to the lex-largest (eta_l, b_il + v_l); Min's step moves each column
     to the lex-smallest (top_i, best_i - a_ij) over its rows, where (top_i,
@@ -403,21 +412,27 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1):
         return masked, masked[arg, cols], arg
 
     B = (2 * n + 1) * W + 1  # plus max|V| after each evaluation
-    if start is None:
-        X = 4 * steps * W  # bounds |x|
-        if steps == 1 or dt == object or _payment_dtype(n, W, X) is object:
-            steps, X = 1, 0
+    X = 4 * steps * W + (0 if x0 is None else max(x0) - min(x0))  # bounds |x|
+    if steps == 1 or dt == object or _payment_dtype(n, W, X) is object:
+        steps, X, x0 = 1, 0, None
+    if start is None or x0 is not None:
         # As -X < x <= 0, b = a = -(B + X) puts a move beyond every key.
         Bk, Ak = np.where(Bm, Bw, -B - X), np.where(Am, Aw, -B - X)
-        x = np.zeros(n, dtype=dt)
+        if x0 is None:
+            x = np.zeros(n, dtype=dt)
+        else:
+            hi = max(x0)
+            x = np.array([v - hi for v in x0], dtype=dt)
+        pair = None
         for k in range(1, steps + 1):
             best, sigma = max_step(None, None, x, None)[2:]
             _masked, y, tau = min_step(None, best, None, None)
-            if start is not None and (sigma == start[0]).all() and (tau == start[1]).all():
+            if pair is not None and (sigma == pair[0]).all() and (tau == pair[1]).all():
                 break
-            start = sigma, tau
+            pair = sigma, tau
             if k < steps:
                 x = y - y.max()
+        start = pair
         if steps > 1 and stats is not None:
             stats.seeded_runs += 1
             stats.value_steps += k
@@ -459,7 +474,7 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1):
         stats.rounds += rounds
         stats.ranked_rounds += ranked
         stats.bigint_runs += dt == object
-    return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds, dt == object
+    return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds, dt == object, (Q, V)
 
 
 def _report(chi, d: int, sigma, tau) -> GameValueReport:
@@ -538,18 +553,20 @@ class OracleStats:
     rounds: int = 0  # improvement rounds over all runs
     ranked_rounds: int = 0  # rounds whose evaluation found more than one cycle mean
     bigint_runs: int = 0  # runs that ended on Python ints (object arrays)
-    seeded_runs: int = 0  # runs started from more than one value step
+    seeded_runs: int = 0  # runs started from value steps (steps > 1), cold or warm
     value_steps: int = 0  # value steps taken for those starts
 
 
 # Solved games kept in an instance's memo.
 GAME_MEMO_SIZE = 8
-# An instance's first run starts from up to VALUE_STEPS value steps on games
-# of at least VALUE_STEP_ENTRIES entries per grid (the benchmark's 31 x 31
-# and 51 x 51 games), and from one, the greedy pair, below: on games of up
-# to 81 entries the numpy steps cost more than the one or two rounds they
-# save.  On the larger games 10 to 30 steps solve about equally fast, and 5
-# or fewer leave rounds unsaved.
+# On games of at least VALUE_STEP_ENTRIES entries per grid (the benchmark's
+# 31 x 31 and 51 x 51 games) an instance's runs start from up to VALUE_STEPS
+# value steps: the first from 0, and each later one from the last run's
+# biases when that run had the same denominator.  Below, the first run
+# starts from one step, the greedy pair, and later runs from the last pair:
+# on games of up to 81 entries the numpy steps cost more than the one or two
+# rounds they save.  On the larger games 10 to 30 steps from 0 solve about
+# equally fast, and 5 or fewer leave rounds unsaved.
 VALUE_STEP_ENTRIES = 256
 VALUE_STEPS = 15
 
@@ -578,22 +595,29 @@ class HomogeneousInstance:
     starts on the dtype a cold run would, and hands the bound to
     ``_policy_iteration``.
 
-    ``report`` keeps the last GAME_MEMO_SIZE answers, since a solve asks
-    about the same game more than once (the perturbed game at the optimum
-    is probed by Newton and again by the certificate).  Each run starts
-    from the strategies of the last query answered, so the runs follow the
-    caller's games.  The first starts from ``_policy_iteration``'s value
-    steps: up to ``VALUE_STEPS`` on a game of at least
-    ``VALUE_STEP_ENTRIES`` entries per grid, else one, as a cold run does.
-    A memo hit counts as that query only where the last Min node's value
-    (phi, in ``spectral``'s terms) is positive: such a lam lies right of
-    every zero of phi, as the games just left of it that Newton asks next
-    usually do, while at a zero the next games may lie on the negative
-    side, nearer the last run.  So a report's sigma and tau are an optimal
-    pair of the game, not necessarily a cold run's.  ``stats`` counts the
+    ``report`` keeps the last GAME_MEMO_SIZE answers, each with its run's
+    biases, since a solve asks about the same game more than once (the
+    perturbed game at the optimum is probed by Newton and again by the
+    certificate).  ``last`` holds the strategies of the last query
+    answered, and ``biases`` that query's denominator d and its run's
+    biases V_j/Q_j as (Q, V), so the two always describe the same report.
+    A run on a game of at least ``VALUE_STEP_ENTRIES`` entries per grid
+    starts from up to ``VALUE_STEPS`` of ``_policy_iteration``'s value
+    steps: the first from 0, as a cold run does, and a later one from
+    floor(V_j/Q_j) when its denominator is d (biases over another
+    denominator are not rescaled).  Every other run starts from ``last``
+    (the first from one value step, the greedy pair), and so does a run
+    whose value steps decline.  So the runs follow the caller's games.  A
+    memo hit counts as that query, and moves ``last`` and ``biases``, only
+    where the last Min node's value (phi, in ``spectral``'s terms) is
+    positive: such a lam lies right of every zero of phi, as the games just
+    left of it that Newton asks next usually do, while at a zero the next
+    games may lie on the negative side, nearer the last run.  So a report's
+    sigma and tau are an optimal pair of the game, not necessarily a cold
+    run's.  ``stats`` counts the
     runs, their rounds and ranked rounds, the runs that ended on Python
-    ints, the memo hits, and the runs started from more than one value
-    step with their steps.
+    ints, the memo hits, and the runs started from value steps with their
+    steps.
     """
 
     def __init__(self, U: tuple, V: tuple, scale: int, image: tuple):
@@ -605,7 +629,8 @@ class HomogeneousInstance:
         self.M = max(self._rest, abs_max(Vw[-1]))
         self.stats = OracleStats()
         self.last = None  # (sigma, tau) a run starts from
-        self.memo = OrderedDict()  # Fraction lam -> GameValueReport
+        self.biases = None, None  # (d, (Q, V)) of the run behind last: biases V/Q
+        self.memo = OrderedDict()  # Fraction lam -> (GameValueReport, its run's (Q, V))
         self._problems = validate_shape(U, V)  # raised by the first query
         self._weights = {}  # dtype -> weights of U and of V's other rows
         self._built = None  # (lam, arrays) of the last game built
@@ -656,17 +681,24 @@ class HomogeneousInstance:
         if hit is not None:
             self.memo.move_to_end(key)
             self.stats.memo_hits += 1
-            if hit.chi[-1] > 0:
-                self.last = hit.sigma.choices, hit.tau.choices
-            return hit
+            rep, qv = hit
+            if rep.chi[-1] > 0:
+                self.last = rep.sigma.choices, rep.tau.choices
+                self.biases = key.denominator, qv
+            return rep
         arrays, W, d = self.arrays(key)
         steps = VALUE_STEPS if arrays[0].size >= VALUE_STEP_ENTRIES else 1
-        chi, sigma, tau = _policy_iteration(arrays, W, self.last, self.stats, steps)[:3]
-        self.last = sigma, tau
-        hit = self.memo[key] = _report(chi, d, sigma, tau)
+        x0 = None
+        if steps > 1 and self.biases[0] == d:
+            x0 = [v // q for q, v in zip(*self.biases[1])]
+        chi, sigma, tau, _rounds, _bigint, qv = _policy_iteration(
+            arrays, W, self.last, self.stats, steps, x0)
+        self.last, self.biases = (sigma, tau), (d, qv)
+        rep = _report(chi, d, sigma, tau)
+        self.memo[key] = rep, qv
         if len(self.memo) > GAME_MEMO_SIZE:
             self.memo.popitem(last=False)
-        return hit
+        return rep
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ the image and their bound M and owns their parametric game, and
 grids are U and V(0) times d, the denominator of lambda, with lambda's
 numerator added to the objective row, over the denominator d.
 ``H.report(lambda)`` solves that game without building it, from the
-instance's memo or by policy iteration warm started from the strategies of
-its last query (a memo hit counts where phi > 0), so a report's sigma and
-tau are an optimal pair, not necessarily the pair a cold ``value_report``
-returns; ``H.arrays(lambda)`` gives its masks and weights to the strategy
-graphs.
+instance's memo or by policy iteration warm started from its last query
+(from its strategies, or on a large game from value steps from its
+biases; a memo hit counts where phi > 0), so a report's sigma and tau are
+an optimal pair, not necessarily the pair a cold ``value_report`` returns;
+``H.arrays(lambda)`` gives its masks and weights to the strategy graphs.
 
 phi is piecewise affine, and its breakpoints, like those of each partial
 function phi_tau, are rationals with denominator <= min(m,n)+1;

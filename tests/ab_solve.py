@@ -43,7 +43,9 @@ process, the two sides share its state.  The output gives, for each figure, each
 side's [q1, median, q3] of all its times, and the paired change: per
 (document, method), the ratio of the sides' median times, with the median
 of those ratios and the number of pairs where the change is faster.
-pytest does not collect this file.
+With ``--mode solve`` it also gives each side's ``SolveOutcome.stats``
+summed over the pairs (runs, rounds, seeded runs and value steps), so an
+A/B shows where a saving sits.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -144,14 +146,29 @@ def interleaved(sides: dict, pairs: list, repeats: int, timed) -> dict:
     return times
 
 
-def solve_timer(parsed: dict):
+def solve_timer(parsed: dict, work: dict):
+    """The timer of one ``solve()``; work[side][pair] keeps that solve's
+    ``SolveOutcome.stats`` (the same in every round)."""
     def timed(name, entries, pair):
         i, method = pair
         t0 = time.perf_counter()
         out = entries["troplf.solver"].solve(parsed[name][i], method=method)
-        return time.perf_counter() - t0, (out.status, out.lam)
+        seconds = time.perf_counter() - t0
+        work[name][pair] = out.stats
+        return seconds, (out.status, out.lam)
 
     return timed
+
+
+WORK = ("runs", "rounds", "seeded_runs", "value_steps")
+
+
+def report_work(work: dict) -> None:
+    """Each side's oracle work summed over the pairs, so that a timing
+    change can be traced to runs, rounds or value steps."""
+    for name, per_pair in work.items():
+        totals = {k: sum(getattr(stats, k) for stats in per_pair.values()) for k in WORK}
+        print(f"  {name:6s} work: " + ", ".join(f"{k} {v}" for k, v in totals.items()))
 
 
 def check_timers(sides: dict, parsed: dict, pairs: list) -> tuple:
@@ -251,8 +268,10 @@ def main(argv=None) -> int:
         parsed[name] = [parse(doc).instance for doc in docs]
     _activate({})
     pairs = [(i, method) for i in range(len(docs)) for method in workload.methods]
+    work = {name: {} for name in names}
     if args.mode == "solve":
-        figures = [("solve", pairs, interleaved(sides, pairs, args.repeats, solve_timer(parsed)))]
+        timer = solve_timer(parsed, work)
+        figures = [("solve", pairs, interleaved(sides, pairs, args.repeats, timer))]
     else:
         pairs, outside, inside = check_timers(sides, parsed, pairs)
         figures = [
@@ -264,6 +283,8 @@ def main(argv=None) -> int:
           f"{len(pairs)} (document, method) pairs, {args.repeats} rounds")
     for label, kept, times in figures:
         report(label, times, kept)
+    if args.mode == "solve":
+        report_work(work)
     return 0
 
 

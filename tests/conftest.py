@@ -169,8 +169,8 @@ def recorded_runs(monkeypatch) -> list:
     runs = []
     original = game_engine._policy_iteration
 
-    def recorded(arrays, W, start=None, stats=None, steps=1):
-        result = original(arrays, W, start, stats, steps)
+    def recorded(arrays, W, start=None, stats=None, steps=1, x0=None):
+        result = original(arrays, W, start, stats, steps, x0)
         runs.append((start, result[1], result[2]))
         return result
 

@@ -5,8 +5,8 @@ This version ranks every evaluation's cycle means with ``_ranks``, filters
 both players' moves by rank on every round, masks the moves it may not take
 with ``val.min() - 1`` and ``cand.max() + 1`` computed per step, and builds
 one Fraction per node.  The routine in ``src/`` must return exactly what
-this one returns, (chi, sigma, tau, rounds, bigint), from the same arrays
-and start.
+this one returns, (chi, sigma, tau, rounds, bigint, (Q, V)), from the same
+arrays and start.
 """
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ def _policy_iteration(arrays, W, start=None):
     no number is ever computed in a dtype that could wrap, and the results
     are those of a run on object arrays throughout.
 
-    Returns (chi, sigma, tau, rounds, bigint) with chi[j] the Fraction value
-    of Min node j, rounds the improvement rounds taken and bigint whether
-    the run ended on object arrays.  Values compare
+    Returns (chi, sigma, tau, rounds, bigint, (Q, V)) with chi[j] the
+    Fraction value of Min node j, rounds the improvement rounds taken,
+    bigint whether the run ended on object arrays, and Q and V the lists of
+    the last evaluation, whose biases are V_j/Q_j.  Values compare
     lexicographically as (eta, v), i.e. as the germ eta*t + v for large t.
     Max's step moves each row to the lex-largest (eta_l, b_il + v_l); Min's
     step moves each column to the lex-smallest (top_i, best_i - a_ij) over
@@ -183,4 +184,4 @@ def _policy_iteration(arrays, W, start=None):
         tau = np.where(switch, carg, tau)
         ref = (P, Q, V)
     chi = tuple(Fraction(p, q) for p, q in zip(P, Q))
-    return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds, dt == object
+    return chi, tuple(sigma.tolist()), tuple(tau.tolist()), rounds, dt == object, (Q, V)

@@ -217,12 +217,14 @@ def test_unreadable_documents_are_document_errors(capsys, tmp_path):
 
 def test_unwritable_outputs_are_document_errors(capsys, tmp_path):
     """solve --cert-out and spectral --out into a missing directory give an
-    error line and exit 1, not a traceback."""
+    error line and exit 1, not a traceback, and print nothing else: solve
+    writes its certificate before its iteration lines."""
     missing = tmp_path / "missing"
     for command, flag, target in (("solve", "--cert-out", missing / "cert.json"),
                                   ("spectral", "--out", missing / "spec.csv")):
-        code, _out, err = run(capsys, command, EX2, flag, str(target))
+        code, out, err = run(capsys, command, EX2, flag, str(target))
         assert code == 1 and err.startswith(f"error: cannot write {target}")
+        assert out == ""
     assert not missing.exists()
 
 

@@ -28,7 +28,7 @@ import troplf.game_engine as ge
 from troplf.game_engine import restrict_min
 
 from brute_force import brute_force_value, play_outcome
-from conftest import make_game, random_game, random_instance
+from conftest import make_game, random_game, random_instance, recorded_runs
 from lifting import lifting_oracle
 from maxplus import payment_matrices, restrict_max, trop_matvec
 import policy_reference
@@ -272,7 +272,7 @@ def test_int64_run_on_large_payments_matches_python_ints():
     rep = H.report(0)
     assert (H.stats.runs, H.stats.bigint_runs) == (1, 0)
     (Am, Bm, Aw, Bw), W = ge._game_arrays(a, b)
-    chi, sigma, tau, _rounds, bigint = ge._policy_iteration(
+    chi, sigma, tau, _rounds, bigint, _qv = ge._policy_iteration(
         (Am, Bm, Aw.astype(object), Bw.astype(object)), W
     )
     assert bigint and (rep.chi, rep.sigma.choices, rep.tau.choices) == (chi, sigma, tau)
@@ -321,10 +321,11 @@ def test_policy_iteration_from_any_legal_start():
         assert tuple(c / g.d for c in chi) == tuple(brute_force_value(g, j) for j in range(g.n))
 
 
-def _value_start_reference(g, steps):
-    """Value iteration on g's grids in Python ints, as ``_policy_iteration``
-    states its start: (sigma, tau, steps taken), first index on ties."""
-    x, pair = [0] * g.n, None
+def _value_start_reference(g, steps, x0=None):
+    """Value iteration on g's grids in Python ints from x0 - max x0 (from 0
+    without x0), as ``_policy_iteration`` states its start: (sigma, tau,
+    steps taken), first index on ties."""
+    x, pair = [0] * g.n if x0 is None else [v - max(x0) for v in x0], None
     for k in range(1, steps + 1):
         sigma, t = [], []
         for row in g.b:
@@ -392,6 +393,124 @@ def test_value_start_is_a_legal_pair_from_exact_value_steps():
             assert got == ge._policy_iteration(arrays, W, (sigma, tau))
             assert (stats.runs, stats.seeded_runs, stats.value_steps) == (1, 1, taken)
             assert got[0] == cold
+
+
+def _biases(qv) -> list:
+    """floor(V_j/Q_j) of the (Q, V) of a run's last evaluation: the start
+    vector a warm run of HomogeneousInstance takes from it."""
+    Q, V = qv
+    return [v // q for q, v in zip(Q, V)]
+
+
+def _start_vector_cases(rng):
+    """(game, a legal pair, x0) cases for value steps from a start vector:
+    the seeded games with the biases of their own cold run and with random
+    vectors of small and of wide spread, and criterion 10's first 50 x 50
+    instances at integer lambda with the biases of the run at lam_hi, as a
+    warm run of a solve takes them."""
+    cases = []
+    for g in _seeded_games(rng):
+        pair = (tuple(rng.choice(g.max_moves(i)) for i in range(g.m)),
+                tuple(rng.choice(g.min_moves(j)) for j in range(g.n)))
+        biases = _biases(ge._policy_iteration(*ge._game_arrays(g.a, g.b))[5])
+        for x0 in (biases, [rng.randint(-5, 5) for _ in range(g.n)],
+                   [rng.randint(-10**9, 10**9) for _ in range(g.n)]):
+            cases.append((g, pair, x0))
+    for inst in islice(criterion_10_instances(), 2):
+        H = homogenize(inst)
+        lo, hi = initial_bounds(H)
+        first = ge._policy_iteration(*H.arrays(hi)[:2])
+        for lam in (Fraction(rng.randint(lo, hi)), Fraction(rng.randint(lo, 0))):
+            cases.append((game_at(H, lam), first[1:3], _biases(first[5])))
+    return cases
+
+
+def test_value_steps_from_a_start_vector():
+    """A run of K value steps from a start vector x0 is the run from the
+    pair of value iteration from x0 in Python ints, whatever pair it is
+    given, and books one seeded run with that iteration's steps taken; so
+    its sentinels never win a move: the pair picks finite entries only,
+    and the run returns the cold run's values."""
+    rng = random.Random(30)
+    cases = _start_vector_cases(rng)
+    assert sum(g.n == 51 for g, _pair, _x0 in cases) == 4
+    for g, pair, x0 in cases:
+        arrays, W = ge._game_arrays(g.a, g.b)
+        cold = ge._policy_iteration(arrays, W)[0]
+        for steps in (2, ge.VALUE_STEPS):
+            stats = ge.OracleStats()
+            got = ge._policy_iteration(arrays, W, pair, stats, steps, x0)
+            sigma, tau, taken = _value_start_reference(g, steps, x0)
+            MaxStrategy(sigma).check(g)
+            MinStrategy(tau).check(g)
+            assert got == ge._policy_iteration(arrays, W, (sigma, tau))
+            assert (stats.runs, stats.seeded_runs, stats.value_steps) == (1, 1, taken)
+            assert got[0] == cold
+
+
+def test_value_steps_from_a_start_vector_decline_past_int64(monkeypatch):
+    """With x0 the bound is |x| < (max x0 - min x0) + 4W*steps.  Where it
+    passes int64, on object arrays and with one step, the run declines x0
+    and is the run from the pair it is given, with no seeded run; a span
+    one below the bound's limit is seeded.  HomogeneousInstance then starts
+    from its last pair."""
+    rng = random.Random(32)
+    g = random_game(rng, 16, 16, 1000, 0.3)
+    arrays, W = ge._game_arrays(g.a, g.b)
+    steps = ge.VALUE_STEPS
+    limit = 2**62 - 3 - (2 * g.n + 1) * W - 4 * steps * W  # the widest span on int64
+    pair = ge._policy_iteration(arrays, W)[1:3]
+    for span, seeded in ((limit, 1), (limit + 1, 0)):
+        x0 = [0] * g.n
+        x0[3] = -span
+        stats = ge.OracleStats()
+        got = ge._policy_iteration(arrays, W, pair, stats, steps, x0)
+        assert stats.seeded_runs == seeded
+        if seeded:
+            assert got == ge._policy_iteration(arrays, W, _value_start_reference(g, steps, x0)[:2])
+        else:
+            assert got == ge._policy_iteration(arrays, W, pair)
+    x0 = [rng.randint(-5, 5) for _ in range(g.n)]
+    wide = (arrays[0], arrays[1], arrays[2].astype(object), arrays[3].astype(object))
+    for arr, k in ((wide, steps), (arrays, 1)):
+        stats = ge.OracleStats()
+        got = ge._policy_iteration(arr, W, pair, stats, k, x0)
+        assert got == ge._policy_iteration(arr, W, pair) and stats.seeded_runs == 0
+
+    H = homogenize(next(criterion_10_instances()))
+    lo, hi = initial_bounds(H)
+    H.report(hi)
+    start = H.last
+    H.biases = 1, ([1] * (H.n + 1), [0] * H.n + [-(2**62)])  # as if the run at hi had ended so
+    runs = recorded_runs(monkeypatch)
+    lam = Fraction(rng.randint(lo, hi))
+    rep = H.report(lam)
+    assert runs == [(start, rep.sigma.choices, rep.tau.choices)] and H.stats.seeded_runs == 1
+    assert_warm_report(game_at(H, lam), rep, value_report(game_at(H, lam)))
+
+
+def test_warm_runs_start_from_the_biases_of_the_last_query_answered(monkeypatch):
+    """On a 50 x 50 instance a warm run starts from value steps from the
+    biases of the last query answered, when its denominator is theirs: a
+    memo hit where phi > 0 moves the biases with the pair, and a run over
+    another denominator starts from the pair alone."""
+    H = homogenize(next(criterion_10_instances()))
+    lo, hi = initial_bounds(H)
+    runs = recorded_runs(monkeypatch)
+    top = H.report(hi)
+    assert top.chi[-1] > 0 and H.stats.seeded_runs == 1
+    start, biases = H.last, H.biases
+    assert biases == (1, ge._policy_iteration(*H.arrays(hi)[:2], None, None, ge.VALUE_STEPS)[5])
+    third = Fraction(3 * lo + 1, 3)
+    H.report(third)  # another denominator: from the pair alone
+    assert runs[-1][0] == start and H.stats.seeded_runs == 1 and H.biases[0] == 3
+    assert H.report(hi) is top and (H.last, H.biases) == (start, biases)  # a memo hit
+    lam = Fraction((lo + hi) // 2)
+    rep = H.report(lam)
+    arrays, W = H.arrays(lam)[:2]
+    got = ge._policy_iteration(arrays, W, start, None, ge.VALUE_STEPS, _biases(biases[1]))
+    assert (rep.sigma.choices, rep.tau.choices) == got[1:3] and H.stats.seeded_runs == 2
+    assert H.biases == (1, got[5])
 
 
 def test_value_start_declines_where_its_bound_passes_int64():

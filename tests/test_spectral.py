@@ -29,6 +29,7 @@ from troplf import (
     reconstruct,
 )
 from troplf import certify, game_engine, solver, spectral, trop_core
+from troplf.cli_io import parse_instance
 from troplf.game_engine import (
     GAME_MEMO_SIZE,
     AssumptionViolated,
@@ -312,9 +313,11 @@ def test_warm_started_reports_match_cold_runs(case):
 def test_warm_started_reports_match_cold_runs_on_a_50x50_instance():
     """A query sequence on criterion 10's first 50 x 50 instance, as a
     Newton solve makes it and then some: lam_hi, whose run is seeded by
-    value steps, deep_lambda, the optimum, other integers and the games
-    just left of them, in a random order with repeats.  Every report has a
-    cold value_report's values and an optimal strategy pair."""
+    value steps from 0, deep_lambda, the optimum, other integers and the
+    games just left of them, in a random order with repeats.  Every report
+    has a cold value_report's values and an optimal strategy pair.  A run
+    is seeded where the biases it finds, those of the last run or of a
+    memo hit where phi > 0, have its denominator: 4 of the 7 runs here."""
     inst = next(criterion_10_instances())
     H = homogenize(inst)
     lo, hi = initial_bounds(H)
@@ -323,11 +326,48 @@ def test_warm_started_reports_match_cold_runs_on_a_50x50_instance():
     pool = [solver.solve(inst).lam * H.scale] + [Fraction(rng.randint(lo, hi)) for _ in range(2)]
     pool += [lam - Fraction(1, k2) for lam in pool] + [spectral.deep_lambda(H)]
     queries = [hi] + [rng.choice(pool) for _ in range(10)]
+    reports, d, seeded = {}, None, 0
     for lam in queries:
         g = game_at(H, lam)
-        assert_warm_report(g, H.report(lam), value_report(g))
-    assert H.stats.runs == len(set(queries))
-    assert H.stats.seeded_runs == 1
+        rep = H.report(lam)
+        assert_warm_report(g, rep, value_report(g))
+        if lam not in reports:  # a run
+            seeded += d in (None, lam.denominator)
+            reports[lam], d = rep, lam.denominator
+        elif rep.chi[-1] > 0:  # a memo hit that counts as the query
+            d = lam.denominator
+    assert H.stats.runs == len(set(queries)) == 7
+    assert H.stats.seeded_runs == seeded == 4
+
+
+def test_every_report_of_whole_newton_solves_is_a_warm_report(monkeypatch):
+    """Every report that Newton solves ask for, on criterion 10's first 4
+    instances and on 4 of the benchmark's rational-bigint-30 documents,
+    has a cold value_report's values and an optimal strategy pair; most of
+    those runs are warm and seeded by value steps from the last run's
+    biases."""
+    from test_bench_run import _load_run
+
+    pool = _load_run().RationalBigint30()
+    instances = list(islice(criterion_10_instances(), 4))
+    instances += [parse_instance(pool.instance(1, i)).instance for i in range(4)]
+    asked = []
+    report = game_engine.HomogeneousInstance.report
+
+    def recorded(H, lam):
+        rep = report(H, lam)
+        asked.append((H, lam, rep))
+        return rep
+
+    monkeypatch.setattr(game_engine.HomogeneousInstance, "report", recorded)
+    runs = seeded = 0
+    for inst in instances:
+        stats = solver.solve(inst).stats
+        runs, seeded = runs + stats.runs, seeded + stats.seeded_runs
+    assert seeded > runs / 2 and len(asked) > runs
+    for H, lam, rep in asked:
+        g = game_at(H, lam)
+        assert_warm_report(g, rep, value_report(g))
 
 
 def test_game_report_with_a_factor_past_int64():
