@@ -5,7 +5,7 @@ checked twice, every check under a time limit.
 
 Each program is a random instance document:
 
-* mostly up to 7 x 7, and one in ``--large-every`` from 16 x 16 to 24 x 24,
+* mostly up to 7 x 7, and one in ``LARGE_EVERY`` from 16 x 16 to 24 x 24,
   whose parametric games have at least ``VALUE_STEP_ENTRIES`` entries per
   grid, so their runs start from value steps, warm runs from the last
   run's biases;
@@ -55,6 +55,7 @@ from troplf import cli_io, solver  # noqa: E402
 from test_bench_run import _load_run  # noqa: E402
 
 METHODS = ("newton", "bisection", "negative-newton")
+LARGE_EVERY = 10
 
 
 class Slow(Exception):
@@ -74,9 +75,9 @@ def timed(limit: float, check, *args):
         signal.setitimer(signal.ITIMER_REAL, 0)
 
 
-def random_document(rng: random.Random, large_every: int) -> dict:
+def random_document(rng: random.Random) -> dict:
     """A random instance document, as the module docstring lists them."""
-    if rng.randrange(large_every) == 0:
+    if rng.randrange(LARGE_EVERY) == 0:
         m = n = rng.randint(16, 24)
     else:
         m, n = rng.randint(1, 7), rng.randint(1, 7)
@@ -114,7 +115,7 @@ def troplf_check(tmp: Path, doc: dict, cert_doc: dict) -> str:
     return out.getvalue().strip()
 
 
-def fuzz(seed: int, count: int, limit: float, large_every: int) -> int:
+def fuzz(seed: int, count: int, limit: float) -> int:
     run = _load_run()
     checks = run.checks
     rng = random.Random(seed)
@@ -125,7 +126,7 @@ def fuzz(seed: int, count: int, limit: float, large_every: int) -> int:
         tmp = Path(name)
         index = 0
         while index < count:
-            doc = random_document(rng, large_every)
+            doc = random_document(rng)
             try:
                 parsed = cli_io.parse_instance(doc)
             except cli_io.DocumentError:
@@ -182,10 +183,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--count", type=int, default=500, help="programs to solve")
     ap.add_argument("--time-limit", type=float, default=10.0, help="seconds per check")
-    ap.add_argument("--large-every", type=int, default=10,
-                    help="one program in this many is 16 x 16 to 24 x 24")
     args = ap.parse_args(argv)
-    return fuzz(args.seed, args.count, args.time_limit, args.large_every)
+    return fuzz(args.seed, args.count, args.time_limit)
 
 
 if __name__ == "__main__":
