@@ -30,8 +30,11 @@ as V/Q, with the values and strategies.  It starts
 on int64 whenever the payments allow it and moves the weights to Python
 ints (object arrays) once an evaluation's exact biases outgrow int64, so
 every number it computes is exact.  A round does only the numpy work its
-step needs: the evaluation ranks the cycle means, and the steps filter the
-moves by rank only when it found two or more.
+step needs: the evaluation ranks the cycle means, the steps filter the
+moves by rank only when it found two or more and multiply by the one
+mean's q as an int when it found one, Min's step reduces along the rows of
+a contiguous A^T, and both mask their keys in place.  A report forms each
+distinct value over the game's denominator once.
 ``_oracle_core`` solves a lone game cold, building its arrays from the
 grids (``integer_oracle``, ``value_report``, ``feasibility_witness``), for
 the API and the tests: no solve runs a lone game.  The solver's games are
@@ -280,54 +283,59 @@ def _evaluate(nxt, w, ref):
     means): from node j the graph reaches a cycle of mean eta_j = P_j/Q_j
     (reduced, Q_j > 0), the (P, Q) at means[rank[j]], means holding the
     distinct ones in increasing order; the bias v_j = V_j/Q_j obeys
-    v_j = w_j - eta_j + v_next(j).  A cycle's nodes take the index its mean
-    gets as it closes; the indices become ranks, by cross-multiplication,
-    only when there are two or more.  Each cycle's bias is pinned at its
-    smallest node r, to ref's bias there when ref (the previous values, or
-    None) gives r the same mean, else to 0.  The pin depends only on the
-    cycle, so a cycle that survives a strategy change keeps its biases:
-    that makes every improvement round a strict lexicographic step.
+    v_j = w_j - eta_j + v_next(j).  The walk keeps each node's index of its
+    mean as the cycles close, and P, Q and rank are formed at the end; the
+    indices become ranks, by cross-multiplication, only when there are two
+    or more.  Each cycle's bias is pinned at its smallest node r, to ref's
+    bias there when ref (the previous values, or None) gives r the same
+    mean, else to 0.  The pin depends only on the cycle, so a cycle that
+    survives a strategy change keeps its biases: that makes every
+    improvement round a strict lexicographic step.
     """
     n = len(nxt)
-    P = [0] * n
-    Q = [0] * n
     V = [0] * n
-    rank = [0] * n
-    found = {}  # distinct (p, q) -> index, in the order the cycles close
-    state = [0] * n  # 0 unseen, 1 on the current walk, 2 evaluated
+    at = [-1] * n  # the index of node j's mean; -1 unseen, -2 on the current walk
+    pqs = []  # the distinct (p, q), in the order the cycles close
+    found = {}  # (p, q) -> its index in pqs
     for s in range(n):
+        if at[s] != -1:
+            continue
         walk = []
         u = s
-        while state[u] == 0:
-            state[u] = 1
+        while at[u] == -1:
+            at[u] = -2
             walk.append(u)
             u = nxt[u]
-        if state[u] == 1:  # the walk closed a new cycle
+        if at[u] == -2:  # the walk closed a new cycle
             k = walk.index(u)
             cyc = walk[k:]
-            del walk[k:]
-            k = cyc.index(min(cyc))
-            cyc = cyc[k:] + cyc[:k]
+            r = min(cyc)
             total = sum(w[c] for c in cyc)
             g = gcd(total, len(cyc))
             p, q = total // g, len(cyc) // g
-            k = found.setdefault((p, q), len(found))
-            r = cyc[0]
+            i = found.setdefault((p, q), len(pqs))
+            if i == len(pqs):
+                pqs.append((p, q))
             same = ref is not None and ref[0][r] == p and ref[1][r] == q
             V[r] = ref[2][r] if same else 0
-            for c in cyc:
-                P[c], Q[c], rank[c], state[c] = p, q, k, 2
-            for c in reversed(cyc[1:]):
-                V[c] = q * w[c] - p + V[nxt[c]]
+            at[r] = i
+            h = cyc.index(r)  # the rest of the cycle, from r's successor on:
+            walk[k:] = cyc[h + 1:] + cyc[:h]  # reversed, each node after its successor
+        else:
+            i = at[u]
+            p, q = pqs[i]
         for c in reversed(walk):
-            t = nxt[c]
-            P[c], Q[c], rank[c], state[c] = P[t], Q[t], rank[t], 2
-            V[c] = Q[t] * w[c] - P[t] + V[t]
-    means = sorted(found, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
-    if len(means) > 1:
-        sorted_at = {found[pq]: r for r, pq in enumerate(means)}
-        rank = [sorted_at[k] for k in rank]
-    return P, Q, V, rank, means
+            at[c] = i
+            V[c] = q * w[c] - p + V[nxt[c]]
+    if len(pqs) == 1:
+        (p, q), = pqs
+        return [p] * n, [q] * n, V, at, pqs
+    means = sorted(pqs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    ranks = {pq: r for r, pq in enumerate(means)}
+    ranks = [ranks[pq] for pq in pqs]
+    P = [pqs[i][0] for i in at]
+    Q = [pqs[i][1] for i in at]
+    return P, Q, V, [ranks[i] for i in at], means
 
 
 def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
@@ -367,10 +375,13 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
     row to the lex-largest (eta_l, b_il + v_l); Min's step moves each column
     to the lex-smallest (top_i, best_i - a_ij) over its rows, where (top_i,
     best_i) is row i's best Max reply.  Both switch only on strict
-    improvement, to the first best index.  The moves a step may not take get
-    the key -B or +B, B = (2n + 1)W + max|V| + 1, beyond every other; moves
-    are filtered by eta's rank only when the evaluation found two means or
-    more.  At the end (eta, v) is a lexicographic fixed point of the Shapley
+    improvement, to the first best index.  Min's step reduces along the
+    rows of A^T, C-contiguous, built at the start and again on the move to
+    object arrays.  The moves a step may not take get the key -B or +B,
+    B = (2n + 1)W + max|V| + 1, beyond every other, set in place
+    (``np.putmask``) in the keys the step just computed; moves are filtered
+    by eta's rank only when the evaluation found two means or more, and
+    when it found one, both steps multiply by its q, an int.  At the end (eta, v) is a lexicographic fixed point of the Shapley
     operator and of its restrictions to sigma and to tau, so both are
     optimal from every node.
     """
@@ -379,37 +390,43 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
     dt = Aw.dtype
     cap = _round_cap(m, n)
     rows, cols = np.arange(m), np.arange(n)
+    ATm, AT = np.ascontiguousarray(Am.T), np.ascontiguousarray(Aw.T)  # row j: a's column j
+    Bout, ATout = ~Bm, ~ATm  # the moves to -inf entries
     # Ranks lie in 0..n-1; these offsets push the ranks of -inf entries out
     # of reach of every row's best (every row of b and column of a has a
-    # finite entry), so no mask is applied on a ranked round.
+    # finite entry), so the out masks are not needed on a ranked round.
     Boff = np.where(Bm, 0, -n - 1)
-    Aoff = np.where(Am, 0, n + 1)
+    AToff = np.where(ATm, 0, n + 1)
 
     def max_step(rk, Qv, Vv, B):
         """Per row: best eta rank (None unranked), the keys Q_l*b_il + V_l
-        of the moves of that rank (else -B), best key, argmax; a value step
-        (Qv None) reads its keys b_il + V_l off Bk."""
-        val = Bk + Vv if Qv is None else Qv * Bw + Vv
-        top, keep = None, Bm
+        of the moves of that rank (else -B, set in place), best key, argmax;
+        Qv is an int on a round of one mean, and a value step (Qv None)
+        reads its keys b_il + V_l off Bk."""
+        keys = Bk + Vv if Qv is None else Qv * Bw + Vv
+        top, out = None, Bout
         if rk is not None:
             rank = rk + Boff
             top = rank.max(axis=1)
-            keep = rank == top[:, None]
-        masked = val if Qv is None else np.where(keep, val, -B)
-        arg = masked.argmax(axis=1)
-        return top, masked, masked[rows, arg], arg
+            out = rank != top[:, None]
+        if Qv is not None:
+            np.putmask(keys, out, -B)
+        arg = keys.argmax(axis=1)
+        return top, keys, keys[rows, arg], arg
 
     def min_step(top, best, Qtop, B):
-        """Per column: the keys of the rows of least rank (else +B), least
-        key, argmin; a value step (Qtop None) reads a off Ak."""
-        cand = best[:, None] - (Ak if Qtop is None else Qtop[:, None] * Aw)
-        keep = Am
+        """Per column of a, a row of AT: the keys best_i - Qtop_i*a_ij of
+        the rows of least rank (else +B, set in place), least key, argmin;
+        a value step (Qtop None) reads a off ATk."""
+        keys = best - (ATk if Qtop is None else Qtop * AT)
+        out = ATout
         if top is not None:
-            rank = top[:, None] + Aoff
-            keep = rank == rank.min(axis=0)
-        masked = cand if Qtop is None else np.where(keep, cand, B)
-        arg = masked.argmin(axis=0)
-        return masked, masked[arg, cols], arg
+            rank = top + AToff
+            out = rank != rank.min(axis=1)[:, None]
+        if Qtop is not None:
+            np.putmask(keys, out, B)
+        arg = keys.argmin(axis=1)
+        return keys, keys[cols, arg], arg
 
     B = (2 * n + 1) * W + 1  # plus max|V| after each evaluation
     X = 4 * steps * W + (0 if x0 is None else max(x0) - min(x0))  # bounds |x|
@@ -417,7 +434,7 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
         steps, X, x0 = 1, 0, None
     if start is None or x0 is not None:
         # As -X < x <= 0, b = a = -(B + X) puts a move beyond every key.
-        Bk, Ak = np.where(Bm, Bw, -B - X), np.where(Am, Aw, -B - X)
+        Bk, ATk = np.where(Bm, Bw, -B - X), np.where(ATm, AT, -B - X)
         if x0 is None:
             x = np.zeros(n, dtype=dt)
         else:
@@ -426,7 +443,7 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
         pair = None
         for k in range(1, steps + 1):
             best, sigma = max_step(None, None, x, None)[2:]
-            _masked, y, tau = min_step(None, best, None, None)
+            _keys, y, tau = min_step(None, best, None, None)
             if pair is not None and (sigma == pair[0]).all() and (tau == pair[1]).all():
                 break
             pair = sigma, tau
@@ -440,7 +457,7 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
     ref = None
     rounds = ranked = 0
     while True:
-        paid = Aw[tau, cols]
+        paid = AT[cols, tau]
         while True:  # Howard: Max's best reply to tau
             rounds += 1
             if rounds > cap:
@@ -449,20 +466,22 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
             P, Q, V, rank, means = _evaluate(nxt.tolist(), (Bw[tau, nxt] - paid).tolist(), ref)
             vmax = max(map(abs, V))
             if dt != object and _payment_dtype(n, W, vmax) is object:
-                Aw, Bw, dt = Aw.astype(object), Bw.astype(object), np.dtype(object)
-                paid = Aw[tau, cols]
-            rk = np.array(rank) if len(means) > 1 else None
-            ranked += rk is not None
-            Qv = np.array(Q, dtype=dt)
-            top, masked, best, arg = max_step(rk, Qv, np.array(V, dtype=dt), B + vmax)
+                AT, Bw, dt = AT.astype(object), Bw.astype(object), np.dtype(object)
+                paid = AT[cols, tau]
+            if len(means) > 1:
+                rk, Qv = np.array(rank), np.array(Q, dtype=dt)
+                ranked += 1
+            else:  # every Q is the one mean's q
+                rk, Qv = None, means[0][1]
+            top, keys, best, arg = max_step(rk, Qv, np.array(V, dtype=dt), B + vmax)
             # sigma's key is below the best exactly when sigma's move is not
             # of the top rank or falls short of the best key among them.
-            switch = best > masked[rows, sigma]
+            switch = best > keys[rows, sigma]
             sigma = np.where(switch, arg, sigma)
             if not switch[tau].any():
                 break
-        cmasked, cbest, carg = min_step(top, best, Qv[arg], B + vmax)
-        switch = cbest < cmasked[tau, cols]
+        ckeys, cbest, carg = min_step(top, best, Qv if rk is None else Qv[arg], B + vmax)
+        switch = cbest < ckeys[cols, tau]
         if not switch.any():
             break
         tau = np.where(switch, carg, tau)
@@ -479,14 +498,14 @@ def _policy_iteration(arrays, W, start=None, stats=None, steps=1, x0=None):
 
 def _report(chi, d: int, sigma, tau) -> GameValueReport:
     """The report of a game over denominator d from its grids' values chi.
-    A run's chi repeats one Fraction object per distinct mean, so each
-    object is divided by d and compared with 0 once."""
-    distinct = {id(c): c for c in chi}
+    A run's chi repeats one Fraction object per distinct mean p/q, so each
+    is formed over d once, as Fraction(p, q*d), and the winning set is read
+    off the numerators' signs."""
     if d != 1:
-        distinct = {k: c / d for k, c in distinct.items()}
-        chi = tuple([distinct[id(c)] for c in chi])
-    nonneg = {id(c) for c in distinct.values() if c >= 0}
-    win = frozenset(j for j, c in enumerate(chi) if id(c) in nonneg)
+        over = {id(c): c for c in chi}
+        over = {k: Fraction(c.numerator, c.denominator * d) for k, c in over.items()}
+        chi = tuple([over[id(c)] for c in chi])
+    win = frozenset([j for j, c in enumerate(chi) if c.numerator >= 0])
     return GameValueReport(chi, win, MaxStrategy(sigma), MinStrategy(tau))
 
 

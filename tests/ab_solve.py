@@ -2,7 +2,7 @@
 in one process, or their set-up in fresh interpreters.
 
     python3 tests/ab_solve.py PARENT_CHECKOUT [CHANGE_CHECKOUT] \\
-        --workload dense-newton-50 --seed 7 --count 20 --repeats 5 [--mode check|setup]
+        --workload dense-newton-50 --seed 7 --count 20 --repeats 5 [--mode check|setup|oracle]
 
 Each checkout's ``troplf`` is imported from its ``src/`` and kept as its own
 set of ``sys.modules`` entries; before a side runs, its entries are swapped
@@ -36,6 +36,17 @@ of the measurement.  The clock stops when a blocking ``Popen.wait()``
 returns; a wait with a timeout would poll, with sleeps of up to 50 ms, and
 round every reading up to its next poll, so the time limit is a timer
 thread that kills the interpreter instead.
+
+With ``--mode oracle``, the parent side solves every (document, method)
+once while its ``_policy_iteration`` is wrapped (in ``game_engine``, and
+in ``spectral``, which imports it by name), and every call it makes is
+recorded: the game's arrays, W, the start pair, the value steps and the
+start vector.  A round replays each recorded call on both sides, without
+stats, the sides interleaved as above, and both must return the same
+(chi, sigma, tau, rounds, bigint, (Q, V)).  So the oracle is timed apart
+from the rest of the solve, on the same games for both sides.  The output
+adds each side's time per policy-iteration round: its median time per
+call, summed over the calls, over the rounds the calls take.
 
 Two runs of the benchmark are two processes, and on a small shared host
 their timings can differ by more than a few-percent effect; timed in one
@@ -171,6 +182,53 @@ def report_work(work: dict) -> None:
         print(f"  {name:6s} work: " + ", ".join(f"{k} {v}" for k, v in totals.items()))
 
 
+def record_calls(entries: dict, parsed: list, pairs: list) -> list:
+    """The (arrays, W, start, steps, x0) of every ``_policy_iteration``
+    call that the side's solves of the pairs make, in order."""
+    _activate(entries)
+    modules = [entries["troplf.game_engine"], entries["troplf.spectral"]]
+    original = modules[0]._policy_iteration
+    calls = []
+
+    def recorded(arrays, W, start=None, stats=None, steps=1, x0=None):
+        calls.append((arrays, W, start, steps, x0))
+        return original(arrays, W, start, stats, steps, x0)
+
+    try:
+        for module in modules:
+            module._policy_iteration = recorded
+        for i, method in pairs:
+            entries["troplf.solver"].solve(parsed[i], method=method)
+    finally:
+        for module in modules:
+            module._policy_iteration = original
+        _activate({})
+    return calls
+
+
+def oracle_timer(calls: list, rounds: dict):
+    """The timer of one recorded call, replayed on a side's
+    ``_policy_iteration``; rounds[k] keeps call k's rounds."""
+    def timed(name, entries, k):
+        arrays, W, start, steps, x0 = calls[k]
+        run = entries["troplf.game_engine"]._policy_iteration
+        t0 = time.perf_counter()
+        out = run(arrays, W, start, None, steps, x0)
+        seconds = time.perf_counter() - t0
+        rounds[k] = out[3]
+        return seconds, out
+
+    return timed
+
+
+def report_rounds(times: dict, rounds: dict) -> None:
+    """Each side's median time per call, summed over the calls, per round."""
+    for name, per_call in times.items():
+        total = sum(statistics.median(ts) for ts in per_call.values())
+        print(f"  {name:6s} {1e6 * total / sum(rounds.values()):.2f} us per round "
+              f"({len(rounds)} calls, {sum(rounds.values())} rounds)")
+
+
 def check_timers(sides: dict, parsed: dict, pairs: list) -> tuple:
     """(the pairs with a certificate, the timer of the check path on an
     instance homogenized beforehand, the timer with homogenize inside)."""
@@ -246,7 +304,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--count", type=int, default=20, help="documents of the seed")
     ap.add_argument("--repeats", type=int, default=5, help="rounds over the documents")
-    ap.add_argument("--mode", choices=("solve", "check", "setup"), default="solve")
+    ap.add_argument("--mode", choices=("solve", "check", "setup", "oracle"), default="solve")
     args = ap.parse_args(argv)
 
     run = load_run()
@@ -272,6 +330,12 @@ def main(argv=None) -> int:
     if args.mode == "solve":
         timer = solve_timer(parsed, work)
         figures = [("solve", pairs, interleaved(sides, pairs, args.repeats, timer))]
+    elif args.mode == "oracle":
+        calls = record_calls(sides["parent"], parsed["parent"], pairs)
+        rounds = {}
+        calls_k = list(range(len(calls)))
+        timer = oracle_timer(calls, rounds)
+        figures = [("call", calls_k, interleaved(sides, calls_k, args.repeats, timer))]
     else:
         pairs, outside, inside = check_timers(sides, parsed, pairs)
         figures = [
@@ -285,6 +349,8 @@ def main(argv=None) -> int:
         report(label, times, kept)
     if args.mode == "solve":
         report_work(work)
+    if args.mode == "oracle":
+        report_rounds(figures[0][2], rounds)
     return 0
 
 

@@ -279,23 +279,32 @@ def test_int64_run_on_large_payments_matches_python_ints():
 
 
 def test_policy_iteration_returns_what_the_reference_returns():
-    """On seeded random games with -inf entries, cold and from random legal
-    starts, the routine returns exactly the reference routine's (chi, sigma,
-    tau, rounds, bigint): the same strategies by the first-index tie-break
-    and the same round count, so a changed sentinel or tie-break shows.
-    Many evaluations find several cycle means, so the rank filters run, and
-    many find one.  The 6-node game of the test above moves to Python ints
-    after its first evaluation; at M = 10**19 runs are on Python ints from
-    the start."""
+    """On seeded random games, cold and from random legal starts, the
+    routine returns exactly the reference routine's (chi, sigma, tau,
+    rounds, bigint, (Q, V)): the same strategies by the first-index
+    tie-break and the same round count, so a changed sentinel or tie-break
+    shows.  Many evaluations find several cycle means, so the rank filters
+    run, and many find one.  The games up to 8 x 8 have -inf entries; those
+    up to 20 x 20 are all finite, so every move mask is empty, and at
+    M = 10**19 their one-mean rounds run on Python ints.  The 6-node game
+    of the test above moves to Python ints after its first evaluation; so
+    does the all-finite 6 x 6 game at the largest M that starts on int64,
+    where any nonzero bias passes the bound, so its runs rebuild A^T; at
+    M = 10**19 runs are on Python ints from the start."""
     rng = random.Random(19)
     stats = ge.OracleStats()
     games = [random_game(rng, rng.randint(1, 8), rng.randint(1, 8), M, rng.choice((0.2, 0.5)))
              for M in (1, 3, 50, 10**19) for _ in range(60)]
-    top = (2**62 - 3) // 13 - 1
+    top = (2**62 - 3) // 13 - 1  # 13(M + 1) + 2 < 2**62: the 6-node start bound
     a = tuple(tuple((top if i < 3 else -top) if i == j else None for j in range(6)) for i in range(6))
     moves = {0: (1, -top), 1: (2, -top), 2: (3, -top), 3: (4, top), 4: (5, top), 5: (3, top - 1)}
     b = tuple(tuple(moves[i][1] if j == moves[i][0] else None for j in range(6)) for i in range(6))
     games.append(ge.MeanPayoffGame(a, b))
+    finite = random.Random(29)
+    games += [random_game(finite, finite.randint(1, 20), finite.randint(1, 20), M, 0)
+              for M in (3, 50, 10**19) for _ in range(20)]
+    games.append(random_game(finite, 6, 6, top, 0))
+    assert ge._game_arrays(games[-1].a, games[-1].b)[0][2].dtype == np.int64
     for g in games:
         arrays, W = ge._game_arrays(g.a, g.b)
         starts = [None] + [
@@ -306,8 +315,53 @@ def test_policy_iteration_returns_what_the_reference_returns():
         for start in starts:
             got = ge._policy_iteration(arrays, W, start, stats)
             assert got == policy_reference._policy_iteration(arrays, W, start)
-    assert stats.runs == 3 * len(games) and stats.bigint_runs == 3 * 60 + 3
+    assert stats.runs == 3 * len(games) and stats.bigint_runs == 3 * (60 + 1 + 20 + 1)
     assert 0.05 * stats.rounds < stats.ranked_rounds < 0.95 * stats.rounds
+
+
+def _successor_map(rng, n):
+    """(nxt, w, cycles): a random map on n nodes, its number of cycles,
+    disjoint cycles of 1 to 4 nodes with trees hanging into them, and arc
+    weights in -2..2, so that several cycles often share a mean."""
+    nodes = rng.sample(range(n), n)
+    k = rng.randint(1, n)  # the nodes on cycles
+    nxt = [0] * n
+    i = cycles = 0
+    while i < k:
+        cyc = nodes[i:i + rng.randint(1, 4)]
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            nxt[u] = v
+        i += len(cyc)
+        cycles += 1
+    for t, u in enumerate(nodes[k:]):
+        nxt[u] = rng.choice(nodes[:k + t])
+    return nxt, [rng.randint(-2, 2) for _ in range(n)], cycles
+
+
+def test_evaluate_returns_what_the_reference_returns():
+    """On seeded random successor maps up to 60 nodes, ``_evaluate`` returns
+    the reference's (P, Q, V), its ``_ranks`` and the distinct means in
+    increasing order: without ref, with a ref that gives every cycle's
+    smallest node its mean (the biases there are taken from ref), and
+    with one that gives none (the same as without).  Many maps have
+    several cycles of one mean."""
+    rng = random.Random(41)
+    shared = 0
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        nxt, w, cycles = _successor_map(rng, n)
+        P, Q, V = policy_reference._evaluate(nxt, w, None)
+        pinned = (P, Q, [v + rng.randint(-9, 9) for v in V])
+        unpinned = ([p + 1 for p in P], Q, pinned[2])
+        for ref in (None, pinned, unpinned):
+            got = ge._evaluate(nxt, w, ref)
+            want = policy_reference._evaluate(nxt, w, ref)
+            assert got[:3] == want
+            assert got[3] == policy_reference._ranks(*want[:2])
+            assert got[4] == sorted(set(zip(*want[:2])), key=lambda pq: Fraction(*pq))
+        assert ge._evaluate(nxt, w, unpinned) == ge._evaluate(nxt, w, None)
+        shared += cycles > len(set(zip(P, Q)))
+    assert shared >= 100
 
 
 def test_policy_iteration_from_any_legal_start():
